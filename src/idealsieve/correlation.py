@@ -321,7 +321,8 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
 
     Fast path: when the coefficient matrix has full row rank at every
     prime off W (empty exceptional set), omega factors across forms and
-    the sum collapses to a product of s independent pair sums.
+    the sum collapses to a product of s identical pair sums, computed once
+    (over Q by Selberg's diagonalisation, see _pair_sum_rational).
     """
     from .sieve import DEFAULT_BUMP
 
@@ -349,14 +350,13 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     if not exceptional and forms.s <= forms.m and prime_support is None \
             and weights == "bump" and _generic_shift(forms, W, alpha):
         if K.degree == 1:
-            val = 1.0
-            for j in range(forms.s):
-                val *= _pair_sum_rational(R, W, logR, phi)
-            return val
-        pairs = squarefree_ideals(K, R, W, budget=budget)
+            pair = _pair_sum_rational(R, W, logR, phi)
+        else:
+            pair = _pair_sum_ideals(squarefree_ideals(K, R, W, budget=budget),
+                                    logR, phi, budget)
         val = 1.0
-        for j in range(forms.s):
-            val *= _pair_sum_ideals(pairs, logR, phi, budget)
+        for _ in range(forms.s):
+            val *= pair
         return val
 
     # direct tuple enumeration
@@ -416,24 +416,42 @@ def _generic_shift(forms, W, alpha):
     return True
 
 
+def _mobius_totient(n):
+    """mu(k) and phi(k) for 0 <= k <= n (index 0 unused), by a numpy sieve."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    tot = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, n + 1):
+        if tot[p] != p:  # a smaller prime divides p
+            continue
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+        tot[p::p] -= tot[p::p] // p
+    return mu, tot
+
+
 def _pair_sum_rational(R, W, logR, phi):
     """sum over squarefree d, d' < R coprime to W of
-    mu mu' phi phi' / lcm(d,d') using integer arithmetic and numpy."""
+    mu(d) mu(d') phi(log d / log R) phi(log d' / log R) / lcm(d, d').
+
+    Selberg's diagonalisation: 1/lcm(d, d') = sum_{e | gcd(d, d')} phi(e)
+    / (d d'), so with c_d = mu(d) phi(log d / log R) the sum is
+
+        sum_e phi(e) (sum_{e | d} c_d / d)^2
+
+    over squarefree e < R coprime to W; every sum is a fixed-order
+    math.fsum, and no D x D matrix is formed.
+    """
     Ri = int(math.ceil(R)) - 1
-    d = np.arange(1, Ri + 1, dtype=np.int64)
-    mob = np.array([int(sympy.mobius(int(x))) for x in d], dtype=np.int64)
+    mob, tot = _mobius_totient(Ri)
+    d = np.arange(Ri + 1, dtype=np.int64)
     keep = mob != 0
+    keep[0] = False
     if W > 1:
         keep &= np.gcd(d, W) == 1
-    d = d[keep]
-    mob = mob[keep]
-    phiv = np.array([phi(math.log(int(x)) / logR) for x in d])
-    c = mob * phiv
-    g = np.gcd.outer(d, d)
-    lcm = (d[:, None] // g) * d[None, :]
-    M = (c[:, None] * c[None, :]) / lcm
-    # fixed-order compensated reduction: fsum over rows, then over row sums
-    return math.fsum(math.fsum(row) for row in M)
+    ds = np.flatnonzero(keep).tolist()
+    v = np.zeros(Ri + 1)
+    v[ds] = [int(mob[x]) * phi(math.log(x) / logR) / x for x in ds]
+    return math.fsum(int(tot[e]) * math.fsum(v[e::e]) ** 2 for e in ds)
 
 
 def _pair_sum_ideals(pairs, logR, phi, budget):
@@ -581,6 +599,8 @@ def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
             prod *= nu_weight(cfg, x + yi)
         return prod
 
+    if not cfg.raw:
+        cfg.prefactor()  # c_phi once, before the slabs fan out to threads
     emp = _sharded_fsum(pts, term, workers) / len(pts)
     bound = 2.0 ** cfg.s
     for i in range(s):

@@ -75,14 +75,28 @@ def bump_hat(phi: BumpFunction, y: float) -> complex:
     return complex(re, im)
 
 
-def _bump_hat_grid(phi: BumpFunction, ys, t_nodes: int = 400):
-    """phihat at an array of frequencies by fixed Gauss-Legendre in t."""
+# rows of the c_phi tensor (and frequencies of phihat) formed at a time
+_CPHI_BLOCK = 32
+
+
+def _bump_hat_grid(phi: BumpFunction, t_nodes: int = 400):
+    """phihat by fixed Gauss-Legendre in t: returns ys -> phihat(ys).
+
+    The nodes, weights and e^t phi(t) are computed once; the frequencies
+    are taken _CPHI_BLOCK at a time, so memory is O(t_nodes * block).
+    """
     a, b = phi.support
     tn, tw = np.polynomial.legendre.leggauss(t_nodes)
     t = 0.5 * (b - a) * tn + 0.5 * (b + a)
     w = 0.5 * (b - a) * tw
-    g = np.array([math.exp(ti) * phi(ti) for ti in t])
-    return (w * g) @ np.exp(1j * np.outer(t, np.asarray(ys, dtype=float)))
+    wg = w * np.array([math.exp(ti) * phi(ti) for ti in t])
+
+    def phihat(ys):
+        ys = np.asarray(ys, dtype=float)
+        return np.concatenate([
+            wg @ np.exp(1j * np.outer(t, ys[i:i + _CPHI_BLOCK]))
+            for i in range(0, len(ys), _CPHI_BLOCK)])
+    return phihat
 
 
 def c_phi(phi: BumpFunction = DEFAULT_BUMP, rel_tol: float = 1e-8,
@@ -95,9 +109,15 @@ def c_phi(phi: BumpFunction = DEFAULT_BUMP, rel_tol: float = 1e-8,
     super-polynomially; the domain is cut at +-Y where |phihat| < tail_eps,
     and the node count is doubled until two successive values agree to
     rel_tol.  The imaginary residue must stay below 1e-9.
+
+    The n x n tensor is never formed.  It is reduced in fixed-order blocks
+    of _CPHI_BLOCK rows, each block summed by numpy and the block sums by
+    math.fsum, so every temporary is O(_CPHI_BLOCK * n): memory is O(n),
+    not O(n^2), and the value is the same on every run.
     """
+    phihat = _bump_hat_grid(phi)
     Y = 8.0
-    while abs(_bump_hat_grid(phi, [Y])[0]) > tail_eps:
+    while abs(phihat([Y])[0]) > tail_eps:
         Y *= 1.5
         if Y > 1e4:
             break
@@ -110,12 +130,22 @@ def c_phi(phi: BumpFunction = DEFAULT_BUMP, rel_tol: float = 1e-8,
         half = 0.5 * (edges[1] - edges[0])
         ys = (mid[:, None] + half * gl_nodes[None, :]).ravel()
         ws = np.tile(half * gl_weights, panels)
-        h = _bump_hat_grid(phi, ys) * (1.0 + 1j * ys)
-        denom = 2.0 + 1j * (ys[:, None] + ys[None, :])
-        total = ((ws * h)[:, None] * (ws * h)[None, :] / denom).sum()
+        wh = ws * (phihat(ys) * (1.0 + 1j * ys))
+        den = np.empty((_CPHI_BLOCK, len(ys)), dtype=complex)
+        den.real = 2.0
+        parts = []
+        for i in range(0, len(ys), _CPHI_BLOCK):
+            y, h = ys[i:i + _CPHI_BLOCK], wh[i:i + _CPHI_BLOCK]
+            d = den[:len(y)]
+            np.add.outer(y, ys, out=d.imag)
+            block = np.multiply.outer(h, wh)
+            block /= d
+            parts.append(block.sum())
+        total = complex(math.fsum(z.real for z in parts),
+                        math.fsum(z.imag for z in parts))
         if abs(total.imag) > 1e-9:
             raise ArithmeticError(f"imaginary residue {total.imag:g} too large")
-        val = float(total.real)
+        val = total.real
         if val <= 0:
             raise ArithmeticError("c_phi quadrature gave a non-positive value")
         if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):

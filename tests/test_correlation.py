@@ -3,10 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from idealsieve import sieve
 from idealsieve.correlation import (LinearFormSystem, F_euler,
+                                    _mobius_totient, _pair_sum_rational,
                                     auto_correlation_check,
                                     cross_correlation_sum,
                                     hypergraph_conditions_report,
@@ -130,6 +134,37 @@ def _singular_series_integer_oracle(R, W=1):
                    * phi(math.log(dp) / logR))
             total += val / (d * dp // math.gcd(d, dp))
     return total
+
+
+def _pair_sum_lcm_oracle(R, W):
+    # the D x D lcm matrix: sum over squarefree d, d' < R coprime to W of
+    # mu(d) mu(d') phi phi' / lcm(d, d'), one fixed-order fsum per row
+    phi = DEFAULT_BUMP
+    logR = math.log(R)
+    d = np.arange(1, int(math.ceil(R)), dtype=np.int64)
+    mob = np.array([int(sympy.mobius(int(x))) for x in d], dtype=np.int64)
+    keep = mob != 0
+    if W > 1:
+        keep &= np.gcd(d, W) == 1
+    d = d[keep]
+    c = mob[keep] * np.array([phi(math.log(int(x)) / logR) for x in d])
+    lcm = (d[:, None] // np.gcd.outer(d, d)) * d[None, :]
+    M = (c[:, None] * c[None, :]) / lcm
+    return math.fsum(math.fsum(row) for row in M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(R=st.floats(min_value=2.0, max_value=3000.0),
+       W=st.sampled_from([1, 2, 6, 30, 210]))
+def test_pair_sum_diagonalised_matches_lcm_oracle(R, W):
+    got = _pair_sum_rational(R, W, math.log(R), DEFAULT_BUMP)
+    assert got == pytest.approx(_pair_sum_lcm_oracle(R, W), rel=1e-12)
+
+
+def test_mobius_totient_sieve_matches_sympy():
+    mu, tot = _mobius_totient(5000)
+    assert mu[1:].tolist() == [sympy.mobius(k) for k in range(1, 5001)]
+    assert tot[1:].tolist() == [sympy.totient(k) for k in range(1, 5001)]
 
 
 def test_singular_series_rational_oracle():
@@ -278,6 +313,26 @@ def test_auto_correlation_coincident_rejected():
     with pytest.raises(ValueError):
         auto_correlation_check([Q.element(1), Q.element(1)],
                                unit_box(Q), cfg)
+
+
+def test_auto_correlation_computes_c_phi_once(monkeypatch):
+    # the prefactor is filled before the slabs go to threads, so two
+    # workers cannot both miss the c_phi cache
+    calls = []
+    real = sieve.c_phi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sieve, "c_phi", counting)
+    sieve._c_phi_cached_by_id.cache_clear()
+    y = [Q.element(0), Q.element(2)]
+    reports = [auto_correlation_check(
+        y, unit_box(Q), SieveConfig(Q, N=200, s=2, w=3, logR=math.log(12)),
+        workers=workers).to_json() for workers in (2, 1)]
+    assert len(calls) == 1
+    assert reports[0] == reports[1]
 
 
 def test_auto_correlation_s1_mean():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from scipy.integrate import quad
@@ -62,9 +63,17 @@ def test_c_phi_identity_and_convergence():
     other = c_phi_derivative_route()
     assert val > 0
     assert val == pytest.approx(other, abs=1e-6)
-    # doubling the quadrature resolution moves the value by < 1e-8
-    finer = c_phi(rel_tol=1e-10)
+    assert val == pytest.approx(59.73996079599435, rel=1e-12)
+    # doubling the quadrature resolution moves the value by < 1e-8; the
+    # 12288-node tensor is reduced in row blocks, never held whole
+    tracemalloc.start()
+    try:
+        finer = c_phi(rel_tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert abs(val - finer) < 1e-8
+    assert peak < 128 * 2 ** 20
 
 
 # frozen: the 1-D quadrature value of 4 pi^2 int phi'^2 for the default bump
