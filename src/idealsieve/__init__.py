@@ -3,8 +3,8 @@ number fields: exact ideal arithmetic, truncated divisor-sum sieve
 weights, correlation asymptotics, and desk-scale constellation search."""
 
 from .constellation import (AlphaScanResult, Certificate, ConstellationSpec,
-                            alpha_scan, generator_bound_constant,
-                            search_constellation, verify_certificate)
+                            alpha_scan, search_constellation,
+                            verify_certificate, verify_line)
 from .correlation import (CorrelationReport, LinearFormSystem, F_euler,
                           auto_correlation_check, cross_correlation_sum,
                           hypergraph_conditions_report, local_factor_omega,
@@ -19,8 +19,7 @@ from .ideals import (FractionalIdeal, IdealFactorization, PrimeIdeal,
                      principal_generator, residue_degrees, zeta_residue)
 from .lattice import (LatticeBasis, Parallelotope, admissible_modulus,
                       ball_elements, fundamental_domain_reduce,
-                      in_scaled_domain, is_admissible_modulus,
-                      points_in_parallelotope)
+                      in_scaled_domain, points_in_parallelotope)
 from .numberfield import (FieldElement, NumberField, embedding_coords,
                           field_by_name, make_field, minkowski_norm)
 from .sieve import (BumpFunction, SieveConfig, bump_hat, c_phi,

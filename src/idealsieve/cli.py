@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
-Flat key=value config files (# comments) feed experiment parameters; CLI
-flags override file values.  Reports are JSON lines, optionally mirrored
-to CSV with columns x, empirical, predicted, ratio.  Exit codes: 0 ok,
-1 verification failure, 2 usage error, 3 budget exhausted.
+Flat key=value config files (# comments) feed experiment parameters: each
+line becomes the flag --key with the value's whitespace-split tokens, ahead
+of the command line's own flags, so CLI flags override file values.
+Reports are JSON lines, optionally mirrored to CSV with columns x,
+empirical, predicted, ratio.  Exit codes: 0 ok, 1 verification failure,
+2 usage error, 3 budget exhausted.  Runs are single-threaded; --workers is
+accepted and leaves every report unchanged.
 """
 
 from __future__ import annotations
@@ -15,15 +18,16 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .constellation import (ConstellationSpec, alpha_scan,
-                            search_constellation, verify_certificate)
-from .correlation import (CorrelationReport, LinearFormSystem,
-                          auto_correlation_check, cross_correlation_sum,
-                          hypergraph_conditions_report,
-                          singular_series_direct, singular_series_main_term)
+                            search_constellation, verify_line)
+from .correlation import (LinearFormSystem, auto_correlation_check,
+                          cross_correlation_sum, hypergraph_conditions_report,
+                          report_line, singular_series_direct,
+                          singular_series_main_term)
 from .errors import BudgetExceededError, IdealSieveError
-from .ideals import (FractionalIdeal, enumerate_prime_ideals, factor_ideal,
-                     mobius)
+from .ideals import FractionalIdeal, enumerate_prime_ideals, mobius
 from .lattice import Parallelotope, fundamental_domain_reduce
 from .numberfield import field_by_name
 from .sieve import SieveConfig, c_phi, c_phi_derivative_route, lambda_R
@@ -72,13 +76,6 @@ def _field(args):
     return field_by_name(args.field)
 
 
-def _report_line(op, empirical, predicted, params):
-    ratio = empirical / predicted if predicted else math.inf
-    return json.dumps({"op": op, "empirical": empirical,
-                       "predicted": predicted, "ratio": ratio,
-                       "params": params}, sort_keys=True)
-
-
 def cmd_primes(args):
     K = _field(args)
     lines = [json.dumps({"op": "prime", "p": P.p, "g": list(P.gpoly),
@@ -108,10 +105,10 @@ def cmd_lambda(args):
     rows = []
     for P in enumerate_prime_ideals(K, args.bound):
         val = lambda_R(P.ideal(), args.R)
-        lines.append(_report_line("lambda", val, 1.0,
-                                  {"field": K.name, "R": args.R,
-                                   "norm": P.norm(), "p": P.p,
-                                   "g": list(P.gpoly)}))
+        lines.append(report_line("lambda", val, 1.0,
+                                 {"field": K.name, "R": args.R,
+                                  "norm": P.norm(), "p": P.p,
+                                  "g": list(P.gpoly)}))
         rows.append((P.norm(), val, 1.0))
     _emit(args, lines)
     _emit_csv(args, rows)
@@ -121,15 +118,13 @@ def cmd_lambda(args):
 def cmd_cphi(args):
     val = c_phi(rel_tol=args.tol)
     other = c_phi_derivative_route()
-    _emit(args, [_report_line("cphi", val, other,
-                              {"tol": args.tol, "delta": abs(val - other)})])
+    _emit(args, [report_line("cphi", val, other,
+                             {"tol": args.tol, "delta": abs(val - other)})])
     return EXIT_OK
 
 
 def _square_region(K):
-    one = K.one
     edges = [K.theta_power(j) for j in range(K.degree)]
-    n = K.degree
     origin = K.zero
     for e in edges:
         origin = origin - e * K.element(Fraction(1, 2))
@@ -156,8 +151,7 @@ def cmd_correlate(args):
     rng = random.Random(args.seed)
     forms = _random_forms(K, rng, args.s, args.m)
     region = _square_region(K)
-    rep = cross_correlation_sum(forms, region, args.lam,
-                                lambda x: 1.0, workers=args.workers)
+    rep = cross_correlation_sum(forms, region, args.lam, lambda x: 1.0)
     _emit(args, [rep.to_json()])
     _emit_csv(args, [(args.lam, rep.empirical, rep.predicted)])
     return EXIT_OK
@@ -171,9 +165,9 @@ def cmd_singular_series(args):
     for R in args.R:
         S = singular_series_direct(forms, R, args.W)
         main = singular_series_main_term(forms, R, args.W)
-        lines.append(_report_line("singular_series", S, main,
-                                  {"field": K.name, "R": R, "W": args.W,
-                                   "s": args.s}))
+        lines.append(report_line("singular_series", S, main,
+                                 {"field": K.name, "R": R, "W": args.W,
+                                  "s": args.s}))
         rows.append((R, S, main))
     _emit(args, lines)
     _emit_csv(args, rows)
@@ -184,8 +178,7 @@ def cmd_autocorr(args):
     K = _field(args)
     cfg = SieveConfig(K, N=args.N, s=args.s, w=args.w)
     y = [K.element(v) for v in args.y]
-    rep = auto_correlation_check(y, _square_region(K), cfg,
-                                 workers=args.workers)
+    rep = auto_correlation_check(y, _square_region(K), cfg)
     _emit(args, [rep.to_json()])
     return EXIT_OK
 
@@ -193,12 +186,7 @@ def cmd_autocorr(args):
 def cmd_hypergraph(args):
     K = _field(args)
     cfg = SieveConfig(K, N=args.N, k=args.k, w=args.w)
-    if K.degree == 1:
-        table = [1.0] * args.N
-    else:
-        table = {}
-        raise NotImplementedError("hypergraph tables only built over degree 1")
-    rep = hypergraph_conditions_report(cfg, table)
+    rep = hypergraph_conditions_report(cfg, np.ones((args.N,) * K.degree))
     _emit(args, [json.dumps(dict(rep, op="hypergraph"), sort_keys=True)])
     return EXIT_OK
 
@@ -215,8 +203,6 @@ def cmd_search(args):
 
 
 def cmd_verify(args):
-    from .constellation import Certificate
-
     ok_all = True
     lines = []
     with open(args.certificate) as fh:
@@ -224,8 +210,7 @@ def cmd_verify(args):
             line = line.strip()
             if not line:
                 continue
-            cert = Certificate.from_json(line)
-            ok, diag = verify_certificate(cert)
+            ok, diag = verify_line(line)
             ok_all &= ok
             lines.append(json.dumps({"op": "verify", "ok": ok,
                                      "diagnoses": diag}, sort_keys=True))
@@ -266,10 +251,12 @@ def build_parser():
     top = argparse.ArgumentParser(prog="idealsieve")
     top.add_argument("--config", help="flat key=value config file")
     top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--workers", type=int, default=1)
+    top.add_argument("--workers", type=int, default=1,
+                     help="accepted and ignored: runs are single-threaded")
     top.add_argument("--output", help="report file (default stdout)")
     top.add_argument("--csv", help="CSV mirror of the report")
     sub = top.add_subparsers(dest="command")
+    top.commands = sub.choices
 
     def add(name, fn, **kw):
         p = sub.add_parser(name)
@@ -320,7 +307,28 @@ def build_parser():
     return top
 
 
+def _config_argv(parser, argv, command, cfg):
+    """argv with each config line `key = value` spliced in as --key plus the
+    value's tokens: top-level flags first, the subcommand's flags right
+    after its name, so the command line's own flags come later and win.
+    Keys that name no flag of either parser are ignored."""
+    head, tail = [], []
+    for key, val in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if flag in parser._option_string_actions:
+            head += [flag] + val.split()
+        elif flag in parser.commands[command]._option_string_actions:
+            tail += [flag] + val.split()
+    # every top-level option takes one value, so the subcommand is the
+    # first token that is neither an option nor an option's value
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return head + argv[:i + 1] + tail + argv[i + 1:]
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "fn", None):
@@ -332,17 +340,7 @@ def main(argv=None):
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and f"--{key}" not in (argv or sys.argv):
-                cur = getattr(args, attr)
-                if isinstance(cur, bool):
-                    val = val.lower() in ("1", "true", "yes")
-                elif isinstance(cur, int):
-                    val = int(val)
-                elif isinstance(cur, float):
-                    val = float(val)
-                setattr(args, attr, val)
+        args = parser.parse_args(_config_argv(parser, argv, args.command, cfg))
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

@@ -5,18 +5,15 @@ pigeonhole alpha-scan over a prime-norm window.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .errors import BudgetExceededError, UnsupportedFieldError
-from .ideals import (GENERATOR_BOUNDS, FractionalIdeal, class_equivalent,
-                     enumerate_prime_ideals, factor_ideal,
-                     has_finite_unit_group, is_prime_element,
-                     principal_generator)
-from .lattice import ball_elements, fundamental_domain_reduce, in_scaled_domain
+from .errors import BudgetExceededError
+from .ideals import (FractionalIdeal, enumerate_prime_ideals, factor_ideal,
+                     is_prime_element, principal_generator)
+from .lattice import ball_elements, fundamental_domain_reduce
 from .numberfield import FieldElement, NumberField, make_field, minkowski_norm
 from .sieve import SieveConfig, lambda_R
 
@@ -66,14 +63,16 @@ def _coords_in(K, coords):
     return K.element([Fraction(c) for c in coords])
 
 
+def _witness(K, ambient, pt):
+    """Prime data {p, g, e, f} of the prime ideal (pt) b^{-1}."""
+    (P, _), = factor_ideal(FractionalIdeal.principal(K, pt)
+                           * ambient.inverse()).factors
+    return P.to_json()
+
+
 def make_certificate(K, ambient, k, a, xi, pattern) -> Certificate:
     pts = [a + xi * j for j in pattern]
-    witnesses = []
-    for pt in pts:
-        c = FractionalIdeal.principal(K, pt) * ambient.inverse()
-        fac = factor_ideal(c)
-        (P, e), = fac.factors
-        witnesses.append(P.to_json())
+    witnesses = [_witness(K, ambient, pt) for pt in pts]
     radius = max(minkowski_norm(K, xi * j) for j in pattern) + 1e-9
     return Certificate(K.name, ambient.to_json(), k, _coords_out(a),
                        _coords_out(xi), [_coords_out(p) for p in pts],
@@ -125,6 +124,7 @@ def verify_certificate(cert: Certificate):
     if sorted(tuple(p.coords) for p in expected) != \
             sorted(tuple(p.coords) for p in given):
         diagnoses.append("pattern")
+    derived = []
     for pt in given:
         if not ambient.contains(pt):
             diagnoses.append("membership")
@@ -136,19 +136,22 @@ def verify_certificate(cert: Certificate):
             diagnoses.append("metric")
         if not pt or not is_prime_element(K, ambient, pt):
             diagnoses.append("primality")
+        else:
+            derived.append(_witness(K, ambient, pt))
+    # the witnesses are compared when every point passed the prime check
+    if len(derived) == len(given) and derived != cert.witnesses:
+        diagnoses.append("witness")
     return (not diagnoses), diagnoses
 
 
-def generator_bound_constant(K: NumberField) -> float:
-    """c_K with: every principal ideal has a generator xi with every
-    |sigma(xi)| <= c_K N(xi)^{1/n}.  Table values; validated exhaustively
-    in the test suite for norms <= 10^4."""
-    if not has_finite_unit_group(K):
-        raise UnsupportedFieldError(
-            f"{K.name} has an infinite unit group; no uniform table entry")
-    if K.name not in GENERATOR_BOUNDS:
-        raise UnsupportedFieldError(f"no generator bound tabulated for {K.name}")
-    return GENERATOR_BOUNDS[K.name]
+def verify_line(text: str):
+    """verify_certificate on one JSON certificate line; a line whose keys
+    are not exactly the certificate fields is diagnosed as "schema"."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict) \
+            or set(obj) != {f.name for f in fields(Certificate)}:
+        return False, ["schema"]
+    return verify_certificate(Certificate(**obj))
 
 
 @dataclass

@@ -5,7 +5,7 @@ Local densities omega are exact rationals obtained by counting residues;
 the singular series is evaluated either by a factored fast path (when the
 form system has full row rank at every prime) or by direct enumeration of
 squarefree ideal tuples.  All floating accumulations use fixed-order
-compensated summation so reports are byte-identical across worker counts.
+compensated summation, so a report is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,30 +23,21 @@ import sympy
 
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     factor_ideal, factor_rational_prime, mobius, zeta_residue)
+                     factor_ideal, factor_rational_prime, zeta_residue)
 from .lattice import LatticeBasis, Parallelotope, points_in_parallelotope
 from .linalg import hnf
-from .numberfield import FieldElement, NumberField
-from .sieve import SieveConfig, lambda_R, nu_weight
+from .numberfield import FieldElement
+from .sieve import SieveConfig, nu_weight
 
 _N_SLABS = 16
 
 
-def _sharded_fsum(items, term, workers: int = 1) -> float:
+def _sharded_fsum(items, term) -> float:
     """Compensated sum of term(x) over items, split into a fixed number of
-    slabs so the reduction order never depends on the worker count."""
+    slabs summed in order, so the reduction order never changes."""
     items = list(items)
-    slabs = [items[i::_N_SLABS] for i in range(_N_SLABS)]
-
-    def slab_sum(slab):
-        return math.fsum(term(x) for x in slab)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(slab_sum, slabs))
-    else:
-        partials = [slab_sum(s) for s in slabs]
-    return math.fsum(partials)
+    return math.fsum(math.fsum(term(x) for x in items[i::_N_SLABS])
+                     for i in range(_N_SLABS))
 
 
 # ---------------------------------------------------------------------
@@ -128,6 +118,15 @@ def _det_elements(K, rows):
     return det
 
 
+def report_line(op, empirical, predicted, params, **extra) -> str:
+    """One JSON report line with sorted keys, so equal reports are equal
+    bytes; extra adds keys such as sample_size."""
+    ratio = empirical / predicted if predicted else math.inf
+    return json.dumps(dict(extra, op=op, empirical=empirical,
+                           predicted=predicted, ratio=ratio, params=params),
+                      sort_keys=True)
+
+
 @dataclass
 class CorrelationReport:
     op: str
@@ -135,34 +134,26 @@ class CorrelationReport:
     predicted: float
     sample_size: int
     parameters: dict
-    wall_time: float = 0.0
 
     @property
     def ratio(self):
         return self.empirical / self.predicted if self.predicted else math.inf
 
     def to_json(self) -> str:
-        # wall_time deliberately excluded: reports must be byte-identical
-        # across worker counts and runs
-        return json.dumps({"op": self.op, "empirical": self.empirical,
-                           "predicted": self.predicted, "ratio": self.ratio,
-                           "sample_size": self.sample_size,
-                           "params": self.parameters}, sort_keys=True)
+        return report_line(self.op, self.empirical, self.predicted,
+                           self.parameters, sample_size=self.sample_size)
 
 
 # ---------------------------------------------------------------------
 # Cross-correlation
 
-def region_points(ambient, region: Parallelotope, lam, budget: int = 10**7):
-    return points_in_parallelotope(ambient, region.scaled(lam), budget=budget)
-
 def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
-                          lam, weight, workers: int = 1,
-                          budget: int = 10**7) -> CorrelationReport:
+                          lam, weight, budget: int = 10**7
+                          ) -> CorrelationReport:
     """(1/|b cap lam I|^m) sum over x in (b cap lam I)^m of
     prod_j weight(psi_j(x) + b_j)."""
-    t0 = time.time()
-    pts = region_points(forms.ambient, region, lam, budget=budget)
+    pts = points_in_parallelotope(forms.ambient, region.scaled(lam),
+                                  budget=budget)
     if not pts:
         raise ValueError("empty region")
     count = len(pts) ** forms.m
@@ -176,13 +167,11 @@ def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
             prod *= weight(forms.apply(j, x) + forms.shifts[j])
         return prod
 
-    total = _sharded_fsum(itertools.product(pts, repeat=forms.m), term,
-                          workers)
+    total = _sharded_fsum(itertools.product(pts, repeat=forms.m), term)
     emp = total / count
     return CorrelationReport("cross_correlation", emp, 1.0, count,
                              {"s": forms.s, "m": forms.m, "lambda": float(lam),
-                              "field": forms.K.name},
-                             wall_time=time.time() - t0)
+                              "field": forms.K.name})
 
 
 # ---------------------------------------------------------------------
@@ -348,7 +337,7 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
 
     exceptional = _exceptional_primes(forms, W)
     if not exceptional and forms.s <= forms.m and prime_support is None \
-            and weights == "bump" and _generic_shift(forms, W, alpha):
+            and weights == "bump":
         if K.degree == 1:
             pair = _pair_sum_rational(R, W, logR, phi)
         else:
@@ -407,13 +396,6 @@ def _exceptional_primes(forms, W):
             if om != Fraction(1, P.norm() ** forms.s):
                 out.append(P)
     return out
-
-
-def _generic_shift(forms, W, alpha):
-    """The factored fast path also needs each single-mark density to be
-    exactly 1/Np; with full row rank this holds automatically for every
-    prime off W, so only the rank condition matters."""
-    return True
 
 
 def _mobius_totient(n):
@@ -565,23 +547,10 @@ def tau_weight(cfg: SieveConfig, y: FieldElement) -> float:
     return (2.0 ** cfg.s) * tau_factor(cfg, y)
 
 
-def tau_moments(cfg: SieveConfig, region: Parallelotope,
-                moments=(1, 2, 4), budget: int = 10**6):
-    pts = points_in_parallelotope(cfg.ambient, region.scaled(cfg.N),
-                                  budget=budget)
-    out = {}
-    for M in moments:
-        vals = [tau_weight(cfg, x) ** M for x in pts if x]
-        out[M] = math.fsum(vals) / len(pts)
-    return out
-
-
 def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
-                           workers: int = 1,
                            budget: int = 10**6) -> CorrelationReport:
     """Empirical mean of prod_i nu_N(x + y_i) over x in (N I) cap b versus
     the bound C_s prod_{i<j} tau_factor(y_i - y_j)."""
-    t0 = time.time()
     y = list(y)
     s = len(y)
     for i in range(s):
@@ -599,16 +568,13 @@ def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
             prod *= nu_weight(cfg, x + yi)
         return prod
 
-    if not cfg.raw:
-        cfg.prefactor()  # c_phi once, before the slabs fan out to threads
-    emp = _sharded_fsum(pts, term, workers) / len(pts)
+    emp = _sharded_fsum(pts, term) / len(pts)
     bound = 2.0 ** cfg.s
     for i in range(s):
         for j in range(i + 1, s):
             bound *= tau_factor(cfg, y[i] - y[j])
     return CorrelationReport("auto_correlation", emp, bound, len(pts),
-                             dict(cfg.params_echo(), s_tuple=s),
-                             wall_time=time.time() - t0)
+                             dict(cfg.params_echo(), s_tuple=s))
 
 
 # ---------------------------------------------------------------------
@@ -621,216 +587,119 @@ def pattern_points(K, k: float):
     return ball_elements(K, FractionalIdeal.unit_ideal(K), k)
 
 
-def hypergraph_nu(nu_table, K, N, j, e_j, x: dict) -> float:
-    """nu~_{N,j}(x) = nu~_N(sum_{i in e_j} (i - j) x_i), with nu~_N given
-    as a residue table and x a dict i -> residue element."""
-    acc = K.zero
-    for i in e_j:
-        acc = acc + (i - j) * x[i]
-    return _table_lookup(nu_table, K, N, acc)
-
-
-def _table_lookup(table, K, N, x):
-    if K.degree == 1:
-        return table[int(x.coords[0]) % N]
-    key = tuple(int(c) % N for c in x.coords)
-    return table[key]
-
-
 def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
                                  Omegas=None, M: int = 2,
                                  budget: int = 10**8) -> dict:
-    """Exact brute-force evaluation of the three pseudo-randomness
-    conditions for the measure system nu~_{N,j} built from nu_table.
+    """Exact evaluation of the three pseudo-randomness conditions for the
+    measure system nu~_{N,j} built from nu_table.
 
-    Pattern J = O_K cap B_k, hyperedges e_j = J \\ {j}.  Omegas maps j to
-    a list of 0/1 vectors over e_j; default is the all-ones vector for
-    each j.  Only the variables that actually occur in some term are
-    enumerated; unused coordinates factor out of the normalized average
-    exactly.
+    A residue of O_K / N O_K is its integer coordinate vector mod N, and
+    nu_table is indexed by residues: an array of shape (N,) * n (a length-N
+    list over Q).  Pattern J = O_K cap B_k, hyperedges e_j = J \\ {j}.
+    Omegas maps j to a list of 0/1 vectors over e_j; default is the
+    all-ones vector for each j.  Only the variables that actually occur in
+    some term are enumerated; unused coordinates factor out of the
+    normalized average exactly.
     """
-    K = cfg.K
-    N = cfg.N
+    K, N, n = cfg.K, cfg.N, cfg.K.degree
+    T = np.asarray(nu_table, dtype=float)
+    if T.shape != (N,) * n:
+        raise ValueError(f"nu_table has shape {T.shape}, expected {(N,) * n}")
     J = pattern_points(K, cfg.k)
-    idx = {tuple(j.coords): pos for pos, j in enumerate(J)}
     edges = {pos: [q for q in range(len(J)) if q != pos]
              for pos in range(len(J))}
     if Omegas is None:
         Omegas = {pos: [tuple(1 for _ in edges[pos])] for pos in edges}
+    mats = {(i, j): _mult_matrix(K, J[i] - J[j], N)
+            for j in Omegas for i in edges[j]}
+    # a term is the lookup T[sum over (variable, matrix) pairs]; a variable
+    # is (i_pos, delta), the delta-copy of x_i
+    terms = [[((i, om[a]), mats[i, j]) for a, i in enumerate(edges[j])]
+             for j, omegas in Omegas.items() for om in omegas]
+    used = sorted({v for deps in terms for v, _ in deps})
+    _check_states(N ** (len(used) * n), budget)
+    cond2 = _grid_mean(T, terms, used)
 
-    def coeff(i_pos, j_pos):
-        return J[i_pos] - J[j_pos]
+    # condition 3: j = first key of Omegas, i = first of e_j
+    j = next(iter(Omegas))
+    if edges[j]:
+        i = edges[j][0]
+        terms3 = [[((ip, om[a]), mats[ip, j]) for a, ip in enumerate(edges[j])]
+                  for om in Omegas[j]]
+        used3 = {v for deps in terms3 for v, _ in deps}
+        outer = sorted(v for v in used3 if v[0] != i)
+        inner = sorted(v for v in used3 if v[0] == i)
+        _check_states(N ** (len(used3) * n), budget)
+        cond3 = _grid_mean(T, terms3, outer + inner, inner=len(inner), M=M)
+    else:
+        cond3 = 1.0
 
-    cond2 = _condition2(cfg, nu_table, J, edges, Omegas, budget)
-    cond3 = _condition3(cfg, nu_table, J, edges, Omegas, M, budget)
-    cond1 = _condition1(cfg, nu_table, J, edges, Omegas, budget)
+    # condition 1: sup over 8 sampled x^(0); Omega entries equal to the
+    # all-ones vector make the average x^(0)-independent
+    used1 = [v for v in used if v[1] == 1]
+    used0 = [v for v in used if v[1] == 0]
+    _check_states(N ** (len(used1) * n), budget)
+    rng = random.Random(0)
+    samples = [[_residue(N, n, rng.randrange(N ** n)) for _ in used0]
+               for _ in range(8)] if used0 else [[]]
+    cond1 = max([0.0] + [_grid_mean(T, terms, used1, dict(zip(used0, x0)))
+                         for x0 in samples])
     return {"condition1_sup": cond1, "condition2": cond2,
             "condition3": cond3, "pattern_size": len(J), "N": N, "M": M}
 
 
-def _enumerate_terms(J, edges, Omegas):
-    """Terms of the condition-2 product: (j_pos, omega) with the list of
-    (i_pos, delta) variables each depends on."""
-    terms = []
-    for j_pos, omegas in Omegas.items():
-        for om in omegas:
-            deps = [(i_pos, om[a]) for a, i_pos in enumerate(edges[j_pos])]
-            terms.append((j_pos, om, deps))
-    return terms
-
-
-def _residues(K, N):
-    if K.degree == 1:
-        return [K.element(r) for r in range(N)]
-    return [K.element(list(c))
-            for c in itertools.product(range(N), repeat=K.degree)]
-
-
-def _condition2(cfg, table, J, edges, Omegas, budget):
-    K, N = cfg.K, cfg.N
-    terms = _enumerate_terms(J, edges, Omegas)
-    used = sorted({v for _, _, deps in terms for v in deps})
-    states = N ** (len(used) * K.degree)
+def _check_states(states, budget):
     if states > budget:
         raise BudgetExceededError(f"{states} states exceed budget {budget}")
-    if K.degree == 1 and len(used) <= 4:
-        return _condition2_vectorized(cfg, table, J, edges, terms, used)
-    pos = {v: a for a, v in enumerate(used)}
-    vals = []
-    for assign in itertools.product(_residues(K, N), repeat=len(used)):
+
+
+def _mult_matrix(K, c, N):
+    """Multiplication by the integral element c on O_K / N O_K as an
+    integer matrix mod N: column l holds the coordinates of c theta^l."""
+    cols = [(c * K.theta_power(l)).coords for l in range(K.degree)]
+    return [[int(col[r]) % N for col in cols] for r in range(K.degree)]
+
+
+def _residue(N, n, r):
+    """The r-th residue of (Z/N)^n in itertools.product order."""
+    return [int(c) for c in np.unravel_index(r, (N,) * n)]
+
+
+def _grid_mean(T, terms, free, fixed=None, inner=0, M=1):
+    """Mean over the free variables, each ranging over O_K / N O_K, of
+    the product over terms of T[sum_v A_v x_v mod N]; fixed maps the other
+    variables to residues.  The last `inner` free variables are averaged
+    first and that average is raised to the power M.
+
+    The free variables span a sparse grid of coordinate axes.  One residue
+    of the leading outer variable is evaluated at a time, and the slab
+    sums are added in fixed order by math.fsum.
+    """
+    N, n = T.shape[0], T.ndim
+    x = dict(fixed or {})
+    lead = free[0] if len(free) > inner else None
+    rest = free[1:] if lead is not None else free
+    axes = np.meshgrid(*[np.arange(N)] * (n * len(rest)), indexing="ij",
+                       sparse=True)
+    for a, v in enumerate(rest):
+        x[v] = axes[a * n:(a + 1) * n]
+    inner_size = N ** (n * inner)
+    sums = []
+    for r in range(N ** n if lead is not None else 1):
+        if lead is not None:
+            x[lead] = _residue(N, n, r)
         prod = 1.0
-        for j_pos, om, deps in terms:
-            acc = K.zero
-            for (i_pos, delta) in deps:
-                acc = acc + (J[i_pos] - J[j_pos]) * assign[pos[(i_pos, delta)]]
-            prod *= _table_lookup(table, K, N, acc)
-        vals.append(prod)
-    return math.fsum(vals) / states
-
-
-def _product_mean_vectorized(N, table, lin_terms, used_count):
-    """Mean over (Z/N)^used_count of prod_t table[(sum c_a x_a + const) % N]
-    with lin_terms a list of ([(axis, coeff), ...], const)."""
-    grids = np.meshgrid(*([np.arange(N)] * used_count), indexing="ij",
-                        sparse=True)
-    T = np.asarray(table, dtype=float)
-    prod = None
-    for coeffs, const in lin_terms:
-        acc = None
-        for axis, c in coeffs:
-            contrib = (c * grids[axis]) % N
-            acc = contrib if acc is None else (acc + contrib) % N
-        acc = np.asarray(const % N) if acc is None else (acc + const) % N
-        f = T[acc]
-        prod = f if prod is None else prod * f
-    if prod.ndim == 0:
-        return float(prod)
-    total = math.fsum(np.sum(prod, axis=tuple(range(1, prod.ndim))).tolist())
-    return total / N ** used_count
-
-
-def _condition2_vectorized(cfg, table, J, edges, terms, used):
-    K, N = cfg.K, cfg.N
-    pos = {v: a for a, v in enumerate(used)}
-    lin_terms = []
-    for j_pos, om, deps in terms:
-        coeffs = [(pos[(i_pos, delta)],
-                   int((J[i_pos] - J[j_pos]).coords[0]) % N)
-                  for (i_pos, delta) in deps]
-        lin_terms.append((coeffs, 0))
-    return _product_mean_vectorized(N, table, lin_terms, len(used))
-
-
-def _condition3(cfg, table, J, edges, Omegas, M, budget):
-    K, N = cfg.K, cfg.N
-    # fix j = first pattern point with a nonempty edge, i = first of e_j
-    j_pos = next(iter(Omegas))
-    omegas = Omegas[j_pos]
-    e = edges[j_pos]
-    if not e:
-        return 1.0
-    i_pos = e[0]
-    terms = [(om, [(ip, om[a]) for a, ip in enumerate(e)]) for om in omegas]
-    outer_used = sorted({v for _, deps in terms for v in deps
-                         if v[0] != i_pos})
-    inner_used = sorted({v for _, deps in terms for v in deps
-                         if v[0] == i_pos})
-    states = N ** ((len(outer_used) + len(inner_used)) * K.degree)
-    if states > budget:
-        raise BudgetExceededError(f"{states} states exceed budget {budget}")
-    res = _residues(K, N)
-    opos = {v: a for a, v in enumerate(outer_used)}
-    vals = []
-    for outer in itertools.product(res, repeat=len(outer_used)):
-        inner_vals = []
-        for inner in itertools.product(res, repeat=len(inner_used)):
-            ipos = {v: a for a, v in enumerate(inner_used)}
-            prod = 1.0
-            for om, deps in terms:
-                acc = K.zero
-                for v in deps:
-                    x = inner[ipos[v]] if v[0] == i_pos else outer[opos[v]]
-                    acc = acc + (J[v[0]] - J[j_pos]) * x
-                prod *= _table_lookup(table, K, N, acc)
-            inner_vals.append(prod)
-        # inner normalization: the unused of the 2 delta-copies of x_i
-        # factor out exactly
-        inner_avg = math.fsum(inner_vals) / (N ** (len(inner_used) * K.degree))
-        vals.append(inner_avg ** M)
-    return math.fsum(vals) / (N ** (len(outer_used) * K.degree))
-
-
-def _condition1(cfg, table, J, edges, Omegas, budget, sup_samples: int = 8):
-    """sup over x^(0) of the condition-1 average; Omega entries equal to
-    the all-ones vector make the average x^(0)-independent."""
-    K, N = cfg.K, cfg.N
-    terms = _enumerate_terms(J, edges, Omegas)
-    used1 = sorted({v for _, _, deps in terms for v in deps if v[1] == 1})
-    used0 = sorted({v for _, _, deps in terms for v in deps if v[1] == 0})
-    states = N ** (len(used1) * K.degree)
-    if states > budget:
-        raise BudgetExceededError(f"{states} states exceed budget {budget}")
-    res = _residues(K, N)
-    import random
-
-    rng = random.Random(0)
-    if used0:
-        samples = [tuple(rng.choice(res) for _ in used0)
-                   for _ in range(sup_samples)]
-    else:
-        samples = [()]
-    pos1 = {v: a for a, v in enumerate(used1)}
-    pos0 = {v: a for a, v in enumerate(used0)}
-    if K.degree == 1 and len(used1) <= 4:
-        sup = 0.0
-        for x0 in samples:
-            lin_terms = []
-            for j_pos, om, deps in terms:
-                coeffs, const = [], 0
-                for v in deps:
-                    c = int((J[v[0]] - J[j_pos]).coords[0]) % N
-                    if v[1] == 1:
-                        coeffs.append((pos1[v], c))
-                    else:
-                        const += c * int(x0[pos0[v]].coords[0])
-                lin_terms.append((coeffs, const % N))
-            sup = max(sup, _product_mean_vectorized(N, table, lin_terms,
-                                                    len(used1)))
-        return sup
-    sup = 0.0
-    for x0 in samples:
-        vals = []
-        for x1 in itertools.product(res, repeat=len(used1)):
-            prod = 1.0
-            for j_pos, om, deps in terms:
-                acc = K.zero
-                for v in deps:
-                    x = x1[pos1[v]] if v[1] == 1 else x0[pos0[v]]
-                    acc = acc + (J[v[0]] - J[j_pos]) * x
-                prod *= _table_lookup(table, K, N, acc)
-            vals.append(prod)
-        sup = max(sup, math.fsum(vals) / states)
-    return sup
+        for deps in terms:
+            idx = [0] * n
+            for v, A in deps:
+                for row in range(n):
+                    for col in range(n):
+                        idx[row] = (idx[row] + A[row][col] * x[v][col]) % N
+            prod = prod * T[tuple(idx)]
+        prod = np.broadcast_to(prod, (N,) * (n * len(rest)))
+        avg = prod.reshape(-1, inner_size).sum(axis=1) / inner_size
+        sums.append(float(np.sum(avg ** M)))
+    return math.fsum(sums) / N ** (n * (len(free) - inner))
 
 
 # ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ import sympy
 
 from .errors import BudgetExceededError, UnsupportedFieldError
 from .linalg import common_denominator, hnf, mat_inv_fraction
-from .numberfield import FieldElement, NumberField, make_field
+from .numberfield import FieldElement, NumberField
 
 _X = sympy.Symbol("x")
 
@@ -321,13 +321,6 @@ def residue_degrees(K: NumberField, p: int):
 # ---------------------------------------------------------------------
 # Norm, factorization, Moebius
 
-def ideal_norm(a: FractionalIdeal) -> Fraction:
-    n = a.norm()
-    if n == 0:
-        raise ValueError("zero ideal")
-    return n
-
-
 _FACTOR_CACHE = {}
 
 
@@ -479,23 +472,12 @@ def has_finite_unit_group(K: NumberField) -> bool:
     return K.r1 + K.r2 - 1 == 0
 
 
-def units(K: NumberField):
-    """The (finite) unit group: roots of unity in K."""
-    if not has_finite_unit_group(K):
-        raise UnsupportedFieldError(f"{K.name} has an infinite unit group")
-    one = K.one
-    out = [one, -one]
-    if K.name == "Q(i)":
-        i = K.theta
-        out += [i, -i]
-    elif K.name == "Q(sqrt-3)":
-        z = K.theta  # primitive 6th root of unity
-        out = []
-        u = one
-        for _ in range(6):
-            u = u * z if out else one
-            out.append(u)
-    return out
+def _generator_radius(c: FractionalIdeal, margin: float = 1e-6) -> float:
+    """sqrt(n) * c_K * N(c)^(1/n), widened by margin: the Minkowski radius
+    within which a principal ideal c has a generator."""
+    n = c.K.degree
+    t = float(c.norm()) ** (1.0 / n)
+    return math.sqrt(n) * GENERATOR_BOUNDS[c.K.name] * t * (1 + margin) + 1e-9
 
 
 def principal_generator(c: FractionalIdeal, margin: float = 1e-6):
@@ -513,10 +495,8 @@ def principal_generator(c: FractionalIdeal, margin: float = 1e-6):
     from .lattice import ball_elements  # local import to avoid a cycle
 
     Nc = c.norm()
-    t = float(Nc) ** (1.0 / K.degree)
-    r = math.sqrt(K.degree) * GENERATOR_BOUNDS[K.name] * t * (1 + margin) + 1e-9
     best = None
-    for xi in ball_elements(K, c, r):
+    for xi in ball_elements(K, c, _generator_radius(c, margin)):
         if not xi:
             continue
         if abs(xi.norm()) != Nc:
@@ -540,11 +520,9 @@ def class_equivalent(a: FractionalIdeal, b: FractionalIdeal,
     c = b * a.inverse()
     cong = m * a.inverse()
     Nc = c.norm()
-    t = float(Nc) ** (1.0 / K.degree)
-    r = math.sqrt(K.degree) * GENERATOR_BOUNDS[K.name] * t * (1 + 1e-6) + 1e-9
     from .lattice import ball_elements
 
-    for xi in ball_elements(K, c, r):
+    for xi in ball_elements(K, c, _generator_radius(c)):
         if not xi:
             continue
         if abs(xi.norm()) != Nc:

@@ -11,13 +11,12 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import BudgetExceededError
 from .linalg import mat_inv_fraction
 from .numberfield import (FieldElement, NumberField, embedding_coords,
-                          minkowski_norm, minkowski_norm_precise)
+                          minkowski_norm_precise)
 
 
 class LatticeBasis:
@@ -52,10 +51,6 @@ class LatticeBasis:
 
 def _mink_weights(K):
     return [1] * K.r1 + [2] * (2 * K.r2)
-
-
-def ideal_z_basis(ideal) -> LatticeBasis:
-    return LatticeBasis(ideal)
 
 
 def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
@@ -177,18 +172,8 @@ def in_scaled_domain(K: NumberField, ideal, x: FieldElement, N: int) -> bool:
     return all(-half < ci <= half for ci in c)
 
 
-def is_admissible_modulus(K: NumberField, W: int, w: int) -> bool:
-    """W = prod_{p <= w} p (the primorial cut at w)."""
-    prod = 1
-    p = 2
-    import sympy
-
-    for p in sympy.primerange(2, w + 1):
-        prod *= p
-    return W == prod
-
-
 def admissible_modulus(w: int) -> int:
+    """W = prod_{p <= w} p (the primorial cut at w)."""
     import sympy
 
     prod = 1

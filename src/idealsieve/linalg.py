@@ -89,13 +89,6 @@ def det_fraction(mat):
     return det
 
 
-def mat_mul_vec_fraction(vec, mat):
-    """Row vector times matrix, exact."""
-    n = len(mat[0])
-    return [sum((Fraction(vec[r]) * mat[r][c] for r in range(len(vec))),
-                Fraction(0)) for c in range(n)]
-
-
 def common_denominator(rows):
     d = 1
     for row in rows:

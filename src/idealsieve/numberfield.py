@@ -296,9 +296,3 @@ def embedding_coords(K: NumberField, x: FieldElement) -> np.ndarray:
         else:
             out.extend((v.real, v.imag))
     return np.array(out)
-
-
-def minkowski_weights(K: NumberField) -> np.ndarray:
-    """Diagonal weights making the embedding-coordinate Euclidean form equal
-    the Minkowski metric: 1 per real coordinate, 2 per complex coordinate."""
-    return np.array([1.0] * K.r1 + [2.0] * (2 * K.r2))

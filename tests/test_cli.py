@@ -150,6 +150,34 @@ def test_cli_flag_overrides_config(tmp_path):
     assert all(r["p"] <= 5 for r in read_lines(out))
 
 
+def test_config_equals_form_and_nargs(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "p.jsonl"
+    cfg.write_text(f"output = {out}\nbound = 30\nR = 20 30\n"
+                   "not_a_flag = 1\n")
+    # --bound=5 beats the file; R names no flag of primes and is ignored
+    assert run(["--config", str(cfg), "primes", "--bound=5"]) == EXIT_OK
+    assert [r["p"] for r in read_lines(out)] == [2, 3, 5]
+    # a list-valued flag takes every token of its line
+    assert run(["--config", str(cfg), "singular-series", "--s", "1"]) \
+        == EXIT_OK
+    assert [r["params"]["R"] for r in read_lines(out)] == [20.0, 30.0]
+    assert run(["--config", str(cfg), "singular-series", "--s", "1",
+                "--R", "40"]) == EXIT_OK
+    assert [r["params"]["R"] for r in read_lines(out)] == [40.0]
+
+
+def test_hypergraph_every_field(tmp_path):
+    out = tmp_path / "h.jsonl"
+    assert run(["--output", str(out), "hypergraph", "--field", "Q(i)",
+                "--N", "3"]) == EXIT_OK
+    (rec,) = read_lines(out)
+    assert rec["condition1_sup"] == rec["condition2"] \
+        == rec["condition3"] == 1.0
+    assert rec["pattern_size"] == 5
+    assert run(["hypergraph", "--field", "Q(i)"]) == EXIT_BUDGET
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_correlate_worker_count_invariant(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,13 +7,12 @@ import sympy
 
 from idealsieve.constellation import (AlphaScanResult, Certificate,
                                       ConstellationSpec, alpha_scan,
-                                      generator_bound_constant,
                                       make_certificate, search_constellation,
-                                      verify_certificate)
+                                      verify_certificate, verify_line)
 from idealsieve.errors import UnsupportedFieldError
-from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
-                               euler_phi, factor_rational_prime,
-                               principal_generator)
+from idealsieve.ideals import (GENERATOR_BOUNDS, FractionalIdeal,
+                               enumerate_prime_ideals, euler_phi,
+                               factor_rational_prime, principal_generator)
 from idealsieve.numberfield import make_field, minkowski_norm
 from idealsieve.sieve import SieveConfig
 
@@ -113,6 +113,30 @@ def test_tampered_pattern_detected():
     assert "pattern" in why
 
 
+def test_tampered_witness_detected():
+    cert = _one_cert()
+    bad = Certificate.from_json(cert.to_json())
+    bad.witnesses = [{"p": 2, "g": [0, 1], "e": 1, "f": 1}
+                     for _ in bad.witnesses]
+    ok, why = verify_certificate(bad)
+    assert not ok and why == ["witness"]
+    # one swapped witness is caught as well
+    bad.witnesses = cert.witnesses[::-1]
+    assert verify_certificate(bad) == (False, ["witness"])
+
+
+def test_certificate_schema_checked():
+    line = _one_cert().to_json()
+    assert verify_line(line) == (True, [])
+    assert verify_line('{"field": "Q"}') == (False, ["schema"])
+    obj = json.loads(line)
+    obj["extra"] = 1
+    assert verify_line(json.dumps(obj)) == (False, ["schema"])
+    del obj["extra"], obj["witnesses"]
+    assert verify_line(json.dumps(obj)) == (False, ["schema"])
+    assert verify_line("[1, 2]") == (False, ["schema"])
+
+
 def test_tampered_field_detected():
     cert = _one_cert()
     bad = Certificate.from_json(cert.to_json())
@@ -136,10 +160,11 @@ def test_search_then_verify_many():
 # ---------------------------------------------------------------- generator bounds
 
 def test_generator_bound_table():
-    assert generator_bound_constant(Q) == 1.0
-    assert generator_bound_constant(QI) == pytest.approx(math.sqrt(2.0))
+    assert GENERATOR_BOUNDS["Q"] == 1.0
+    assert GENERATOR_BOUNDS["Q(i)"] == pytest.approx(math.sqrt(2.0))
+    K = make_field("Q(sqrt5)")  # infinite unit group: no table entry
     with pytest.raises(UnsupportedFieldError):
-        generator_bound_constant(make_field("Q(sqrt5)"))
+        principal_generator(factor_rational_prime(K, 11)[0].ideal())
 
 
 @pytest.mark.parametrize("name", ["Q(i)", "Q(sqrt-2)", "Q(sqrt-3)",
@@ -148,7 +173,7 @@ def test_generator_bound_validated(name):
     # imaginary quadratic: |sigma(xi)|^2 = N(xi) at the single complex
     # place, so Minkowski norm of any generator is exactly sqrt(2 N)
     K = make_field(name)
-    c_K = generator_bound_constant(K)
+    c_K = GENERATOR_BOUNDS[name]
     checked = 0
     for P in enumerate_prime_ideals(K, 100):
         if P.norm() > 10**4:

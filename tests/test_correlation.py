@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from idealsieve import sieve
 from idealsieve.correlation import (LinearFormSystem, F_euler,
@@ -272,11 +272,16 @@ def test_cross_correlation_collapses_to_mean():
 
 
 def test_cross_correlation_workers_bitwise():
+    # the fixed 16-slab reduction: repeated runs give the same bytes
     forms = LinearFormSystem(Q, [[1, 0], [0, 1], [1, 1]])
     weight = lambda x: 1.0 / (1.0 + abs(float(x.coords[0])))
-    r1 = cross_correlation_sum(forms, unit_box(Q), 13, weight, workers=1)
-    r8 = cross_correlation_sum(forms, unit_box(Q), 13, weight, workers=8)
-    assert r1.to_json() == r8.to_json()
+    r1 = cross_correlation_sum(forms, unit_box(Q), 13, weight)
+    r2 = cross_correlation_sum(forms, unit_box(Q), 13, weight)
+    assert r1.to_json() == r2.to_json()
+    pts = [Q.element(v) for v in range(13)]
+    direct = math.fsum(weight(x) * weight(y) * weight(x + y)
+                       for x in pts for y in pts) / 13 ** 2
+    assert r1.empirical == pytest.approx(direct, rel=1e-15)
 
 
 # ---------------------------------------------------------------- tau / autocorr
@@ -316,8 +321,7 @@ def test_auto_correlation_coincident_rejected():
 
 
 def test_auto_correlation_computes_c_phi_once(monkeypatch):
-    # the prefactor is filled before the slabs go to threads, so two
-    # workers cannot both miss the c_phi cache
+    # c_phi is computed once and cached across runs of the same bump
     calls = []
     real = sieve.c_phi
 
@@ -329,8 +333,8 @@ def test_auto_correlation_computes_c_phi_once(monkeypatch):
     sieve._c_phi_cached_by_id.cache_clear()
     y = [Q.element(0), Q.element(2)]
     reports = [auto_correlation_check(
-        y, unit_box(Q), SieveConfig(Q, N=200, s=2, w=3, logR=math.log(12)),
-        workers=workers).to_json() for workers in (2, 1)]
+        y, unit_box(Q), SieveConfig(Q, N=200, s=2, w=3, logR=math.log(12))
+    ).to_json() for _ in range(2)]
     assert len(calls) == 1
     assert reports[0] == reports[1]
 
@@ -374,6 +378,117 @@ def test_hypergraph_scaled_measure():
     cfg = SieveConfig(Q, N=N, k=1.5)
     rep = hypergraph_conditions_report(cfg, [2.0] * N)
     assert rep["condition2"] == pytest.approx(8.0, rel=1e-12)
+
+
+# The Python loops the three conditions ran on before the residue-table
+# path, kept as the oracle: one assignment at a time, with each product
+# (J_i - J_j) * residue taken in FieldElement arithmetic (memoized).
+
+def _oracle_hypergraph(cfg, T, Omegas, M=2, sup_samples=8):
+    K, N = cfg.K, cfg.N
+    J = pattern_points(K, cfg.k)
+    edges = {pos: [q for q in range(len(J)) if q != pos]
+             for pos in range(len(J))}
+    if Omegas is None:
+        Omegas = {pos: [(1,) * len(edges[pos])] for pos in edges}
+    res = [K.element(list(c))
+           for c in itertools.product(range(N), repeat=K.degree)]
+    products = {}
+
+    def times(i, j, r):
+        if (i, j, r) not in products:
+            products[i, j, r] = [int(c) for c in ((J[i] - J[j]) * res[r]).coords]
+        return products[i, j, r]
+
+    def mean(terms, free, fixed):
+        vals = []
+        for assign in itertools.product(range(len(res)), repeat=len(free)):
+            x = dict(fixed)
+            x.update(zip(free, assign))
+            prod = 1.0
+            for j, deps in terms:
+                acc = [0] * K.degree
+                for v in deps:
+                    acc = [a + b for a, b in zip(acc, times(v[0], j, x[v]))]
+                prod *= T[tuple(a % N for a in acc)]
+            vals.append(prod)
+        return math.fsum(vals) / N ** (len(free) * K.degree)
+
+    terms = [(j, [(i, om[a]) for a, i in enumerate(edges[j])])
+             for j, omegas in Omegas.items() for om in omegas]
+    used = sorted({v for _, deps in terms for v in deps})
+    cond2 = mean(terms, used, {})
+    j = next(iter(Omegas))
+    i = edges[j][0]
+    terms3 = [(j, [(ip, om[a]) for a, ip in enumerate(edges[j])])
+              for om in Omegas[j]]
+    outer = sorted({v for _, deps in terms3 for v in deps if v[0] != i})
+    inner = sorted({v for _, deps in terms3 for v in deps if v[0] == i})
+    cond3 = math.fsum(mean(terms3, inner, dict(zip(outer, xo))) ** M
+                      for xo in itertools.product(range(len(res)),
+                                                  repeat=len(outer)))
+    cond3 /= N ** (len(outer) * K.degree)
+    used1 = [v for v in used if v[1] == 1]
+    used0 = [v for v in used if v[1] == 0]
+    rng = random.Random(0)
+    samples = ([tuple(rng.choice(range(len(res))) for _ in used0)
+                for _ in range(sup_samples)] if used0 else [()])
+    cond1 = max([0.0] + [mean(terms, used1, dict(zip(used0, x0)))
+                         for x0 in samples])
+    return {"condition1_sup": cond1, "condition2": cond2,
+            "condition3": cond3}
+
+
+# (field, k, smallest N, largest N); over Q(sqrt-2) the radius 2.1 puts
+# sqrt-2 in the pattern, and over Q(i) the modulus 3 tells i from -i
+_ORACLE_CASES = [("Q", 1.5, 2, 11), ("Q", 2.5, 2, 11),
+                 ("Q(sqrt-2)", 2.1, 3, 3), ("Q(i)", 1.5, 2, 3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_hypergraph_matches_python_oracle(data):
+    name, k, n_lo, n_hi = data.draw(st.sampled_from(_ORACLE_CASES))
+    K = make_field(name)
+    size = len(pattern_points(K, k))
+    # each pattern point gets one delta, and a key may add one random
+    # vector on top, so terms share variables and the count stays small
+    delta = data.draw(st.tuples(*[st.integers(0, 1)] * size))
+    keys = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                              max_size=size, unique=True))
+    vector = st.tuples(*[st.integers(0, 1)] * (size - 1))
+    Omegas = data.draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {j: st.lists(vector, max_size=1).map(
+            lambda extra, j=j: [tuple(delta[q] for q in range(size)
+                                      if q != j)] + extra)
+         for j in keys})))
+    if Omegas is None:
+        n_vars = size
+    else:
+        n_vars = len({(i, om[a]) for j, oms in Omegas.items() for om in oms
+                      for a, i in enumerate(q for q in range(size)
+                                            if q != j)})
+    # the oracle walks N^(n * variables) assignments: keep it below 3^10
+    cap = min(n_hi, int(round(3 ** (10 / (K.degree * n_vars)), 9)))
+    assume(cap >= n_lo)
+    N = data.draw(st.integers(n_lo, cap))
+    T = np.array(data.draw(st.lists(st.floats(0.5, 2.0),
+                                    min_size=N ** K.degree,
+                                    max_size=N ** K.degree)))
+    T = T.reshape((N,) * K.degree)
+    cfg = SieveConfig(K, N=N, k=k)
+    got = hypergraph_conditions_report(cfg, T, Omegas=Omegas)
+    want = _oracle_hypergraph(cfg, T, Omegas)
+    for key, val in want.items():
+        assert got[key] == pytest.approx(val, rel=1e-12), key
+
+
+def test_hypergraph_table_shape_checked():
+    cfg = SieveConfig(QI, N=3, k=1.5)
+    with pytest.raises(ValueError):
+        hypergraph_conditions_report(cfg, [1.0] * 3)
+    rep = hypergraph_conditions_report(cfg, np.full((3, 3), 2.0))
+    assert rep["condition2"] == pytest.approx(2.0 ** 5, rel=1e-12)
 
 
 # ---------------------------------------------------------------- density

@@ -9,7 +9,6 @@ from idealsieve.ideals import FractionalIdeal, factor_rational_prime
 from idealsieve.lattice import (LatticeBasis, Parallelotope,
                                 admissible_modulus, ball_elements,
                                 fundamental_domain_reduce, in_scaled_domain,
-                                is_admissible_modulus,
                                 points_in_parallelotope)
 from idealsieve.numberfield import make_field, minkowski_norm
 
@@ -134,8 +133,6 @@ def test_admissible_moduli():
     assert admissible_modulus(1) == 1
     assert admissible_modulus(3) == 6
     assert admissible_modulus(5) == 30
-    assert is_admissible_modulus(Q, 6, 3)
-    assert not is_admissible_modulus(Q, 8, 3)
 
 
 def test_lattice_basis_roundtrip():
