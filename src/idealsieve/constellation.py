@@ -109,18 +109,26 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
 
 
 def verify_certificate(cert: Certificate):
-    """Re-derive every claim from scratch.  Returns (ok, diagnoses)."""
+    """Re-derive every claim from scratch.  Returns (ok, diagnoses); a
+    value that does not decode to its field object is diagnosed as
+    "schema"."""
     diagnoses = []
     try:
         K = make_field(cert.field)
     except Exception:
         return False, ["field"]
-    ambient = FractionalIdeal.from_json(K, cert.ambient)
-    a = _coords_in(K, cert.anchor)
-    xi = _coords_in(K, cert.step)
+    try:
+        ambient = FractionalIdeal.from_json(K, cert.ambient)
+        a = _coords_in(K, cert.anchor)
+        xi = _coords_in(K, cert.step)
+        given = [_coords_in(K, p) for p in cert.points]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (cert.k, cert.radius)):
+            raise TypeError("k and radius are numbers")
+    except (TypeError, ValueError, KeyError):
+        return False, ["schema"]
     pattern = ball_elements(K, FractionalIdeal.unit_ideal(K), cert.k)
     expected = [a + xi * j for j in pattern]
-    given = [_coords_in(K, p) for p in cert.points]
     if sorted(tuple(p.coords) for p in expected) != \
             sorted(tuple(p.coords) for p in given):
         diagnoses.append("pattern")
@@ -146,7 +154,8 @@ def verify_certificate(cert: Certificate):
 
 def verify_line(text: str):
     """verify_certificate on one JSON certificate line; a line whose keys
-    are not exactly the certificate fields is diagnosed as "schema"."""
+    are not exactly the certificate fields, or whose values have the wrong
+    type, is diagnosed as "schema"."""
     obj = json.loads(text)
     if not isinstance(obj, dict) \
             or set(obj) != {f.name for f in fields(Certificate)}:

@@ -27,7 +27,7 @@ from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
 from .lattice import LatticeBasis, Parallelotope, points_in_parallelotope
 from .linalg import hnf
 from .numberfield import FieldElement
-from .sieve import SieveConfig, nu_weight
+from .sieve import SieveConfig, c_phi, nu_weight
 
 _N_SLABS = 16
 
@@ -452,7 +452,7 @@ def _pair_sum_ideals(pairs, logR, phi, budget):
     return math.fsum(vals)
 
 
-def singular_series_main_term(forms, R, W, cphi_value=None):
+def singular_series_main_term(forms, R, W):
     """(c_phi W^n / (phi_K(W) log R Res zeta_K))^s.
 
     c_phi includes the factor 4 pi^2 (see sieve.py), so
@@ -464,11 +464,8 @@ def singular_series_main_term(forms, R, W, cphi_value=None):
     from .ideals import euler_phi
 
     K = forms.K
-    if cphi_value is None:
-        from .sieve import DEFAULT_BUMP, _c_phi_cached
-        cphi_value = _c_phi_cached(DEFAULT_BUMP)
     n = K.degree
-    base = (cphi_value * W ** n
+    base = (c_phi() * W ** n
             / (euler_phi(K, W) * math.log(R) * zeta_residue(K)))
     return base ** forms.s
 

@@ -10,6 +10,7 @@ which is valid index-free on the vetted field list.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -183,8 +184,12 @@ class FractionalIdeal:
 
     @classmethod
     def from_json(cls, K, obj):
-        return cls(K, tuple(tuple(int(x) for x in r) for r in obj["hnf"]),
-                   int(obj["den"]))
+        mat = tuple(tuple(operator.index(x) for x in r) for r in obj["hnf"])
+        den = operator.index(obj["den"])
+        if den < 1 or len(mat) != K.degree \
+                or any(len(r) != K.degree for r in mat):
+            raise ValueError("not an n x n HNF over a positive denominator")
+        return cls(K, mat, den)
 
     def validate_module_structure(self) -> bool:
         """Check closure under multiplication by theta."""

@@ -5,15 +5,19 @@ weight on an integral ideal n is
 
     Lambda_{K,R}(n) = sum_{d | n} mu(d) phi(log N d / log R),
 
-and the correlation constant is the double integral
+and the correlation constant is the one-dimensional integral
 
-    c_phi = int int (1+iy)(1+iy') phihat(y) phihat(y') / (2+iy+iy') dy dy'
+    c_phi = 4 pi^2 int_0^infty phi'(t)^2 dt.
 
-with phihat(y) = int e^t phi(t) e^{iyt} dt.  phihat carries no 1/(2 pi)
-factor, so c_phi = 4 pi^2 int_0^infty phi'(t)^2 dt.  The pair sum over
-d, d' of mu(d) mu(d') phi(log N d / log R) phi(log N d' / log R) / N lcm
-has the constant c_phi / (4 pi^2) = int_0^infty phi'(t)^2 dt in front of
-W^n / (phi_K(W) log R Res zeta_K).
+It equals the Fourier double integral
+
+    int int (1+iy)(1+iy') phihat(y) phihat(y') / (2+iy+iy') dy dy'
+
+with phihat(y) = int e^t phi(t) e^{iyt} dt, which carries no 1/(2 pi)
+factor; the test suite evaluates that double integral as the oracle for
+c_phi.  The pair sum over d, d' of mu(d) mu(d') phi(log N d / log R)
+phi(log N d' / log R) / N lcm has the constant c_phi / (4 pi^2) =
+int_0^infty phi'(t)^2 dt in front of W^n / (phi_K(W) log R Res zeta_K).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from scipy.integrate import quad
 
 from .ideals import factor_ideal
@@ -32,9 +35,15 @@ from .lattice import admissible_modulus
 
 
 class BumpFunction:
-    """Smooth bump supported on (-1, 1); default exp(1 - 1/(1 - t^2))."""
+    """Smooth bump supported on (-1, 1); default exp(1 - 1/(1 - t^2)).
+
+    A custom bump gives f and its derivative df together: c_phi is read
+    off df alone, so one without the other would mix two bumps.
+    """
 
     def __init__(self, f=None, df=None, support=(-1.0, 1.0)):
+        if (f is None) != (df is None):
+            raise ValueError("give a custom bump's f and df together")
         self._f = f
         self._df = df
         self.support = support
@@ -75,119 +84,28 @@ def bump_hat(phi: BumpFunction, y: float) -> complex:
     return complex(re, im)
 
 
-# rows of the c_phi tensor (and frequencies of phihat) formed at a time
-_CPHI_BLOCK = 32
+def c_phi(phi: BumpFunction = DEFAULT_BUMP) -> float:
+    """The correlation constant c_phi = 4 pi^2 int_0^infty phi'(t)^2 dt.
 
-
-def _bump_hat_grid(phi: BumpFunction, t_nodes: int = 400):
-    """phihat by fixed Gauss-Legendre in t: returns ys -> phihat(ys).
-
-    The nodes, weights and e^t phi(t) are computed once; the frequencies
-    are taken _CPHI_BLOCK at a time, so memory is O(t_nodes * block).
+    phi' vanishes beyond the support, so the integral stops at its right
+    end.  This equals the Fourier double integral of the module docstring.
     """
-    a, b = phi.support
-    tn, tw = np.polynomial.legendre.leggauss(t_nodes)
-    t = 0.5 * (b - a) * tn + 0.5 * (b + a)
-    w = 0.5 * (b - a) * tw
-    wg = w * np.array([math.exp(ti) * phi(ti) for ti in t])
-
-    def phihat(ys):
-        ys = np.asarray(ys, dtype=float)
-        return np.concatenate([
-            wg @ np.exp(1j * np.outer(t, ys[i:i + _CPHI_BLOCK]))
-            for i in range(0, len(ys), _CPHI_BLOCK)])
-    return phihat
-
-
-def c_phi(phi: BumpFunction = DEFAULT_BUMP, rel_tol: float = 1e-8,
-          tail_eps: float = 1e-12) -> float:
-    """The correlation constant
-
-        c_phi = int int (1+iy)(1+iy') phihat(y) phihat(y') / (2+iy+iy') dy dy'
-
-    by tensor Gauss-Legendre quadrature.  The integrand decays
-    super-polynomially; the domain is cut at +-Y where |phihat| < tail_eps,
-    and the node count is doubled until two successive values agree to
-    rel_tol.  The imaginary residue must stay below 1e-9.
-
-    The n x n tensor is never formed.  It is reduced in fixed-order blocks
-    of _CPHI_BLOCK rows, each block summed by numpy and the block sums by
-    math.fsum, so every temporary is O(_CPHI_BLOCK * n): memory is O(n),
-    not O(n^2), and the value is the same on every run.
-    """
-    phihat = _bump_hat_grid(phi)
-    Y = 8.0
-    while abs(phihat([Y])[0]) > tail_eps:
-        Y *= 1.5
-        if Y > 1e4:
-            break
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(24)
-    panels = 32
-    prev = None
-    while True:
-        edges = np.linspace(-Y, Y, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        ys = (mid[:, None] + half * gl_nodes[None, :]).ravel()
-        ws = np.tile(half * gl_weights, panels)
-        wh = ws * (phihat(ys) * (1.0 + 1j * ys))
-        den = np.empty((_CPHI_BLOCK, len(ys)), dtype=complex)
-        den.real = 2.0
-        parts = []
-        for i in range(0, len(ys), _CPHI_BLOCK):
-            y, h = ys[i:i + _CPHI_BLOCK], wh[i:i + _CPHI_BLOCK]
-            d = den[:len(y)]
-            np.add.outer(y, ys, out=d.imag)
-            block = np.multiply.outer(h, wh)
-            block /= d
-            parts.append(block.sum())
-        total = complex(math.fsum(z.real for z in parts),
-                        math.fsum(z.imag for z in parts))
-        if abs(total.imag) > 1e-9:
-            raise ArithmeticError(f"imaginary residue {total.imag:g} too large")
-        val = total.real
-        if val <= 0:
-            raise ArithmeticError("c_phi quadrature gave a non-positive value")
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        panels *= 2
-        if panels > 512:
-            raise ArithmeticError("c_phi quadrature did not converge")
-
-
-def c_phi_derivative_route(phi: BumpFunction = DEFAULT_BUMP) -> float:
-    """4 pi^2 int_0^infty phi'(t)^2 dt  (independent route to c_phi)."""
-    a, b = phi.support
-    val = quad(lambda t: phi.derivative(t) ** 2, 0.0, b, limit=200)[0]
+    val = quad(lambda t: phi.derivative(t) ** 2, 0.0, phi.support[1],
+               limit=200)[0]
     return 4.0 * math.pi ** 2 * val
 
 
 # ---------------------------------------------------------------------
 # The truncated sieve weight
 
-@lru_cache(maxsize=None)
-def _lambda_cached(ideal_key, K, primes, logR, phi_id):
-    phi = _PHI_REGISTRY[phi_id]
-    total = 0.0
+@lru_cache(maxsize=2 ** 16)
+def _lambda_cached(ideal_key, K, primes, logR, phi):
     terms = []
     for mask in itertools.product((0, 1), repeat=len(primes)):
         logNd = sum(m * math.log(P.norm()) for m, P in zip(mask, primes))
         sgn = (-1) ** sum(mask)
         terms.append(sgn * phi(logNd / logR))
     return math.fsum(terms)
-
-
-_PHI_REGISTRY = {0: DEFAULT_BUMP}
-
-
-def _phi_id(phi):
-    for k, v in _PHI_REGISTRY.items():
-        if v is phi:
-            return k
-    k = max(_PHI_REGISTRY) + 1
-    _PHI_REGISTRY[k] = phi
-    return k
 
 
 def lambda_R(n, R: float, phi: BumpFunction = DEFAULT_BUMP) -> float:
@@ -199,7 +117,7 @@ def lambda_R(n, R: float, phi: BumpFunction = DEFAULT_BUMP) -> float:
         raise ValueError("R must exceed 1")
     fac = factor_ideal(n)
     primes = tuple(P for P, _ in fac.factors)
-    return _lambda_cached(n.key(), n.K, primes, math.log(R), _phi_id(phi))
+    return _lambda_cached(n.key(), n.K, primes, math.log(R), phi)
 
 
 @dataclass
@@ -248,7 +166,7 @@ class SieveConfig:
 
             n = self.K.degree
             self._prefactor = (self.phi_W * self.logR * zeta_residue(self.K)
-                               / (_c_phi_cached(self.phi) * self.W ** n))
+                               / (c_phi(self.phi) * self.W ** n))
         return self._prefactor
 
     def params_echo(self) -> dict:
@@ -257,15 +175,6 @@ class SieveConfig:
                 "W": self.W, "alpha": [str(c) for c in self.alpha.coords],
                 "epsilon": self.epsilon, "A": self.A, "logR": self.logR,
                 "raw": self.raw}
-
-
-@lru_cache(maxsize=None)
-def _c_phi_cached_by_id(phi_id):
-    return c_phi(_PHI_REGISTRY[phi_id])
-
-
-def _c_phi_cached(phi):
-    return _c_phi_cached_by_id(_phi_id(phi))
 
 
 def nu_weight(cfg: SieveConfig, x) -> float:

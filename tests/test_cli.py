@@ -51,10 +51,9 @@ def test_lambda_csv_mirror(tmp_path):
 
 def test_cphi_subcommand(tmp_path):
     out = tmp_path / "c.jsonl"
-    assert run(["--output", str(out), "cphi", "--tol", "1e-6"]) == EXIT_OK
+    assert run(["--output", str(out), "cphi"]) == EXIT_OK
     (rec,) = read_lines(out)
     assert rec["empirical"] == pytest.approx(59.7399608, rel=1e-5)
-    assert rec["params"]["delta"] < 1e-4
 
 
 def test_residue_subcommand(tmp_path):

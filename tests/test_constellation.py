@@ -137,6 +137,18 @@ def test_certificate_schema_checked():
     assert verify_line("[1, 2]") == (False, ["schema"])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("anchor", 5), ("k", "x"), ("ambient", [1]), ("step", ["x"]),
+    ("points", [5]), ("radius", "1"), ("k", True),
+    ("ambient", {"hnf": [[1, 0], [0, 1]], "den": 1}),
+    ("ambient", {"hnf": [[1]], "den": 0}),
+    ("ambient", {"hnf": [[1]], "den": 1.5})])
+def test_certificate_value_types_checked(key, value):
+    obj = json.loads(_one_cert().to_json())
+    obj[key] = value
+    assert verify_line(json.dumps(obj)) == (False, ["schema"])
+
+
 def test_tampered_field_detected():
     cert = _one_cert()
     bad = Certificate.from_json(cert.to_json())

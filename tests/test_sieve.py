@@ -8,8 +8,9 @@ from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_rational_prime)
 from idealsieve.numberfield import make_field
 from idealsieve.sieve import (DEFAULT_BUMP, BumpFunction, SieveConfig,
-                              bump_hat, c_phi, c_phi_derivative_route,
-                              lambda_R, lift_nu, nu_weight)
+                              _lambda_cached, bump_hat, c_phi, lambda_R,
+                              lift_nu, nu_weight)
+from test_acceptance import _c_phi_fourier
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -60,25 +61,33 @@ def test_bump_hat_direct_quadrature():
 
 def test_c_phi_identity_and_convergence():
     val = c_phi()
-    other = c_phi_derivative_route()
+    fourier = _c_phi_fourier()
     assert val > 0
-    assert val == pytest.approx(other, abs=1e-6)
-    assert val == pytest.approx(59.73996079599435, rel=1e-12)
-    # doubling the quadrature resolution moves the value by < 1e-8; the
+    assert val == pytest.approx(fourier, abs=1e-6)
+    assert fourier == pytest.approx(59.73996079599435, rel=1e-12)
+    # doubling the oracle's quadrature resolution moves it by < 1e-8; the
     # 12288-node tensor is reduced in row blocks, never held whole
     tracemalloc.start()
     try:
-        finer = c_phi(rel_tol=1e-10)
+        finer = _c_phi_fourier(rel_tol=1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(val - finer) < 1e-8
+    assert abs(fourier - finer) < 1e-8
     assert peak < 128 * 2 ** 20
 
 
-# frozen: the 1-D quadrature value of 4 pi^2 int phi'^2 for the default bump
+# frozen: 4 pi^2 int_0^infty phi'^2 for the default bump, to 50 digits
 def test_c_phi_frozen_value():
-    assert c_phi_derivative_route() == pytest.approx(59.7399608, abs=1e-6)
+    assert c_phi() == pytest.approx(
+        59.739960795991066057700351363334573120480530610307, rel=1e-15)
+
+
+def test_bump_needs_f_and_df_together():
+    with pytest.raises(ValueError):
+        BumpFunction(f=lambda t: DEFAULT_BUMP(t) ** 2)
+    with pytest.raises(ValueError):
+        BumpFunction(df=DEFAULT_BUMP.derivative)
 
 
 def test_lambda_prime_above_R():
@@ -90,14 +99,18 @@ def test_lambda_prime_above_R():
 
 
 def test_lambda_two_divisor_oracle():
-    # n = (6) over Q: divisors 1,2,3,6
+    # n = (6) over Q: divisors 1,2,3,6.  The cache keys on the bump object,
+    # so a fresh bump after the default one gets its own value.
     n = FractionalIdeal.principal(Q, Q.element(6))
     R = 50.0
-    phi = DEFAULT_BUMP
-    want = (1.0 - phi(math.log(2) / math.log(R))
-            - phi(math.log(3) / math.log(R))
-            + phi(math.log(6) / math.log(R)))
-    assert lambda_R(n, R) == pytest.approx(want, abs=1e-15)
+    squared = BumpFunction(
+        f=lambda t: DEFAULT_BUMP(t) ** 2,
+        df=lambda t: 2 * DEFAULT_BUMP(t) * DEFAULT_BUMP.derivative(t))
+    for phi in (DEFAULT_BUMP, squared):
+        want = (phi(0.0) - phi(math.log(2) / math.log(R))
+                - phi(math.log(3) / math.log(R))
+                + phi(math.log(6) / math.log(R)))
+        assert lambda_R(n, R, phi) == pytest.approx(want, abs=1e-15)
 
 
 def test_lambda_prime_power_equals_prime():
@@ -153,3 +166,7 @@ def test_custom_bump_plugs_in():
     n = FractionalIdeal.principal(Q, Q.element(3))
     val = lambda_R(n, 50.0, tri)
     assert val == pytest.approx(1.0 - (1.0 - math.log(3) / math.log(50)))
+
+
+def test_lambda_cache_bounded():
+    assert _lambda_cached.cache_info().maxsize == 2 ** 16
