@@ -4,9 +4,10 @@ Flat key=value config files (# comments) feed experiment parameters: each
 line becomes the flag --key with the value's whitespace-split tokens, ahead
 of the command line's own flags, so CLI flags override file values.
 Reports are JSON lines, optionally mirrored to CSV with columns x,
-empirical, predicted, ratio.  Exit codes: 0 ok, 1 verification failure,
-2 usage error, 3 budget exhausted.  Runs are single-threaded; --workers is
-accepted and leaves every report unchanged.
+empirical, predicted, ratio.  Exit codes: 0 ok, 1 a well-formed
+certificate failed verification, 2 usage error or only malformed
+("schema") certificate lines, 3 budget exhausted.  Runs are
+single-threaded; --workers is accepted and leaves every report unchanged.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def cmd_search(args):
 
 
 def cmd_verify(args):
-    ok_all = True
+    ok_all = schema_only = True
     lines = []
     with open(args.certificate) as fh:
         for line in fh:
@@ -210,10 +211,11 @@ def cmd_verify(args):
                 continue
             ok, diag = verify_line(line)
             ok_all &= ok
+            schema_only &= ok or diag == ["schema"]
             lines.append(json.dumps({"op": "verify", "ok": ok,
                                      "diagnoses": diag}, sort_keys=True))
     _emit(args, lines)
-    return EXIT_OK if ok_all else EXIT_VERIFY
+    return EXIT_OK if ok_all else EXIT_USAGE if schema_only else EXIT_VERIFY
 
 
 def cmd_alpha_scan(args):

@@ -97,7 +97,7 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
             ok = True
             for j in pattern:
                 pt = a + xi * j
-                if not pt or not is_prime_element(K, spec.ambient, pt):
+                if not is_prime_element(K, spec.ambient, pt):
                     ok = False
                     break
             if ok:
@@ -142,7 +142,7 @@ def verify_certificate(cert: Certificate):
             diagnoses.append("congruence")
         if minkowski_norm(K, pt - a) > cert.radius:
             diagnoses.append("metric")
-        if not pt or not is_prime_element(K, ambient, pt):
+        if not is_prime_element(K, ambient, pt):
             diagnoses.append("primality")
         else:
             derived.append(_witness(K, ambient, pt))

@@ -4,7 +4,8 @@ Ideals are Z-lattices on the power basis: an n x n integer HNF matrix
 (rows span an integral ideal) divided by a positive integer denominator.
 The representation is canonical, so equality and hashing are structural.
 Prime ideals come from Dedekind splitting of the defining polynomial,
-which is valid index-free on the vetted field list.
+which is valid index-free on the vetted field list; as every vetted field
+is Galois, primality of an ideal is read off its norm (is_prime_element).
 """
 
 from __future__ import annotations
@@ -184,12 +185,17 @@ class FractionalIdeal:
 
     @classmethod
     def from_json(cls, K, obj):
+        """The ideal a certificate names; ValueError unless it is an O_K-ideal
+        (closed under theta) given by its canonical n x n HNF and den >= 1."""
         mat = tuple(tuple(operator.index(x) for x in r) for r in obj["hnf"])
         den = operator.index(obj["den"])
         if den < 1 or len(mat) != K.degree \
                 or any(len(r) != K.degree for r in mat):
             raise ValueError("not an n x n HNF over a positive denominator")
-        return cls(K, mat, den)
+        ideal = cls(K, mat, den)
+        if hnf(mat, K.degree) != mat or not ideal.validate_module_structure():
+            raise ValueError("not an O_K-ideal in canonical HNF")
+        return ideal
 
     def validate_module_structure(self) -> bool:
         """Check closure under multiplication by theta."""
@@ -233,7 +239,7 @@ class PrimeIdeal:
         return f"PrimeIdeal({self.K.name}, p={self.p}, g={self.gpoly}, e={self.e}, f={self.f})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def _prime_ideal_lattice(P: PrimeIdeal) -> FractionalIdeal:
     return FractionalIdeal.from_generators(
         P.K, [P.K.element(P.p), P.generator_element()])
@@ -269,7 +275,7 @@ def _kronecker(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def factor_rational_prime(K: NumberField, p: int):
     """Dedekind splitting of (p): factor f mod p into monic irreducibles."""
     if not sympy.isprime(p):
@@ -326,7 +332,8 @@ def residue_degrees(K: NumberField, p: int):
 # ---------------------------------------------------------------------
 # Norm, factorization, Moebius
 
-_FACTOR_CACHE = {}
+_FACTOR_CACHE = {}  # ideal key -> factorization, oldest entry dropped first
+_FACTOR_CACHE_SIZE = 2**16
 
 
 def valuation(a: FractionalIdeal, P: PrimeIdeal) -> int:
@@ -363,6 +370,8 @@ def factor_ideal(a: FractionalIdeal, budget: int = 10**15) -> IdealFactorization
     # reconstruction check is an invariant of the representation
     if fac.product(a.K) != a:
         raise AssertionError("factorization does not reconstruct the ideal")
+    if len(_FACTOR_CACHE) >= _FACTOR_CACHE_SIZE:
+        del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]
     _FACTOR_CACHE[key] = fac
     return fac
 
@@ -477,21 +486,22 @@ def has_finite_unit_group(K: NumberField) -> bool:
     return K.r1 + K.r2 - 1 == 0
 
 
-def _generator_radius(c: FractionalIdeal, margin: float = 1e-6) -> float:
-    """sqrt(n) * c_K * N(c)^(1/n), widened by margin: the Minkowski radius
-    within which a principal ideal c has a generator."""
+def _generator_radius(c: FractionalIdeal) -> float:
+    """sqrt(n) * c_K * N(c)^(1/n), widened by a relative 1e-6: the
+    Minkowski radius within which a principal ideal c has a generator."""
     n = c.K.degree
     t = float(c.norm()) ** (1.0 / n)
-    return math.sqrt(n) * GENERATOR_BOUNDS[c.K.name] * t * (1 + margin) + 1e-9
+    return math.sqrt(n) * GENERATOR_BOUNDS[c.K.name] * t * (1 + 1e-6) + 1e-9
 
 
-def principal_generator(c: FractionalIdeal, margin: float = 1e-6):
+def principal_generator(c: FractionalIdeal):
     """A canonical generator of a principal fractional ideal, or None.
 
     Searches the Minkowski ball of radius sqrt(n) * c_K * N(c)^(1/n); the
     bounded-generator constant makes the search complete for fields with a
-    finite unit group.  Canonical choice: lexicographically smallest
-    coordinate tuple among valid generators.
+    finite unit group; a point xi of c generates c iff |N(xi)| = N(c).
+    Canonical choice: lexicographically smallest coordinate tuple among
+    valid generators.
     """
     K = c.K
     if K.name not in GENERATOR_BOUNDS:
@@ -501,12 +511,8 @@ def principal_generator(c: FractionalIdeal, margin: float = 1e-6):
 
     Nc = c.norm()
     best = None
-    for xi in ball_elements(K, c, _generator_radius(c, margin)):
-        if not xi:
-            continue
-        if abs(xi.norm()) != Nc:
-            continue
-        if FractionalIdeal.principal(K, xi) == c:
+    for xi in ball_elements(K, c, _generator_radius(c)):
+        if abs(xi.norm()) == Nc:
             key = tuple(xi.coords)
             if best is None or key < best[0]:
                 best = (key, xi)
@@ -516,7 +522,8 @@ def principal_generator(c: FractionalIdeal, margin: float = 1e-6):
 def class_equivalent(a: FractionalIdeal, b: FractionalIdeal,
                      m: FractionalIdeal):
     """Is b = (xi) a for some nonzero xi in 1 + m a^{-1}?  Returns
-    (bool, witness)."""
+    (bool, witness).  A generator of c = b a^{-1} is a point xi of c with
+    |N(xi)| = N(c)."""
     K = a.K
     if not has_finite_unit_group(K):
         raise UnsupportedFieldError(
@@ -528,45 +535,30 @@ def class_equivalent(a: FractionalIdeal, b: FractionalIdeal,
     from .lattice import ball_elements
 
     for xi in ball_elements(K, c, _generator_radius(c)):
-        if not xi:
-            continue
-        if abs(xi.norm()) != Nc:
-            continue
-        if FractionalIdeal.principal(K, xi) != c:
-            continue
-        if cong.contains(xi - K.one):
+        if abs(xi.norm()) == Nc and cong.contains(xi - K.one):
             return True, xi
     return False, None
 
 
 def is_prime_element(K: NumberField, b: FractionalIdeal, xi: FieldElement) -> bool:
-    """True iff the integral ideal (xi) b^{-1} is prime."""
+    """True iff the integral ideal (xi) b^{-1} is prime, read off its norm
+    N = |N(xi)| / N(b): every vetted field is Galois, so the primes above p
+    share one residue degree f, and an ideal of norm p^a is prime iff
+    a = f.  b must be an O_K-ideal in canonical HNF (see from_json)."""
     if not b.contains(xi):
         raise ValueError("xi is not an element of the ambient ideal")
     if not xi:
         return False
-    c = FractionalIdeal.principal(K, xi) * b.inverse()
-    if not c.is_integral():
+    N = abs(xi.norm()) / b.norm()
+    if N.denominator != 1:
         raise ValueError("(xi) b^{-1} is not integral; malformed ambient ideal")
-    N = int(c.norm())
     if N <= 1:
         return False
-    # N must be a prime power p^f with c equal to a single Dedekind prime
-    p = None
-    for q in (sympy.primefactors(N) if N < 2**40 else sorted(sympy.factorint(N))):
-        p = q
-        break
-    f = 0
-    M = N
-    while M % p == 0:
-        M //= p
-        f += 1
-    if M != 1:
+    fac = sympy.factorint(int(N))
+    if len(fac) != 1:
         return False
-    for P in factor_rational_prime(K, p):
-        if P.f == f and P.ideal() == c:
-            return True
-    return False
+    (p, a), = fac.items()
+    return a == residue_degrees(K, p)[0]
 
 
 @dataclass(frozen=True)

@@ -105,12 +105,11 @@ class Parallelotope:
                              [u * self.K.element(f) for u in self.edges])
 
 
-def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7,
-                            tol: Fraction = Fraction(0)):
+def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
     """Lattice points of the ideal inside the half-open parallelotope.
 
     Exact rational arithmetic: a point x qualifies iff the coordinates t of
-    x - origin in the edge basis satisfy -tol <= t_i < 1 - tol.
+    x - origin in the edge basis satisfy 0 <= t_i < 1.
     """
     K = ideal.K
     n = K.degree
@@ -139,7 +138,7 @@ def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7,
         x = L.element_at(coeffs)
         d = [Fraction(x.coords[j]) - o[j] for j in range(n)]
         t = [sum(d[c] * Einv[c][r] for c in range(n)) for r in range(n)]
-        if all(-tol <= ti < 1 - tol for ti in t):
+        if all(0 <= ti < 1 for ti in t):
             out.append(x)
     out.sort(key=lambda x: tuple(x.coords))
     return out

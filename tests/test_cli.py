@@ -105,6 +105,26 @@ def test_verify_tampered_exit_code(tmp_path):
     assert all(r["ok"] for r in recs[1:])
 
 
+@pytest.mark.parametrize("edits, code", [
+    ({0: {"anchor": 5}}, EXIT_USAGE),
+    ({0: {"radius": 0.01}}, EXIT_VERIFY),
+    ({0: {"anchor": 5}, 1: {"radius": 0.01}}, EXIT_VERIFY)])
+def test_verify_exit_code_by_diagnosis(tmp_path, edits, code):
+    # 1 only when a well-formed certificate fails; malformed lines alone
+    # ("schema") are a usage error
+    certs = _write_certs(tmp_path)
+    lines = certs.read_text().splitlines()
+    for i, edit in edits.items():
+        lines[i] = json.dumps(dict(json.loads(lines[i]), **edit))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "v.jsonl"
+    assert run(["--output", str(out), "verify", str(bad)]) == code
+    recs = read_lines(out)
+    assert [r["ok"] for r in recs] == [i not in edits
+                                      for i in range(len(lines))]
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_no_subcommand_is_usage_error():

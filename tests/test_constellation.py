@@ -137,14 +137,26 @@ def test_certificate_schema_checked():
     assert verify_line("[1, 2]") == (False, ["schema"])
 
 
+# over Q(i): a lattice that is no ideal, and the ideal (1+i) written in a
+# non-canonical HNF
+_QI_BAD_AMBIENTS = ({"hnf": [[1, 0], [0, 2]], "den": 1},
+                     {"hnf": [[1, 5], [0, 2]], "den": 1})
+
+
 @pytest.mark.parametrize("key, value", [
     ("anchor", 5), ("k", "x"), ("ambient", [1]), ("step", ["x"]),
     ("points", [5]), ("radius", "1"), ("k", True),
     ("ambient", {"hnf": [[1, 0], [0, 1]], "den": 1}),
     ("ambient", {"hnf": [[1]], "den": 0}),
-    ("ambient", {"hnf": [[1]], "den": 1.5})])
+    ("ambient", {"hnf": [[1]], "den": 1.5}),
+    ("ambient", _QI_BAD_AMBIENTS[0]), ("ambient", _QI_BAD_AMBIENTS[1])])
 def test_certificate_value_types_checked(key, value):
-    obj = json.loads(_one_cert().to_json())
+    if value in _QI_BAD_AMBIENTS:
+        cert = search_constellation(ConstellationSpec(
+            QI, FractionalIdeal.unit_ideal(QI), 1.5, 4.5, 2.1, max_hits=1))[0]
+    else:
+        cert = _one_cert()
+    obj = json.loads(cert.to_json())
     obj[key] = value
     assert verify_line(json.dumps(obj)) == (False, ["schema"])
 
@@ -194,6 +206,7 @@ def test_generator_bound_validated(name):
         if xi is None:
             assert name == "Q(sqrt-5)"  # class number 2
             continue
+        assert FractionalIdeal.principal(K, xi) == P.ideal()
         Nrm = P.norm()
         mink = minkowski_norm(K, xi)
         assert mink**2 == pytest.approx(2.0 * Nrm, rel=1e-9)

@@ -5,13 +5,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from idealsieve import ideals
 from idealsieve.ideals import (FractionalIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
                                is_prime_element, mobius, principal_generator,
                                residue_degrees, zeta_residue)
-from idealsieve.numberfield import make_field
+from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -52,6 +53,31 @@ def test_quartic_splitting_by_order_mod_5():
             f += 1
         assert all(P.f == f and P.e == 1 for P in primes)
         assert len(primes) == 4 // f
+
+
+def test_galois_premise_primes_share_e_and_f():
+    # is_prime_element reads primality off the norm, which is valid only
+    # when the primes above p share (e, f), i.e. on Galois fields
+    for poly in SUPPORTED_POLYS:
+        K = make_field(poly)
+        for p in sympy.primerange(2, 1000):
+            primes = factor_rational_prime(K, p)
+            assert len({(P.e, P.f) for P in primes}) == 1, (K.name, p)
+            assert residue_degrees(K, p) == [P.f for P in primes]
+
+
+def test_caches_bounded(monkeypatch):
+    assert factor_rational_prime.cache_info().maxsize == 2**16
+    assert ideals._prime_ideal_lattice.cache_info().maxsize == 2**16
+    assert ideals._FACTOR_CACHE_SIZE == 2**16
+    monkeypatch.setattr(ideals, "_FACTOR_CACHE_SIZE", 3)
+    monkeypatch.setattr(ideals, "_FACTOR_CACHE", {})
+    keys = []
+    for m in range(2, 8):
+        a = FractionalIdeal.principal(QI, QI.element(m))
+        factor_ideal(a)
+        keys.append(a.key())
+    assert list(ideals._FACTOR_CACHE) == keys[-3:]  # oldest dropped first
 
 
 def test_sum_ef_small():
@@ -235,6 +261,55 @@ def test_is_prime_element_nonprincipal_ambient():
     assert is_prime_element(K, b, K.element(2))
     # 4 gives (4) b^{-1} = b^3, not prime
     assert not is_prime_element(K, b, K.element(4))
+
+
+def _is_prime_element_oracle(K, b, xi):
+    """True iff the integral ideal (xi) b^{-1} is prime."""
+    if not b.contains(xi):
+        raise ValueError("xi is not an element of the ambient ideal")
+    if not xi:
+        return False
+    c = FractionalIdeal.principal(K, xi) * b.inverse()
+    if not c.is_integral():
+        raise ValueError("(xi) b^{-1} is not integral; malformed ambient ideal")
+    N = int(c.norm())
+    if N <= 1:
+        return False
+    # N must be a prime power p^f with c equal to a single Dedekind prime
+    p = None
+    for q in (sympy.primefactors(N) if N < 2**40 else sorted(sympy.factorint(N))):
+        p = q
+        break
+    f = 0
+    M = N
+    while M % p == 0:
+        M //= p
+        f += 1
+    if M != 1:
+        return False
+    for P in factor_rational_prime(K, p):
+        if P.f == f and P.ideal() == c:
+            return True
+    return False
+
+
+# (K, b) for O_K and every prime above 2, 3, 5, 7 of every vetted field,
+# the non-principal prime above 2 in Q(sqrt-5) among them
+_AMBIENTS = [(K, b) for K in map(make_field, SUPPORTED_POLYS)
+             for b in [FractionalIdeal.unit_ideal(K)]
+             + [P.ideal() for p in (2, 3, 5, 7)
+                for P in factor_rational_prime(K, p)]]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(amb=st.sampled_from(_AMBIENTS),
+       coeffs=st.lists(st.integers(-12, 12), min_size=4, max_size=4))
+def test_is_prime_element_matches_ideal_oracle(amb, coeffs):
+    K, b = amb
+    xi = K.zero
+    for c, e in zip(coeffs, b.basis_elements()):
+        xi = xi + e * K.element(c)
+    assert is_prime_element(K, b, xi) == _is_prime_element_oracle(K, b, xi)
 
 
 # ---------------------------------------------------------------- truncated class
