@@ -92,15 +92,17 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
                             spec.anchor_bound * (1 + 1e-12), budget=budget)
     anchors.sort(key=lambda x: (minkowski_norm(K, x), tuple(x.coords)))
     hits = []
+    prime = {}  # point coordinates -> is_prime_element, for this call only
+
+    def is_prime(pt):
+        key = pt.coords
+        if key not in prime:
+            prime[key] = is_prime_element(K, spec.ambient, pt)
+        return prime[key]
+
     for xi in steps:
         for a in anchors:
-            ok = True
-            for j in pattern:
-                pt = a + xi * j
-                if not is_prime_element(K, spec.ambient, pt):
-                    ok = False
-                    break
-            if ok:
+            if all(is_prime(a + xi * j) for j in pattern):
                 hits.append(make_certificate(K, spec.ambient, spec.k, a, xi,
                                              pattern))
                 if spec.max_hits and len(hits) >= spec.max_hits:
@@ -110,8 +112,8 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
 
 def verify_certificate(cert: Certificate):
     """Re-derive every claim from scratch.  Returns (ok, diagnoses); a
-    value that does not decode to its field object is diagnosed as
-    "schema"."""
+    value that does not decode to its field object, or a zero step, is
+    diagnosed as "schema"."""
     diagnoses = []
     try:
         K = make_field(cert.field)
@@ -125,6 +127,8 @@ def verify_certificate(cert: Certificate):
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    for v in (cert.k, cert.radius)):
             raise TypeError("k and radius are numbers")
+        if not xi:
+            raise ValueError("a zero step generates the zero ideal")
     except (TypeError, ValueError, KeyError):
         return False, ["schema"]
     pattern = ball_elements(K, FractionalIdeal.unit_ideal(K), cert.k)
@@ -153,10 +157,13 @@ def verify_certificate(cert: Certificate):
 
 
 def verify_line(text: str):
-    """verify_certificate on one JSON certificate line; a line whose keys
-    are not exactly the certificate fields, or whose values have the wrong
-    type, is diagnosed as "schema"."""
-    obj = json.loads(text)
+    """verify_certificate on one JSON certificate line; a line that is not
+    JSON, whose keys are not exactly the certificate fields, or whose
+    values have the wrong type, is diagnosed as "schema"."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        return False, ["schema"]
     if not isinstance(obj, dict) \
             or set(obj) != {f.name for f in fields(Certificate)}:
         return False, ["schema"]

@@ -25,15 +25,11 @@ class LatticeBasis:
     def __init__(self, ideal):
         self.ideal = ideal
         self.K = ideal.K
-        n = self.K.degree
         self.rows = [[Fraction(x, ideal.den) for x in row] for row in ideal.mat]
         self.rows_inv = mat_inv_fraction(self.rows)
-        self.elements = ideal.basis_elements()
         # embedding matrix: row i = real embedding coords of basis element i
-        self.B = np.array([embedding_coords(self.K, b) for b in self.elements],
-                          dtype=float)
-        w = np.array(_mink_weights(self.K), dtype=float)
-        self.gram = (self.B * w) @ self.B.T
+        self.B = np.array([embedding_coords(self.K, b)
+                           for b in ideal.basis_elements()], dtype=float)
 
     def coords_of(self, x: FieldElement):
         """Exact coordinates of x in this basis (Fractions)."""
@@ -42,15 +38,20 @@ class LatticeBasis:
                     for c in range(n)) for r in range(n)]
 
     def element_at(self, coeffs) -> FieldElement:
-        acc = self.K.zero
-        for c, b in zip(coeffs, self.elements):
-            if c:
-                acc = acc + b * self.K.element(c)
-        return acc
+        """sum coeffs_i * (basis element i), from the integer HNF rows."""
+        mat, den = self.ideal.mat, self.ideal.den
+        return FieldElement(self.K, tuple(
+            Fraction(sum(c * row[j] for c, row in zip(coeffs, mat)), den)
+            for j in range(self.K.degree)))
 
 
 def _mink_weights(K):
     return [1] * K.r1 + [2] * (2 * K.r2)
+
+
+# Rows of the coefficient box handled per matrix product; fixes the peak
+# memory of ball_elements whatever its budget.
+_BALL_BLOCK = 1 << 12
 
 
 def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
@@ -58,33 +59,40 @@ def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
 
     Box bound from the inverse embedding matrix, float norm filter with a
     1e-9 relative margin, and an exact-precision recheck for points within
-    the margin of the boundary.
+    the margin of the boundary.  The box is enumerated as int64
+    coefficient rows, _BALL_BLOCK at a time, each block filtered with one
+    matrix product; only surviving points become field elements.
     """
     if radius <= 0:
         return []
     L = LatticeBasis(ideal)
-    n = K.degree
     w = np.sqrt(np.array(_mink_weights(K), dtype=float))
     M = L.B * w  # rows: weighted embedding of basis vectors
     Minv = np.linalg.inv(M)
     # a = v M^{-1} for a row vector v, so |a_i| <= ||column i of M^{-1}|| * radius
     bounds = np.linalg.norm(Minv, axis=0) * radius * (1 + 1e-9)
+    half = [int(math.floor(b)) for b in bounds]
     total = 1
-    for b in bounds:
-        total *= 2 * int(math.floor(b)) + 1
+    for h in half:
+        total *= 2 * h + 1
         if total > budget:
             raise BudgetExceededError(
                 f"ball enumeration box has {total}+ candidates (budget {budget})")
-    out = []
-    ranges = [range(-int(math.floor(b)), int(math.floor(b)) + 1) for b in bounds]
+    half = np.array(half, dtype=np.int64)
+    sides = 2 * half + 1
+    # flat index i of the box -> coefficient j is (i // stride_j) % side_j
+    strides = np.cumprod(np.concatenate([[1], sides[:0:-1]]))[::-1]
     r2 = radius * radius
-    for coeffs in itertools.product(*ranges):
-        v = np.asarray(coeffs, dtype=float) @ M
-        q = float(v @ v)
-        if q < r2 * (1 - 1e-9):
-            out.append(L.element_at(coeffs))
-        elif q < r2 * (1 + 1e-9):
-            x = L.element_at(coeffs)
+    out = []
+    for start in range(0, total, _BALL_BLOCK):
+        idx = np.arange(start, min(start + _BALL_BLOCK, total), dtype=np.int64)
+        coeffs = idx[:, None] // strides % sides - half
+        v = coeffs @ M
+        q = np.einsum("ij,ij->i", v, v)
+        inner, band = q < r2 * (1 - 1e-9), q < r2 * (1 + 1e-9)
+        out.extend(L.element_at(row) for row in coeffs[inner].tolist())
+        for row in coeffs[band & ~inner].tolist():
+            x = L.element_at(row)
             if minkowski_norm_precise(K, x) < radius:
                 out.append(x)
     out.sort(key=lambda x: tuple(x.coords))

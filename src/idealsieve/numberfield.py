@@ -17,7 +17,7 @@ import numpy as np
 import sympy
 
 from .errors import ReduciblePolynomialError, UnsupportedFieldError
-from .linalg import det_fraction
+from .linalg import det_int
 
 _X = sympy.Symbol("x")
 
@@ -202,12 +202,18 @@ class FieldElement:
         return all(c.denominator == 1 for c in self.coords)
 
     def norm(self):
-        """Field norm N_{K/Q}, exact (determinant of multiplication matrix)."""
-        n = self.K.degree
-        if n == 1:
-            return Fraction(self.coords[0])
-        rows = [(self * self.K.theta_power(j)).coords for j in range(n)]
-        return det_fraction(rows)
+        """Field norm N_{K/Q}, exact: with d the common denominator of the
+        coordinates, det(multiplication-by-dx matrix) / d^n, the
+        determinant taken over the integers."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        row = [c.numerator * (d // c.denominator) for c in self.coords]
+        rows = [row]
+        for _ in range(self.K.degree - 1):  # row j + 1 = theta * row j
+            top = row[-1]
+            row = [s + top * t
+                   for s, t in zip([0] + row[:-1], self.K._theta_pow[0])]
+            rows.append(row)
+        return Fraction(det_int(rows), d ** len(rows))
 
     def embed(self, root):
         """Evaluate at an embedding root (Horner)."""

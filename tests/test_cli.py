@@ -125,6 +125,18 @@ def test_verify_exit_code_by_diagnosis(tmp_path, edits, code):
                                       for i in range(len(lines))]
 
 
+def test_verify_non_json_line_is_schema(tmp_path):
+    # a line that is not JSON is diagnosed on its own; the certificates
+    # around it are still verified and reported
+    lines = _write_certs(tmp_path).read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], "not json", lines[1]]) + "\n")
+    out = tmp_path / "v.jsonl"
+    assert run(["--output", str(out), "verify", str(bad)]) == EXIT_USAGE
+    assert [(r["ok"], r["diagnoses"]) for r in read_lines(out)] == [
+        (True, []), (False, ["schema"]), (True, [])]
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_no_subcommand_is_usage_error():

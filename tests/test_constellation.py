@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from idealsieve import constellation
 from idealsieve.constellation import (AlphaScanResult, Certificate,
                                       ConstellationSpec, alpha_scan,
                                       make_certificate, search_constellation,
@@ -12,7 +14,9 @@ from idealsieve.constellation import (AlphaScanResult, Certificate,
 from idealsieve.errors import UnsupportedFieldError
 from idealsieve.ideals import (GENERATOR_BOUNDS, FractionalIdeal,
                                enumerate_prime_ideals, euler_phi,
-                               factor_rational_prime, principal_generator)
+                               factor_rational_prime, is_prime_element,
+                               principal_generator)
+from idealsieve.lattice import ball_elements
 from idealsieve.numberfield import make_field, minkowski_norm
 from idealsieve.sieve import SieveConfig
 
@@ -51,6 +55,44 @@ def test_search_finds_5_11_17():
     assert ("11", "6") in got
     cert = next(c for c in hits if (c.anchor[0], c.step[0]) == ("11", "6"))
     assert sorted(int(p[0]) for p in cert.points) == [5, 11, 17]
+
+
+def test_search_tests_each_point_once(monkeypatch):
+    # (anchor, step, pattern point) triples repeat points; each distinct
+    # point gets one primality test per search
+    calls = collections.Counter()
+
+    def counting(K, b, xi):
+        calls[xi.coords] += 1
+        return is_prime_element(K, b, xi)
+
+    monkeypatch.setattr(constellation, "is_prime_element", counting)
+    spec = ConstellationSpec(QI, FractionalIdeal.unit_ideal(QI), 1.5,
+                             5.5, 2.1)
+    assert search_constellation(spec)
+    assert len(calls) > 1 and set(calls.values()) == {1}
+    monkeypatch.undo()
+    assert [c.to_json() for c in search_constellation(spec)] == \
+        [c.to_json() for c in _search_oracle(spec)]
+
+
+def _search_oracle(spec):
+    """search_constellation with one primality test per triple."""
+    K = spec.K
+    pattern = spec.pattern()
+
+    def key(x):
+        return minkowski_norm(K, x), tuple(x.coords)
+
+    steps = sorted((x for x in ball_elements(K, spec.ambient,
+                                             spec.step_bound * (1 + 1e-12))
+                    if x), key=key)
+    anchors = sorted(ball_elements(K, spec.ambient,
+                                   spec.anchor_bound * (1 + 1e-12)), key=key)
+    return [make_certificate(K, spec.ambient, spec.k, a, xi, pattern)
+            for xi in steps for a in anchors
+            if all(is_prime_element(K, spec.ambient, a + xi * j)
+                   for j in pattern)]
 
 
 def test_search_gaussian_cross():
@@ -135,6 +177,18 @@ def test_certificate_schema_checked():
     del obj["extra"], obj["witnesses"]
     assert verify_line(json.dumps(obj)) == (False, ["schema"])
     assert verify_line("[1, 2]") == (False, ["schema"])
+
+
+@pytest.mark.parametrize("K", [Q, QI], ids=lambda K: K.name)
+def test_zero_step_is_schema(K):
+    # with a zero step every point is the anchor, so a prime anchor would
+    # pass every other check
+    cert = search_constellation(ConstellationSpec(
+        K, FractionalIdeal.unit_ideal(K), 1.5, 11.5, 6.5, max_hits=1))[0]
+    obj = json.loads(cert.to_json())
+    obj["step"] = ["0"] * K.degree
+    obj["points"] = [obj["anchor"]] * len(obj["points"])
+    assert verify_line(json.dumps(obj)) == (False, ["schema"])
 
 
 # over Q(i): a lattice that is no ideal, and the ideal (1+i) written in a

@@ -34,3 +34,50 @@ def _unused_imports(path):
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+BENCH = SRC.parent.parent / "bench"
+
+
+def _referenced_names(tree, skip=None):
+    """Names read in a module (bare or as attributes), ignoring the
+    subtree `skip`."""
+    names = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _unreferenced_definitions():
+    init = SRC / "__init__.py"
+    exported = {alias.name for node in ast.walk(ast.parse(init.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path == init:
+            continue
+        elsewhere = set().union(*(_referenced_names(t)
+                                  for p, t in trees.items() if p != path))
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name not in exported | elsewhere \
+                    and node.name not in _referenced_names(trees[path], node):
+                out.append(f"{path.name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_every_definition_is_used():
+    # a module-level function or class is exported from the package or
+    # read somewhere in src/ or bench/; a path that only tests still call
+    # (an oracle) belongs in tests/
+    assert _unreferenced_definitions() == []

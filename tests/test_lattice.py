@@ -1,16 +1,20 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from idealsieve.errors import BudgetExceededError
 from idealsieve.ideals import FractionalIdeal, factor_rational_prime
-from idealsieve.lattice import (LatticeBasis, Parallelotope,
+from idealsieve.lattice import (LatticeBasis, Parallelotope, _mink_weights,
                                 admissible_modulus, ball_elements,
                                 fundamental_domain_reduce, in_scaled_domain,
                                 points_in_parallelotope)
-from idealsieve.numberfield import make_field, minkowski_norm
+from idealsieve.numberfield import (SUPPORTED_POLYS, make_field,
+                                    minkowski_norm, minkowski_norm_precise)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -158,3 +162,101 @@ def test_ball_on_skew_ideal_lattice_is_complete():
                 brute.add((a, b))
     assert got == brute
     assert (2, 1) in got
+
+
+def _ball_elements_oracle(K, ideal, radius, budget=10**7):
+    """ball_elements as one matrix-vector product per candidate of the
+    coefficient box, each candidate summed from the basis elements: the
+    loop the blocked int64 enumeration replaced."""
+    if radius <= 0:
+        return []
+    L = LatticeBasis(ideal)
+    basis = ideal.basis_elements()
+
+    def element_at(coeffs):
+        acc = K.zero
+        for c, b in zip(coeffs, basis):
+            if c:
+                acc = acc + b * K.element(c)
+        return acc
+
+    w = np.sqrt(np.array(_mink_weights(K), dtype=float))
+    M = L.B * w
+    Minv = np.linalg.inv(M)
+    bounds = np.linalg.norm(Minv, axis=0) * radius * (1 + 1e-9)
+    total = 1
+    for b in bounds:
+        total *= 2 * int(math.floor(b)) + 1
+        if total > budget:
+            raise BudgetExceededError(
+                f"ball enumeration box has {total}+ candidates (budget {budget})")
+    out = []
+    ranges = [range(-int(math.floor(b)), int(math.floor(b)) + 1) for b in bounds]
+    r2 = radius * radius
+    for coeffs in itertools.product(*ranges):
+        v = np.asarray(coeffs, dtype=float) @ M
+        q = float(v @ v)
+        if q < r2 * (1 - 1e-9):
+            out.append(element_at(coeffs))
+        elif q < r2 * (1 + 1e-9):
+            x = element_at(coeffs)
+            if minkowski_norm_precise(K, x) < radius:
+                out.append(x)
+    out.sort(key=lambda x: tuple(x.coords))
+    return out
+
+
+# every vetted field with ambient O_K and each prime above 2, 3 and 5
+# (among them the non-principal prime above 2 in Q(sqrt-5))
+_BALL_AMBIENTS = [
+    (K, I) for K in map(make_field, SUPPORTED_POLYS)
+    for I in [FractionalIdeal.unit_ideal(K)]
+    + [P.ideal() for p in (2, 3, 5) for P in factor_rational_prime(K, p)]]
+_QI_UNIT = (QI, FractionalIdeal.unit_ideal(QI))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_BALL_AMBIENTS), scale=st.floats(0, 2.5),
+       on_point=st.none() | st.lists(st.integers(-3, 3), min_size=4,
+                                     max_size=4))
+# Z[i] points 1 + i, 2 + i and 5 attain radii 2 (exact in floats),
+# sqrt(10) and sqrt(50): the band recheck decides the points on them
+@example(case=_QI_UNIT, scale=0.0, on_point=[1, 1, 0, 0])
+@example(case=_QI_UNIT, scale=0.0, on_point=[2, 1, 0, 0])
+@example(case=_QI_UNIT, scale=0.0, on_point=[5, 0, 0, 0])
+def test_ball_elements_matches_oracle(case, scale, on_point):
+    K, I = case
+    n = K.degree
+    if on_point is None:
+        radius = scale * math.sqrt(n) * float(I.norm()) ** (1 / n)
+    else:
+        # the radius a lattice point attains, so points lie on the boundary
+        radius = minkowski_norm(K, LatticeBasis(I).element_at(on_point[:n]))
+    try:
+        want = _ball_elements_oracle(K, I, radius, budget=20000)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            ball_elements(K, I, radius, budget=20000)
+        return
+    got = ball_elements(K, I, radius, budget=20000)
+    assert [x.coords for x in got] == [x.coords for x in want]
+
+
+def test_ball_memory_bounded_by_blocks():
+    # the prime above 100049 in Z[i] has the skew basis {1 + 82367i,
+    # 100049i}: about 1e6 box candidates for a handful of ball points.
+    # Holding the whole box as int64 coefficients alone would take 16 MB.
+    (P, *_) = factor_rational_prime(QI, 100049)
+    r = 2.5 * math.sqrt(100049)
+    L = LatticeBasis(P.ideal())
+    w = np.sqrt(np.array(_mink_weights(QI), dtype=float))
+    bounds = np.linalg.norm(np.linalg.inv(L.B * w), axis=0) * r
+    assert 9e5 < np.prod(2 * np.floor(bounds) + 1) < 2e6
+    tracemalloc.start()
+    try:
+        pts = ball_elements(QI, P.ideal(), r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(pts) < 100
+    assert peak < 2 * 2**20

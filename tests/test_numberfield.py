@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealsieve.errors import UnsupportedFieldError
+from idealsieve.linalg import det_int
 from idealsieve.numberfield import (FieldElement, embedding_coords,
                                     field_by_name, make_field,
                                     minkowski_norm, minkowski_norm_precise)
@@ -114,3 +115,54 @@ def test_norm_arithmetic_mean_geometric():
     n = K.degree
     assert abs(float(x.norm())) ** (1 / n) <= \
         minkowski_norm(K, x) / math.sqrt(n) + 1e-9
+
+
+def _det_fraction(mat):
+    """Determinant of a square matrix of Fractions/ints by Gaussian
+    elimination over Q: the route FieldElement.norm took before its
+    integer Bareiss determinant, kept as the oracle."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _norm_oracle(x):
+    K = x.K
+    if K.degree == 1:
+        return Fraction(x.coords[0])
+    return _det_fraction([(x * K.theta_power(j)).coords
+                          for j in range(K.degree)])
+
+
+rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(ALL_FIELDS),
+       coords=st.lists(rational, min_size=4, max_size=4))
+def test_norm_matches_fraction_determinant(name, coords):
+    K = field_by_name(name)
+    x = K.element(coords[:K.degree])
+    assert x.norm() == _norm_oracle(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_int_matches_fraction_determinant(rows):
+    # small entries hit zero pivots and singular matrices often
+    assert det_int(rows) == _det_fraction(rows)
