@@ -22,7 +22,7 @@ from .lattice import (LatticeBasis, Parallelotope, admissible_modulus,
                       in_scaled_domain, points_in_parallelotope)
 from .numberfield import (FieldElement, NumberField, embedding_coords,
                           field_by_name, make_field, minkowski_norm)
-from .sieve import (BumpFunction, SieveConfig, bump_hat, c_phi, lambda_R,
-                    lift_nu, nu_weight)
+from .sieve import (BumpFunction, SieveConfig, c_phi, lambda_R, lift_nu,
+                    nu_weight)
 
 __version__ = "0.1.0"

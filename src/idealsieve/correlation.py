@@ -217,7 +217,7 @@ def local_factor_omega(forms: LinearFormSystem, P: PrimeIdeal, marks,
                           else forms.K.element(alpha), budget)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2 ** 16)
 def _omega_cached_key(forms_id, P, marks, W, alpha_coords, budget):
     forms = _FORMS_REGISTRY[forms_id]
     K = forms.K

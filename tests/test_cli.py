@@ -246,3 +246,18 @@ def test_console_entry_point():
                            "--bound", "3"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 3
+
+
+def test_cli_does_not_import_scipy(tmp_path):
+    # a fresh interpreter, because this test process has scipy loaded
+    out = tmp_path / "c.jsonl"
+    code = ("import sys\n"
+            "import idealsieve.cli as cli\n"
+            f"assert cli.main(['--output', {str(out)!r}, 'cphi']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert read_lines(out)[0]["op"] == "cphi"

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import ideals
+from idealsieve import correlation, ideals
 from idealsieve.ideals import (FractionalIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
@@ -70,6 +70,7 @@ def test_caches_bounded(monkeypatch):
     assert factor_rational_prime.cache_info().maxsize == 2**16
     assert ideals._prime_ideal_lattice.cache_info().maxsize == 2**16
     assert ideals._FACTOR_CACHE_SIZE == 2**16
+    assert correlation._omega_cached_key.cache_info().maxsize == 2**16
     monkeypatch.setattr(ideals, "_FACTOR_CACHE_SIZE", 3)
     monkeypatch.setattr(ideals, "_FACTOR_CACHE", {})
     keys = []

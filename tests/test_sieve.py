@@ -2,14 +2,15 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_rational_prime)
 from idealsieve.numberfield import make_field
 from idealsieve.sieve import (DEFAULT_BUMP, BumpFunction, SieveConfig,
-                              _lambda_cached, bump_hat, c_phi, lambda_R,
-                              lift_nu, nu_weight)
+                              _lambda_cached, c_phi, lambda_R, lift_nu,
+                              nu_weight)
 from test_acceptance import _c_phi_fourier
 
 Q = make_field("Q")
@@ -32,6 +33,23 @@ def test_bump_derivative_matches_difference_quotient():
         h = 1e-6
         fd = (phi(t + h) - phi(t - h)) / (2 * h)
         assert phi.derivative(t) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+def bump_hat(phi: BumpFunction, y: float) -> complex:
+    """int_{-1}^{1} e^t phi(t) e^{iyt} dt, by scipy's adaptive quadrature.
+
+    Integrating the even/odd split in |y| keeps the conjugate symmetry
+    phihat(-y) = conj(phihat(y)) exact in floating point.
+    """
+    a, b = phi.support
+    ya = abs(y)
+    re = quad(lambda t: math.exp(t) * phi(t) * math.cos(ya * t), a, b,
+              limit=200)[0]
+    im = quad(lambda t: math.exp(t) * phi(t) * math.sin(ya * t), a, b,
+              limit=200)[0]
+    if y < 0:
+        im = -im
+    return complex(re, im)
 
 
 def test_bump_hat_conjugate_symmetry():
@@ -81,6 +99,38 @@ def test_c_phi_identity_and_convergence():
 def test_c_phi_frozen_value():
     assert c_phi() == pytest.approx(
         59.739960795991066057700351363334573120480530610307, rel=1e-15)
+
+
+def _stretched(a):
+    # phi(t / a) on (-a, a)
+    return BumpFunction(f=lambda t: DEFAULT_BUMP(t / a),
+                        df=lambda t: DEFAULT_BUMP.derivative(t / a) / a,
+                        support=(-a, a))
+
+
+def _power(k):
+    # phi^k on (-1, 1)
+    return BumpFunction(f=lambda t: DEFAULT_BUMP(t) ** k,
+                        df=lambda t: (k * DEFAULT_BUMP(t) ** (k - 1)
+                                      * DEFAULT_BUMP.derivative(t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.floats(0.25, 4.0).map(_stretched),
+                 st.sampled_from((2, 3)).map(_power)))
+def test_c_phi_matches_adaptive_quadrature(phi):
+    b = phi.support[1]
+    want = 4.0 * math.pi ** 2 * quad(lambda t: phi.derivative(t) ** 2,
+                                     0.0, b, limit=200)[0]
+    assert c_phi(phi) == pytest.approx(want, rel=1e-12)
+
+
+def test_c_phi_rejects_nonsmooth_derivative():
+    # phi'^2 jumps inside (0, 1): the tanh-sinh levels only creep together
+    jump = BumpFunction(f=DEFAULT_BUMP,
+                        df=lambda t: 1.0 if abs(t) < 1 / math.pi else 0.0)
+    with pytest.raises(ArithmeticError):
+        c_phi(jump)
 
 
 def test_bump_needs_f_and_df_together():
