@@ -1,0 +1,365 @@
+"""Exact integer primitives: primes, factorisation, square roots mod p and
+factorisation of a small polynomial mod p.
+
+Only what the package calls lives here.  Every routine is deterministic,
+so the same input always takes the same path and returns the same value.
+Polynomials are constant-first coefficient lists.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+
+def primerange(a, b):
+    """The primes p with a <= p < b, ascending (sieve of Eratosthenes)."""
+    if b <= 2:
+        return []
+    sieve = bytearray([1]) * b
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(b - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, b, i)))
+    lo = max(a, 2)
+    return list(itertools.compress(range(lo, b), sieve[lo:]))
+
+
+_SMALL_PRIMES = primerange(2, 1000)
+_MR_BASES = _SMALL_PRIMES[:13]  # 2, 3, ..., 41
+# the least strong pseudoprime to every base in _MR_BASES (Sorenson and
+# Webster, Math. Comp. 2017); below it those bases decide primality
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _strong_probable_prime(n, a):
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a|n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Strong Lucas probable-prime test for odd n > 1 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D|n) = -1,
+    P = 1, Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k, Q^k mod n by binary doubling from k = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def isprime(n):
+    """Primality of an integer: trial division below 1000, then
+    Miller-Rabin on the bases 2..41 (deterministic below _MR_LIMIT), and
+    the Baillie-PSW test (strong base 2 plus strong Lucas) above it."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 1000 * 1000:
+        return True
+    if n < _MR_LIMIT:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas(n)
+
+
+def iroot(n, k):
+    """floor(n^(1/k)) for integers n >= 0, k >= 1."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # >= the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _brent(n):
+    """A proper factor of an odd composite n (Pollard-Brent rho, the maps
+    y -> y^2 + c for c = 1, 2, ... in turn)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step again one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorint(n):
+    """Prime factorisation {p: e} of an integer n >= 1, ascending in p:
+    trial division below 1000, then a perfect-power check, then
+    Pollard-Brent rho on what is left."""
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out = {}
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    todo = [(n, 1)] if n > 1 else []
+    while todo:
+        m, k = todo.pop()
+        if isprime(m):
+            out[m] = out.get(m, 0) + k
+            continue
+        # m has no prime factor below 1000, so m = r^j needs 1000^j <= m
+        for j in primerange(2, m.bit_length() // 9 + 1):
+            r = iroot(m, j)
+            if r ** j == m:
+                todo.append((r, k * j))
+                break
+        else:
+            d = _brent(m)
+            todo += [(d, k), (m // d, k)]
+    return dict(sorted(out.items()))
+
+
+def sqrt_mod(a, p):
+    """The square root r <= p // 2 of a modulo a prime p (Tonelli-Shanks);
+    ValueError if a is not a square mod p."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square modulo {p}")
+    q = p - 1
+    s = (q & -q).bit_length() - 1
+    q >>= s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
+# ---------------------------------------------------------------------
+# Polynomials over F_p: constant-first lists, trimmed, so [] is zero and
+# len(f) - 1 is the degree.
+
+def _trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _digits(m, p):
+    """Base-p digits of m, least significant first: p^d + k gives a monic
+    polynomial of degree d for 0 <= k < p^d."""
+    out = []
+    while m:
+        m, r = divmod(m, p)
+        out.append(r)
+    return out
+
+
+def _monic(f, p):
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _sub(f, g, p):
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return _trim([(a - b) % p for a, b in zip(f, g)])
+
+
+def _divmod(f, g, p):
+    """Quotient and remainder of f by a monic g."""
+    r, dg = list(f), len(g) - 1
+    q = [0] * max(len(r) - dg, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + dg]
+        if c:
+            q[i] = c
+            for j in range(dg + 1):
+                r[i + j] = (r[i + j] - c * g[j]) % p
+    return _trim(q), _trim(r[:dg])
+
+
+def _gcd(f, g, p):
+    """Monic gcd (zero only if both are zero)."""
+    while g:
+        g = _monic(g, p)
+        f, g = g, _divmod(f, g, p)[1]
+    return _monic(f, p) if f else f
+
+
+def _mulmod(f, g, m, p):
+    prod = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+    return _divmod([c % p for c in prod], m, p)[1]
+
+
+def _powmod(f, e, m, p):
+    """f^e mod the monic m."""
+    out, f = [1], _divmod(f, m, p)[1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, m, p)
+        if bit == "1":
+            out = _mulmod(out, f, m, p)
+    return out
+
+
+def _squarefree(f, p):
+    """Yun's squarefree factorisation [(g, e)] of a monic f with deg f < p
+    (so f' = 0 only for constants)."""
+    out = []
+    deriv = _trim([i * c % p for i, c in enumerate(f)][1:])
+    c = _gcd(f, deriv, p)
+    w = _divmod(f, c, p)[0]
+    e = 1
+    while len(w) > 1:
+        y = _gcd(w, c, p)
+        z = _divmod(w, y, p)[0]
+        if len(z) > 1:
+            out.append((z, e))
+        e += 1
+        w, c = y, _divmod(c, y, p)[0]
+    return out
+
+
+def _distinct_degree(g, p):
+    """[(h, d)]: h the product of the degree-d irreducible factors of a
+    squarefree monic g."""
+    out, x, h, d = [], [0, 1], [0, 1], 0
+    while len(g) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, g, p)  # x^(p^d) mod g
+        u = _gcd(g, _sub(h, x, p), p)
+        if len(u) > 1:
+            out.append((u, d))
+            g = _divmod(g, u, p)[0]
+            h = _divmod(h, g, p)[1]
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
+    return out
+
+
+def _equal_degree(g, d, p):
+    """Irreducible factors of a squarefree monic g whose factors all have
+    degree d, p odd (Cantor-Zassenhaus, test polynomials x + 0, x + 1,
+    ..., then those of higher degree in base-p order)."""
+    if len(g) - 1 == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    for k in itertools.count():
+        t = _powmod(_digits(p + k, p), e, g, p)
+        u = _gcd(g, _sub(t, [1], p), p)
+        if 1 < len(u) < len(g):
+            return (_equal_degree(u, d, p)
+                    + _equal_degree(_divmod(g, u, p)[0], d, p))
+
+
+def _trial_factor(f, p):
+    """Factor a monic f by dividing out every monic polynomial of degree
+    1, 2, ... in turn; each divisor found is irreducible because all
+    factors of lower degree are gone.  For p <= deg f only."""
+    out, d = [], 1
+    while len(f) > 1:
+        if 2 * d > len(f) - 1:
+            out.append((f, 1))
+            break
+        for k in range(p ** d):
+            g = _digits(p ** d + k, p)
+            e = 0
+            q, r = _divmod(f, g, p)
+            while not r:
+                f, e = q, e + 1
+                q, r = _divmod(f, g, p)
+            if e:
+                out.append((g, e))
+        d += 1
+    return out
+
+
+def factor_mod_p(poly, p):
+    """Monic irreducible factors of a monic integer polynomial modulo a
+    prime p, as [(g, e)] with g a constant-first tuple over [0, p),
+    sorted by degree then coefficients.  p > deg f: squarefree,
+    distinct-degree and equal-degree factorisation; p <= deg f: trial
+    division."""
+    f = _trim([c % p for c in poly])
+    if p <= len(f) - 1:
+        out = _trial_factor(f, p)
+    else:
+        out = [(u, e) for g, e in _squarefree(f, p)
+               for h, d in _distinct_degree(g, p)
+               for u in _equal_degree(h, d, p)]
+    return sorted(((tuple(g), e) for g, e in out),
+                  key=lambda ge: (len(ge[0]), ge[0]))

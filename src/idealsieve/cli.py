@@ -6,7 +6,8 @@ of the command line's own flags, so CLI flags override file values.
 Reports are JSON lines, optionally mirrored to CSV with columns x,
 empirical, predicted, ratio.  Exit codes: 0 ok, 1 a well-formed
 certificate failed verification, 2 usage error or only malformed
-("schema") certificate lines, 3 budget exhausted.  Runs are
+("schema") certificate lines, 3 budget exhausted, 4 internal error (an
+unexpected exception; its traceback goes to stderr).  Runs are
 single-threaded; --workers is accepted and leaves every report unchanged.
 """
 
@@ -17,6 +18,7 @@ import json
 import math
 import random
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def read_config(path):
@@ -351,6 +354,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

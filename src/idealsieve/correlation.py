@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
+from .arith import factorint, primerange
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
                      factor_ideal, factor_rational_prime, zeta_residue)
@@ -387,7 +387,7 @@ def _exceptional_primes(forms, W):
     if G == 0:
         return None  # rank deficient everywhere: no fast path
     out = []
-    for p in sympy.primefactors(G):
+    for p in factorint(G):
         if W % p == 0:
             continue
         for P in factor_rational_prime(forms.K, p):
@@ -515,7 +515,7 @@ def F_euler(forms: LinearFormSystem, t, tprime, P_cutoff: float, R: float,
     # tail: remaining local factors are 1 + O_s(1/Np^2)
     tail_log = 3.0 * s * s * sum(
         1.0 / p ** 2 * K.degree
-        for p in sympy.primerange(int(P_cutoff) + 1, 10 * int(P_cutoff)))
+        for p in primerange(int(P_cutoff) + 1, 10 * int(P_cutoff)))
     tail = math.exp(tail_log)
     return value, main, tail
 

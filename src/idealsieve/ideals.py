@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
+from .arith import (factor_mod_p, factorint, iroot, isprime, primerange,
+                    sqrt_mod)
 from .errors import BudgetExceededError, UnsupportedFieldError
 from .linalg import common_denominator, hnf, mat_inv_fraction
 from .numberfield import FieldElement, NumberField
-
-_X = sympy.Symbol("x")
 
 
 class FractionalIdeal:
@@ -278,7 +276,7 @@ def _kronecker(a: int, p: int) -> int:
 @lru_cache(maxsize=2**16)
 def factor_rational_prime(K: NumberField, p: int):
     """Dedekind splitting of (p): factor f mod p into monic irreducibles."""
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
     n = K.degree
     if n == 1:
@@ -286,7 +284,8 @@ def factor_rational_prime(K: NumberField, p: int):
     if n == 2 and p > 2:
         primes = _factor_prime_quadratic(K, p)
     else:
-        primes = _factor_prime_generic(K, p)
+        primes = [PrimeIdeal(K, p, g, e, len(g) - 1)
+                  for g, e in factor_mod_p(K.poly, p)]
     assert sum(P.e * P.f for P in primes) == n
     return tuple(sorted(primes, key=lambda P: P.sort_key()))
 
@@ -296,7 +295,7 @@ def _factor_prime_quadratic(K, p):
     disc = c1 * c1 - 4 * c0
     chi = _kronecker(disc, p)
     if chi == 1:
-        r = int(sympy.ntheory.sqrt_mod(disc % p, p))
+        r = sqrt_mod(disc, p)
         inv2 = pow(2, p - 2, p)
         roots = sorted({((-c1 + r) * inv2) % p, ((-c1 - r) * inv2) % p})
         return [PrimeIdeal(K, p, ((-r0) % p, 1), 1, 1) for r0 in roots]
@@ -305,16 +304,6 @@ def _factor_prime_quadratic(K, p):
     # ramified: double root -c1/2 mod p
     r0 = (-c1 * pow(2, p - 2, p)) % p
     return [PrimeIdeal(K, p, ((-r0) % p, 1), 2, 1)]
-
-
-def _factor_prime_generic(K, p):
-    expr = sum(c * _X**i for i, c in enumerate(K.poly))
-    _, facs = sympy.Poly(expr, _X, modulus=p).factor_list()
-    primes = []
-    for g, e in facs:
-        coeffs = [int(c) % p for c in reversed(g.all_coeffs())]
-        primes.append(PrimeIdeal(K, p, tuple(coeffs), int(e), g.degree()))
-    return primes
 
 
 def residue_degrees(K: NumberField, p: int):
@@ -361,7 +350,7 @@ def factor_ideal(a: FractionalIdeal, budget: int = 10**15) -> IdealFactorization
         raise BudgetExceededError(f"ideal norm {N} exceeds factorization budget")
     factors = []
     if N > 1:
-        for p in sorted(sympy.factorint(N)):
+        for p in factorint(N):
             for P in factor_rational_prime(a.K, p):
                 v = valuation(a, P)
                 if v:
@@ -390,7 +379,7 @@ def euler_phi(K: NumberField, W: int) -> int:
     if W == 1:
         return 1
     phi = 1
-    for p, a in sympy.factorint(W).items():
+    for p, a in factorint(W).items():
         for P in factor_rational_prime(K, p):
             q = P.norm()
             v = P.e * a  # valuation of (W) at P
@@ -404,7 +393,7 @@ def enumerate_prime_ideals(K: NumberField, X, budget: int = 10**7):
     if X > budget:
         raise BudgetExceededError("norm bound exceeds enumeration budget")
     out = []
-    for p in sympy.primerange(2, X + 1):
+    for p in primerange(2, X + 1):
         for P in factor_rational_prime(K, p):
             if P.norm() <= X:
                 out.append(P)
@@ -422,7 +411,7 @@ def count_ideals(K: NumberField, x, budget: int = 4 * 10**6) -> int:
         raise BudgetExceededError("count_ideals bound exceeds budget")
     A = np.zeros(X + 1, dtype=np.int64)
     A[1] = 1
-    for p in sympy.primerange(2, X + 1):
+    for p in primerange(2, X + 1):
         fs = residue_degrees(K, p)
         emax = int(math.log(X) / math.log(p)) + 1
         # ways to write e as a sum over primes above p of a_i * f_i
@@ -543,8 +532,10 @@ def class_equivalent(a: FractionalIdeal, b: FractionalIdeal,
 def is_prime_element(K: NumberField, b: FractionalIdeal, xi: FieldElement) -> bool:
     """True iff the integral ideal (xi) b^{-1} is prime, read off its norm
     N = |N(xi)| / N(b): every vetted field is Galois, so the primes above p
-    share one residue degree f, and an ideal of norm p^a is prime iff
-    a = f.  b must be an O_K-ideal in canonical HNF (see from_json)."""
+    share one residue degree f, which divides n, and an ideal of norm p^a
+    is prime iff a = f.  Nothing is factored: for each f | n, N = r^f is
+    tested with r the integer f-th root.  b must be an O_K-ideal in
+    canonical HNF (see from_json)."""
     if not b.contains(xi):
         raise ValueError("xi is not an element of the ambient ideal")
     if not xi:
@@ -552,13 +543,13 @@ def is_prime_element(K: NumberField, b: FractionalIdeal, xi: FieldElement) -> bo
     N = abs(xi.norm()) / b.norm()
     if N.denominator != 1:
         raise ValueError("(xi) b^{-1} is not integral; malformed ambient ideal")
-    if N <= 1:
-        return False
-    fac = sympy.factorint(int(N))
-    if len(fac) != 1:
-        return False
-    (p, a), = fac.items()
-    return a == residue_degrees(K, p)[0]
+    N, n = int(N), K.degree
+    for f in range(1, n + 1):
+        if n % f == 0:
+            r = iroot(N, f)
+            if r ** f == N and isprime(r) and residue_degrees(K, r)[0] == f:
+                return True
+    return False
 
 
 @dataclass(frozen=True)

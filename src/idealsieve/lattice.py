@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import primerange
 from .errors import BudgetExceededError
 from .linalg import mat_inv_fraction
 from .numberfield import (FieldElement, NumberField, embedding_coords,
@@ -181,9 +182,7 @@ def in_scaled_domain(K: NumberField, ideal, x: FieldElement, N: int) -> bool:
 
 def admissible_modulus(w: int) -> int:
     """W = prod_{p <= w} p (the primorial cut at w)."""
-    import sympy
-
     prod = 1
-    for p in sympy.primerange(2, w + 1):
+    for p in primerange(2, w + 1):
         prod *= p
     return prod

@@ -14,12 +14,9 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-import sympy
 
 from .errors import ReduciblePolynomialError, UnsupportedFieldError
 from .linalg import det_int
-
-_X = sympy.Symbol("x")
 
 # Vetted monogenic fields (coefficients constant-first, monic).
 SUPPORTED_POLYS = {
@@ -36,6 +33,23 @@ SUPPORTED_POLYS = {
 _FIELD_CACHE = {}
 
 
+def _discriminant(poly) -> int:
+    """Discriminant of a monic integer polynomial (constant-first): the
+    determinant of its trace form Tr(theta^(i+j)), i, j < n, with the power
+    sums Tr(theta^k) from Newton's identities."""
+    n = len(poly) - 1
+    a = poly[:-1]  # f = x^n + a[n-1] x^(n-1) + ... + a[0]
+    s = [n]
+    for k in range(1, 2 * n - 1):
+        # s_k = -(k a[n-k] [k <= n] + sum of a[n-k+j] s_j over
+        # max(1, k-n) <= j < k)
+        acc = k * a[n - k] if k <= n else 0
+        for j in range(max(1, k - n), k):
+            acc += a[n - k + j] * s[j]
+        s.append(-acc)
+    return det_int([[s[i + j] for j in range(n)] for i in range(n)])
+
+
 class NumberField:
     """Monogenic field Q[x]/(f) with archimedean embedding data."""
 
@@ -43,24 +57,22 @@ class NumberField:
         poly = tuple(int(c) for c in poly)
         if poly[-1] != 1:
             raise UnsupportedFieldError("defining polynomial must be monic")
-        expr = sum(c * _X**i for i, c in enumerate(poly))
-        if not sympy.Poly(expr, _X).is_irreducible:
-            raise ReduciblePolynomialError(f"{poly} is reducible over Q")
         if poly not in SUPPORTED_POLYS:
+            # the only use of sympy: say why a polynomial is rejected
+            import sympy
+
+            x = sympy.Symbol("x")
+            if not sympy.Poly(sum(c * x**i for i, c in enumerate(poly)),
+                              x).is_irreducible:
+                raise ReduciblePolynomialError(f"{poly} is reducible over Q")
             raise UnsupportedFieldError(
                 f"{poly} is not in the vetted monogenic field list")
         self.poly = poly
         self.name = SUPPORTED_POLYS[poly]
         self.degree = len(poly) - 1
         n = self.degree
-        # disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic f; equals d_K on
-        # the vetted list.
-        fpoly = sympy.Poly(expr, _X)
-        if n == 1:
-            self.discriminant = 1
-        else:
-            res = sympy.resultant(fpoly, fpoly.diff(_X))
-            self.discriminant = int((-1) ** (n * (n - 1) // 2) * res)
+        # equals d_K on the vetted list (every field is monogenic)
+        self.discriminant = _discriminant(poly)
         self._init_embeddings()
         # theta^m for m = n .. 2n-2 on the power basis (integer rows).
         red = []

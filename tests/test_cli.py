@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from idealsieve.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
-                            main, read_config)
+from idealsieve import cli
+from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
+                            EXIT_VERIFY, main, read_config)
 from idealsieve.ideals import enumerate_prime_ideals
 from idealsieve.numberfield import make_field
 
@@ -152,6 +153,17 @@ def test_budget_exhaustion_exit_code():
     assert run(["correlate", "--lam", "20000", "--m", "2"]) == EXIT_BUDGET
 
 
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    # a crash must not exit 1, the code of a failed certificate
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_primes", boom)
+    assert run(["primes"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 def test_malformed_config_is_usage_error(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("this line has no equals sign\n")
@@ -248,16 +260,28 @@ def test_console_entry_point():
     assert len(proc.stdout.splitlines()) == 3
 
 
-def test_cli_does_not_import_scipy(tmp_path):
-    # a fresh interpreter, because this test process has scipy loaded
-    out = tmp_path / "c.jsonl"
+def test_cli_does_not_import_scipy_or_sympy(tmp_path):
+    # a fresh interpreter, because this test process has both loaded; sympy
+    # is imported only to classify a rejected defining polynomial
+    certs = str(tmp_path / "certs.jsonl")
+    out = str(tmp_path / "out.jsonl")
+    runs = [["--output", certs, "search", "--anchor-bound", "12",
+             "--step-bound", "6.5", "--max-hits", "3"],
+            ["--output", out, "verify", certs],
+            ["--output", out, "alpha-scan", "--field", "Q(i)",
+             "--window", "100", "300"],
+            ["--output", out, "singular-series", "--s", "1", "--R", "20"],
+            ["--output", out, "autocorr", "--N", "100"],
+            ["--output", out, "primes", "--field", "Q(zeta5)",
+             "--bound", "300"],
+            ["--output", out, "cphi"]]
     code = ("import sys\n"
             "import idealsieve.cli as cli\n"
-            f"assert cli.main(['--output', {str(out)!r}, 'cphi']) == 0\n"
+            f"print([cli.main(argv) for argv in {runs!r}])\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+            "             if m.startswith(('scipy', 'sympy'))))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    assert read_lines(out)[0]["op"] == "cphi"
+    assert proc.stdout.splitlines() == [str([EXIT_OK] * len(runs)), "[]"]
+    assert read_lines(tmp_path / "out.jsonl")[0]["op"] == "cphi"

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from idealsieve import correlation, ideals
-from idealsieve.ideals import (FractionalIdeal, TruncatedClass,
+from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
@@ -16,6 +17,7 @@ from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
+_X = sympy.Symbol("x")
 
 
 # ---------------------------------------------------------------- splitting
@@ -64,6 +66,37 @@ def test_galois_premise_primes_share_e_and_f():
             primes = factor_rational_prime(K, p)
             assert len({(P.e, P.f) for P in primes}) == 1, (K.name, p)
             assert residue_degrees(K, p) == [P.f for P in primes]
+
+
+def _factor_prime_generic(K, p):
+    """Dedekind splitting by sympy's factorisation over GF(p)."""
+    expr = sum(c * _X**i for i, c in enumerate(K.poly))
+    _, facs = sympy.Poly(expr, _X, modulus=p).factor_list()
+    primes = []
+    for g, e in facs:
+        coeffs = [int(c) % p for c in reversed(g.all_coeffs())]
+        primes.append(PrimeIdeal(K, p, tuple(coeffs), int(e), g.degree()))
+    return primes
+
+
+def _splitting_oracle(K, p):
+    return tuple(sorted(_factor_prime_generic(K, p),
+                        key=lambda P: P.sort_key()))
+
+
+def test_splitting_matches_sympy_every_field():
+    for poly in SUPPORTED_POLYS:
+        K = make_field(poly)
+        for p in sympy.primerange(2, 2000):
+            assert factor_rational_prime(K, p) == _splitting_oracle(K, p), \
+                (K.name, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(3, 10**12).map(sympy.prevprime))
+def test_quartic_splitting_matches_sympy_large(p):
+    K = make_field("Q(zeta5)")
+    assert factor_rational_prime(K, p) == _splitting_oracle(K, p)
 
 
 def test_caches_bounded(monkeypatch):
@@ -262,6 +295,27 @@ def test_is_prime_element_nonprincipal_ambient():
     assert is_prime_element(K, b, K.element(2))
     # 4 gives (4) b^{-1} = b^3, not prime
     assert not is_prime_element(K, b, K.element(4))
+
+
+# 2^40 + 15, 2^41 + 27, 2^45 + 59 (= 3 mod 4) and 2^132 + 67 are prime, and
+# so is 2^132 + (2^65 + 43)^2, the norm of 2^66 + (2^65 + 43) i
+@pytest.mark.parametrize("name, coords, prime", [
+    ("Q", [(2**40 + 15) * (2**41 + 27)], False),  # 82-bit semiprime
+    ("Q", [2**132 + 67], True),  # 133-bit prime
+    ("Q", [(2**45 + 59) ** 2], False),  # square of a 46-bit prime
+    ("Q(i)", [(2**40 + 15) * (2**41 + 27), 0], False),
+    ("Q(i)", [2**66, 2**65 + 43], True),  # norm a 133-bit prime
+    ("Q(i)", [2**45 + 59, 0], True),  # inert: norm the square of a prime
+    ("Q(i)", [(2**45 + 59) ** 2, 0], False),
+])
+def test_is_prime_element_large_norms_fast(name, coords, prime):
+    # primality is read off the norm without factoring it, so an untrusted
+    # certificate cannot make the verifier factor a large semiprime
+    K = make_field(name)
+    O = FractionalIdeal.unit_ideal(K)
+    t = time.perf_counter()
+    assert is_prime_element(K, O, K.element(coords)) == prime
+    assert time.perf_counter() - t < 0.1
 
 
 def _is_prime_element_oracle(K, b, xi):

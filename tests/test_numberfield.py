@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from idealsieve.errors import UnsupportedFieldError
+from idealsieve.errors import ReduciblePolynomialError, UnsupportedFieldError
 from idealsieve.linalg import det_int
-from idealsieve.numberfield import (FieldElement, embedding_coords,
+from idealsieve.numberfield import (FieldElement, _discriminant,
+                                    embedding_coords,
                                     field_by_name, make_field,
                                     minkowski_norm, minkowski_norm_precise)
 
@@ -28,6 +30,27 @@ def test_unknown_field_rejected():
         field_by_name("Q(sqrt17)")
     with pytest.raises(UnsupportedFieldError):
         make_field((3, 0, 1))  # x^2 + 3 is not monogenic for Q(sqrt-3)
+
+
+def test_reducible_polynomial_rejected():
+    with pytest.raises(ReduciblePolynomialError):
+        make_field((-1, 0, 1))  # x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(ReduciblePolynomialError):
+        make_field((1, 2, 1))  # (x + 1)^2
+
+
+_X = sympy.Symbol("x")
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=st.integers(2, 5).flatmap(lambda n: st.lists(
+    st.integers(-20, 20), min_size=n, max_size=n)).map(lambda c: c + [1]))
+def test_discriminant_matches_resultant(poly):
+    # disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic f of degree n
+    n = len(poly) - 1
+    f = sympy.Poly(sum(c * _X**i for i, c in enumerate(poly)), _X)
+    res = sympy.resultant(f, f.diff(_X))
+    assert _discriminant(poly) == (-1) ** (n * (n - 1) // 2) * res
 
 
 def test_signatures():
