@@ -1,9 +1,7 @@
-"""Exact integer primitives: primes, factorisation, square roots mod p and
-factorisation of a small polynomial mod p.
+"""Exact integer primitives: primes, factorisation and square roots mod p.
 
 Only what the package calls lives here.  Every routine is deterministic,
 so the same input always takes the same path and returns the same value.
-Polynomials are constant-first coefficient lists.
 """
 
 from __future__ import annotations
@@ -203,163 +201,3 @@ def sqrt_mod(a, p):
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return min(r, p - r)
-
-
-# ---------------------------------------------------------------------
-# Polynomials over F_p: constant-first lists, trimmed, so [] is zero and
-# len(f) - 1 is the degree.
-
-def _trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _digits(m, p):
-    """Base-p digits of m, least significant first: p^d + k gives a monic
-    polynomial of degree d for 0 <= k < p^d."""
-    out = []
-    while m:
-        m, r = divmod(m, p)
-        out.append(r)
-    return out
-
-
-def _monic(f, p):
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _sub(f, g, p):
-    n = max(len(f), len(g))
-    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
-    return _trim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _divmod(f, g, p):
-    """Quotient and remainder of f by a monic g."""
-    r, dg = list(f), len(g) - 1
-    q = [0] * max(len(r) - dg, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + dg]
-        if c:
-            q[i] = c
-            for j in range(dg + 1):
-                r[i + j] = (r[i + j] - c * g[j]) % p
-    return _trim(q), _trim(r[:dg])
-
-
-def _gcd(f, g, p):
-    """Monic gcd (zero only if both are zero)."""
-    while g:
-        g = _monic(g, p)
-        f, g = g, _divmod(f, g, p)[1]
-    return _monic(f, p) if f else f
-
-
-def _mulmod(f, g, m, p):
-    prod = [0] * max(len(f) + len(g) - 1, 0)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                prod[i + j] += a * b
-    return _divmod([c % p for c in prod], m, p)[1]
-
-
-def _powmod(f, e, m, p):
-    """f^e mod the monic m."""
-    out, f = [1], _divmod(f, m, p)[1]
-    for bit in bin(e)[2:]:
-        out = _mulmod(out, out, m, p)
-        if bit == "1":
-            out = _mulmod(out, f, m, p)
-    return out
-
-
-def _squarefree(f, p):
-    """Yun's squarefree factorisation [(g, e)] of a monic f with deg f < p
-    (so f' = 0 only for constants)."""
-    out = []
-    deriv = _trim([i * c % p for i, c in enumerate(f)][1:])
-    c = _gcd(f, deriv, p)
-    w = _divmod(f, c, p)[0]
-    e = 1
-    while len(w) > 1:
-        y = _gcd(w, c, p)
-        z = _divmod(w, y, p)[0]
-        if len(z) > 1:
-            out.append((z, e))
-        e += 1
-        w, c = y, _divmod(c, y, p)[0]
-    return out
-
-
-def _distinct_degree(g, p):
-    """[(h, d)]: h the product of the degree-d irreducible factors of a
-    squarefree monic g."""
-    out, x, h, d = [], [0, 1], [0, 1], 0
-    while len(g) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _powmod(h, p, g, p)  # x^(p^d) mod g
-        u = _gcd(g, _sub(h, x, p), p)
-        if len(u) > 1:
-            out.append((u, d))
-            g = _divmod(g, u, p)[0]
-            h = _divmod(h, g, p)[1]
-    if len(g) > 1:
-        out.append((g, len(g) - 1))
-    return out
-
-
-def _equal_degree(g, d, p):
-    """Irreducible factors of a squarefree monic g whose factors all have
-    degree d, p odd (Cantor-Zassenhaus, test polynomials x + 0, x + 1,
-    ..., then those of higher degree in base-p order)."""
-    if len(g) - 1 == d:
-        return [g]
-    e = (p ** d - 1) // 2
-    for k in itertools.count():
-        t = _powmod(_digits(p + k, p), e, g, p)
-        u = _gcd(g, _sub(t, [1], p), p)
-        if 1 < len(u) < len(g):
-            return (_equal_degree(u, d, p)
-                    + _equal_degree(_divmod(g, u, p)[0], d, p))
-
-
-def _trial_factor(f, p):
-    """Factor a monic f by dividing out every monic polynomial of degree
-    1, 2, ... in turn; each divisor found is irreducible because all
-    factors of lower degree are gone.  For p <= deg f only."""
-    out, d = [], 1
-    while len(f) > 1:
-        if 2 * d > len(f) - 1:
-            out.append((f, 1))
-            break
-        for k in range(p ** d):
-            g = _digits(p ** d + k, p)
-            e = 0
-            q, r = _divmod(f, g, p)
-            while not r:
-                f, e = q, e + 1
-                q, r = _divmod(f, g, p)
-            if e:
-                out.append((g, e))
-        d += 1
-    return out
-
-
-def factor_mod_p(poly, p):
-    """Monic irreducible factors of a monic integer polynomial modulo a
-    prime p, as [(g, e)] with g a constant-first tuple over [0, p),
-    sorted by degree then coefficients.  p > deg f: squarefree,
-    distinct-degree and equal-degree factorisation; p <= deg f: trial
-    division."""
-    f = _trim([c % p for c in poly])
-    if p <= len(f) - 1:
-        out = _trial_factor(f, p)
-    else:
-        out = [(u, e) for g, e in _squarefree(f, p)
-               for h, d in _distinct_degree(g, p)
-               for u in _equal_degree(h, d, p)]
-    return sorted(((tuple(g), e) for g, e in out),
-                  key=lambda ge: (len(ge[0]), ge[0]))

@@ -42,6 +42,23 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+def sieve_level(text):
+    """A --R value: a finite float R > 1, so that log R > 0."""
+    R = float(text)
+    if not 1 < R < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"R must be finite and > 1, got {text}")
+    return R
+
+
+def positive_int(text):
+    """A --N value: an integer N >= 1."""
+    N = int(text)
+    if N < 1:
+        raise argparse.ArgumentTypeError(f"N must be >= 1, got {text}")
+    return N
+
+
 def read_config(path):
     """Flat key = value file with # comments."""
     out = {}
@@ -273,7 +290,7 @@ def build_parser():
     p.add_argument("--bound", type=int, default=50)
     p = add("lambda", cmd_lambda)
     p.add_argument("--bound", type=int, default=200)
-    p.add_argument("--R", type=float, default=50.0)
+    p.add_argument("--R", type=sieve_level, default=50.0)
     add("cphi", cmd_cphi)
     p = add("correlate", cmd_correlate)
     p.add_argument("--s", type=int, default=2)
@@ -282,14 +299,14 @@ def build_parser():
     p = add("singular-series", cmd_singular_series)
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--W", type=int, default=6)
-    p.add_argument("--R", type=float, nargs="+", default=[100.0])
+    p.add_argument("--R", type=sieve_level, nargs="+", default=[100.0])
     p = add("autocorr", cmd_autocorr)
-    p.add_argument("--N", type=int, default=500)
+    p.add_argument("--N", type=positive_int, default=500)
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--w", type=int, default=3)
     p.add_argument("--y", type=int, nargs="+", default=[0, 2])
     p = add("hypergraph", cmd_hypergraph)
-    p.add_argument("--N", type=int, default=101)
+    p.add_argument("--N", type=positive_int, default=101)
     p.add_argument("--k", type=float, default=1.5)
     p.add_argument("--w", type=int, default=3)
     p = add("search", cmd_search)
@@ -301,11 +318,11 @@ def build_parser():
     p.add_argument("certificate")
     p = add("alpha-scan", cmd_alpha_scan)
     p.add_argument("--w", type=int, default=3)
-    p.add_argument("--R", type=float, default=50.0)
+    p.add_argument("--R", type=sieve_level, default=50.0)
     p.add_argument("--window", type=int, nargs=2, default=[100, 10000])
     p = add("residue", cmd_residue)
     p.add_argument("--x", type=int, default=17)
-    p.add_argument("--N", type=int, default=10)
+    p.add_argument("--N", type=positive_int, default=10)
     return top
 
 

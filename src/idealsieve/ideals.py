@@ -5,7 +5,8 @@ Ideals are Z-lattices on the power basis: an n x n integer HNF matrix
 The representation is canonical, so equality and hashing are structural.
 Prime ideals come from Dedekind splitting of the defining polynomial,
 which is valid index-free on the vetted field list; as every vetted field
-is Galois, primality of an ideal is read off its norm (is_prime_element).
+is abelian, the splitting is read off p modulo the conductor, and as it is
+Galois, primality of an ideal is read off its norm (is_prime_element).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import (factor_mod_p, factorint, iroot, isprime, primerange,
-                    sqrt_mod)
+from .arith import factorint, iroot, isprime, primerange, sqrt_mod
 from .errors import BudgetExceededError, UnsupportedFieldError
 from .linalg import common_denominator, hnf, mat_inv_fraction
 from .numberfield import FieldElement, NumberField
@@ -253,9 +253,6 @@ class IdealFactorization:
             out = out * P.ideal() ** e
         return out
 
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
 
 # ---------------------------------------------------------------------
 # Dedekind splitting
@@ -275,40 +272,65 @@ def _kronecker(a: int, p: int) -> int:
 
 @lru_cache(maxsize=2**16)
 def factor_rational_prime(K: NumberField, p: int):
-    """Dedekind splitting of (p): factor f mod p into monic irreducibles."""
+    """Dedekind splitting of (p): the primes (p, g(theta)) for the monic
+    irreducible factors g of f mod p.  Every vetted field is abelian, so
+    the splitting is read off p modulo the conductor (1, 4, 8, 8, 3, 5,
+    20, 5 for Q, Q(i), Q(sqrt2), Q(sqrt-2), Q(sqrt-3), Q(sqrt5), Q(sqrt-5),
+    Q(zeta5)) and no polynomial is factored."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     n = K.degree
     if n == 1:
-        return (PrimeIdeal(K, p, (0, 1), 1, 1),)
-    if n == 2 and p > 2:
+        primes = [PrimeIdeal(K, p, (0, 1), 1, 1)]
+    elif n == 2:
         primes = _factor_prime_quadratic(K, p)
-    else:
-        primes = [PrimeIdeal(K, p, g, e, len(g) - 1)
-                  for g, e in factor_mod_p(K.poly, p)]
+    else:  # Q(zeta5), the one vetted quartic
+        primes = _factor_prime_zeta5(K, p)
     assert sum(P.e * P.f for P in primes) == n
     return tuple(sorted(primes, key=lambda P: P.sort_key()))
 
 
 def _factor_prime_quadratic(K, p):
+    """chi = (disc|p) is the splitting type: inert at -1, else the roots
+    of f mod p, with e = 2 - |chi| (sqrt_mod(0) = 0 gives the double root
+    of the ramified case)."""
     c0, c1, _ = K.poly  # x^2 + c1 x + c0
     disc = c1 * c1 - 4 * c0
     chi = _kronecker(disc, p)
-    if chi == 1:
-        r = sqrt_mod(disc, p)
-        inv2 = pow(2, p - 2, p)
-        roots = sorted({((-c1 + r) * inv2) % p, ((-c1 - r) * inv2) % p})
-        return [PrimeIdeal(K, p, ((-r0) % p, 1), 1, 1) for r0 in roots]
     if chi == -1:
         return [PrimeIdeal(K, p, (c0 % p, c1 % p, 1), 1, 2)]
-    # ramified: double root -c1/2 mod p
-    r0 = (-c1 * pow(2, p - 2, p)) % p
-    return [PrimeIdeal(K, p, ((-r0) % p, 1), 2, 1)]
+    if p == 2:
+        roots = {x for x in (0, 1) if (x * x + c1 * x + c0) % 2 == 0}
+    else:
+        r, inv2 = sqrt_mod(disc, p), (p + 1) // 2
+        roots = {(-c1 + r) * inv2 % p, (-c1 - r) * inv2 % p}
+    return [PrimeIdeal(K, p, (-x % p, 1), 2 - abs(chi), 1) for x in roots]
+
+
+def _factor_prime_zeta5(K, p):
+    """f = x^4 + x^3 + x^2 + x + 1: (x - 1)^4 at p = 5, else the residue
+    degree is the order of p mod 5."""
+    if p == 5:
+        return [PrimeIdeal(K, p, (4, 1), 4, 1)]
+    if p % 5 == 1:
+        # the roots are r, r^2, r^3, r^4 for any primitive 5th root r
+        a = 2
+        while (r := pow(a, (p - 1) // 5, p)) == 1:
+            a += 1
+        return [PrimeIdeal(K, p, (-pow(r, k, p) % p, 1), 1, 1)
+                for k in range(1, 5)]
+    if p % 5 == 4:
+        # x^2 - s x + 1 with s = r + 1/r, a root of s^2 + s - 1
+        t, inv2 = sqrt_mod(5, p), (p + 1) // 2
+        return [PrimeIdeal(K, p, (1, (1 + u) * inv2 % p, 1), 1, 2)
+                for u in (t, -t)]
+    return [PrimeIdeal(K, p, K.poly, 1, 4)]
 
 
 def residue_degrees(K: NumberField, p: int):
-    """Residue degrees of the primes above p (one entry per prime ideal);
-    fast path for quadratic fields via the Kronecker symbol."""
+    """Residue degrees of the primes above p (one entry per prime ideal),
+    read off p modulo the conductor as in factor_rational_prime; the
+    quadratic fields take the Kronecker symbol alone."""
     n = K.degree
     if n == 1:
         return [1]
@@ -367,7 +389,7 @@ def factor_ideal(a: FractionalIdeal, budget: int = 10**15) -> IdealFactorization
 
 def mobius(a: FractionalIdeal) -> int:
     fac = factor_ideal(a)
-    if not fac.is_squarefree():
+    if any(e > 1 for _, e in fac.factors):
         return 0
     return (-1) ** len(fac.factors)
 

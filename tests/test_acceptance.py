@@ -2,7 +2,6 @@
 independent oracles written here (not shared with package code).
 """
 
-import json
 import math
 import random
 import time

@@ -11,8 +11,6 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from idealsieve import arith
 
-_X = sympy.Symbol("x")
-
 # composites that fool weaker tests: strong pseudoprimes to base 2 (the
 # last three to every prime base up to 23, 37 and 41), Carmichael numbers
 # and strong Lucas pseudoprimes
@@ -138,40 +136,3 @@ def test_sqrt_mod_matches_sympy(p, a):
 def test_iroot_is_floor_root(n, k):
     r = arith.iroot(n, k)
     assert r ** k <= n < (r + 1) ** k
-
-
-def _factor_mod_p_oracle(poly, p):
-    expr = sum(c * _X**i for i, c in enumerate(poly))
-    _, facs = sympy.Poly(expr, _X, modulus=p).factor_list()
-    return sorted(((tuple(int(c) % p for c in reversed(g.all_coeffs())),
-                    int(e)) for g, e in facs),
-                  key=lambda ge: (len(ge[0]), ge[0]))
-
-
-# monic products of random monic factors with multiplicities, so that
-# repeated, equal-degree and ramified-looking factors all occur
-monic_factor = st.integers(1, 3).flatmap(
-    lambda d: st.lists(st.integers(-9, 9), min_size=d, max_size=d)
-    .map(lambda c: c + [1]))
-
-
-def _poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
-@settings(max_examples=300, deadline=None)
-@given(parts=st.lists(st.tuples(monic_factor, st.integers(1, 3)),
-                      min_size=1, max_size=3)
-       .filter(lambda ps: sum((len(f) - 1) * e for f, e in ps) <= 8),
-       p=st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13, 101]),
-                   st.integers(2, 2**70).map(sympy.nextprime)))
-def test_factor_mod_p_matches_sympy(parts, p):
-    poly = [1]
-    for f, e in parts:
-        for _ in range(e):
-            poly = _poly_mul(poly, f)
-    assert arith.factor_mod_p(poly, p) == _factor_mod_p_oracle(poly, p)

@@ -164,6 +164,27 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["singular-series", "--R", "1"],
+    ["singular-series", "--R", "inf"],
+    ["singular-series", "--R", "0.5"],
+    ["singular-series", "--R", "nan"],
+    ["singular-series", "--R", "100", "1"],
+    ["alpha-scan", "--R", "inf"],
+    ["lambda", "--R", "1"],
+    ["residue", "--N", "0"],
+    ["autocorr", "--N", "0"],
+    ["hypergraph", "--N", "0"],
+    ["hypergraph", "--N", "-3"],
+], ids=",".join)
+def test_degenerate_parameter_is_usage_error(argv, capsys):
+    # argparse rejects the value before any command runs and names the flag
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
 def test_malformed_config_is_usage_error(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("this line has no equals sign\n")

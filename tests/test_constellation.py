@@ -1,15 +1,14 @@
 import collections
 import json
 import math
-from fractions import Fraction
 
 import pytest
 import sympy
 
 from idealsieve import constellation
-from idealsieve.constellation import (AlphaScanResult, Certificate,
-                                      ConstellationSpec, alpha_scan,
-                                      make_certificate, search_constellation,
+from idealsieve.constellation import (Certificate, ConstellationSpec,
+                                      alpha_scan, make_certificate,
+                                      search_constellation,
                                       verify_certificate, verify_line)
 from idealsieve.errors import UnsupportedFieldError
 from idealsieve.ideals import (GENERATOR_BOUNDS, FractionalIdeal,

@@ -19,8 +19,7 @@ from idealsieve.correlation import (LinearFormSystem, F_euler,
                                     singular_series_direct,
                                     singular_series_main_term, tau_factor,
                                     tau_weight)
-from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
-                               factor_rational_prime)
+from idealsieve.ideals import enumerate_prime_ideals, factor_rational_prime
 from idealsieve.lattice import Parallelotope
 from idealsieve.numberfield import make_field
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig

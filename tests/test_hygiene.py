@@ -1,4 +1,5 @@
-"""Source hygiene: every import under src/ is used in its module.
+"""Source hygiene: every import under src/, tests/ and bench/ is used in
+its module.
 
 No linter ships with the toolchain, so this walks the AST.  The package
 __init__ is exempt: its imports are the public re-exports.
@@ -10,6 +11,8 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "idealsieve"
+TESTS = SRC.parent.parent / "tests"
+BENCH = SRC.parent.parent / "bench"
 
 
 def _unused_imports(path):
@@ -30,13 +33,11 @@ def _unused_imports(path):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py")),
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
-
-
-BENCH = SRC.parent.parent / "bench"
 
 
 def _referenced_names(tree, skip=None):

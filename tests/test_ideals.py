@@ -1,10 +1,9 @@
-import math
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealsieve import correlation, ideals
 from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
@@ -85,6 +84,9 @@ def _splitting_oracle(K, p):
 
 
 def test_splitting_matches_sympy_every_field():
+    # the abelian premise: factor_rational_prime reads the splitting off p
+    # modulo the conductor, a closed form per field; this walks every vetted
+    # polynomial, so a field that no closed form covers fails here
     for poly in SUPPORTED_POLYS:
         K = make_field(poly)
         for p in sympy.primerange(2, 2000):
@@ -92,10 +94,24 @@ def test_splitting_matches_sympy_every_field():
                 (K.name, p)
 
 
+def _prime_in_class(n, r):
+    """The least prime p >= n with p = r (mod 5)."""
+    p = sympy.nextprime(n - 1)
+    while p % 5 != r:
+        p = sympy.nextprime(p)
+    return p
+
+
+# is_prime_element splits primes of 133 bits; every class mod 5 is drawn
 @settings(max_examples=200, deadline=None)
-@given(p=st.integers(3, 10**12).map(sympy.prevprime))
-def test_quartic_splitting_matches_sympy_large(p):
+@given(n=st.integers(3, 2**70), r=st.sampled_from([1, 2, 3, 4]))
+@example(n=2**70 - 2**20, r=1)
+@example(n=2**70 - 2**20, r=2)
+@example(n=2**70 - 2**20, r=3)
+@example(n=2**70 - 2**20, r=4)
+def test_quartic_splitting_matches_sympy_large(n, r):
     K = make_field("Q(zeta5)")
+    p = _prime_in_class(n, r)
     assert factor_rational_prime(K, p) == _splitting_oracle(K, p)
 
 
@@ -297,8 +313,13 @@ def test_is_prime_element_nonprincipal_ambient():
     assert not is_prime_element(K, b, K.element(4))
 
 
-# 2^40 + 15, 2^41 + 27, 2^45 + 59 (= 3 mod 4) and 2^132 + 67 are prime, and
-# so is 2^132 + (2^65 + 43)^2, the norm of 2^66 + (2^65 + 43) i
+# 2^40 + 15, 2^41 + 27 (= 4 mod 5), 2^45 + 59 (= 3 mod 4) and 2^132 + 67
+# (= 3 mod 5) are prime, and so is 2^132 + (2^65 + 43)^2, the norm of
+# 2^66 + (2^65 + 43) i; in Q(zeta5), N(a - zeta5) = a^4 + a^3 + a^2 + a + 1
+# is prime at a = Z5_SPLIT
+Z5_SPLIT = 2**33 + 22
+
+
 @pytest.mark.parametrize("name, coords, prime", [
     ("Q", [(2**40 + 15) * (2**41 + 27)], False),  # 82-bit semiprime
     ("Q", [2**132 + 67], True),  # 133-bit prime
@@ -307,6 +328,12 @@ def test_is_prime_element_nonprincipal_ambient():
     ("Q(i)", [2**66, 2**65 + 43], True),  # norm a 133-bit prime
     ("Q(i)", [2**45 + 59, 0], True),  # inert: norm the square of a prime
     ("Q(i)", [(2**45 + 59) ** 2, 0], False),
+    ("Q(zeta5)", [Z5_SPLIT, -1, 0, 0], True),  # norm a 133-bit prime
+    ("Q(zeta5)", [Z5_SPLIT ** 4 + Z5_SPLIT ** 3 + Z5_SPLIT ** 2 + Z5_SPLIT
+                  + 1, 0, 0, 0], False),  # that prime splits into four
+    ("Q(zeta5)", [2**132 + 67, 0, 0, 0], True),  # inert
+    ("Q(zeta5)", [2**41 + 27, 0, 0, 0], False),  # two primes of degree 2
+    ("Q(zeta5)", [(2**40 + 15) * (2**41 + 27), 0, 0, 0], False),
 ])
 def test_is_prime_element_large_norms_fast(name, coords, prime):
     # primality is read off the norm without factoring it, so an untrusted

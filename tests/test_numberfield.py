@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from idealsieve.errors import ReduciblePolynomialError, UnsupportedFieldError
 from idealsieve.linalg import det_int
-from idealsieve.numberfield import (FieldElement, _discriminant,
-                                    embedding_coords,
+from idealsieve.numberfield import (_discriminant, embedding_coords,
                                     field_by_name, make_field,
                                     minkowski_norm, minkowski_norm_precise)
 

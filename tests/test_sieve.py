@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
-                               factor_rational_prime)
+from idealsieve.ideals import FractionalIdeal, factor_rational_prime
 from idealsieve.numberfield import make_field
 from idealsieve.sieve import (DEFAULT_BUMP, BumpFunction, SieveConfig,
                               _lambda_cached, c_phi, lambda_R, lift_nu,
