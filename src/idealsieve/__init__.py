@@ -20,8 +20,8 @@ from .ideals import (FractionalIdeal, IdealFactorization, PrimeIdeal,
 from .lattice import (LatticeBasis, Parallelotope, admissible_modulus,
                       ball_elements, fundamental_domain_reduce,
                       in_scaled_domain, points_in_parallelotope)
-from .numberfield import (FieldElement, NumberField, embedding_coords,
-                          field_by_name, make_field, minkowski_norm)
+from .numberfield import (FieldElement, NumberField, field_by_name,
+                          make_field, minkowski_norm)
 from .sieve import (BumpFunction, SieveConfig, c_phi, lambda_R, lift_nu,
                     nu_weight)
 

@@ -21,8 +21,6 @@ import sys
 import traceback
 from fractions import Fraction
 
-import numpy as np
-
 from .constellation import (ConstellationSpec, alpha_scan,
                             search_constellation, verify_line)
 from .correlation import (LinearFormSystem, auto_correlation_check,
@@ -52,11 +50,20 @@ def sieve_level(text):
 
 
 def positive_int(text):
-    """A --N value: an integer N >= 1."""
+    """An integer >= 1."""
     N = int(text)
     if N < 1:
-        raise argparse.ArgumentTypeError(f"N must be >= 1, got {text}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return N
+
+
+def positive_float(text):
+    """A finite float > 0: a radius, a bound or a scale."""
+    x = float(text)
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text}")
+    return x
 
 
 def read_config(path):
@@ -203,6 +210,8 @@ def cmd_autocorr(args):
 
 
 def cmd_hypergraph(args):
+    import numpy as np
+
     K = _field(args)
     cfg = SieveConfig(K, N=args.N, k=args.k, w=args.w)
     rep = hypergraph_conditions_report(cfg, np.ones((args.N,) * K.degree))
@@ -293,26 +302,26 @@ def build_parser():
     p.add_argument("--R", type=sieve_level, default=50.0)
     add("cphi", cmd_cphi)
     p = add("correlate", cmd_correlate)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--lam", type=float, default=12.0)
+    p.add_argument("--s", type=positive_int, default=2)
+    p.add_argument("--m", type=positive_int, default=2)
+    p.add_argument("--lam", type=positive_float, default=12.0)
     p = add("singular-series", cmd_singular_series)
-    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--s", type=positive_int, default=2)
     p.add_argument("--W", type=int, default=6)
     p.add_argument("--R", type=sieve_level, nargs="+", default=[100.0])
     p = add("autocorr", cmd_autocorr)
     p.add_argument("--N", type=positive_int, default=500)
-    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--s", type=positive_int, default=2)
     p.add_argument("--w", type=int, default=3)
     p.add_argument("--y", type=int, nargs="+", default=[0, 2])
     p = add("hypergraph", cmd_hypergraph)
     p.add_argument("--N", type=positive_int, default=101)
-    p.add_argument("--k", type=float, default=1.5)
+    p.add_argument("--k", type=positive_float, default=1.5)
     p.add_argument("--w", type=int, default=3)
     p = add("search", cmd_search)
-    p.add_argument("--k", type=float, default=1.5)
-    p.add_argument("--anchor-bound", type=float, default=100.0)
-    p.add_argument("--step-bound", type=float, default=12.0)
+    p.add_argument("--k", type=positive_float, default=1.5)
+    p.add_argument("--anchor-bound", type=positive_float, default=100.0)
+    p.add_argument("--step-bound", type=positive_float, default=12.0)
     p.add_argument("--max-hits", type=int, default=10)
     p = add("verify", cmd_verify)
     p.add_argument("certificate")
@@ -349,17 +358,20 @@ def _config_argv(parser, argv, command, cfg):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:  # argparse exits 2 on a rejected value and 0 after --help
+        args = parser.parse_args(argv)
+        if getattr(args, "fn", None) and args.config:
+            cfg = read_config(args.config)
+            args = parser.parse_args(
+                _config_argv(parser, argv, args.command, cfg))
+    except SystemExit as exc:
+        return exc.code
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not getattr(args, "fn", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    if args.config:
-        try:
-            cfg = read_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        args = parser.parse_args(_config_argv(parser, argv, args.command, cfg))
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

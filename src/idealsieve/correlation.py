@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import factorint, primerange
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
@@ -399,15 +397,17 @@ def _exceptional_primes(forms, W):
 
 
 def _mobius_totient(n):
-    """mu(k) and phi(k) for 0 <= k <= n (index 0 unused), by a numpy sieve."""
-    mu = np.ones(n + 1, dtype=np.int64)
-    tot = np.arange(n + 1, dtype=np.int64)
+    """mu(k) and phi(k) for 0 <= k <= n (index 0 unused), by a sieve."""
+    mu = [1] * (n + 1)
+    tot = list(range(n + 1))
     for p in range(2, n + 1):
         if tot[p] != p:  # a smaller prime divides p
             continue
-        mu[p::p] *= -1
-        mu[p * p::p * p] = 0
-        tot[p::p] -= tot[p::p] // p
+        for k in range(p, n + 1, p):
+            mu[k] = -mu[k]
+            tot[k] -= tot[k] // p
+        for k in range(p * p, n + 1, p * p):
+            mu[k] = 0
     return mu, tot
 
 
@@ -425,15 +425,11 @@ def _pair_sum_rational(R, W, logR, phi):
     """
     Ri = int(math.ceil(R)) - 1
     mob, tot = _mobius_totient(Ri)
-    d = np.arange(Ri + 1, dtype=np.int64)
-    keep = mob != 0
-    keep[0] = False
-    if W > 1:
-        keep &= np.gcd(d, W) == 1
-    ds = np.flatnonzero(keep).tolist()
-    v = np.zeros(Ri + 1)
-    v[ds] = [int(mob[x]) * phi(math.log(x) / logR) / x for x in ds]
-    return math.fsum(int(tot[e]) * math.fsum(v[e::e]) ** 2 for e in ds)
+    ds = [x for x in range(1, Ri + 1) if mob[x] and math.gcd(x, W) == 1]
+    v = [0.0] * (Ri + 1)
+    for x in ds:
+        v[x] = mob[x] * phi(math.log(x) / logR) / x
+    return math.fsum(tot[e] * math.fsum(v[e::e]) ** 2 for e in ds)
 
 
 def _pair_sum_ideals(pairs, logR, phi, budget):
@@ -598,6 +594,8 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
     some term are enumerated; unused coordinates factor out of the
     normalized average exactly.
     """
+    import numpy as np
+
     K, N, n = cfg.K, cfg.N, cfg.K.degree
     T = np.asarray(nu_table, dtype=float)
     if T.shape != (N,) * n:
@@ -659,7 +657,11 @@ def _mult_matrix(K, c, N):
 
 def _residue(N, n, r):
     """The r-th residue of (Z/N)^n in itertools.product order."""
-    return [int(c) for c in np.unravel_index(r, (N,) * n)]
+    out = []
+    for _ in range(n):
+        r, c = divmod(r, N)
+        out.append(c)
+    return out[::-1]
 
 
 def _grid_mean(T, terms, free, fixed=None, inner=0, M=1):
@@ -672,6 +674,8 @@ def _grid_mean(T, terms, free, fixed=None, inner=0, M=1):
     of the leading outer variable is evaluated at a time, and the slab
     sums are added in fixed order by math.fsum.
     """
+    import numpy as np
+
     N, n = T.shape[0], T.ndim
     x = dict(fixed or {})
     lead = free[0] if len(free) > inner else None

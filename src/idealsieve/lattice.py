@@ -11,26 +11,20 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .arith import primerange
 from .errors import BudgetExceededError
 from .linalg import mat_inv_fraction
-from .numberfield import (FieldElement, NumberField, embedding_coords,
-                          minkowski_norm_precise)
+from .numberfield import FieldElement, NumberField
 
 
 class LatticeBasis:
-    """Z-basis of a fractional ideal with cached float embedding data."""
+    """Z-basis of a fractional ideal: its HNF rows and their inverse."""
 
     def __init__(self, ideal):
         self.ideal = ideal
         self.K = ideal.K
         self.rows = [[Fraction(x, ideal.den) for x in row] for row in ideal.mat]
         self.rows_inv = mat_inv_fraction(self.rows)
-        # embedding matrix: row i = real embedding coords of basis element i
-        self.B = np.array([embedding_coords(self.K, b)
-                           for b in ideal.basis_elements()], dtype=float)
 
     def coords_of(self, x: FieldElement):
         """Exact coordinates of x in this basis (Fractions)."""
@@ -46,57 +40,69 @@ class LatticeBasis:
             for j in range(self.K.degree)))
 
 
-def _mink_weights(K):
-    return [1] * K.r1 + [2] * (2 * K.r2)
-
-
-# Rows of the coefficient box handled per matrix product; fixes the peak
-# memory of ball_elements whatever its budget.
-_BALL_BLOCK = 1 << 12
-
-
 def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
-    """All lattice points of the ideal with Minkowski norm < radius.
+    """All lattice points of the ideal with Minkowski norm < radius, sorted
+    by coordinates.
 
-    Box bound from the inverse embedding matrix, float norm filter with a
-    1e-9 relative margin, and an exact-precision recheck for points within
-    the margin of the boundary.  The box is enumerated as int64
-    coefficient rows, _BALL_BLOCK at a time, each block filtered with one
-    matrix product; only surviving points become field elements.
+    Exact.  With H the ideal's integer HNF rows and den its denominator,
+    the point c H / den has squared norm c Q c^T / den^2 for the integer
+    form Q = H G H^T (G = K.gram), so it lies in the ball iff c Q c^T <=
+    B = ceil(radius^2 den^2) - 1, the radius taken as an exact Fraction.
+    The coefficient box |c_i| <= radius den sqrt((Q^-1)_ii) is checked
+    against the budget before anything is enumerated.  The points are
+    then enumerated by Fincke-Pohst in integers: the rational
+    decomposition Q(c) = sum_i d_i (c_i + sum_{j<i} mu_ij c_j)^2 is
+    scaled to W Q(c) = sum_i e_i y_i^2 with y_i = M_i c_i + sum_{j<i}
+    A_ij c_j, so every coordinate's range is an exact integer square
+    root.  The loops run c_0 outermost and each c_i upwards; H is upper
+    triangular with positive pivots, so that is the order of the
+    coordinates.
     """
     if radius <= 0:
         return []
-    L = LatticeBasis(ideal)
-    w = np.sqrt(np.array(_mink_weights(K), dtype=float))
-    M = L.B * w  # rows: weighted embedding of basis vectors
-    Minv = np.linalg.inv(M)
-    # a = v M^{-1} for a row vector v, so |a_i| <= ||column i of M^{-1}|| * radius
-    bounds = np.linalg.norm(Minv, axis=0) * radius * (1 + 1e-9)
-    half = [int(math.floor(b)) for b in bounds]
+    H, den, n = ideal.mat, ideal.den, K.degree
+    HG = [[sum(h * g for h, g in zip(row, col)) for col in zip(*K.gram)]
+          for row in H]
+    Q = [[sum(a * b for a, b in zip(row, h)) for h in H] for row in HG]
+    R2 = Fraction(radius) ** 2 * den * den
     total = 1
-    for h in half:
-        total *= 2 * h + 1
+    for i, row in enumerate(mat_inv_fraction(Q)):
+        total *= 2 * math.isqrt(math.floor(R2 * row[i])) + 1
         if total > budget:
             raise BudgetExceededError(
                 f"ball enumeration box has {total}+ candidates (budget {budget})")
-    half = np.array(half, dtype=np.int64)
-    sides = 2 * half + 1
-    # flat index i of the box -> coefficient j is (i // stride_j) % side_j
-    strides = np.cumprod(np.concatenate([[1], sides[:0:-1]]))[::-1]
-    r2 = radius * radius
+    d, mu = [None] * n, [None] * n
+    for i in reversed(range(n)):
+        row = [Fraction(Q[i][j])
+               - sum(d[k] * mu[k][i] * mu[k][j] for k in range(i + 1, n))
+               for j in range(n)]
+        d[i] = row[i]
+        mu[i] = [x / row[i] for x in row]
+    M = [math.lcm(*(x.denominator for x in mu[i][:i])) for i in range(n)]
+    A = [[int(x * M[i]) for x in mu[i][:i]] for i in range(n)]
+    w = [d[i] / M[i] ** 2 for i in range(n)]
+    W = math.lcm(*(x.denominator for x in w))
+    e = [int(x * W) for x in w]
     out = []
-    for start in range(0, total, _BALL_BLOCK):
-        idx = np.arange(start, min(start + _BALL_BLOCK, total), dtype=np.int64)
-        coeffs = idx[:, None] // strides % sides - half
-        v = coeffs @ M
-        q = np.einsum("ij,ij->i", v, v)
-        inner, band = q < r2 * (1 - 1e-9), q < r2 * (1 + 1e-9)
-        out.extend(L.element_at(row) for row in coeffs[inner].tolist())
-        for row in coeffs[band & ~inner].tolist():
-            x = L.element_at(row)
-            if minkowski_norm_precise(K, x) < radius:
-                out.append(x)
-    out.sort(key=lambda x: tuple(x.coords))
+    c = [0] * n
+
+    def descend(i, T):
+        # c_0, ..., c_{i-1} are fixed and sum_{k >= i} e_k y_k^2 <= T
+        S = sum(a * x for a, x in zip(A[i], c))
+        root = math.isqrt(T // e[i])  # |y_i| <= root
+        lo, hi = -((root + S) // M[i]), (root - S) // M[i]
+        if i < n - 1:
+            for c[i] in range(lo, hi + 1):
+                y = M[i] * c[i] + S
+                descend(i + 1, T - e[i] * y * y)
+            return
+        # the point is c H / den, H's last row scaled by the innermost c_i
+        base = [sum(a * row[j] for a, row in zip(c[:i], H)) for j in range(n)]
+        out.extend(FieldElement(K, tuple(Fraction(b + ci * h, den)
+                                         for b, h in zip(base, H[i])))
+                   for ci in range(lo, hi + 1))
+
+    descend(0, (math.ceil(R2) - 1) * W)
     return out
 
 

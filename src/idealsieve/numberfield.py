@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-import numpy as np
-
 from .errors import ReduciblePolynomialError, UnsupportedFieldError
 from .linalg import det_int
 
@@ -30,13 +27,30 @@ SUPPORTED_POLYS = {
     (1, 1, 1, 1, 1): "Q(zeta5)",
 }
 
+# The Minkowski metric on the power basis: G[i][j] = Tr(theta^i
+# conj(theta^j)), so that |x|^2 = sum over the n embeddings s of |s(x)|^2 =
+# Tr(x conj(x)) = a^T G a for x = sum a_i theta^i.  Every vetted field is
+# totally real or CM, so complex conjugation is a field automorphism and G
+# is an integer matrix.
+GRAM = {
+    "Q": ((1,),),
+    "Q(i)": ((2, 0), (0, 2)),
+    "Q(sqrt2)": ((2, 0), (0, 4)),
+    "Q(sqrt-2)": ((2, 0), (0, 4)),
+    "Q(sqrt-3)": ((2, 1), (1, 2)),
+    "Q(sqrt5)": ((2, 1), (1, 3)),
+    "Q(sqrt-5)": ((2, 0), (0, 10)),
+    "Q(zeta5)": ((4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1),
+                 (-1, -1, -1, 4)),
+}
+
 _FIELD_CACHE = {}
 
 
-def _discriminant(poly) -> int:
-    """Discriminant of a monic integer polynomial (constant-first): the
-    determinant of its trace form Tr(theta^(i+j)), i, j < n, with the power
-    sums Tr(theta^k) from Newton's identities."""
+def _trace_form(poly):
+    """Trace form Tr(theta^(i+j)), i, j < n, of a monic integer polynomial
+    (constant-first), with the power sums Tr(theta^k) from Newton's
+    identities."""
     n = len(poly) - 1
     a = poly[:-1]  # f = x^n + a[n-1] x^(n-1) + ... + a[0]
     s = [n]
@@ -47,11 +61,18 @@ def _discriminant(poly) -> int:
         for j in range(max(1, k - n), k):
             acc += a[n - k + j] * s[j]
         s.append(-acc)
-    return det_int([[s[i + j] for j in range(n)] for i in range(n)])
+    return tuple(tuple(s[i + j] for j in range(n)) for i in range(n))
+
+
+def _discriminant(poly) -> int:
+    """Discriminant of a monic integer polynomial: the determinant of its
+    trace form."""
+    return det_int(_trace_form(poly))
 
 
 class NumberField:
-    """Monogenic field Q[x]/(f) with archimedean embedding data."""
+    """Monogenic field Q[x]/(f) with the Gram matrix of its Minkowski
+    metric."""
 
     def __init__(self, poly):
         poly = tuple(int(c) for c in poly)
@@ -73,7 +94,13 @@ class NumberField:
         n = self.degree
         # equals d_K on the vetted list (every field is monogenic)
         self.discriminant = _discriminant(poly)
-        self._init_embeddings()
+        self.gram = GRAM[self.name]
+        # totally real iff the metric is the trace form Tr(x y); otherwise
+        # CM, with no real place
+        if self.gram == _trace_form(poly):
+            self.r1, self.r2 = n, 0
+        else:
+            self.r1, self.r2 = 0, n // 2
         # theta^m for m = n .. 2n-2 on the power basis (integer rows).
         red = []
         cur = [-c for c in poly[:-1]]  # theta^n
@@ -84,32 +111,6 @@ class NumberField:
             cur = [s + top * t for s, t in zip(shifted, red[0])]
             red.append(tuple(cur))
         self._theta_pow = red
-
-    def _init_embeddings(self):
-        n = self.degree
-        if n == 1:
-            self._roots_mp = [mpmath.mpf(0)]
-        else:
-            coeffs = [mpmath.mpf(1)] + [mpmath.mpf(c) for c in self.poly[-2::-1]]
-            with mpmath.workdps(40):
-                self._roots_mp = mpmath.polyroots(coeffs, maxsteps=200)
-        reals, complexes = [], []
-        for r in self._roots_mp:
-            if abs(mpmath.im(r)) < 1e-20:
-                reals.append(float(mpmath.re(r)))
-            elif mpmath.im(r) > 0:
-                complexes.append(complex(r))
-        reals.sort()
-        complexes.sort(key=lambda z: (z.real, z.imag))
-        self.r1 = len(reals)
-        self.r2 = len(complexes)
-        assert self.r1 + 2 * self.r2 == n
-        self.signature = (self.r1, self.r2)
-        # one root per place, real places first
-        self.places = [complex(r) for r in reals] + complexes
-        # all n embeddings (conjugate pairs expanded), for norms/products
-        self.roots = ([complex(r) for r in reals] + complexes
-                      + [z.conjugate() for z in complexes])
 
     def element(self, coords):
         if isinstance(coords, (int, Fraction)):
@@ -227,19 +228,6 @@ class FieldElement:
             rows.append(row)
         return Fraction(det_int(rows), d ** len(rows))
 
-    def embed(self, root):
-        """Evaluate at an embedding root (Horner)."""
-        acc = 0j
-        for c in reversed(self.coords):
-            acc = acc * root + complex(c)
-        return acc
-
-    def embeddings(self):
-        return [self.embed(r) for r in self.K.roots]
-
-    def minkowski_norm(self):
-        return minkowski_norm(self.K, self)
-
     def __repr__(self):
         return f"<{self.K.name}: {tuple(str(c) for c in self.coords)}>"
 
@@ -275,42 +263,15 @@ def field_by_name(name: str) -> NumberField:
 
 
 def minkowski_norm(K: NumberField, x: FieldElement) -> float:
-    """sqrt(sum over infinite places of [K_s:R] * |s(x)|^2).
+    """sqrt(sum over the n embeddings s of |s(x)|^2), each complex place
+    counted twice through its conjugate pair.
 
-    Equals the Euclidean norm over all n embeddings since each complex
-    place contributes twice.
+    With d the common denominator of x's coordinates and a = d x, the
+    square is the exact rational a^T G a / d^2 (G = K.gram), rounded once
+    by the integer division and once by the square root.
     """
-    s = 0.0
-    for r in K.roots:
-        v = x.embed(r)
-        s += v.real * v.real + v.imag * v.imag
-    return math.sqrt(s)
-
-
-def minkowski_norm_precise(K: NumberField, x: FieldElement):
-    """High-precision Minkowski norm for boundary rechecks.
-
-    mpmath.polyroots returns all n roots (both members of each conjugate
-    pair), so an unweighted sum over them matches the metric.
-    """
-    with mpmath.workdps(40):
-        s = mpmath.mpf(0)
-        for r in K._roots_mp:
-            acc = mpmath.mpc(0)
-            for c in reversed(x.coords):
-                acc = acc * r + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            s += abs(acc) ** 2
-        return mpmath.sqrt(s)
-
-
-def embedding_coords(K: NumberField, x: FieldElement) -> np.ndarray:
-    """Coordinates of x in K_inf = R^r1 x C^r2 flattened to R^n:
-    real-place values first, then (Re, Im) per complex place."""
-    out = []
-    for i, r in enumerate(K.places):
-        v = x.embed(r)
-        if i < K.r1:
-            out.append(v.real)
-        else:
-            out.extend((v.real, v.imag))
-    return np.array(out)
+    d = math.lcm(*(c.denominator for c in x.coords))
+    a = [c.numerator * (d // c.denominator) for c in x.coords]
+    q = sum(ai * sum(g * aj for g, aj in zip(row, a))
+            for ai, row in zip(a, K.gram))
+    return math.sqrt(q / (d * d))

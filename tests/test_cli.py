@@ -149,6 +149,16 @@ def test_unknown_field_is_usage_error(tmp_path):
         == EXIT_USAGE
 
 
+def test_search_pattern_excludes_its_sphere(tmp_path):
+    # 1 + i has norm exactly 2, so the k = 2 pattern is {0, +-1, +-i}
+    out = tmp_path / "c.jsonl"
+    assert run(["--output", str(out), "search", "--field", "Q(i)", "--k", "2",
+                "--anchor-bound", "25", "--step-bound", "2.5",
+                "--max-hits", "1"]) == EXIT_OK
+    (cert,) = read_lines(out)
+    assert len(cert["points"]) == 5
+
+
 def test_budget_exhaustion_exit_code():
     assert run(["correlate", "--lam", "20000", "--m", "2"]) == EXIT_BUDGET
 
@@ -176,13 +186,20 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     ["autocorr", "--N", "0"],
     ["hypergraph", "--N", "0"],
     ["hypergraph", "--N", "-3"],
+    ["search", "--anchor-bound", "inf"],
+    ["correlate", "--lam", "inf"],
+    ["autocorr", "--s", "0"],
+    ["hypergraph", "--k", "0"],
 ], ids=",".join)
 def test_degenerate_parameter_is_usage_error(argv, capsys):
     # argparse rejects the value before any command runs and names the flag
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code == EXIT_USAGE
+    assert run(argv) == EXIT_USAGE
     assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
+def test_help_exits_ok(capsys):
+    assert run(["search", "--help"]) == EXIT_OK
+    assert "--anchor-bound" in capsys.readouterr().out
 
 
 def test_malformed_config_is_usage_error(tmp_path):
@@ -281,9 +298,10 @@ def test_console_entry_point():
     assert len(proc.stdout.splitlines()) == 3
 
 
-def test_cli_does_not_import_scipy_or_sympy(tmp_path):
-    # a fresh interpreter, because this test process has both loaded; sympy
-    # is imported only to classify a rejected defining polynomial
+def test_cli_does_not_import_numpy_mpmath_scipy_or_sympy(tmp_path):
+    # a fresh interpreter, because this test process has them all loaded;
+    # sympy is imported only to classify a rejected defining polynomial,
+    # numpy only by hypergraph and count_ideals
     certs = str(tmp_path / "certs.jsonl")
     out = str(tmp_path / "out.jsonl")
     runs = [["--output", certs, "search", "--anchor-bound", "12",
@@ -300,7 +318,8 @@ def test_cli_does_not_import_scipy_or_sympy(tmp_path):
             "import idealsieve.cli as cli\n"
             f"print([cli.main(argv) for argv in {runs!r}])\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('scipy', 'sympy'))))\n")
+            "             if m.split('.')[0] in\n"
+            "             ('numpy', 'mpmath', 'scipy', 'sympy')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

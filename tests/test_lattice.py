@@ -4,17 +4,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from idealsieve.errors import BudgetExceededError
 from idealsieve.ideals import FractionalIdeal, factor_rational_prime
-from idealsieve.lattice import (LatticeBasis, Parallelotope, _mink_weights,
+from idealsieve.lattice import (LatticeBasis, Parallelotope,
                                 admissible_modulus, ball_elements,
                                 fundamental_domain_reduce, in_scaled_domain,
                                 points_in_parallelotope)
-from idealsieve.numberfield import (SUPPORTED_POLYS, make_field,
-                                    minkowski_norm, minkowski_norm_precise)
+from idealsieve.linalg import mat_inv_fraction
+from idealsieve.numberfield import SUPPORTED_POLYS, make_field, minkowski_norm
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -147,9 +146,9 @@ def test_lattice_basis_roundtrip():
 
 
 def test_ball_on_skew_ideal_lattice_is_complete():
-    # prime above 5 in Z[i] has the skew Z-basis {1 + 3i, 5i}; the
-    # coefficient box must come from columns of the inverse embedding
-    # matrix, or points like 2 + i are silently dropped
+    # prime above 5 in Z[i] has the skew Z-basis {1 + 3i, 5i}; coefficient
+    # ranges must come from the form on that basis, not from the lengths
+    # of the basis vectors, or points like 2 + i are silently dropped
     K = make_field("Q(i)")
     (P, _) = factor_rational_prime(K, 5)
     r = 4.4722
@@ -164,44 +163,45 @@ def test_ball_on_skew_ideal_lattice_is_complete():
     assert (2, 1) in got
 
 
+def _inner(K, u, v):
+    """The Minkowski inner product u^T G v, in Fractions."""
+    return sum(a * g * b for a, row in zip(u.coords, K.gram)
+               for g, b in zip(row, v.coords))
+
+
+def _ball_box(K, ideal, radius):
+    """Half-widths floor(radius sqrt((Q^-1)_ii)) of the coefficient box,
+    with Q the Gram matrix of the basis elements in Fractions."""
+    basis = ideal.basis_elements()
+    Q = [[_inner(K, u, v) for v in basis] for u in basis]
+    r2 = Fraction(radius) ** 2
+    return [math.isqrt(math.floor(r2 * row[i]))
+            for i, row in enumerate(mat_inv_fraction(Q))]
+
+
 def _ball_elements_oracle(K, ideal, radius, budget=10**7):
-    """ball_elements as one matrix-vector product per candidate of the
-    coefficient box, each candidate summed from the basis elements: the
-    loop the blocked int64 enumeration replaced."""
+    """ball_elements by brute force over the coefficient box, each
+    candidate summed from the basis elements and tested in Fractions: the
+    loop Fincke-Pohst replaced."""
     if radius <= 0:
         return []
-    L = LatticeBasis(ideal)
     basis = ideal.basis_elements()
-
-    def element_at(coeffs):
-        acc = K.zero
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = acc + b * K.element(c)
-        return acc
-
-    w = np.sqrt(np.array(_mink_weights(K), dtype=float))
-    M = L.B * w
-    Minv = np.linalg.inv(M)
-    bounds = np.linalg.norm(Minv, axis=0) * radius * (1 + 1e-9)
+    half = _ball_box(K, ideal, radius)
     total = 1
-    for b in bounds:
-        total *= 2 * int(math.floor(b)) + 1
+    for h in half:
+        total *= 2 * h + 1
         if total > budget:
             raise BudgetExceededError(
                 f"ball enumeration box has {total}+ candidates (budget {budget})")
     out = []
-    ranges = [range(-int(math.floor(b)), int(math.floor(b)) + 1) for b in bounds]
-    r2 = radius * radius
-    for coeffs in itertools.product(*ranges):
-        v = np.asarray(coeffs, dtype=float) @ M
-        q = float(v @ v)
-        if q < r2 * (1 - 1e-9):
-            out.append(element_at(coeffs))
-        elif q < r2 * (1 + 1e-9):
-            x = element_at(coeffs)
-            if minkowski_norm_precise(K, x) < radius:
-                out.append(x)
+    r2 = Fraction(radius) ** 2
+    for coeffs in itertools.product(*(range(-h, h + 1) for h in half)):
+        x = K.zero
+        for c, b in zip(coeffs, basis):
+            if c:
+                x = x + b * K.element(c)
+        if _inner(K, x, x) < r2:
+            out.append(x)
     out.sort(key=lambda x: tuple(x.coords))
     return out
 
@@ -219,8 +219,9 @@ _QI_UNIT = (QI, FractionalIdeal.unit_ideal(QI))
 @given(case=st.sampled_from(_BALL_AMBIENTS), scale=st.floats(0, 2.5),
        on_point=st.none() | st.lists(st.integers(-3, 3), min_size=4,
                                      max_size=4))
-# Z[i] points 1 + i, 2 + i and 5 attain radii 2 (exact in floats),
-# sqrt(10) and sqrt(50): the band recheck decides the points on them
+# Z[i] points 1 + i, 2 + i and 5 attain radii 2, sqrt(10) and sqrt(50).
+# 2 is a float, so 1 + i lies on the sphere and is excluded; the floats
+# nearest sqrt(10) and sqrt(50) round up, so 2 + i and 5 lie inside
 @example(case=_QI_UNIT, scale=0.0, on_point=[1, 1, 0, 0])
 @example(case=_QI_UNIT, scale=0.0, on_point=[2, 1, 0, 0])
 @example(case=_QI_UNIT, scale=0.0, on_point=[5, 0, 0, 0])
@@ -231,7 +232,8 @@ def test_ball_elements_matches_oracle(case, scale, on_point):
         radius = scale * math.sqrt(n) * float(I.norm()) ** (1 / n)
     else:
         # the radius a lattice point attains, so points lie on the boundary
-        radius = minkowski_norm(K, LatticeBasis(I).element_at(on_point[:n]))
+        x = LatticeBasis(I).element_at(on_point[:n])
+        radius = minkowski_norm(K, x)
     try:
         want = _ball_elements_oracle(K, I, radius, budget=20000)
     except BudgetExceededError:
@@ -240,6 +242,16 @@ def test_ball_elements_matches_oracle(case, scale, on_point):
         return
     got = ball_elements(K, I, radius, budget=20000)
     assert [x.coords for x in got] == [x.coords for x in want]
+    if on_point is not None:
+        # norm < radius, decided exactly
+        assert (x in got) == (_inner(K, x, x) < Fraction(radius) ** 2)
+
+
+def test_ball_excludes_its_sphere():
+    # 1 + i has norm exactly 2: the radius-2 ball of Z[i] is {0, +-1, +-i}
+    O = FractionalIdeal.unit_ideal(QI)
+    got = {tuple(int(c) for c in x.coords) for x in ball_elements(QI, O, 2)}
+    assert got == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_ball_memory_bounded_by_blocks():
@@ -248,10 +260,8 @@ def test_ball_memory_bounded_by_blocks():
     # Holding the whole box as int64 coefficients alone would take 16 MB.
     (P, *_) = factor_rational_prime(QI, 100049)
     r = 2.5 * math.sqrt(100049)
-    L = LatticeBasis(P.ideal())
-    w = np.sqrt(np.array(_mink_weights(QI), dtype=float))
-    bounds = np.linalg.norm(np.linalg.inv(L.B * w), axis=0) * r
-    assert 9e5 < np.prod(2 * np.floor(bounds) + 1) < 2e6
+    half = _ball_box(QI, P.ideal(), r)
+    assert 9e5 < math.prod(2 * h + 1 for h in half) < 2e6
     tracemalloc.start()
     try:
         pts = ball_elements(QI, P.ideal(), r)

@@ -1,15 +1,15 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from idealsieve.errors import ReduciblePolynomialError, UnsupportedFieldError
 from idealsieve.linalg import det_int
-from idealsieve.numberfield import (_discriminant, embedding_coords,
-                                    field_by_name, make_field,
-                                    minkowski_norm, minkowski_norm_precise)
+from idealsieve.numberfield import (_discriminant, field_by_name, make_field,
+                                    minkowski_norm)
 
 ALL_FIELDS = ["Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)", "Q(sqrt-3)", "Q(sqrt5)",
               "Q(sqrt-5)", "Q(zeta5)"]
@@ -90,12 +90,44 @@ def test_minkowski_norm_values():
     assert minkowski_norm(Q, Q.element(7)) == pytest.approx(7.0)
 
 
-def test_embedding_coords_weights():
-    K = make_field("Q(sqrt2)")
-    x = K.element([1, 1])
-    co = embedding_coords(K, x)
-    assert len(co) == 2
-    assert sorted(co) == pytest.approx([1 - math.sqrt(2), 1 + math.sqrt(2)])
+def _roots(K):
+    """The n complex embeddings of theta, from mpmath.polyroots at 40
+    digits: the route the Minkowski metric took before the Gram matrix."""
+    if K.degree == 1:
+        return [mpmath.mpc(0)]
+    with mpmath.workdps(40):
+        return mpmath.polyroots([mpmath.mpf(c) for c in K.poly[::-1]],
+                                maxsteps=200)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_gram_and_signature_match_embeddings(name):
+    # the premise of the integer metric: every vetted field is totally real
+    # or CM, so G_ij = sum over embeddings s of s(theta)^i conj(s(theta))^j
+    # is an integer matrix, and r1, r2 read off G are the signature
+    K = make_field(name)
+    roots = _roots(K)
+    n = K.degree
+    with mpmath.workdps(40):
+        for i in range(n):
+            for j in range(n):
+                g = mpmath.fsum(r ** i * mpmath.conj(r) ** j for r in roots)
+                assert abs(g - K.gram[i][j]) < mpmath.mpf(10) ** -30
+        real = sum(abs(mpmath.im(r)) < mpmath.mpf(10) ** -20 for r in roots)
+    assert (K.r1, K.r2) == (real, (n - real) // 2)
+    assert K.r1 in (0, n)  # totally real or totally complex
+
+
+def _minkowski_norm_float(K, x):
+    """The float route the metric replaced: Horner at each complex root in
+    floating point, then the square root of the sum of |s(x)|^2."""
+    s = 0.0
+    for r in map(complex, _roots(K)):
+        v = 0j
+        for c in reversed(x.coords):
+            v = v * r + complex(c)
+        s += v.real * v.real + v.imag * v.imag
+    return math.sqrt(s)
 
 
 coord = st.integers(min_value=-30, max_value=30)
@@ -120,14 +152,28 @@ def test_minkowski_triangle_inequality(a, b):
     assert lhs <= minkowski_norm(K, x) + minkowski_norm(K, y) + 1e-9
 
 
-@settings(max_examples=40, deadline=None)
-@given(a=st.lists(coord, min_size=4, max_size=4))
-def test_precise_norm_matches_float(a):
-    K = make_field("Q(zeta5)")
-    x = K.element(a)
-    lo = minkowski_norm(K, x)
-    hi = float(minkowski_norm_precise(K, x))
-    assert lo == pytest.approx(hi, rel=1e-9, abs=1e-9)
+rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(ALL_FIELDS),
+       coords=st.lists(rational, min_size=4, max_size=4))
+def test_minkowski_norm_matches_float_route(name, coords):
+    K = field_by_name(name)
+    x = K.element(coords[:K.degree])
+    assert minkowski_norm(K, x) == pytest.approx(_minkowski_norm_float(K, x),
+                                                 rel=1e-15, abs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["Q", "Q(i)"]),
+       coords=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=2))
+def test_minkowski_norm_is_float_route_on_integers(name, coords):
+    # every float operation of the old route is exact here, so the two
+    # agree bit for bit
+    K = field_by_name(name)
+    x = K.element(coords[:K.degree])
+    assert minkowski_norm(K, x) == _minkowski_norm_float(K, x)
 
 
 def test_norm_arithmetic_mean_geometric():
@@ -167,9 +213,6 @@ def _norm_oracle(x):
         return Fraction(x.coords[0])
     return _det_fraction([(x * K.theta_power(j)).coords
                           for j in range(K.degree)])
-
-
-rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 
 @settings(max_examples=200, deadline=None)
