@@ -57,6 +57,14 @@ def positive_int(text):
     return N
 
 
+def non_negative_int(text):
+    """An integer >= 0."""
+    N = int(text)
+    if N < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return N
+
+
 def positive_float(text):
     """A finite float > 0: a radius, a bound or a scale."""
     x = float(text)
@@ -287,7 +295,7 @@ def build_parser():
     sub = top.add_subparsers(dest="command")
     top.commands = sub.choices
 
-    def add(name, fn, **kw):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--field", default="Q")
@@ -322,7 +330,8 @@ def build_parser():
     p.add_argument("--k", type=positive_float, default=1.5)
     p.add_argument("--anchor-bound", type=positive_float, default=100.0)
     p.add_argument("--step-bound", type=positive_float, default=12.0)
-    p.add_argument("--max-hits", type=int, default=10)
+    p.add_argument("--max-hits", type=non_negative_int, default=10,
+                   help="stop after this many hits; 0 means no limit")
     p = add("verify", cmd_verify)
     p.add_argument("certificate")
     p = add("alpha-scan", cmd_alpha_scan)

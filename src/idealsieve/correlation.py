@@ -1,11 +1,12 @@
 """Correlation sums, singular series, local densities, and the
 hypergraph pseudo-randomness conditions.
 
-Local densities omega are exact rationals obtained by counting residues;
-the singular series is evaluated either by a factored fast path (when the
-form system has full row rank at every prime) or by direct enumeration of
-squarefree ideal tuples.  All floating accumulations use fixed-order
-compensated summation, so a report is byte-identical from run to run.
+A local density omega is an exact rational p^-rank read off one linear
+system over F_p; the singular series is evaluated either by a factored
+fast path (when the form system has full row rank at every prime) or by
+direct enumeration of squarefree ideal tuples.  All floating
+accumulations use fixed-order compensated summation, so a report is
+byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
                      factor_ideal, factor_rational_prime, zeta_residue)
 from .lattice import LatticeBasis, Parallelotope, points_in_parallelotope
-from .linalg import hnf
 from .numberfield import FieldElement
 from .sieve import SieveConfig, c_phi, nu_weight
 
@@ -61,6 +61,9 @@ class LinearFormSystem:
         self._validate()
 
     def _validate(self):
+        if any(x.denominator != 1 for row in self.coeffs for c in row
+               for x in c.coords):  # O_K = Z[theta] in every vetted field
+            raise ValueError("coefficients must lie in O_K")
         for row in self.coeffs:
             if all(not c for c in row):
                 raise ValueError("zero form")
@@ -175,34 +178,13 @@ def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
 # ---------------------------------------------------------------------
 # Local factors omega
 
-def _coset_reps(ambient, sub):
-    """Coset representatives of sub inside ambient (sub <= ambient)."""
-    K = ambient.K
-    n = K.degree
-    # coordinates of sub's basis in ambient's basis
-    L = LatticeBasis(ambient)
-    rows = []
-    for b in sub.basis_elements():
-        c = L.coords_of(b)
-        if any(ci.denominator != 1 for ci in c):
-            raise ValueError("sub is not contained in ambient")
-        rows.append([int(ci) for ci in c])
-    H = hnf(rows, n)
-    reps = []
-    basis = ambient.basis_elements()
-    for combo in itertools.product(*(range(H[i][i]) for i in range(n))):
-        acc = K.zero
-        for r, b in zip(combo, basis):
-            if r:
-                acc = acc + b * K.element(r)
-        reps.append(acc)
-    return reps
-
-
 def local_factor_omega(forms: LinearFormSystem, P: PrimeIdeal, marks,
-                       W: int, alpha, budget: int = 10**6) -> Fraction:
+                       W: int, alpha) -> Fraction:
     """Exact density of x in (b / P b)^m with P b | W psi_i(x) + b'_i for
-    every marked i, where b'_i = W b_i + alpha.  Exhaustive count."""
+    every marked i, where b'_i = W b_i + alpha.  v in b lies in P b iff p
+    times its coordinates in P b's basis vanish mod p, so each marked form
+    gives n linear conditions over F_p on x in (b / p b)^m; omega is
+    p^-rank if they are consistent and 0 if not (or if b'_i is not in b)."""
     marks = tuple(bool(t) for t in marks)
     if len(marks) != forms.s:
         raise ValueError("one mark per form required")
@@ -210,58 +192,66 @@ def local_factor_omega(forms: LinearFormSystem, P: PrimeIdeal, marks,
         return Fraction(1)
     if W % P.p == 0:
         return Fraction(0)
-    return _omega_counted(forms, P, marks, W,
-                          alpha if isinstance(alpha, FieldElement)
-                          else forms.K.element(alpha), budget)
+    alpha = alpha if isinstance(alpha, FieldElement) \
+        else forms.K.element(alpha)
+    return _omega_cached_key(tuple(map(tuple, forms.coeffs)),
+                             tuple(forms.shifts), forms.ambient, P, marks,
+                             W, alpha)
 
 
 @lru_cache(maxsize=2 ** 16)
-def _omega_cached_key(forms_id, P, marks, W, alpha_coords, budget):
-    forms = _FORMS_REGISTRY[forms_id]
-    K = forms.K
-    alpha = K.element(alpha_coords)
-    Pb = P.ideal() * forms.ambient
-    reps = _coset_reps(forms.ambient, Pb)
-    q = P.norm()
-    if q ** forms.m > budget:
-        raise BudgetExceededError(
-            f"residue space {q}^{forms.m} exceeds budget {budget}")
-    Wel = K.element(W)
-    binv = forms.ambient.inverse()
-    marked = [i for i, t in enumerate(marks) if t]
-    bprime = [Wel * forms.shifts[i] + alpha for i in marked]
-    count = 0
-    for x in itertools.product(reps, repeat=forms.m):
-        ok = True
-        for i, bp in zip(marked, bprime):
-            v = Wel * forms.apply(i, x) + bp
-            if not Pb.contains(v):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return Fraction(count, q ** forms.m)
+def _omega_cached_key(coeffs, shifts, ambient, P, marks, W, alpha):
+    """local_factor_omega keyed on the content of the form system."""
+    Wel = ambient.K.element(W)
+    Pb = LatticeBasis(P.ideal() * ambient)
+
+    def conditions(v):  # v in b: p times its P b-coordinates, 0 iff v in P b
+        return [int(P.p * c) for c in Pb.coords_of(v)]
+
+    rows = []
+    for i in (i for i, t in enumerate(marks) if t):
+        bp = Wel * shifts[i] + alpha
+        if not ambient.contains(bp):
+            return Fraction(0)
+        cols = [conditions(Wel * c * beta) for c in coeffs[i]
+                for beta in ambient.basis_elements()]
+        rows += [list(r) for r in zip(*cols, conditions(bp))]
+    rank = _solve_mod_p(rows, P.p, len(coeffs[0]) * ambient.K.degree)
+    return Fraction(0) if rank is None else Fraction(1, P.p ** rank)
 
 
+def _solve_mod_p(rows, p, ncols):
+    """Rank over F_p of the first ncols columns of the augmented rows, or
+    None when the last column is not in their span (no solution)."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(ncols + 1):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if col == ncols:
+            return None
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], -1, p)
+        for r in rows[rank + 1:]:
+            if r[col]:
+                f = r[col] * inv
+                r[:] = [(x - f * y) % p for x, y in zip(r, top)]
+        rank += 1
+    return rank
+
+
+# Read only by bench/micro.py, which clears it; it stays until the next
+# benchmark revision (ROADMAP item 6) and nothing in src/ uses it.
 _FORMS_REGISTRY = {}
 
 
-def _forms_id(forms):
-    key = id(forms)
-    _FORMS_REGISTRY[key] = forms
-    return key
-
-
-def _omega_counted(forms, P, marks, W, alpha, budget):
-    return _omega_cached_key(_forms_id(forms), P, marks, W,
-                             tuple(alpha.coords), budget)
-
-
-def omega_tuple(forms, primes_marks, W, alpha, budget: int = 10**6):
+def omega_tuple(forms, primes_marks, W, alpha):
     """omega of a squarefree pattern: CRT product over its primes."""
     out = Fraction(1)
     for P, marks in primes_marks:
-        out *= local_factor_omega(forms, P, marks, W, alpha, budget)
+        out *= local_factor_omega(forms, P, marks, W, alpha)
         if not out:
             break
     return out
@@ -309,7 +299,8 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     Fast path: when the coefficient matrix has full row rank at every
     prime off W (empty exceptional set), omega factors across forms and
     the sum collapses to a product of s identical pair sums, computed once
-    (over Q by Selberg's diagonalisation, see _pair_sum_rational).
+    by Selberg's diagonalisation (_pair_sum_rational over Q,
+    _pair_sum_ideals otherwise).
     """
     from .sieve import DEFAULT_BUMP
 
@@ -340,7 +331,7 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
             pair = _pair_sum_rational(R, W, logR, phi)
         else:
             pair = _pair_sum_ideals(squarefree_ideals(K, R, W, budget=budget),
-                                    logR, phi, budget)
+                                    logR, phi)
         val = 1.0
         for _ in range(forms.s):
             val *= pair
@@ -432,20 +423,19 @@ def _pair_sum_rational(R, W, logR, phi):
     return math.fsum(tot[e] * math.fsum(v[e::e]) ** 2 for e in ds)
 
 
-def _pair_sum_ideals(pairs, logR, phi, budget):
-    if len(pairs) ** 2 > budget:
-        raise BudgetExceededError("ideal pair sum exceeds budget")
-    vals = []
-    phis = [phi(math.log(n) / logR) if n > 1 else 1.0 for _, n in pairs]
-    for i, (Si, ni) in enumerate(pairs):
-        mi = (-1) ** len(Si)
-        for j, (Sj, nj) in enumerate(pairs):
-            lcm_norm = 1
-            for P in Si | Sj:
-                lcm_norm *= P.norm()
-            mj = (-1) ** len(Sj)
-            vals.append(mi * mj * phis[i] * phis[j] / lcm_norm)
-    return math.fsum(vals)
+def _pair_sum_ideals(pairs, logR, phi):
+    """_pair_sum_rational over the squarefree ideals d in pairs, by the
+    same diagonalisation with N d in place of d and phi_K(e) =
+    prod_{P | e} (N P - 1) in place of phi(e); each divisor e of a d in
+    pairs is in pairs too."""
+    inner = {}
+    for S, n in pairs:
+        c = (-1) ** len(S) * (phi(math.log(n) / logR) if n > 1 else 1.0) / n
+        for r in range(len(S) + 1):
+            for e in itertools.combinations(S, r):
+                inner.setdefault(frozenset(e), []).append(c)
+    return math.fsum(math.prod(P.norm() - 1 for P in e) * math.fsum(cs) ** 2
+                     for e, cs in inner.items())
 
 
 def singular_series_main_term(forms, R, W):
@@ -470,7 +460,7 @@ def singular_series_main_term(forms, R, W):
 # Euler product route
 
 def F_euler(forms: LinearFormSystem, t, tprime, P_cutoff: float, R: float,
-            W: int, alpha=1, budget: int = 10**6):
+            W: int, alpha=1):
     """Truncated Euler product of the local mark sums, with the predicted
     main term and a multiplicative tail bound.
 
@@ -492,7 +482,7 @@ def F_euler(forms: LinearFormSystem, t, tprime, P_cutoff: float, R: float,
         for dd in itertools.product((0, 1), repeat=s):
             for dp in itertools.product((0, 1), repeat=s):
                 marks = tuple(bool(a or b) for a, b in zip(dd, dp))
-                om = local_factor_omega(forms, P, marks, W, alpha, budget)
+                om = local_factor_omega(forms, P, marks, W, alpha)
                 if not om:
                     continue
                 term = complex(float(om))

@@ -190,6 +190,7 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     ["correlate", "--lam", "inf"],
     ["autocorr", "--s", "0"],
     ["hypergraph", "--k", "0"],
+    ["search", "--max-hits", "-1"],
 ], ids=",".join)
 def test_degenerate_parameter_is_usage_error(argv, capsys):
     # argparse rejects the value before any command runs and names the flag

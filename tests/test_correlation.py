@@ -10,17 +10,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from idealsieve import sieve
 from idealsieve.correlation import (LinearFormSystem, F_euler,
-                                    _mobius_totient, _pair_sum_rational,
+                                    _mobius_totient, _pair_sum_ideals,
+                                    _pair_sum_rational,
                                     auto_correlation_check,
                                     cross_correlation_sum,
                                     hypergraph_conditions_report,
                                     local_factor_omega, pattern_points,
                                     relative_density,
                                     singular_series_direct,
-                                    singular_series_main_term, tau_factor,
+                                    singular_series_main_term,
+                                    squarefree_ideals, tau_factor,
                                     tau_weight)
-from idealsieve.ideals import enumerate_prime_ideals, factor_rational_prime
-from idealsieve.lattice import Parallelotope
+from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
+                               factor_rational_prime)
+from idealsieve.lattice import LatticeBasis, Parallelotope
+from idealsieve.linalg import hnf
 from idealsieve.numberfield import make_field
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig
 
@@ -41,6 +45,8 @@ def test_forms_validation():
         LinearFormSystem(Q, [[1, 2], [2, 4]])  # proportional
     with pytest.raises(ValueError):
         LinearFormSystem(Q, [[0, 0]])
+    with pytest.raises(ValueError):
+        LinearFormSystem(Q, [[Fraction(1, 2), 1]])  # not in O_K
     with pytest.raises(ValueError):
         LinearFormSystem(QI, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]])
     # i * (x + i y) = ix - y: proportional over O_K
@@ -115,6 +121,114 @@ def test_omega_in_unit_interval():
         assert 0 <= om <= 1
 
 
+def _coset_reps(ambient, sub):
+    """Coset representatives of sub inside ambient (sub <= ambient)."""
+    K = ambient.K
+    n = K.degree
+    # coordinates of sub's basis in ambient's basis
+    L = LatticeBasis(ambient)
+    rows = []
+    for b in sub.basis_elements():
+        c = L.coords_of(b)
+        if any(ci.denominator != 1 for ci in c):
+            raise ValueError("sub is not contained in ambient")
+        rows.append([int(ci) for ci in c])
+    H = hnf(rows, n)
+    reps = []
+    basis = ambient.basis_elements()
+    for combo in itertools.product(*(range(H[i][i]) for i in range(n))):
+        acc = K.zero
+        for r, b in zip(combo, basis):
+            if r:
+                acc = acc + b * K.element(r)
+        reps.append(acc)
+    return reps
+
+
+def _omega_coset_oracle(forms, P, marks, W, alpha):
+    # the exhaustive count over (b / P b)^m that the F_p solve replaced
+    if not any(marks):
+        return Fraction(1)
+    if W % P.p == 0:
+        return Fraction(0)
+    K = forms.K
+    Pb = P.ideal() * forms.ambient
+    reps = _coset_reps(forms.ambient, Pb)
+    q = P.norm()
+    Wel = K.element(W)
+    marked = [i for i, t in enumerate(marks) if t]
+    bprime = [Wel * forms.shifts[i] + alpha for i in marked]
+    count = 0
+    for x in itertools.product(reps, repeat=forms.m):
+        ok = True
+        for i, bp in zip(marked, bprime):
+            v = Wel * forms.apply(i, x) + bp
+            if not Pb.contains(v):
+                ok = False
+                break
+        if ok:
+            count += 1
+    return Fraction(count, q ** forms.m)
+
+
+# Ambients per field: O_K and the primes of norm <= 9, which in Q(sqrt-5)
+# include the non-principal primes above 2 and 3.
+OMEGA_FIELDS = [make_field(name) for name in
+                ("Q", "Q(i)", "Q(sqrt-5)", "Q(sqrt-3)", "Q(zeta5)")]
+OMEGA_AMBIENTS = {K: [FractionalIdeal.unit_ideal(K)]
+                  + [P.ideal() for P in enumerate_prime_ideals(K, 9)
+                     if P.norm() <= 9] for K in OMEGA_FIELDS}
+OMEGA_PRIMES = {K: [P for P in enumerate_prime_ideals(K, 16)
+                    if P.norm() <= 16] for K in OMEGA_FIELDS}
+
+
+def _element_in(ideal, coeffs):
+    basis = ideal.basis_elements()
+    return sum((b * ideal.K.element(c) for b, c in zip(basis, coeffs)),
+               ideal.K.zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_omega_matches_coset_oracle(data):
+    K = data.draw(st.sampled_from(OMEGA_FIELDS), label="field")
+    n = K.degree
+    b = data.draw(st.sampled_from(OMEGA_AMBIENTS[K]), label="ambient")
+    P = data.draw(st.sampled_from(OMEGA_PRIMES[K]), label="P")
+    m = data.draw(st.integers(1, 2), label="m")
+    assume(P.norm() ** m <= 256)
+    s = data.draw(st.integers(1, 3), label="s")
+    small = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    coeffs = data.draw(st.lists(st.lists(small, min_size=m, max_size=m),
+                                min_size=s, max_size=s), label="coeffs")
+    shifts = [_element_in(b, c) for c in data.draw(
+        st.lists(small, min_size=s, max_size=s), label="shifts")]
+    # alpha over a denominator of 1 or 2 lies outside b about as often
+    # as inside it
+    alpha = K.element(data.draw(small, label="alpha")) \
+        * K.element(Fraction(1, data.draw(st.sampled_from([1, 2]))))
+    try:
+        forms = LinearFormSystem(K, coeffs, shifts=shifts, ambient=b)
+    except ValueError:  # a zero or a proportional form
+        assume(False)
+    W = data.draw(st.sampled_from([1, 6]), label="W")
+    for marks in itertools.product((False, True), repeat=s):
+        assert local_factor_omega(forms, P, marks, W, alpha) \
+            == _omega_coset_oracle(forms, P, marks, W, alpha)
+
+
+def test_omega_follows_mutated_shift():
+    # the cache is keyed on the content of the form system, so a shift
+    # changed in place is seen by the next call
+    (P5,) = factor_rational_prime(Q, 5)
+    forms = LinearFormSystem(Q, [[1, 0], [5, 5]], shifts=[0, 0])
+    assert local_factor_omega(forms, P5, (0, 1), 1, 1) == 0
+    forms.shifts[1] = Q.element(4)
+    assert local_factor_omega(forms, P5, (0, 1), 1, 1) == 1
+    fresh = LinearFormSystem(Q, [[1, 0], [5, 5]], shifts=[0, 4])
+    assert local_factor_omega(fresh, P5, (0, 1), 1, 1) == 1
+
+
 # ---------------------------------------------------------------- singular series
 
 def _singular_series_integer_oracle(R, W=1):
@@ -158,6 +272,31 @@ def _pair_sum_lcm_oracle(R, W):
 def test_pair_sum_diagonalised_matches_lcm_oracle(R, W):
     got = _pair_sum_rational(R, W, math.log(R), DEFAULT_BUMP)
     assert got == pytest.approx(_pair_sum_lcm_oracle(R, W), rel=1e-12)
+
+
+def _pair_sum_ideals_oracle(pairs, logR, phi):
+    # the D x D double loop over squarefree ideals d, d' with N lcm(d, d')
+    vals = []
+    phis = [phi(math.log(n) / logR) if n > 1 else 1.0 for _, n in pairs]
+    for i, (Si, ni) in enumerate(pairs):
+        mi = (-1) ** len(Si)
+        for j, (Sj, nj) in enumerate(pairs):
+            lcm_norm = 1
+            for P in Si | Sj:
+                lcm_norm *= P.norm()
+            mj = (-1) ** len(Sj)
+            vals.append(mi * mj * phis[i] * phis[j] / lcm_norm)
+    return math.fsum(vals)
+
+
+@pytest.mark.parametrize("name", ["Q(i)", "Q(sqrt-5)", "Q(zeta5)"])
+@pytest.mark.parametrize("R,W", [(30.5, 1), (300.0, 6), (1000.0, 2)])
+def test_pair_sum_ideals_matches_lcm_oracle(name, R, W):
+    pairs = squarefree_ideals(make_field(name), R, W)
+    logR = math.log(R)
+    got = _pair_sum_ideals(pairs, logR, DEFAULT_BUMP)
+    assert got == pytest.approx(
+        _pair_sum_ideals_oracle(pairs, logR, DEFAULT_BUMP), rel=1e-12)
 
 
 def test_mobius_totient_sieve_matches_sympy():

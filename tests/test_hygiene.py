@@ -82,3 +82,14 @@ def test_every_definition_is_used():
     # read somewhere in src/ or bench/; a path that only tests still call
     # (an oracle) belongs in tests/
     assert _unreferenced_definitions() == []
+
+
+def test_no_builtin_id_calls():
+    # object identity is no key for module state: a registry keyed on
+    # id() keeps every object alive and goes stale when one is mutated
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert calls == []
