@@ -17,9 +17,9 @@ from .ideals import (FractionalIdeal, IdealFactorization, PrimeIdeal,
                      enumerate_prime_ideals, euler_phi, factor_ideal,
                      factor_rational_prime, is_prime_element, mobius,
                      principal_generator, residue_degrees, zeta_residue)
-from .lattice import (LatticeBasis, Parallelotope, admissible_modulus,
-                      ball_elements, fundamental_domain_reduce,
-                      in_scaled_domain, points_in_parallelotope)
+from .lattice import (Parallelotope, admissible_modulus, ball_elements,
+                      fundamental_domain_reduce, in_scaled_domain,
+                      points_in_parallelotope)
 from .numberfield import (FieldElement, NumberField, field_by_name,
                           make_field, minkowski_norm)
 from .sieve import (BumpFunction, SieveConfig, c_phi, lambda_R, lift_nu,

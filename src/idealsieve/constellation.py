@@ -25,7 +25,6 @@ class ConstellationSpec:
     k: float                    # pattern = O_K cap B_k
     anchor_bound: float         # search |a|_Min <= anchor_bound
     step_bound: float           # search 0 < |xi|_Min <= step_bound
-    modulus: FractionalIdeal = None
     max_hits: int = None
 
     def pattern(self):
@@ -73,10 +72,14 @@ def _witness(K, ambient, pt):
 def make_certificate(K, ambient, k, a, xi, pattern) -> Certificate:
     pts = [a + xi * j for j in pattern]
     witnesses = [_witness(K, ambient, pt) for pt in pts]
-    radius = max(minkowski_norm(K, xi * j) for j in pattern) + 1e-9
     return Certificate(K.name, ambient.to_json(), k, _coords_out(a),
                        _coords_out(xi), [_coords_out(p) for p in pts],
-                       radius, witnesses)
+                       _radius(K, xi, pattern), witnesses)
+
+
+def _radius(K, xi, pattern):
+    """The certified radius: the largest |xi j|, widened by 1e-9."""
+    return max(minkowski_norm(K, xi * j) for j in pattern) + 1e-9
 
 
 def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
@@ -112,7 +115,8 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
 
 def verify_certificate(cert: Certificate):
     """Re-derive every claim from scratch.  Returns (ok, diagnoses); a
-    value that does not decode to its field object, or a zero step, is
+    value that does not decode to its field object, a k that is not a
+    finite number > 0, a radius that is not finite, or a zero step, is
     diagnosed as "schema"."""
     diagnoses = []
     try:
@@ -127,25 +131,35 @@ def verify_certificate(cert: Certificate):
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    for v in (cert.k, cert.radius)):
             raise TypeError("k and radius are numbers")
+        if not (0 < cert.k < math.inf and -math.inf < cert.radius < math.inf):
+            raise ValueError("k is finite and > 0, radius finite")
         if not xi:
             raise ValueError("a zero step generates the zero ideal")
-    except (TypeError, ValueError, KeyError):
+    except (TypeError, ValueError, KeyError, OverflowError,
+            ZeroDivisionError):
         return False, ["schema"]
     pattern = ball_elements(K, FractionalIdeal.unit_ideal(K), cert.k)
     expected = [a + xi * j for j in pattern]
     if sorted(tuple(p.coords) for p in expected) != \
             sorted(tuple(p.coords) for p in given):
         diagnoses.append("pattern")
+    # the points are a + xi j (else "pattern"), so each |pt - a| is below
+    # the radius once it is the one make_certificate derives
+    try:
+        radius = _radius(K, xi, pattern)
+    except OverflowError:  # |xi j|^2 beyond the float range: no finite radius
+        radius = math.inf
+    if cert.radius != radius:
+        diagnoses.append("metric")
     derived = []
+    step_ideal = FractionalIdeal.principal(K, xi) * ambient
     for pt in given:
         if not ambient.contains(pt):
             diagnoses.append("membership")
             continue
-        if not (FractionalIdeal.principal(K, xi) * ambient).contains(pt - a) \
+        if not step_ideal.contains(pt - a) \
                 and tuple(pt.coords) != tuple(a.coords):
             diagnoses.append("congruence")
-        if minkowski_norm(K, pt - a) > cert.radius:
-            diagnoses.append("metric")
         if not is_prime_element(K, ambient, pt):
             diagnoses.append("primality")
         else:
@@ -199,7 +213,7 @@ def alpha_scan(cfg: SieveConfig, window, budget: int = 10**6) -> AlphaScanResult
     total = Fraction(0)
     count = 0
     for P in enumerate_prime_ideals(K, hi):
-        if P.norm() < lo or P.p == 0:
+        if P.norm() < lo:
             continue
         if math.gcd(P.norm(), cfg.W) != 1:
             continue

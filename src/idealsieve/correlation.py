@@ -23,7 +23,7 @@ from .arith import factorint, primerange
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
                      factor_ideal, factor_rational_prime, zeta_residue)
-from .lattice import LatticeBasis, Parallelotope, points_in_parallelotope
+from .lattice import Parallelotope, points_in_parallelotope
 from .numberfield import FieldElement
 from .sieve import SieveConfig, c_phi, nu_weight
 
@@ -203,10 +203,10 @@ def local_factor_omega(forms: LinearFormSystem, P: PrimeIdeal, marks,
 def _omega_cached_key(coeffs, shifts, ambient, P, marks, W, alpha):
     """local_factor_omega keyed on the content of the form system."""
     Wel = ambient.K.element(W)
-    Pb = LatticeBasis(P.ideal() * ambient)
+    Pb = P.ideal() * ambient
 
     def conditions(v):  # v in b: p times its P b-coordinates, 0 iff v in P b
-        return [int(P.p * c) for c in Pb.coords_of(v)]
+        return [int(P.p * c) for c in Pb.coords(v)]
 
     rows = []
     for i in (i for i, t in enumerate(marks) if t):
@@ -641,8 +641,7 @@ def _check_states(states, budget):
 def _mult_matrix(K, c, N):
     """Multiplication by the integral element c on O_K / N O_K as an
     integer matrix mod N: column l holds the coordinates of c theta^l."""
-    cols = [(c * K.theta_power(l)).coords for l in range(K.degree)]
-    return [[int(col[r]) % N for col in cols] for r in range(K.degree)]
+    return [[int(x) % N for x in row] for row in zip(*K.mul_rows(c.coords))]
 
 
 def _residue(N, n, r):

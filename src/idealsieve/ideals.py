@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .arith import factorint, iroot, isprime, primerange, sqrt_mod
 from .errors import BudgetExceededError, UnsupportedFieldError
-from .linalg import common_denominator, hnf, mat_inv_fraction
+from .linalg import hnf, mat_inv_fraction
 from .numberfield import FieldElement, NumberField
 
 
@@ -46,27 +46,20 @@ class FractionalIdeal:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, K, rows):
-        """Lattice spanned by rows of rational power-basis coordinates.
-        The caller is responsible for the lattice being an ideal."""
-        d = common_denominator(rows)
-        int_rows = [[int(Fraction(x) * d) for x in row] for row in rows]
-        return cls(K, hnf(int_rows, K.degree), d)
-
-    @classmethod
     def unit_ideal(cls, K):
         n = K.degree
         return cls(K, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def from_generators(cls, K, gens):
-        """O_K-module generated by the given field elements."""
+        """O_K-module generated by the given field elements: the rows
+        d g theta^j over their common denominator d."""
         gens = [g if isinstance(g, FieldElement) else K.element(g) for g in gens]
-        rows = []
-        for g in gens:
-            for j in range(K.degree):
-                rows.append((g * K.theta_power(j)).coords)
-        return cls.from_rows(K, rows)
+        scaled = [g.integer_coords() for g in gens]
+        d = math.lcm(*(e for e, _ in scaled))
+        rows = [r for e, a in scaled
+                for r in K.mul_rows([x * (d // e) for x in a])]
+        return cls(K, hnf(rows, K.degree), d)
 
     @classmethod
     def principal(cls, K, x):
@@ -94,19 +87,25 @@ class FractionalIdeal:
     def is_integral(self) -> bool:
         return self.den == 1
 
+    def coords(self, x: FieldElement):
+        """Coordinates of x on the Z-basis (HNF rows / den), by triangular
+        back-substitution."""
+        y = []
+        for col, column in enumerate(zip(*self.mat)):
+            rem = x.coords[col] * self.den - sum(map(operator.mul, y, column))
+            y.append(rem / column[col])
+        return y
+
     def contains(self, x: FieldElement) -> bool:
-        """Exact lattice membership by triangular back-substitution."""
-        n = self.K.degree
-        t = [Fraction(c) * self.den for c in x.coords]
-        y = [Fraction(0)] * n
-        for col in range(n):
-            acc = sum(y[r] * self.mat[r][col] for r in range(col))
-            rem = t[col] - acc
-            q = rem / self.mat[col][col]
-            if q.denominator != 1:
-                return False
-            y[col] = q
-        return True
+        """Exact lattice membership: x is in the ideal iff its coordinates
+        are integers."""
+        return all(c.denominator == 1 for c in self.coords(x))
+
+    def element_at(self, coeffs) -> FieldElement:
+        """sum coeffs_i * (basis element i), from the integer HNF rows."""
+        return FieldElement(self.K, tuple(
+            Fraction(sum(map(operator.mul, coeffs, column)), self.den)
+            for column in zip(*self.mat)))
 
     def contains_ideal(self, other) -> bool:
         return all(self.contains(b) for b in other.basis_elements())
@@ -114,18 +113,19 @@ class FractionalIdeal:
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other):
+        """The products of the HNF rows span the product lattice."""
         if not isinstance(other, FractionalIdeal):
             raise TypeError
-        rows = []
-        for a in self.basis_elements():
-            for b in other.basis_elements():
-                rows.append((a * b).coords)
-        return FractionalIdeal.from_rows(self.K, rows)
+        K = self.K
+        rows = [K.mul(h, g) for h in self.mat for g in other.mat]
+        return FractionalIdeal(K, hnf(rows, K.degree), self.den * other.den)
 
     def __add__(self, other):
-        rows = [b.coords for b in self.basis_elements()]
-        rows += [b.coords for b in other.basis_elements()]
-        return FractionalIdeal.from_rows(self.K, rows)
+        """Both lattices over the denominator d d'."""
+        rows = [[x * other.den for x in h] for h in self.mat]
+        rows += [[x * self.den for x in h] for h in other.mat]
+        return FractionalIdeal(self.K, hnf(rows, self.K.degree),
+                               self.den * other.den)
 
     def __pow__(self, e):
         if e < 0:
@@ -144,24 +144,18 @@ class FractionalIdeal:
         the stacked multiplication matrices."""
         if self._inv is not None:
             return self._inv
-        K = self.K
-        n = K.degree
-        basis = self.basis_elements()
-        # x is in the inverse iff x * b_i is integral for every basis
-        # element, i.e. x . col is an integer for each column of every
-        # multiplication matrix M_{b_i} (row r of M = coords of theta^r b).
-        cols = []
-        for b in basis:
-            M = [(b * K.theta_power(r)).coords for r in range(n)]
-            for j in range(n):
-                cols.append([Fraction(M[r][j]) for r in range(n)])
-        D = common_denominator(cols)
-        int_cols = [[int(c * D) for c in col] for col in cols]
-        B = hnf(int_cols, n)  # row basis of the column lattice
-        Binv = mat_inv_fraction(B)
-        # dual rows = columns of B^{-1}; solution lattice = D * dual
-        rows = [[D * Binv[r][c] for r in range(n)] for c in range(n)]
-        inv = FractionalIdeal.from_rows(K, rows)
+        K, n, d = self.K, self.K.degree, self.den
+        # x is in the inverse iff x h / d is integral for every HNF row h,
+        # i.e. x . c / d is an integer for each column c of every
+        # multiplication matrix M_h (row r of M_h = h theta^r).  With B the
+        # HNF of those columns, the solutions are d times the dual lattice,
+        # whose rows are the columns of B^-1 = adj(B) / det(B).
+        cols = [c for h in self.mat for c in zip(*K.mul_rows(h))]
+        B = hnf(cols, n)
+        det = math.prod(B[i][i] for i in range(n))
+        adj = [[int(det * x) for x in row] for row in mat_inv_fraction(B)]
+        rows = [[d * adj[r][c] for r in range(n)] for c in range(n)]
+        inv = FractionalIdeal(K, hnf(rows, n), det)
         self._inv = inv
         inv._inv = self
         return inv

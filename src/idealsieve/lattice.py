@@ -17,29 +17,6 @@ from .linalg import mat_inv_fraction
 from .numberfield import FieldElement, NumberField
 
 
-class LatticeBasis:
-    """Z-basis of a fractional ideal: its HNF rows and their inverse."""
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-        self.K = ideal.K
-        self.rows = [[Fraction(x, ideal.den) for x in row] for row in ideal.mat]
-        self.rows_inv = mat_inv_fraction(self.rows)
-
-    def coords_of(self, x: FieldElement):
-        """Exact coordinates of x in this basis (Fractions)."""
-        n = self.K.degree
-        return [sum(Fraction(x.coords[c]) * self.rows_inv[c][r]
-                    for c in range(n)) for r in range(n)]
-
-    def element_at(self, coeffs) -> FieldElement:
-        """sum coeffs_i * (basis element i), from the integer HNF rows."""
-        mat, den = self.ideal.mat, self.ideal.den
-        return FieldElement(self.K, tuple(
-            Fraction(sum(c * row[j] for c, row in zip(coeffs, mat)), den)
-            for j in range(self.K.degree)))
-
-
 def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
     """All lattice points of the ideal with Minkowski norm < radius, sorted
     by coordinates.
@@ -128,7 +105,6 @@ def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
     """
     K = ideal.K
     n = K.degree
-    L = LatticeBasis(ideal)
     E = [[Fraction(c) for c in u.coords] for u in box.edges]
     Einv = mat_inv_fraction(E)
     # box of candidates: corners of the parallelotope in lattice coordinates
@@ -136,8 +112,7 @@ def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
     for mask in itertools.product((0, 1), repeat=n):
         pt = [Fraction(box.origin.coords[j])
               + sum(mask[i] * E[i][j] for i in range(n)) for j in range(n)]
-        corners.append([sum(pt[c] * L.rows_inv[c][r] for c in range(n))
-                        for r in range(n)])
+        corners.append(ideal.coords(FieldElement(K, tuple(pt))))
     los = [min(math.floor(c[i]) for c in corners) for i in range(n)]
     his = [max(math.ceil(c[i]) for c in corners) for i in range(n)]
     total = 1
@@ -150,7 +125,7 @@ def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
     o = [Fraction(c) for c in box.origin.coords]
     for coeffs in itertools.product(*(range(lo, hi + 1)
                                       for lo, hi in zip(los, his))):
-        x = L.element_at(coeffs)
+        x = ideal.element_at(coeffs)
         d = [Fraction(x.coords[j]) - o[j] for j in range(n)]
         t = [sum(d[c] * Einv[c][r] for c in range(n)) for r in range(n)]
         if all(0 <= ti < 1 for ti in t):
@@ -167,10 +142,8 @@ def fundamental_domain_reduce(K: NumberField, ideal, x: FieldElement, N: int):
     ceil(c_i / N - 1/2), giving coordinates in (-N/2, N/2].  Returns
     (reduced, shift) with x = reduced + shift and shift in N * ideal.
     """
-    L = LatticeBasis(ideal)
-    c = L.coords_of(x)
-    m = [_ceil_frac(ci / N - Fraction(1, 2)) for ci in c]
-    shift = L.element_at([mi * N for mi in m])
+    m = [_ceil_frac(ci / N - Fraction(1, 2)) for ci in ideal.coords(x)]
+    shift = ideal.element_at([mi * N for mi in m])
     return x - shift, shift
 
 
@@ -180,10 +153,8 @@ def _ceil_frac(q: Fraction) -> int:
 
 def in_scaled_domain(K: NumberField, ideal, x: FieldElement, N: int) -> bool:
     """Is x in N * G for the ideal's fundamental domain G?"""
-    L = LatticeBasis(ideal)
-    c = L.coords_of(x)
     half = Fraction(N, 2)
-    return all(-half < ci <= half for ci in c)
+    return all(-half < ci <= half for ci in ideal.coords(x))
 
 
 def admissible_modulus(w: int) -> int:

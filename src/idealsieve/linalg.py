@@ -7,7 +7,6 @@ multiples of it, so the simple algorithms below are plenty.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -88,11 +87,3 @@ def det_int(mat):
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
-
-def common_denominator(rows):
-    d = 1
-    for row in rows:
-        for x in row:
-            f = Fraction(x)
-            d = d * f.denominator // math.gcd(d, f.denominator)
-    return d

@@ -112,6 +112,37 @@ class NumberField:
             red.append(tuple(cur))
         self._theta_pow = red
 
+    def mul(self, a, b):
+        """Product of two coordinate vectors on the power basis, ints or
+        Fractions: their convolution, with theta^m for m >= n replaced by
+        its reduction modulo f."""
+        n = self.degree
+        conv = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        out = conv[:n]
+        for m in range(n, 2 * n - 1):
+            c = conv[m]
+            if c:
+                for i, t in enumerate(self._theta_pow[m - n]):
+                    if t:
+                        out[i] += c * t
+        return out
+
+    def mul_rows(self, a):
+        """The matrix of multiplication by a: row r holds a theta^r."""
+        n = self.degree
+        return [self.mul(a, [int(i == r) for i in range(n)])
+                for r in range(n)]
+
+    def theta_power(self, j):
+        if j < self.degree:
+            return self.element([int(i == j) for i in range(self.degree)])
+        return self.element(self._theta_pow[j - self.degree])
+
     def element(self, coords):
         if isinstance(coords, (int, Fraction)):
             coords = [coords] + [0] * (self.degree - 1)
@@ -184,22 +215,11 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.K, tuple(Fraction(other) * a for a in self.coords))
         o = self._coerce(other)
-        n = self.K.degree
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:n])
-        for m in range(n, 2 * n - 1):
-            c = conv[m]
-            if c:
-                row = self.K._theta_pow[m - n]
-                for i, t in enumerate(row):
-                    if t:
-                        out[i] += c * t
-        return FieldElement(self.K, tuple(out))
+        # the product of the integer numerators over d e
+        d, a = self.integer_coords()
+        e, b = o.integer_coords()
+        return FieldElement(self.K, tuple(Fraction(c, d * e)
+                                          for c in self.K.mul(a, b)))
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement) and self.K == other.K
@@ -211,6 +231,12 @@ class FieldElement:
     def __bool__(self):
         return any(self.coords)
 
+    def integer_coords(self):
+        """(d, a): the common denominator d of the coordinates and the
+        integer vector a = d x."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        return d, [c.numerator * (d // c.denominator) for c in self.coords]
+
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coords)
 
@@ -218,29 +244,11 @@ class FieldElement:
         """Field norm N_{K/Q}, exact: with d the common denominator of the
         coordinates, det(multiplication-by-dx matrix) / d^n, the
         determinant taken over the integers."""
-        d = math.lcm(*(c.denominator for c in self.coords))
-        row = [c.numerator * (d // c.denominator) for c in self.coords]
-        rows = [row]
-        for _ in range(self.K.degree - 1):  # row j + 1 = theta * row j
-            top = row[-1]
-            row = [s + top * t
-                   for s, t in zip([0] + row[:-1], self.K._theta_pow[0])]
-            rows.append(row)
-        return Fraction(det_int(rows), d ** len(rows))
+        d, a = self.integer_coords()
+        return Fraction(det_int(self.K.mul_rows(a)), d ** self.K.degree)
 
     def __repr__(self):
         return f"<{self.K.name}: {tuple(str(c) for c in self.coords)}>"
-
-
-def _theta_power(K, j):
-    coords = [Fraction(0)] * K.degree
-    if j < K.degree:
-        coords[j] = Fraction(1)
-        return FieldElement(K, tuple(coords))
-    return FieldElement(K, tuple(Fraction(c) for c in K._theta_pow[j - K.degree]))
-
-
-NumberField.theta_power = _theta_power
 
 
 def make_field(poly) -> NumberField:
@@ -270,8 +278,7 @@ def minkowski_norm(K: NumberField, x: FieldElement) -> float:
     square is the exact rational a^T G a / d^2 (G = K.gram), rounded once
     by the integer division and once by the square root.
     """
-    d = math.lcm(*(c.denominator for c in x.coords))
-    a = [c.numerator * (d // c.denominator) for c in x.coords]
+    d, a = x.integer_coords()
     q = sum(ai * sum(g * aj for g, aj in zip(row, a))
             for ai, row in zip(a, K.gram))
     return math.sqrt(q / (d * d))

@@ -148,7 +148,7 @@ class SieveConfig:
     """Parameters of the truncated-divisor-sum measure.
 
     logR defaults to log N / (8 s z 2^{sz}) with z the degree of the field
-    times the number of forms per point; override via logR_factor or logR.
+    times the number of forms per point; override via logR.
     """
     K: object
     N: int
@@ -159,7 +159,6 @@ class SieveConfig:
     epsilon: float = 0.05
     A: float = 10.0
     logR: float = None
-    logR_factor: float = None      # logR = factor * log N when given
     phi: BumpFunction = DEFAULT_BUMP
     raw: bool = False              # drop the density prefactor, keep Lambda^2
     ambient: object = None         # fractional ideal b; defaults to O_K
@@ -173,11 +172,8 @@ class SieveConfig:
         if self.alpha is None:
             self.alpha = self.K.one
         if self.logR is None:
-            if self.logR_factor is not None:
-                self.logR = self.logR_factor * math.log(self.N)
-            else:
-                sz = self.s * self.K.degree
-                self.logR = math.log(self.N) / (8 * sz * 2 ** sz)
+            sz = self.s * self.K.degree
+            self.logR = math.log(self.N) / (8 * sz * 2 ** sz)
         self.R = math.exp(self.logR)
         self.phi_W = euler_phi(self.K, self.W)
         self._prefactor = None
@@ -230,13 +226,10 @@ def lift_nu(cfg: SieveConfig, residue) -> float:
     x lies in the centered box with coordinates in (-eps N / 2, eps N / 2]
     return nu(x), else 1.
     """
-    from .lattice import LatticeBasis, fundamental_domain_reduce
+    from .lattice import fundamental_domain_reduce
 
-    K = cfg.K
-    xhat, _ = fundamental_domain_reduce(K, cfg.ambient, residue, cfg.N)
-    L = LatticeBasis(cfg.ambient)
-    c = L.coords_of(xhat)
+    xhat, _ = fundamental_domain_reduce(cfg.K, cfg.ambient, residue, cfg.N)
     half = Fraction(cfg.epsilon * cfg.N / 2)
-    if all(-half < ci <= half for ci in c):
+    if all(-half < ci <= half for ci in cfg.ambient.coords(xhat)):
         return nu_weight(cfg, xhat)
     return 1.0

@@ -1,13 +1,19 @@
+import functools
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealsieve import cli
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
-from idealsieve.ideals import enumerate_prime_ideals
+from idealsieve.constellation import ConstellationSpec, search_constellation
+from idealsieve.ideals import FractionalIdeal, enumerate_prime_ideals
 from idealsieve.numberfield import make_field
 
 
@@ -136,6 +142,112 @@ def test_verify_non_json_line_is_schema(tmp_path):
     assert run(["--output", str(out), "verify", str(bad)]) == EXIT_USAGE
     assert [(r["ok"], r["diagnoses"]) for r in read_lines(out)] == [
         (True, []), (False, ["schema"]), (True, [])]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", math.inf), ("k", math.nan), ("k", 0.0), ("radius", math.inf),
+    ("radius", math.nan)])
+def test_verify_non_finite_k_or_radius_is_schema(tmp_path, key, value):
+    # k is a finite number > 0 and radius a finite number; Infinity used
+    # to exit 4 (k) or pass as ok (radius), NaN to exit 2 with no verdicts
+    lines = _write_certs(tmp_path).read_text().splitlines()
+    lines[1] = json.dumps(dict(json.loads(lines[1]), **{key: value}))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "v.jsonl"
+    assert run(["--output", str(out), "verify", str(bad)]) == EXIT_USAGE
+    assert [(r["ok"], r["diagnoses"]) for r in read_lines(out)] == [
+        (True, []), (False, ["schema"]), (True, [])]
+
+
+def test_verify_rederives_radius(tmp_path):
+    # the radius is the one make_certificate derives: a larger one is a
+    # "metric" failure too
+    lines = _write_certs(tmp_path).read_text().splitlines()
+    rec = json.loads(lines[1])
+    lines[1] = json.dumps(dict(rec, radius=rec["radius"] + 1.0))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "v.jsonl"
+    assert run(["--output", str(out), "verify", str(bad)]) == EXIT_VERIFY
+    assert [(r["ok"], r["diagnoses"]) for r in read_lines(out)] == [
+        (True, []), (False, ["metric"]), (True, [])]
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_certificates():
+    QI = make_field("Q(i)")
+    spec = ConstellationSpec(QI, FractionalIdeal.unit_ideal(QI), 1.5, 6.5,
+                             2.1, max_hits=3)
+    return tuple(c.to_json() for c in search_constellation(spec))
+
+
+def _value_paths(obj, path=()):
+    """Every path to a value inside a JSON object, containers included."""
+    if path:
+        yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _value_paths(value, path + (key,))
+
+
+def _replace(obj, path, value):
+    if not path:
+        return value
+    obj = obj.copy()
+    obj[path[0]] = _replace(obj[path[0]], path[1:], value)
+    return obj
+
+
+# numbers are small, or large enough that a pattern box fails its budget
+# at once: a finite k of a few million would make the verifier enumerate
+# millions of pattern points
+_FUZZ_VALUES = (
+    st.none() | st.booleans() | st.integers(-50, 50)
+    | st.sampled_from([2**64, -2**64, 10**400])
+    | st.floats(-50, 50)
+    | st.sampled_from([math.inf, -math.inf, math.nan, 1e300, 5e-324])
+    | st.text(max_size=4) | st.lists(st.integers(-3, 3), max_size=3)
+    | st.just({}))
+
+# a zero or negative den; a lattice that is not in HNF, or is singular
+_FUZZ_AMBIENTS = [(("ambient", "den"), d) for d in (0, -1, -2)] + [
+    (("ambient", "hnf"), h) for h in (
+        [[1, 5], [0, 2]], [[2, 0], [1, 1]], [[1, 0], [0, 0]],
+        [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[1, 0], [0, -1]])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_fuzz_never_internal_error(data):
+    # one value of the middle certificate of three is mutated; verify never
+    # fails internally, and when it exits 0, 1 or 2 it writes one verdict
+    # per line, with 1 only for a failed well-formed certificate
+    lines = list(_fuzz_certificates())
+    obj = json.loads(lines[1])
+    if data.draw(st.booleans(), label="ambient special"):
+        path, value = data.draw(st.sampled_from(_FUZZ_AMBIENTS),
+                                label="mutation")
+    else:
+        path = data.draw(st.sampled_from(sorted(_value_paths(obj), key=str)),
+                         label="path")
+        value = data.draw(_FUZZ_VALUES, label="value")
+    lines[1] = json.dumps(_replace(obj, path, value))
+    with tempfile.TemporaryDirectory() as tmp:
+        certs, out = os.path.join(tmp, "c.jsonl"), os.path.join(tmp, "v")
+        with open(certs, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = run(["--output", out, "verify", certs])
+        assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_BUDGET)
+        if code == EXIT_BUDGET:
+            return
+        with open(out) as fh:
+            recs = [json.loads(line) for line in fh]
+    assert len(recs) == 3 and recs[0]["ok"] and recs[2]["ok"]
+    mid = recs[1]
+    assert code == (EXIT_OK if mid["ok"] else EXIT_USAGE
+                    if mid["diagnoses"] == ["schema"] else EXIT_VERIFY)
 
 
 # ---------------------------------------------------------------- exit codes

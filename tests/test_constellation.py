@@ -127,7 +127,7 @@ def test_tampered_primality_detected():
     bad.anchor = ["9"]
     bad.step = ["6"]
     bad.points = [["3"], ["9"], ["15"]]
-    bad.radius = 6.1
+    bad.radius = 6 + 1e-9  # the radius make_certificate gives step 6
     ok, why = verify_certificate(bad)
     assert not ok
     assert "primality" in why

@@ -23,10 +23,11 @@ from idealsieve.correlation import (LinearFormSystem, F_euler,
                                     tau_weight)
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_rational_prime)
-from idealsieve.lattice import LatticeBasis, Parallelotope
+from idealsieve.lattice import Parallelotope
 from idealsieve.linalg import hnf
 from idealsieve.numberfield import make_field
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig
+from oracles import gauss_jordan_coords
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -126,10 +127,9 @@ def _coset_reps(ambient, sub):
     K = ambient.K
     n = K.degree
     # coordinates of sub's basis in ambient's basis
-    L = LatticeBasis(ambient)
     rows = []
     for b in sub.basis_elements():
-        c = L.coords_of(b)
+        c = gauss_jordan_coords(ambient, b)
         if any(ci.denominator != 1 for ci in c):
             raise ValueError("sub is not contained in ambient")
         rows.append([int(ci) for ci in c])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from idealsieve import correlation, ideals
 from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
@@ -13,6 +13,8 @@ from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                is_prime_element, mobius, principal_generator,
                                residue_degrees, zeta_residue)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
+from oracles import (add_oracle, gauss_jordan_coords, inverse_oracle,
+                     mul_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -433,3 +435,67 @@ def test_inverse_roundtrip(a):
 def test_sum_ef_property(p):
     K = make_field("Q(zeta5)")
     assert sum(P.e * P.f for P in factor_rational_prime(K, p)) == 4
+
+
+# ---------------------------------------------------------------- integer routes against the Fraction oracles
+
+# per field: O_K, every prime above 2, 3, 5 and 7 and the inverses of
+# those primes (den > 1)
+_ORACLE_IDEALS = {K: [FractionalIdeal.unit_ideal(K)] + primes
+                  + [P.inverse() for P in primes]
+                  for K in map(make_field, SUPPORTED_POLYS)
+                  for primes in [[P.ideal() for p in (2, 3, 5, 7)
+                                  for P in factor_rational_prime(K, p)]]}
+
+
+def _fresh(ideal):
+    # a new object, so that no cached inverse is returned
+    return FractionalIdeal(ideal.K, ideal.mat, ideal.den)
+
+
+def _draw_element(data, K, label):
+    return K.element([Fraction(data.draw(st.integers(-30, 30), label=label),
+                               data.draw(st.sampled_from([1, 2, 3, 6]),
+                                         label=label))
+                      for _ in range(K.degree)])
+
+
+def _draw_ideal(data, K, label):
+    """One of _ORACLE_IDEALS, or the principal ideal of a random nonzero
+    element with denominator up to 6."""
+    if data.draw(st.booleans(), label=label):
+        return data.draw(st.sampled_from(_ORACLE_IDEALS[K]), label=label)
+    x = _draw_element(data, K, label)
+    assume(x)
+    return FractionalIdeal.principal(K, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coords_match_gauss_jordan_oracle(data):
+    K = data.draw(st.sampled_from(list(_ORACLE_IDEALS)), label="field")
+    I = data.draw(st.sampled_from(_ORACLE_IDEALS[K]), label="ideal")
+    x = _draw_element(data, K, "x")
+    c = I.coords(x)
+    assert c == gauss_jordan_coords(I, x)
+    assert I.contains(x) == all(ci.denominator == 1 for ci in c)
+    coeffs = data.draw(st.lists(st.integers(-20, 20), min_size=K.degree,
+                                max_size=K.degree), label="coeffs")
+    y = I.element_at(coeffs)
+    assert y == sum((b * K.element(a) for a, b in
+                     zip(coeffs, I.basis_elements())), K.zero)
+    assert gauss_jordan_coords(I, y) == coeffs and I.contains(y)
+    assert all(type(v) is Fraction for v in y.coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ideal_arithmetic_matches_fraction_oracle(data):
+    K = data.draw(st.sampled_from(list(_ORACLE_IDEALS)), label="field")
+    I = _fresh(_draw_ideal(data, K, "I"))
+    J = _fresh(_draw_ideal(data, K, "J"))
+    assert I * J == mul_oracle(I, J)
+    assert I + J == add_oracle(I, J)
+    inv = I.inverse()
+    assert inv == inverse_oracle(I)
+    assert I * inv == FractionalIdeal.unit_ideal(K)
