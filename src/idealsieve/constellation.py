@@ -5,15 +5,19 @@ pigeonhole alpha-scan over a prime-norm window.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, enumerate_prime_ideals, factor_ideal,
-                     is_prime_element, principal_generator)
-from .lattice import ball_elements, fundamental_domain_reduce
+                     is_prime_vector, principal_generator)
+from .lattice import (ball_elements, fundamental_domain_reduce,
+                      iter_ball_elements)
 from .numberfield import FieldElement, NumberField, make_field, minkowski_norm
 from .sieve import SieveConfig, lambda_R
 
@@ -58,7 +62,20 @@ def _coords_out(x: FieldElement):
     return [str(c) for c in x.coords]
 
 
+# the form _coords_out writes: an integer, or a fraction with a positive
+# denominator
+_COORD = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
 def _coords_in(K, coords):
+    """A list of coordinate strings of the form _coords_out writes;
+    ValueError for anything else (exponents, decimal points, whitespace,
+    non-strings), so a coordinate costs no more than its digits, which
+    Python's int-string limit bounds."""
+    if not (isinstance(coords, list)
+            and all(isinstance(c, str) and _COORD.fullmatch(c)
+                    for c in coords)):
+        raise ValueError("coordinates are integer or fraction strings")
     return K.element([Fraction(c) for c in coords])
 
 
@@ -84,30 +101,37 @@ def _radius(K, xi, pattern):
 
 def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
     """All (a, xi) hits in deterministic order: increasing step Minkowski
-    norm, then increasing anchor norm (ties by coordinates)."""
-    K = spec.K
+    norm, then increasing anchor norm (ties by coordinates).
+
+    The candidates a + xi j are integer numerator vectors over the
+    ambient's denominator: each step's offsets xi j are multiplied once,
+    each candidate is one vector sum, and each distinct one gets one
+    is_prime_vector test.  Only hits become field elements again."""
+    K, b = spec.K, spec.ambient
     pattern = spec.pattern()
-    steps = [x for x in ball_elements(K, spec.ambient,
-                                      spec.step_bound * (1 + 1e-12),
+    steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12),
                                       budget=budget) if x]
     steps.sort(key=lambda x: (minkowski_norm(K, x), tuple(x.coords)))
-    anchors = ball_elements(K, spec.ambient,
-                            spec.anchor_bound * (1 + 1e-12), budget=budget)
+    anchors = ball_elements(K, b, spec.anchor_bound * (1 + 1e-12),
+                            budget=budget)
     anchors.sort(key=lambda x: (minkowski_norm(K, x), tuple(x.coords)))
+    anchor_nums = [b.numerators(a) for a in anchors]
+    pattern_nums = [j.integer_coords()[1] for j in pattern]
     hits = []
-    prime = {}  # point coordinates -> is_prime_element, for this call only
+    prime = {}  # candidate numerators -> is_prime_vector, for this call only
 
-    def is_prime(pt):
-        key = pt.coords
-        if key not in prime:
-            prime[key] = is_prime_element(K, spec.ambient, pt)
-        return prime[key]
+    def is_prime(v):
+        if v not in prime:
+            prime[v] = is_prime_vector(K, b, v)
+        return prime[v]
 
     for xi in steps:
-        for a in anchors:
-            if all(is_prime(a + xi * j) for j in pattern):
-                hits.append(make_certificate(K, spec.ambient, spec.k, a, xi,
-                                             pattern))
+        xi_num = b.numerators(xi)
+        offsets = [K.mul(xi_num, j) for j in pattern_nums]
+        for a, a_num in zip(anchors, anchor_nums):
+            if all(is_prime(tuple(map(operator.add, a_num, off)))
+                   for off in offsets):
+                hits.append(make_certificate(K, b, spec.k, a, xi, pattern))
                 if spec.max_hits and len(hits) >= spec.max_hits:
                     return hits
     return hits
@@ -138,29 +162,37 @@ def verify_certificate(cert: Certificate):
     except (TypeError, ValueError, KeyError, OverflowError,
             ZeroDivisionError):
         return False, ["schema"]
-    pattern = ball_elements(K, FractionalIdeal.unit_ideal(K), cert.k)
+    # the pattern is enumerated up to one point more than the certificate
+    # lists: a longer one fails "pattern" whatever it holds, and its radius
+    # is not re-derived
+    pattern = list(itertools.islice(
+        iter_ball_elements(K, FractionalIdeal.unit_ideal(K), cert.k),
+        len(given) + 1))
     expected = [a + xi * j for j in pattern]
     if sorted(tuple(p.coords) for p in expected) != \
             sorted(tuple(p.coords) for p in given):
         diagnoses.append("pattern")
-    # the points are a + xi j (else "pattern"), so each |pt - a| is below
-    # the radius once it is the one make_certificate derives
-    try:
-        radius = _radius(K, xi, pattern)
-    except OverflowError:  # |xi j|^2 beyond the float range: no finite radius
-        radius = math.inf
-    if cert.radius != radius:
-        diagnoses.append("metric")
+    if len(pattern) <= len(given):
+        # the points are a + xi j (else "pattern"), so each |pt - a| is
+        # below the radius once it is the one make_certificate derives
+        try:
+            radius = _radius(K, xi, pattern)
+        except OverflowError:  # |xi j|^2 beyond the float range
+            radius = math.inf
+        if cert.radius != radius:
+            diagnoses.append("metric")
     derived = []
     step_ideal = FractionalIdeal.principal(K, xi) * ambient
     for pt in given:
-        if not ambient.contains(pt):
+        # one membership test: is_prime_vector's, None for a non-member
+        v = ambient.numerators(pt)
+        prime = None if v is None else is_prime_vector(K, ambient, v)
+        if prime is None:
             diagnoses.append("membership")
             continue
-        if not step_ideal.contains(pt - a) \
-                and tuple(pt.coords) != tuple(a.coords):
+        if not step_ideal.contains(pt - a):
             diagnoses.append("congruence")
-        if not is_prime_element(K, ambient, pt):
+        if not prime:
             diagnoses.append("primality")
         else:
             derived.append(_witness(K, ambient, pt))
@@ -172,11 +204,12 @@ def verify_certificate(cert: Certificate):
 
 def verify_line(text: str):
     """verify_certificate on one JSON certificate line; a line that is not
-    JSON, whose keys are not exactly the certificate fields, or whose
-    values have the wrong type, is diagnosed as "schema"."""
+    JSON (or holds a number beyond Python's int-string limit), whose keys
+    are not exactly the certificate fields, or whose values have the wrong
+    type, is diagnosed as "schema"."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # json.JSONDecodeError is a ValueError
         return False, ["schema"]
     if not isinstance(obj, dict) \
             or set(obj) != {f.name for f in fields(Certificate)}:

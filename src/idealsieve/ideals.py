@@ -6,7 +6,7 @@ The representation is canonical, so equality and hashing are structural.
 Prime ideals come from Dedekind splitting of the defining polynomial,
 which is valid index-free on the vetted field list; as every vetted field
 is abelian, the splitting is read off p modulo the conductor, and as it is
-Galois, primality of an ideal is read off its norm (is_prime_element).
+Galois, primality of an ideal is read off its norm (is_prime_vector).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .arith import factorint, iroot, isprime, primerange, sqrt_mod
 from .errors import BudgetExceededError, UnsupportedFieldError
-from .linalg import hnf, mat_inv_fraction
+from .linalg import det_int, hnf, mat_inv_fraction
 from .numberfield import FieldElement, NumberField
 
 
@@ -95,6 +95,14 @@ class FractionalIdeal:
             rem = x.coords[col] * self.den - sum(map(operator.mul, y, column))
             y.append(rem / column[col])
         return y
+
+    def numerators(self, x: FieldElement):
+        """The integer vector den x, or None if it is not integral (then x
+        is not in the ideal)."""
+        v = [c * self.den for c in x.coords]
+        if any(c.denominator != 1 for c in v):
+            return None
+        return tuple(c.numerator for c in v)
 
     def contains(self, x: FieldElement) -> bool:
         """Exact lattice membership: x is in the ideal iff its coordinates
@@ -546,20 +554,39 @@ def class_equivalent(a: FractionalIdeal, b: FractionalIdeal,
 
 
 def is_prime_element(K: NumberField, b: FractionalIdeal, xi: FieldElement) -> bool:
-    """True iff the integral ideal (xi) b^{-1} is prime, read off its norm
-    N = |N(xi)| / N(b): every vetted field is Galois, so the primes above p
+    """True iff the integral ideal (xi) b^{-1} is prime (is_prime_vector on
+    the numerators of xi over b.den); ValueError if xi is not in b."""
+    v = b.numerators(xi)
+    prime = None if v is None else is_prime_vector(K, b, v)
+    if prime is None:
+        raise ValueError("xi is not an element of the ambient ideal")
+    return prime
+
+
+def is_prime_vector(K: NumberField, b: FractionalIdeal, v):
+    """For x = v / b.den, v an integer vector: None if x is not in b, else
+    whether the integral ideal (x) b^{-1} is prime.
+
+    Membership is HNF back-substitution with divmod.  Primality is read off
+    the norm N = N((x) b^{-1}) = |det(multiplication-by-v matrix)| / det(H),
+    H the HNF of b: every vetted field is Galois, so the primes above p
     share one residue degree f, which divides n, and an ideal of norm p^a
     is prime iff a = f.  Nothing is factored: for each f | n, N = r^f is
     tested with r the integer f-th root.  b must be an O_K-ideal in
     canonical HNF (see from_json)."""
-    if not b.contains(xi):
-        raise ValueError("xi is not an element of the ambient ideal")
-    if not xi:
+    y = []
+    for col, column in enumerate(zip(*b.mat)):
+        q, r = divmod(v[col] - sum(map(operator.mul, y, column)), column[col])
+        if r:
+            return None
+        y.append(q)
+    if not any(v):
         return False
-    N = abs(xi.norm()) / b.norm()
-    if N.denominator != 1:
-        raise ValueError("(xi) b^{-1} is not integral; malformed ambient ideal")
-    N, n = int(N), K.degree
+    N, r = divmod(abs(det_int(K.mul_rows(v))),
+                  math.prod(row[i] for i, row in enumerate(b.mat)))
+    if r:
+        raise ValueError("(x) b^{-1} is not integral; malformed ambient ideal")
+    n = K.degree
     for f in range(1, n + 1):
         if n % f == 0:
             r = iroot(N, f)

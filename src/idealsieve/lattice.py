@@ -19,7 +19,14 @@ from .numberfield import FieldElement, NumberField
 
 def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
     """All lattice points of the ideal with Minkowski norm < radius, sorted
-    by coordinates.
+    by coordinates (the list of iter_ball_elements)."""
+    return list(iter_ball_elements(K, ideal, radius, budget))
+
+
+def iter_ball_elements(K: NumberField, ideal, radius: float,
+                       budget: int = 10**7):
+    """The lattice points of the ideal with Minkowski norm < radius, in
+    coordinate order, generated one at a time.
 
     Exact.  With H the ideal's integer HNF rows and den its denominator,
     the point c H / den has squared norm c Q c^T / den^2 for the integer
@@ -36,7 +43,7 @@ def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
     coordinates.
     """
     if radius <= 0:
-        return []
+        return
     H, den, n = ideal.mat, ideal.den, K.degree
     HG = [[sum(h * g for h, g in zip(row, col)) for col in zip(*K.gram)]
           for row in H]
@@ -60,7 +67,6 @@ def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
     w = [d[i] / M[i] ** 2 for i in range(n)]
     W = math.lcm(*(x.denominator for x in w))
     e = [int(x * W) for x in w]
-    out = []
     c = [0] * n
 
     def descend(i, T):
@@ -71,16 +77,15 @@ def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
         if i < n - 1:
             for c[i] in range(lo, hi + 1):
                 y = M[i] * c[i] + S
-                descend(i + 1, T - e[i] * y * y)
+                yield from descend(i + 1, T - e[i] * y * y)
             return
         # the point is c H / den, H's last row scaled by the innermost c_i
         base = [sum(a * row[j] for a, row in zip(c[:i], H)) for j in range(n)]
-        out.extend(FieldElement(K, tuple(Fraction(b + ci * h, den)
-                                         for b, h in zip(base, H[i])))
-                   for ci in range(lo, hi + 1))
+        for ci in range(lo, hi + 1):
+            yield FieldElement(K, tuple(Fraction(b + ci * h, den)
+                                        for b, h in zip(base, H[i])))
 
-    descend(0, (math.ceil(R2) - 1) * W)
-    return out
+    yield from descend(0, (math.ceil(R2) - 1) * W)
 
 
 class Parallelotope:

@@ -174,6 +174,24 @@ def test_verify_rederives_radius(tmp_path):
         (True, []), (False, ["metric"]), (True, [])]
 
 
+@pytest.mark.parametrize("digits", ['"' + "1" * 5000 + '"', "1" * 5000],
+                         ids=["string", "number"])
+def test_verify_huge_coordinate_is_schema(tmp_path, digits):
+    # 5,000 digits exceed Python's int-string limit, as a string or as a
+    # JSON number: the line is "schema" and the lines around it are
+    # verified
+    lines = _write_certs(tmp_path).read_text().splitlines()
+    anchor = json.loads(lines[1])["anchor"]
+    lines[1] = lines[1].replace(json.dumps(anchor),
+                                "[" + ", ".join([digits] * len(anchor)) + "]")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "v.jsonl"
+    assert run(["--output", str(out), "verify", str(bad)]) == EXIT_USAGE
+    assert [(r["ok"], r["diagnoses"]) for r in read_lines(out)] == [
+        (True, []), (False, ["schema"]), (True, [])]
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_certificates():
     QI = make_field("Q(i)")

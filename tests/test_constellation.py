@@ -1,9 +1,11 @@
 import collections
 import json
 import math
+import time
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from idealsieve import constellation
 from idealsieve.constellation import (Certificate, ConstellationSpec,
@@ -14,9 +16,10 @@ from idealsieve.errors import UnsupportedFieldError
 from idealsieve.ideals import (GENERATOR_BOUNDS, FractionalIdeal,
                                enumerate_prime_ideals, euler_phi,
                                factor_rational_prime, is_prime_element,
-                               principal_generator)
+                               is_prime_vector, principal_generator)
 from idealsieve.lattice import ball_elements
-from idealsieve.numberfield import make_field, minkowski_norm
+from idealsieve.numberfield import (SUPPORTED_POLYS, FieldElement, make_field,
+                                    minkowski_norm)
 from idealsieve.sieve import SieveConfig
 
 Q = make_field("Q")
@@ -61,11 +64,11 @@ def test_search_tests_each_point_once(monkeypatch):
     # point gets one primality test per search
     calls = collections.Counter()
 
-    def counting(K, b, xi):
-        calls[xi.coords] += 1
-        return is_prime_element(K, b, xi)
+    def counting(K, b, v):
+        calls[tuple(v)] += 1
+        return is_prime_vector(K, b, v)
 
-    monkeypatch.setattr(constellation, "is_prime_element", counting)
+    monkeypatch.setattr(constellation, "is_prime_vector", counting)
     spec = ConstellationSpec(QI, FractionalIdeal.unit_ideal(QI), 1.5,
                              5.5, 2.1)
     assert search_constellation(spec)
@@ -92,6 +95,54 @@ def _search_oracle(spec):
             for xi in steps for a in anchors
             if all(is_prime_element(K, spec.ambient, a + xi * j)
                    for j in pattern)]
+
+
+def _search_ambients(K):
+    """O_K, every prime above 2 and 3 (the non-principal ones in Q(sqrt-5)
+    among them) and the inverse of the first prime above 2 (den > 1)."""
+    primes = [P.ideal() for p in (2, 3) for P in factor_rational_prime(K, p)]
+    return [FractionalIdeal.unit_ideal(K)] + primes + [primes[0].inverse()]
+
+
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.sampled_from([1.5, 2, 2.1]),
+       anchor=st.integers(4, 16), step=st.integers(2, 8))
+def test_search_matches_oracle(name, data, k, anchor, step):
+    # the integer-vector search gives the oracle's certificates, in order;
+    # the bounds are scaled by N(b)^(1/n), so the balls hold about the same
+    # number of points for every ambient, fewer in the quartic field
+    K = make_field(name)
+    b = data.draw(st.sampled_from(_search_ambients(K)), label="ambient")
+    scale = float(b.norm()) ** (1 / K.degree) * (0.3 if K.degree == 4 else 0.5)
+    spec = ConstellationSpec(K, b, k, anchor * scale, step * scale)
+    assert [c.to_json() for c in search_constellation(spec)] == \
+        [c.to_json() for c in _search_oracle(spec)]
+
+
+def test_search_field_arithmetic_only_in_certificates(monkeypatch):
+    # the candidates are integer vectors, so FieldElement products and sums
+    # are made only by make_certificate (a + xi j and the radius), at most
+    # 2 |pattern| and |pattern| per hit, however many anchors are tried
+    counts = collections.Counter()
+
+    def counted(op):
+        orig = getattr(FieldElement, op)
+
+        def wrapper(self, other):
+            counts[op] += 1
+            return orig(self, other)
+        return wrapper
+
+    for op in ("__mul__", "__add__"):
+        monkeypatch.setattr(FieldElement, op, counted(op))
+    O = FractionalIdeal.unit_ideal(QI)
+    spec = ConstellationSpec(QI, O, 1.5, 25, 2.5, max_hits=20)
+    hits = search_constellation(spec)
+    size = len(spec.pattern())
+    assert hits and len(ball_elements(QI, O, 25)) > 2 * size * len(hits)
+    assert counts["__mul__"] <= 2 * size * len(hits)
+    assert counts["__add__"] <= size * len(hits)
 
 
 def test_search_gaussian_cross():
@@ -212,6 +263,36 @@ def test_certificate_value_types_checked(key, value):
     obj = json.loads(cert.to_json())
     obj[key] = value
     assert verify_line(json.dumps(obj)) == (False, ["schema"])
+
+
+@pytest.mark.parametrize("coord", [
+    "1e30000", "1e3", "1.0", "1.", " 1", "1 ", "+1", "inf", "nan", "1/0",
+    "1/-2", "1/", "0x1", "1_0", "\u0661", "", 1, 1.0, None, ["1"]])
+def test_coordinate_form_checked(coord):
+    # only the form _coords_out writes is read, so a short exponent string
+    # cannot expand to a huge Fraction
+    obj = json.loads(_one_cert().to_json())
+    obj["points"][0] = [coord]
+    t = time.perf_counter()
+    assert verify_line(json.dumps(obj)) == (False, ["schema"])
+    assert time.perf_counter() - t < 0.1
+
+
+def test_coordinate_forms_accepted():
+    obj = json.loads(_one_cert().to_json())
+    assert verify_line(json.dumps(obj)) == (True, [])
+    obj["points"][0] = ["-1/2"]  # well formed, not a point of the pattern
+    assert verify_line(json.dumps(obj)) == (False, ["pattern", "membership"])
+
+
+def test_large_k_is_pattern_fast():
+    # a k far beyond the listed points: the pattern is enumerated up to one
+    # point more than the three listed, and the radius is not re-derived
+    bad = Certificate.from_json(_one_cert().to_json())
+    bad.k = 1e5
+    t = time.perf_counter()
+    assert verify_certificate(bad) == (False, ["pattern"])
+    assert time.perf_counter() - t < 0.5
 
 
 def test_tampered_field_detected():

@@ -10,7 +10,8 @@ from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
-                               is_prime_element, mobius, principal_generator,
+                               is_prime_element, is_prime_vector, mobius,
+                               principal_generator,
                                residue_degrees, zeta_residue)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from oracles import (add_oracle, gauss_jordan_coords, inverse_oracle,
@@ -394,6 +395,46 @@ def test_is_prime_element_matches_ideal_oracle(amb, coeffs):
     for c, e in zip(coeffs, b.basis_elements()):
         xi = xi + e * K.element(c)
     assert is_prime_element(K, b, xi) == _is_prime_element_oracle(K, b, xi)
+
+
+# the inverses of the primes above 2 and 3 of every vetted field (den > 1)
+_INVERSE_AMBIENTS = [(K, P.ideal().inverse())
+                     for K in map(make_field, SUPPORTED_POLYS)
+                     for p in (2, 3) for P in factor_rational_prime(K, p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(amb=st.sampled_from(_INVERSE_AMBIENTS),
+       coeffs=st.lists(st.integers(-12, 12), min_size=4, max_size=4))
+def test_is_prime_vector_matches_ideal_oracle_den_above_one(amb, coeffs):
+    K, b = amb
+    assert b.den > 1
+    xi = K.zero
+    for c, e in zip(coeffs, b.basis_elements()):
+        xi = xi + e * K.element(c)
+    v = b.numerators(xi)
+    assert v == tuple(x * b.den for x in xi.coords)
+    assert is_prime_vector(K, b, v) == _is_prime_element_oracle(K, b, xi)
+
+
+def test_is_prime_vector_membership_and_zero():
+    K = make_field("Q(sqrt-5)")
+    (P2,) = factor_rational_prime(K, 2)
+    b = P2.ideal()  # (2, 1 + sqrt-5): 1 is not in it, 2 and 1 + sqrt-5 are
+    assert is_prime_vector(K, b, (1, 0)) is None
+    assert is_prime_vector(K, b, (0, 0)) is False
+    assert is_prime_vector(K, b, (2, 0)) is True
+    with pytest.raises(ValueError, match="not an element"):
+        is_prime_element(K, b, K.one)
+    O = FractionalIdeal.unit_ideal(K)
+    half = K.element([Fraction(1, 2), 0])
+    assert O.numerators(half) is None
+    with pytest.raises(ValueError, match="not an element"):
+        is_prime_element(K, O, half)
+    inv = b.inverse()  # den 2: 1/2 + sqrt-5/2 is in it, 1/2 is not
+    assert inv.numerators(half) == (1, 0)
+    assert is_prime_vector(K, inv, (1, 0)) is None
+    assert is_prime_vector(K, inv, (1, 1)) is not None
 
 
 # ---------------------------------------------------------------- truncated class
