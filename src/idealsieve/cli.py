@@ -327,7 +327,11 @@ def build_parser():
     p.add_argument("--k", type=positive_float, default=1.5)
     p.add_argument("--w", type=int, default=3)
     p = add("search", cmd_search)
-    p.add_argument("--k", type=positive_float, default=1.5)
+    p.add_argument("--k", type=positive_float, default=1.5,
+                   help="the pattern is O_K cap B_k; for k <= |1| = "
+                   "sqrt(degree) (1 in Q, 1.41 in the quadratic fields, 2 "
+                   "in Q(zeta5)) it is the one point 0, so the default 1.5 "
+                   "certifies single prime elements in Q(zeta5)")
     p.add_argument("--anchor-bound", type=positive_float, default=100.0)
     p.add_argument("--step-bound", type=positive_float, default=12.0)
     p.add_argument("--max-hits", type=non_negative_int, default=10,

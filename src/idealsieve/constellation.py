@@ -232,8 +232,8 @@ class AlphaScanResult:
 
 def alpha_scan(cfg: SieveConfig, window, budget: int = 10**6) -> AlphaScanResult:
     """Bin Lambda_{K,R}^2 masses of prime ideals in the class of the
-    inverse ambient ideal by the residue alpha in (W G) cap b of a bounded
-    generator of the corresponding principal ideal.
+    inverse ambient ideal by the residue alpha in (W G) cap b of the
+    canonical generator (principal_generator) of the principal ideal P b.
 
     Masses are accumulated as exact rationals (each float Lambda^2 value
     converts exactly), so the partition identity is zero-tolerance.

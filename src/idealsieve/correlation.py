@@ -287,20 +287,19 @@ def squarefree_ideals(K, R, W, prime_support=None, budget: int = 10**6):
 
 def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
                            alpha=1, budget: int = 10**8,
-                           prime_support=None, weights="bump",
-                           t=None, tprime=None, phi=None):
+                           prime_support=None, phi=None):
     """The double sum over squarefree ideal s-tuples d, d' of
 
-        omega((d_j cap d'_j)_j) prod_j mu(d_j) mu(d'_j) g_j(d_j) g'_j(d'_j)
+        omega((d_j cap d'_j)_j) prod_j mu(d_j) mu(d'_j) g(d_j) g(d'_j)
 
-    with g the bump weight phi(log N d / log R) (weights="bump") or the
-    Euler weight N d^{-(1+i t_j)/log R} (weights="euler").
+    with g the bump weight phi(log N d / log R).
 
     Fast path: when the coefficient matrix has full row rank at every
     prime off W (empty exceptional set), omega factors across forms and
     the sum collapses to a product of s identical pair sums, computed once
     by Selberg's diagonalisation (_pair_sum_rational over Q,
-    _pair_sum_ideals otherwise).
+    _pair_sum_ideals otherwise).  prime_support forces the direct tuple
+    sum over the squarefree ideals built from those primes.
     """
     from .sieve import DEFAULT_BUMP
 
@@ -309,24 +308,11 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     logR = math.log(R)
     alpha = alpha if isinstance(alpha, FieldElement) else K.element(alpha)
 
-    if weights == "bump":
-        def gw(j, n):  # same for d and d'
-            return phi(math.log(n) / logR) if n < R else 0.0
-        gws = [gw, gw]
-    else:
-        tv = list(t) if t is not None else [0.0] * forms.s
-        tpv = list(tprime) if tprime is not None else [0.0] * forms.s
-
-        def g1(j, n):
-            return n ** complex(-1 / logR, -tv[j] / logR)
-
-        def g2(j, n):
-            return n ** complex(-1 / logR, -tpv[j] / logR)
-        gws = [g1, g2]
+    def g(n):
+        return phi(math.log(n) / logR) if n < R else 0.0
 
     exceptional = _exceptional_primes(forms, W)
-    if not exceptional and forms.s <= forms.m and prime_support is None \
-            and weights == "bump":
+    if not exceptional and forms.s <= forms.m and prime_support is None:
         if K.degree == 1:
             pair = _pair_sum_rational(R, W, logR, phi)
         else:
@@ -347,13 +333,13 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     total = []
     for dd in itertools.product(range(D), repeat=forms.s):
         for dp in itertools.product(range(D), repeat=forms.s):
-            term = 1.0 + 0.0j if weights == "euler" else 1.0
+            term = 1.0
             union = {}
             for j in range(forms.s):
                 Sd, nd = pairs[dd[j]]
                 Sp, np_ = pairs[dp[j]]
                 sgn = (-1) ** (len(Sd) + len(Sp))
-                term *= sgn * gws[0](j, nd) * gws[1](j, np_)
+                term *= sgn * g(nd) * g(np_)
                 for P in Sd | Sp:
                     union.setdefault(P, [False] * forms.s)[j] = True
             if not term:
@@ -363,9 +349,6 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
                              W, alpha)
             if om:
                 total.append(term * float(om))
-    if weights == "euler":
-        return complex(math.fsum(x.real for x in total),
-                       math.fsum(x.imag for x in total))
     return math.fsum(total)
 
 

@@ -484,71 +484,72 @@ def zeta_residue(K: NumberField) -> float:
 # ---------------------------------------------------------------------
 # Ideal classes, primality of elements, truncated classes
 
-# Minkowski-style generator bound constants |sigma(xi)| <= c_K N(xi)^(1/n),
-# valid for fields with finite unit group; exhaustively validated in tests.
-GENERATOR_BOUNDS = {
-    "Q": 1.0,
-    "Q(i)": math.sqrt(2.0),
-    "Q(sqrt-2)": 1.0 + 1e-9,
-    "Q(sqrt-3)": 1.0 + 1e-9,
-    "Q(sqrt-5)": 1.0 + 1e-9,
-}
-
-
 def has_finite_unit_group(K: NumberField) -> bool:
     return K.r1 + K.r2 - 1 == 0
 
 
-def _generator_radius(c: FractionalIdeal) -> float:
-    """sqrt(n) * c_K * N(c)^(1/n), widened by a relative 1e-6: the
-    Minkowski radius within which a principal ideal c has a generator."""
-    n = c.K.degree
-    t = float(c.norm()) ** (1.0 / n)
-    return math.sqrt(n) * GENERATOR_BOUNDS[c.K.name] * t * (1 + 1e-6) + 1e-9
+def _generators(c: FractionalIdeal):
+    """Every generator of c in coordinate order, or [] if c is not
+    principal.
+
+    The unit group must be finite: on the vetted list that is Q and the
+    imaginary quadratic fields, of degree n <= 2, where every embedding
+    has the same absolute value and |x|^2 = n |N(x)|^(2/n).  A nonzero x
+    in c has |N(x)| >= N(c), with equality iff (x) = c, so the generators
+    are exactly the vectors of c meeting the least possible norm: for the
+    numerators w = den x and G = K.gram, w G w^T = n det(H)^(2/n), H the
+    HNF of c.  The minimal vectors of a lattice are +-H_0 in degree 1 and,
+    after Lagrange-Gauss reduction of the rows of H to (u, v) with
+    |2 B(u, v)| <= B(u, u) <= B(v, v), among +-u, +-v and +-(u +- v) in
+    degree 2 (Cohen, GTM 138, Ch. 5); c is principal iff one of them meets
+    the bound.
+    """
+    K = c.K
+    if not has_finite_unit_group(K):
+        raise UnsupportedFieldError(
+            f"principal generators require a finite unit group; {K.name} "
+            f"has unit rank {K.r1 + K.r2 - 1}")
+
+    def B(x, y):
+        return sum(a * g * b for a, row in zip(x, K.gram)
+                   for g, b in zip(row, y))
+
+    n = K.degree
+    candidates = list(c.mat)
+    if n == 2:
+        u, v = candidates
+        while True:
+            a = B(u, u)
+            q = (2 * B(u, v) + a) // (2 * a)  # the integer nearest B(u, v)/a
+            v = [y - q * x for x, y in zip(u, v)]
+            if B(v, v) >= a:
+                break
+            u, v = v, u
+        candidates = [u, v, [x + y for x, y in zip(u, v)],
+                      [x - y for x, y in zip(u, v)]]
+    least = n * math.prod(row[i] for i, row in enumerate(c.mat)) ** (2 // n)
+    gens = sorted(tuple(s * x for x in w) for w in candidates
+                  if B(w, w) == least for s in (1, -1))
+    return [FieldElement(K, tuple(Fraction(x, c.den) for x in w))
+            for w in gens]
 
 
 def principal_generator(c: FractionalIdeal):
-    """A canonical generator of a principal fractional ideal, or None.
-
-    Searches the Minkowski ball of radius sqrt(n) * c_K * N(c)^(1/n); the
-    bounded-generator constant makes the search complete for fields with a
-    finite unit group; a point xi of c generates c iff |N(xi)| = N(c).
-    Canonical choice: lexicographically smallest coordinate tuple among
-    valid generators.
-    """
-    K = c.K
-    if K.name not in GENERATOR_BOUNDS:
-        raise UnsupportedFieldError(
-            f"bounded generator search unsupported for {K.name}")
-    from .lattice import ball_elements  # local import to avoid a cycle
-
-    Nc = c.norm()
-    best = None
-    for xi in ball_elements(K, c, _generator_radius(c)):
-        if abs(xi.norm()) == Nc:
-            key = tuple(xi.coords)
-            if best is None or key < best[0]:
-                best = (key, xi)
-    return None if best is None else best[1]
+    """The canonical generator of a principal fractional ideal, the first
+    of _generators(c) in coordinate order, or None if c is not
+    principal."""
+    gens = _generators(c)
+    return gens[0] if gens else None
 
 
 def class_equivalent(a: FractionalIdeal, b: FractionalIdeal,
                      m: FractionalIdeal):
     """Is b = (xi) a for some nonzero xi in 1 + m a^{-1}?  Returns
-    (bool, witness).  A generator of c = b a^{-1} is a point xi of c with
-    |N(xi)| = N(c)."""
-    K = a.K
-    if not has_finite_unit_group(K):
-        raise UnsupportedFieldError(
-            f"class equivalence requires a finite unit group; {K.name} has rank "
-            f"{K.r1 + K.r2 - 1}")
-    c = b * a.inverse()
+    (bool, witness), the witness the first generator of c = b a^{-1} in
+    coordinate order that meets the congruence."""
     cong = m * a.inverse()
-    Nc = c.norm()
-    from .lattice import ball_elements
-
-    for xi in ball_elements(K, c, _generator_radius(c)):
-        if abs(xi.norm()) == Nc and cong.contains(xi - K.one):
+    for xi in _generators(b * a.inverse()):
+        if cong.contains(xi - a.K.one):
             return True, xi
     return False, None
 

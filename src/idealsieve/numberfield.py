@@ -237,9 +237,6 @@ class FieldElement:
         d = math.lcm(*(c.denominator for c in self.coords))
         return d, [c.numerator * (d // c.denominator) for c in self.coords]
 
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
-
     def norm(self):
         """Field norm N_{K/Q}, exact: with d the common denominator of the
         coordinates, det(multiplication-by-dx matrix) / d^n, the

@@ -8,12 +8,21 @@ test oracles.
 - `mul_oracle`, `add_oracle`, `inverse_oracle`: product, sum and inverse
   from the basis elements, multiplied as field elements and rebuilt by
   `from_rows`.
+- `principal_generator_oracle`, `class_equivalent_oracle`: the bounded
+  generator search that the reduced binary form replaced, a Minkowski
+  ball of radius sqrt(n) c_K N(c)^(1/n) searched for points of norm N(c).
+- `singular_series_euler`: the direct tuple sum of the singular series
+  with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
+  product F_euler must reproduce.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
+from idealsieve.correlation import omega_tuple, squarefree_ideals
 from idealsieve.ideals import FractionalIdeal
+from idealsieve.lattice import ball_elements
 from idealsieve.linalg import hnf, mat_inv_fraction
 
 
@@ -59,3 +68,71 @@ def inverse_oracle(a):
     # dual rows = columns of B^-1; solution lattice = D * dual
     return from_rows(K, [[D * Binv[r][c] for r in range(n)]
                          for c in range(n)])
+
+
+# Minkowski-style generator bound constants |sigma(xi)| <= c_K N(xi)^(1/n)
+# for the fields with a finite unit group.
+GENERATOR_BOUNDS = {
+    "Q": 1.0,
+    "Q(i)": math.sqrt(2.0),
+    "Q(sqrt-2)": 1.0 + 1e-9,
+    "Q(sqrt-3)": 1.0 + 1e-9,
+    "Q(sqrt-5)": 1.0 + 1e-9,
+}
+
+
+def _ball_generators(c):
+    """The points xi of c with |N(xi)| = N(c) in the ball of radius
+    sqrt(n) c_K N(c)^(1/n), widened by a relative 1e-6, in coordinate
+    order."""
+    K = c.K
+    n = K.degree
+    t = float(c.norm()) ** (1.0 / n)
+    radius = math.sqrt(n) * GENERATOR_BOUNDS[K.name] * t * (1 + 1e-6) + 1e-9
+    Nc = c.norm()
+    return [xi for xi in ball_elements(K, c, radius) if abs(xi.norm()) == Nc]
+
+
+def principal_generator_oracle(c):
+    """The lexicographically smallest coordinate tuple among the
+    generators in the ball, or None."""
+    gens = _ball_generators(c)
+    return min(gens, key=lambda xi: xi.coords) if gens else None
+
+
+def class_equivalent_oracle(a, b, m):
+    """The first generator of b a^{-1} in ball order with xi - 1 in
+    m a^{-1}."""
+    cong = m * a.inverse()
+    for xi in _ball_generators(b * a.inverse()):
+        if cong.contains(xi - a.K.one):
+            return True, xi
+    return False, None
+
+
+def singular_series_euler(forms, R, W, prime_support, t, tprime,
+                          budget=10**8):
+    """The double sum over squarefree ideal s-tuples d, d' built from
+    prime_support of omega((d_j cap d'_j)_j) prod_j mu(d_j) mu(d'_j)
+    N d_j^{-(1+i t_j)/log R} N d'_j^{-(1+i t'_j)/log R}, at alpha = 1."""
+    K, s = forms.K, forms.s
+    logR = math.log(R)
+    pairs = squarefree_ideals(K, R, W, prime_support=prime_support,
+                              budget=budget)
+    total = []
+    for dd in itertools.product(pairs, repeat=s):
+        for dp in itertools.product(pairs, repeat=s):
+            term = 1.0 + 0.0j
+            union = {}
+            for j, ((Sd, nd), (Sp, np_)) in enumerate(zip(dd, dp)):
+                term *= (-1) ** (len(Sd) + len(Sp)) \
+                    * nd ** complex(-1 / logR, -t[j] / logR) \
+                    * np_ ** complex(-1 / logR, -tprime[j] / logR)
+                for P in Sd | Sp:
+                    union.setdefault(P, [False] * s)[j] = True
+            om = omega_tuple(forms, sorted(union.items(),
+                                           key=lambda kv: kv[0].sort_key()),
+                             W, K.one)
+            total.append(term * float(om))
+    return complex(math.fsum(x.real for x in total),
+                   math.fsum(x.imag for x in total))

@@ -1,6 +1,5 @@
 import collections
 import json
-import math
 import time
 
 import pytest
@@ -13,7 +12,7 @@ from idealsieve.constellation import (Certificate, ConstellationSpec,
                                       search_constellation,
                                       verify_certificate, verify_line)
 from idealsieve.errors import UnsupportedFieldError
-from idealsieve.ideals import (GENERATOR_BOUNDS, FractionalIdeal,
+from idealsieve.ideals import (FractionalIdeal, class_equivalent,
                                enumerate_prime_ideals, euler_phi,
                                factor_rational_prime, is_prime_element,
                                is_prime_vector, principal_generator)
@@ -315,23 +314,26 @@ def test_search_then_verify_many():
         assert ok, (c.anchor, c.step, why)
 
 
-# ---------------------------------------------------------------- generator bounds
+# ---------------------------------------------------------------- generators
 
-def test_generator_bound_table():
-    assert GENERATOR_BOUNDS["Q"] == 1.0
-    assert GENERATOR_BOUNDS["Q(i)"] == pytest.approx(math.sqrt(2.0))
-    K = make_field("Q(sqrt5)")  # infinite unit group: no table entry
+@pytest.mark.parametrize("name", ["Q(sqrt2)", "Q(sqrt5)", "Q(zeta5)"])
+def test_generator_unsupported_fields(name):
+    # a unit of infinite order leaves no least norm to read generators off
+    K = make_field(name)
+    O = FractionalIdeal.unit_ideal(K)
+    P = factor_rational_prime(K, 11)[0].ideal()
     with pytest.raises(UnsupportedFieldError):
-        principal_generator(factor_rational_prime(K, 11)[0].ideal())
+        principal_generator(P)
+    with pytest.raises(UnsupportedFieldError):
+        class_equivalent(O, P, O)
 
 
 @pytest.mark.parametrize("name", ["Q(i)", "Q(sqrt-2)", "Q(sqrt-3)",
                                   "Q(sqrt-5)"])
 def test_generator_bound_validated(name):
     # imaginary quadratic: |sigma(xi)|^2 = N(xi) at the single complex
-    # place, so Minkowski norm of any generator is exactly sqrt(2 N)
+    # place, so every generator of P meets the bound |xi|^2 = 2 N(P)
     K = make_field(name)
-    c_K = GENERATOR_BOUNDS[name]
     checked = 0
     for P in enumerate_prime_ideals(K, 100):
         if P.norm() > 10**4:
@@ -342,9 +344,8 @@ def test_generator_bound_validated(name):
             continue
         assert FractionalIdeal.principal(K, xi) == P.ideal()
         Nrm = P.norm()
-        mink = minkowski_norm(K, xi)
-        assert mink**2 == pytest.approx(2.0 * Nrm, rel=1e-9)
-        assert mink <= math.sqrt(2.0) * c_K * math.sqrt(Nrm) * (1 + 1e-6)
+        assert minkowski_norm(K, xi) ** 2 == pytest.approx(2.0 * Nrm,
+                                                           rel=1e-12)
         checked += 1
     # class number 2 leaves fewer principal primes below the cutoff
     assert checked >= (5 if name == "Q(sqrt-5)" else 10)

@@ -27,7 +27,7 @@ from idealsieve.lattice import Parallelotope
 from idealsieve.linalg import hnf
 from idealsieve.numberfield import make_field
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig
-from oracles import gauss_jordan_coords
+from oracles import gauss_jordan_coords, singular_series_euler
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -344,11 +344,10 @@ def test_euler_route_agrees_on_common_support():
     forms = LinearFormSystem(Q, [[1, 0], [0, 1]])
     R = 36.0
     primes = enumerate_prime_ideals(Q, 7)  # {2, 3, 5, 7}; W = 6 keeps {5, 7}
-    direct = singular_series_direct(forms, R, 6, prime_support=primes,
-                                    budget=10**8, weights="euler",
-                                    t=[0.0, 0.0], tprime=[0.0, 0.0])
+    direct = singular_series_euler(forms, R, 6, primes, [0.0, 0.0],
+                                   [0.0, 0.0])
     value, _, _ = F_euler(forms, [0.0, 0.0], [0.0, 0.0], 7, R, 6)
-    assert complex(direct) == pytest.approx(value, rel=1e-9)
+    assert direct == pytest.approx(value, rel=1e-9)
 
 
 def test_f_euler_single_prime_oracle():

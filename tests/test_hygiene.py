@@ -70,17 +70,30 @@ def _unreferenced_definitions():
         elsewhere = set().union(*(_referenced_names(t)
                                   for p, t in trees.items() if p != path))
         for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and node.name not in exported | elsewhere \
-                    and node.name not in _referenced_names(trees[path], node):
-                out.append(f"{path.name}:{node.lineno}: {node.name}")
+            for name in _defined_names(node):
+                if name not in exported | elsewhere \
+                        and name not in _referenced_names(trees[path], node):
+                    out.append(f"{path.name}:{node.lineno}: {name}")
     return out
 
 
+def _defined_names(node):
+    """The names a module-level statement defines: a function, a class,
+    or the plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
 def test_every_definition_is_used():
-    # a module-level function or class is exported from the package or
-    # read somewhere in src/ or bench/; a path that only tests still call
-    # (an oracle) belongs in tests/
+    # a module-level function, class or constant is exported from the
+    # package or read somewhere in src/ or bench/; a path or table that
+    # only tests still read (an oracle) belongs in tests/
     assert _unreferenced_definitions() == []
 
 

@@ -10,12 +10,13 @@ from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
-                               is_prime_element, is_prime_vector, mobius,
-                               principal_generator,
+                               has_finite_unit_group, is_prime_element,
+                               is_prime_vector, mobius, principal_generator,
                                residue_degrees, zeta_residue)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
-from oracles import (add_oracle, gauss_jordan_coords, inverse_oracle,
-                     mul_oracle)
+from oracles import (add_oracle, class_equivalent_oracle,
+                     gauss_jordan_coords, inverse_oracle, mul_oracle,
+                     principal_generator_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -252,6 +253,17 @@ def test_principal_generator():
     assert FractionalIdeal.principal(QI, g) == a
 
 
+def test_principal_generator_of_skew_ideal():
+    # P^12 above 5 in Z[i] has the HNF ((1, x), (0, 5^12)), far too skew
+    # for a ball search in HNF coordinates (a 9.7e8-candidate box), and
+    # dividing by a cube above 13 makes it fractional; reduction needs no box
+    P5 = factor_rational_prime(QI, 5)[0].ideal()
+    c = P5 ** 12 * factor_rational_prime(QI, 13)[0].ideal() ** -3
+    g = principal_generator(c)
+    assert FractionalIdeal.principal(QI, g) == c
+    assert g.norm() == c.norm()
+
+
 def test_non_principal_prime_has_no_generator():
     K = make_field("Q(sqrt-5)")
     (P2,) = factor_rational_prime(K, 2)
@@ -286,6 +298,46 @@ def test_class_inequivalent_sqrt5m():
     ok, _ = class_equivalent(O, P2.ideal(),
                              FractionalIdeal.principal(K, K.one))
     assert not ok  # h = 2: the prime above 2 is not principal
+
+
+def test_finite_unit_group_premise():
+    # principal generators are the minimal vectors of a form of degree
+    # <= 2, which holds only where every unit is a root of unity
+    finite = {K.name for K in map(make_field, SUPPORTED_POLYS)
+              if has_finite_unit_group(K)}
+    assert finite == {"Q", "Q(i)", "Q(sqrt-2)", "Q(sqrt-3)", "Q(sqrt-5)"}
+    assert all(make_field(name).degree <= 2 for name in finite)
+
+
+# the fields with a finite unit group, and the primes of norm <= 30 in each
+_GENERATOR_PRIMES = {
+    K: [P.ideal() for P in enumerate_prime_ideals(K, 30)]
+    for K in map(make_field, ("Q", "Q(i)", "Q(sqrt-2)", "Q(sqrt-3)",
+                              "Q(sqrt-5)"))}
+
+
+@st.composite
+def _fractional_ideal(draw, K):
+    """A product of up to two small primes with exponents in [-1, 1]:
+    integral or fractional, and in Q(sqrt-5) principal or not.  Larger
+    ideals can be too skew for the oracle's ball budget."""
+    c = FractionalIdeal.unit_ideal(K)
+    for _ in range(draw(st.integers(0, 2))):
+        c = c * draw(st.sampled_from(_GENERATOR_PRIMES[K])) \
+            ** draw(st.integers(-1, 1))
+    return c
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), K=st.sampled_from(list(_GENERATOR_PRIMES)),
+       k=st.integers(1, 5))
+def test_generators_match_ball_oracle(data, K, k):
+    a, b = data.draw(_fractional_ideal(K)), data.draw(_fractional_ideal(K))
+    m = FractionalIdeal.principal(K, K.element(k)) \
+        * data.draw(_fractional_ideal(K))
+    c = b * a.inverse()
+    assert principal_generator(c) == principal_generator_oracle(c)
+    assert class_equivalent(a, b, m) == class_equivalent_oracle(a, b, m)
 
 
 # ---------------------------------------------------------------- primality
