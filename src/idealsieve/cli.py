@@ -222,7 +222,9 @@ def cmd_hypergraph(args):
 
     K = _field(args)
     cfg = SieveConfig(K, N=args.N, k=args.k, w=args.w)
-    rep = hypergraph_conditions_report(cfg, np.ones((args.N,) * K.degree))
+    # a read-only view of one 1.0: no memory before the state budget check
+    ones = np.broadcast_to(1.0, (args.N,) * K.degree)
+    rep = hypergraph_conditions_report(cfg, ones)
     _emit(args, [json.dumps(dict(rep, op="hypergraph"), sort_keys=True)])
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from .ideals import (FractionalIdeal, enumerate_prime_ideals, factor_ideal,
 from .lattice import (ball_elements, fundamental_domain_reduce,
                       iter_ball_elements)
 from .numberfield import FieldElement, NumberField, make_field, minkowski_norm
-from .sieve import SieveConfig, lambda_R
+from .sieve import SieveConfig, lambda_of_primes
 
 
 @dataclass
@@ -255,7 +255,7 @@ def alpha_scan(cfg: SieveConfig, window, budget: int = 10**6) -> AlphaScanResult
         if xi is None:
             continue  # prime not in the class of the inverse ambient ideal
         alpha, _ = fundamental_domain_reduce(K, cfg.ambient, xi, cfg.W)
-        lam = lambda_R(P.ideal(), cfg.R, cfg.phi)
+        lam = lambda_of_primes(K, (P,), cfg.R, cfg.phi)
         mass = Fraction(lam) ** 2
         key = tuple(str(c) for c in alpha.coords)
         masses[key] = masses.get(key, Fraction(0)) + mass

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .ideals import factor_ideal
+from .arith import factorint
+from .ideals import factor_ideal, factor_rational_prime
 from .lattice import admissible_modulus
 
 
@@ -36,7 +37,9 @@ class BumpFunction:
     """Smooth bump supported on (-1, 1); default exp(1 - 1/(1 - t^2)).
 
     A custom bump gives f and its derivative df together: c_phi is read
-    off df alone, so one without the other would mix two bumps.
+    off df alone, so one without the other would mix two bumps.  f must
+    return 0.0 for |t| >= support[1]: the sieve weights drop every
+    divisor with log N d / log R >= support[1] unevaluated.
     """
 
     def __init__(self, f=None, df=None, support=(-1.0, 1.0)):
@@ -120,9 +123,29 @@ def c_phi(phi: BumpFunction = DEFAULT_BUMP) -> float:
 
 # ---------------------------------------------------------------------
 # The truncated sieve weight
+#
+# phi(t) is exactly 0.0 for t >= phi.support[1], and log N d >= log N P
+# for every divisor d that P divides, so every subset that holds a prime P
+# with log N P / log R >= support[1] adds exactly +-0.0 to the sum.
+# Lambda_R therefore runs over the subsets of the small primes alone, kept
+# in factor_ideal's order (ascending p, then factor_rational_prime's
+# order), so the sums of logs and the fsum are those of the full subset
+# sum and the value is the same float.
+
+def _log_level(R) -> float:
+    """log R for a sieve level R; ValueError unless 1 < R < inf."""
+    if not 1 < R < math.inf:
+        raise ValueError(f"R must be finite and > 1, got {R}")
+    return math.log(R)
+
+
+def _is_small(norm, logR, phi) -> bool:
+    """Whether a prime of this norm can carry a nonzero subset term."""
+    return math.log(norm) / logR < phi.support[1]
+
 
 @lru_cache(maxsize=2 ** 16)
-def _lambda_cached(ideal_key, K, primes, logR, phi):
+def _lambda_cached(K, primes, logR, phi):
     terms = []
     for mask in itertools.product((0, 1), repeat=len(primes)):
         logNd = sum(m * math.log(P.norm()) for m, P in zip(mask, primes))
@@ -131,16 +154,46 @@ def _lambda_cached(ideal_key, K, primes, logR, phi):
     return math.fsum(terms)
 
 
+def lambda_of_primes(K, primes, R: float, phi: BumpFunction = DEFAULT_BUMP):
+    """Lambda_{K,R} of an integral ideal of K whose distinct primes, in
+    factor_ideal's order, are `primes`; only those of norm below
+    R^phi.support[1] enter the subset sum."""
+    logR = _log_level(R)
+    small = tuple(P for P in primes if _is_small(P.norm(), logR, phi))
+    return _lambda_cached(K, small, logR, phi)
+
+
 def lambda_R(n, R: float, phi: BumpFunction = DEFAULT_BUMP) -> float:
     """Lambda_{K,R}(n) = sum over squarefree divisors d of mu(d) phi(log N d / log R).
 
-    Only the distinct primes of n matter; the sum runs over subsets.
+    Only the distinct primes of n of norm below R^phi.support[1] matter;
+    the sum runs over their subsets.  ValueError unless 1 < R < inf.
     """
-    if R <= 1:
-        raise ValueError("R must exceed 1")
-    fac = factor_ideal(n)
-    primes = tuple(P for P, _ in fac.factors)
-    return _lambda_cached(n.key(), n.K, primes, math.log(R), phi)
+    return lambda_of_primes(n.K, (P for P, _ in factor_ideal(n).factors),
+                            R, phi)
+
+
+@lru_cache(maxsize=2 ** 12)
+def _prime_times(P, b):
+    """The ideal P b: y lies in it iff P divides (y) b^{-1}."""
+    return P.ideal() * b
+
+
+def _small_primes_dividing(y, b, logR, phi):
+    """The primes P of norm below R^phi.support[1] that divide the integral
+    ideal (y) b^{-1}, in factor_ideal's order.  They lie over the rational
+    primes of its norm |N(y)| / N(b); P divides it iff y lies in P b."""
+    if not _is_small(2, logR, phi):
+        return ()
+    K = y.K
+    out = []
+    for p in factorint(int(abs(y.norm()) / b.norm())):
+        if not _is_small(p, logR, phi):
+            break  # N P >= p, and p ascends
+        out += [P for P in factor_rational_prime(K, p)
+                if _is_small(P.norm(), logR, phi)
+                and _prime_times(P, b).contains(y)]
+    return tuple(out)
 
 
 @dataclass
@@ -200,19 +253,21 @@ def nu_weight(cfg: SieveConfig, x) -> float:
     """nu(x) = prefactor * Lambda_{K,R}((W x + alpha) b^{-1})^2.
 
     x ranges over the ambient ideal b; the argument of the sieve weight is
-    the integral ideal (W x + alpha) b^{-1}.  With cfg.raw the density
-    prefactor phi_K(W) logR Res / (c_phi W^n) is dropped.
+    the integral ideal (W x + alpha) b^{-1}, and only its primes of norm
+    below R^phi.support[1] are found, by the rational primes of its norm.
+    With cfg.raw the density prefactor phi_K(W) logR Res / (c_phi W^n) is
+    dropped.  ValueError unless 1 < cfg.R < inf, or if W x + alpha is not
+    in b.
     """
-    from .ideals import FractionalIdeal
-
+    logR = _log_level(cfg.R)
     K = cfg.K
     y = K.element(cfg.W) * x + cfg.alpha
     if not y:
         return 0.0
-    c = FractionalIdeal.principal(K, y) * cfg.ambient.inverse()
-    if not c.is_integral():
+    if not cfg.ambient.contains(y):
         raise ValueError("W x + alpha does not lie in the ambient ideal")
-    lam = lambda_R(c, cfg.R, cfg.phi)
+    primes = _small_primes_dividing(y, cfg.ambient, logR, cfg.phi)
+    lam = _lambda_cached(K, primes, logR, cfg.phi)
     v = lam * lam
     if not cfg.raw:
         v *= cfg.prefactor()

@@ -11,6 +11,10 @@ test oracles.
 - `principal_generator_oracle`, `class_equivalent_oracle`: the bounded
   generator search that the reduced binary form replaced, a Minkowski
   ball of radius sqrt(n) c_K N(c)^(1/n) searched for points of norm N(c).
+- `lambda_oracle`, `nu_weight_oracle`, `alpha_scan_oracle`: the sieve
+  weight by the full subset sum over every prime that factor_ideal finds,
+  with nu's argument built as the ideal (W x + alpha) b^{-1}; the sieve
+  now reads the primes below R off the norm instead.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
@@ -21,8 +25,9 @@ import math
 from fractions import Fraction
 
 from idealsieve.correlation import omega_tuple, squarefree_ideals
-from idealsieve.ideals import FractionalIdeal
-from idealsieve.lattice import ball_elements
+from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
+                               factor_ideal, principal_generator)
+from idealsieve.lattice import ball_elements, fundamental_domain_reduce
 from idealsieve.linalg import hnf, mat_inv_fraction
 
 
@@ -108,6 +113,56 @@ def class_equivalent_oracle(a, b, m):
         if cong.contains(xi - a.K.one):
             return True, xi
     return False, None
+
+
+def lambda_oracle(n, R, phi):
+    """sum over every subset S of the distinct primes of n of
+    (-1)^|S| phi(log N(prod S) / log R), large primes included."""
+    if R <= 1:
+        raise ValueError("R must exceed 1")
+    primes = [P for P, _ in factor_ideal(n).factors]
+    logR = math.log(R)
+    terms = []
+    for mask in itertools.product((0, 1), repeat=len(primes)):
+        logNd = sum(m * math.log(P.norm()) for m, P in zip(mask, primes))
+        terms.append((-1) ** sum(mask) * phi(logNd / logR))
+    return math.fsum(terms)
+
+
+def nu_weight_oracle(cfg, x):
+    """prefactor * lambda_oracle((W x + alpha) b^{-1})^2."""
+    K = cfg.K
+    y = K.element(cfg.W) * x + cfg.alpha
+    if not y:
+        return 0.0
+    c = FractionalIdeal.principal(K, y) * cfg.ambient.inverse()
+    if not c.is_integral():
+        raise ValueError("W x + alpha does not lie in the ambient ideal")
+    lam = lambda_oracle(c, cfg.R, cfg.phi)
+    v = lam * lam
+    if not cfg.raw:
+        v *= cfg.prefactor()
+    return v
+
+
+def alpha_scan_oracle(cfg, window):
+    """alpha_scan's masses and total, each prime's Lambda from
+    lambda_oracle(P)."""
+    K = cfg.K
+    lo, hi = window
+    masses, total = {}, Fraction(0)
+    for P in enumerate_prime_ideals(K, hi):
+        if P.norm() < lo or math.gcd(P.norm(), cfg.W) != 1:
+            continue
+        xi = principal_generator(P.ideal() * cfg.ambient)
+        if xi is None:
+            continue
+        alpha, _ = fundamental_domain_reduce(K, cfg.ambient, xi, cfg.W)
+        mass = Fraction(lambda_oracle(P.ideal(), cfg.R, cfg.phi)) ** 2
+        key = tuple(str(c) for c in alpha.coords)
+        masses[key] = masses.get(key, Fraction(0)) + mass
+        total += mass
+    return masses, total
 
 
 def singular_series_euler(forms, R, W, prime_support, t, tprime,

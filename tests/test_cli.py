@@ -268,6 +268,153 @@ def test_verify_fuzz_never_internal_error(data):
                     if mid["diagnoses"] == ["schema"] else EXIT_VERIFY)
 
 
+# ---------------------------------------------------------------- argv fuzz
+
+_FIELD_NAMES = ["Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)", "Q(sqrt-3)",
+                "Q(sqrt5)", "Q(sqrt-5)", "Q(zeta5)", "Q(sqrt7)", ""]
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _tokens(values, lo, hi):
+    return st.lists(values, min_size=lo, max_size=hi).map(" ".join)
+
+
+# a size whose budget is checked before any work
+_HUGE = st.just("1000000")
+# Each command's flags, with values mostly in range and small enough that
+# every mix of them runs in well under a second on every field.  Flags in
+# _COSTLY_DEFAULTS are never left out: their defaults are too large for a
+# quick run.
+_FUZZ_FLAGS = {
+    "primes": {"--bound": _ints(-2, 30)},
+    "mobius": {"--bound": _ints(-2, 30)},
+    "lambda": {"--bound": _ints(-2, 30), "--R": _floats(1.01, 40)},
+    "cphi": {},
+    "correlate": {"--s": _ints(1, 3), "--m": _ints(1, 3),
+                  "--lam": _floats(0.5, 4)},
+    "singular-series": {"--s": _ints(1, 3), "--W": _ints(-2, 12),
+                        "--R": _tokens(_floats(1.01, 60), 1, 2)},
+    "autocorr": {"--N": _ints(1, 4) | _HUGE, "--s": _ints(1, 3),
+                 "--w": _ints(-2, 4), "--y": _tokens(_ints(-3, 3), 1, 3)},
+    "hypergraph": {"--N": _ints(1, 4) | _HUGE, "--k": _floats(0.5, 2.5),
+                   "--w": _ints(-2, 4)},
+    "search": {"--k": _floats(0.5, 2.5), "--anchor-bound": _floats(0.5, 8),
+               "--step-bound": _floats(0.5, 3), "--max-hits": _ints(0, 3)},
+    "alpha-scan": {"--w": _ints(-2, 4), "--R": _floats(1.01, 60),
+                   "--window": _tokens(_ints(-5, 60), 2, 2)},
+    "residue": {"--x": _ints(-50, 50), "--N": _ints(1, 12)},
+    "verify": {},
+}
+_COSTLY_DEFAULTS = {("correlate", "--lam"), ("autocorr", "--N"),
+                    ("hypergraph", "--N"), ("search", "--anchor-bound"),
+                    ("search", "--step-bound"), ("alpha-scan", "--window")}
+# values of the wrong type or out of range: none parses to a large number
+_BAD_TOKENS = st.sampled_from([
+    "nan", "inf", "-inf", "1e400", "-0", "0", "-1", "-3", "", "abc",
+    "0x1f", "1_0", "\u0663", "+2", " 3 ", "2.5", "1e-300", "5e-324", "-",
+    "3 4", "true", "null", "[1, 2]", "{}"])
+_JUNK_TOKENS = st.sampled_from(["--bogus", "-x", "extra", "--field", "--",
+                                "-h", "--R", "--N"])
+_JUNK_LINES = st.sampled_from([
+    "no equals sign", "= 3", "unknown = 1", "# a comment", "",
+    "help =", "field = Q(i)  # trailing", "seed = x", "workers = 2 3"])
+_MULTI = {"--R", "--y", "--window"}  # a list-valued flag on some command
+
+
+def _fuzz_pairs(data, command, tmp):
+    """In-range (flag, value) pairs: the global ones, then the command's.
+    --output is always given, mostly a file in tmp."""
+    out = data.draw(st.sampled_from(
+        [os.path.join(tmp, "out")] * 4
+        + [tmp, "", os.path.join(tmp, "missing", "out")]), label="output")
+    head = [("--output", out)]
+    for flag, values in (("--seed", _ints(-5, 5)),
+                         ("--workers", _ints(-2, 4))):
+        if data.draw(st.booleans(), label=f"{flag} given"):
+            head.append((flag, data.draw(values, label=flag)))
+    tail = []
+    if data.draw(st.booleans(), label="--field given"):
+        tail.append(("--field", data.draw(st.sampled_from(_FIELD_NAMES),
+                                          label="--field")))
+    for flag, values in _FUZZ_FLAGS[command].items():
+        if (command, flag) in _COSTLY_DEFAULTS \
+                or data.draw(st.booleans(), label=f"{flag} given"):
+            tail.append((flag, data.draw(values, label=flag)))
+    return head, tail
+
+
+def _flatten(pairs):
+    return [tok for flag, value in pairs
+            for tok in [flag] + (value.split() if flag in _MULTI
+                                 else [value])]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_argv_and_config_fuzz_exit_codes(data):
+    # in-range argv, then up to two mutations: a value of the wrong type or
+    # out of range, a token dropped or a junk token inserted; some flags
+    # move to a config file, with junk lines.  The exit code is 0, 1, 2 or
+    # 3, never 4, and 1 only from verify.
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)), label="command")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a stray relative path lands in the scratch dir
+        try:
+            head, tail = _fuzz_pairs(data, command, tmp)
+            mutations = data.draw(st.lists(st.sampled_from(
+                ["value", "drop", "insert"]), max_size=2), label="mutations")
+            for _ in range(mutations.count("value")):
+                i = data.draw(st.integers(0, len(head) + len(tail) - 1),
+                              label="value at")
+                pairs = head if i < len(head) else tail
+                j = i if i < len(head) else i - len(head)
+                pairs[j] = (pairs[j][0], data.draw(_BAD_TOKENS, label="bad"))
+            if data.draw(st.booleans(), label="config"):
+                moved = data.draw(st.lists(st.sampled_from(head + tail),
+                                           unique=True), label="moved")
+                head = [p for p in head if p not in moved]
+                tail = [p for p in tail if p not in moved]
+                lines = [f"{flag[2:].replace('-', '_')} = {value}"
+                         for flag, value in moved]
+                lines += data.draw(st.lists(_JUNK_LINES, max_size=2),
+                                   label="junk lines")
+                config = os.path.join(tmp, "c.cfg")
+                with open(config, "w") as fh:
+                    fh.write("\n".join(lines) + "\n")
+                head.append(("--config", config))
+            argv = _flatten(head) + [command] + _flatten(tail)
+            if command == "verify":
+                certs = list(_fuzz_certificates())
+                if data.draw(st.booleans(), label="tampered"):
+                    certs[0] = json.dumps(dict(json.loads(certs[0]),
+                                               radius=0.01))
+                path = os.path.join(tmp, "c.jsonl")
+                with open(path, "w") as fh:
+                    fh.write("\n".join(certs) + "\n")
+                argv.append(data.draw(st.sampled_from(
+                    [path, path, tmp, os.path.join(tmp, "missing")]),
+                    label="certificate"))
+            for kind in mutations:
+                i = data.draw(st.integers(0, len(argv) - 1), label="at")
+                if kind == "drop":
+                    del argv[i]
+                elif kind == "insert":
+                    argv.insert(i, data.draw(_JUNK_TOKENS, label="junk"))
+            code = run(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_BUDGET)
+    assert code != EXIT_VERIFY or command == "verify"
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_no_subcommand_is_usage_error():
@@ -388,6 +535,15 @@ def test_hypergraph_every_field(tmp_path):
         == rec["condition3"] == 1.0
     assert rec["pattern_size"] == 5
     assert run(["hypergraph", "--field", "Q(i)"]) == EXIT_BUDGET
+
+
+def test_hypergraph_extreme_N():
+    # the trivial table is a view of one 1.0, so N^n floats are never
+    # allocated and a huge N reaches the state budget; N = 1 (log R = 0)
+    # never evaluates a sieve weight
+    assert run(["hypergraph", "--field", "Q(i)", "--N", "1000000"]) \
+        == EXIT_BUDGET
+    assert run(["hypergraph", "--N", "1"]) == EXIT_OK
 
 
 # ---------------------------------------------------------------- determinism

@@ -1,15 +1,20 @@
 import math
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from idealsieve.ideals import FractionalIdeal, factor_rational_prime
-from idealsieve.numberfield import make_field
+from idealsieve import constellation, ideals, sieve
+from idealsieve.constellation import alpha_scan
+from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
+                               factor_rational_prime)
+from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from idealsieve.sieve import (DEFAULT_BUMP, BumpFunction, SieveConfig,
-                              _lambda_cached, c_phi, lambda_R, lift_nu,
-                              nu_weight)
+                              _lambda_cached, _prime_times, c_phi, lambda_R,
+                              lift_nu, nu_weight)
+from oracles import alpha_scan_oracle, lambda_oracle, nu_weight_oracle
 from test_acceptance import _c_phi_fourier
 
 Q = make_field("Q")
@@ -219,3 +224,154 @@ def test_custom_bump_plugs_in():
 
 def test_lambda_cache_bounded():
     assert _lambda_cached.cache_info().maxsize == 2 ** 16
+
+
+def test_prime_times_cache_bounded():
+    assert _prime_times.cache_info().maxsize == 2 ** 12
+
+
+# ------------------------------------------------- truncation vs the oracle
+#
+# The sieve reads the primes of norm below R^support[1] off the norm; the
+# oracles factor the whole ideal and sum over every subset.  Every dropped
+# subset term is exactly +-0.0, so the two agree with ==.
+
+FIELDS = [make_field(name) for name in SUPPORTED_POLYS.values()]
+# the fields with a finite unit group, where alpha_scan finds generators
+GENERATOR_FIELDS = [K for K in FIELDS
+                    if K.name in ("Q", "Q(i)", "Q(sqrt-2)", "Q(sqrt-3)",
+                                  "Q(sqrt-5)")]
+PRIMES = {K: enumerate_prime_ideals(K, 60) for K in FIELDS}
+# O_K, the primes of norm <= 9 (in Q(sqrt-5) the non-principal primes
+# above 2 and 3) and the inverse of the first of them
+AMBIENTS = {K: [FractionalIdeal.unit_ideal(K)]
+            + [P.ideal() for P in PRIMES[K] if P.norm() <= 9]
+            + [PRIMES[K][0].ideal().inverse()] for K in FIELDS}
+# below 2, on prime norms, between them and above every norm involved
+LEVELS = (st.sampled_from([1.5, 1.99, 2.0, 3.0, 5.0, 9.0, 25.0, 50.0, 1e3,
+                           1e6])
+          | st.floats(1.01, 1e4))
+BUMPS = [DEFAULT_BUMP, _stretched(0.5), _stretched(2.5), _power(2)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_lambda_matches_full_subset_sum(data):
+    K = data.draw(st.sampled_from(FIELDS), label="field")
+    factors = data.draw(st.lists(st.tuples(st.sampled_from(PRIMES[K]),
+                                           st.integers(1, 2)),
+                                 max_size=4), label="factors")
+    n = FractionalIdeal.unit_ideal(K)
+    for P, e in factors:
+        n = n * P.ideal() ** e
+    R = data.draw(LEVELS, label="R")
+    phi = data.draw(st.sampled_from(BUMPS), label="phi")
+    assert lambda_R(n, R, phi) == lambda_oracle(n, R, phi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_nu_weight_matches_factorisation_oracle(data):
+    K = data.draw(st.sampled_from(FIELDS), label="field")
+    b = data.draw(st.sampled_from(AMBIENTS[K]), label="ambient")
+    coeffs = st.lists(st.integers(-12, 12), min_size=K.degree,
+                      max_size=K.degree)
+    x = b.element_at(data.draw(coeffs, label="x"))
+    # alpha in b, or any integral element (then W x + alpha may leave b)
+    alpha = data.draw(coeffs.map(b.element_at) | coeffs.map(K.element),
+                      label="alpha")
+    cfg = SieveConfig(K, N=10**4, w=data.draw(st.integers(1, 3), label="w"),
+                      alpha=alpha, ambient=b,
+                      logR=data.draw(LEVELS.map(math.log)
+                                     | st.floats(0.01, 14.0), label="logR"),
+                      phi=data.draw(st.sampled_from(BUMPS), label="phi"),
+                      raw=data.draw(st.booleans(), label="raw"))
+    assert _outcome(nu_weight, cfg, x) == _outcome(nu_weight_oracle, cfg, x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_alpha_scan_lambda_matches_oracle(data):
+    K = data.draw(st.sampled_from(GENERATOR_FIELDS), label="field")
+    lo = data.draw(st.integers(2, 40), label="lo")
+    window = (lo, lo + data.draw(st.integers(0, 120), label="width"))
+    cfg = SieveConfig(K, N=10**4, w=data.draw(st.integers(1, 3), label="w"),
+                      ambient=data.draw(st.sampled_from(AMBIENTS[K]),
+                                        label="ambient"),
+                      logR=math.log(data.draw(LEVELS, label="R")),
+                      phi=data.draw(st.sampled_from(BUMPS), label="phi"))
+    masses, total = alpha_scan_oracle(cfg, window)
+    if not masses:
+        with pytest.raises(ValueError):
+            alpha_scan(cfg, window)
+        return
+    res = alpha_scan(cfg, window)
+    assert (res.masses, res.total) == (masses, total)
+
+
+def test_truncation_keeps_factor_order_and_level():
+    # In floats (log 2 + log 3) + log 5 != (log 5 + log 3) + log 2, and
+    # log(exp(L)) != L for some L: the logs are added in factor_ideal's
+    # order, and nu reads log R off cfg.R as lambda_R does.
+    n = FractionalIdeal.principal(Q, Q.element(30))
+    rng = random.Random(0)
+    for L in (rng.uniform(0.5, 10.0) for _ in range(600)):
+        assert lambda_R(n, math.exp(L)) == lambda_oracle(n, math.exp(L),
+                                                         DEFAULT_BUMP)
+        cfg = SieveConfig(Q, N=100, logR=L, alpha=Q.element(30), raw=True)
+        assert nu_weight(cfg, Q.zero) == nu_weight_oracle(cfg, Q.zero)
+
+
+def _forbid(monkeypatch, owner, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
+def test_per_point_paths_neither_factor_nor_build_principal_ideals(
+        monkeypatch):
+    K5 = make_field("Q(sqrt-5)")
+    (P2,) = factor_rational_prime(K5, 2)
+    cfg = SieveConfig(K5, N=10**4, w=1, ambient=P2.ideal(),
+                      alpha=P2.ideal().element_at([1, 1]),
+                      logR=math.log(50.0), raw=True)
+    points = [P2.ideal().element_at([a, c]) for a in range(-4, 5)
+              for c in range(-4, 5)]
+    want = [nu_weight_oracle(cfg, x) for x in points]
+    scan = alpha_scan_oracle(cfg, (2, 120))
+    for owner, name in ((sieve, "factor_ideal"), (ideals, "factor_ideal"),
+                        (constellation, "factor_ideal"),
+                        (sieve, "lambda_R"), (FractionalIdeal, "principal"),
+                        (FractionalIdeal, "inverse")):
+        _forbid(monkeypatch, owner, name)
+    assert [nu_weight(cfg, x) for x in points] == want
+    res = alpha_scan(cfg, (2, 120))
+    assert (res.masses, res.total) == scan
+
+
+def test_nu_weight_below_level_two_skips_the_norm(monkeypatch):
+    # R < 2: no prime is small, so Lambda = phi(0) with no arithmetic
+    cfg = SieveConfig(QI, N=10**4, logR=math.log(1.9), raw=True)
+    _forbid(monkeypatch, sieve, "factorint")
+    assert nu_weight(cfg, QI.element([5, 7])) == 1.0
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 1.0, 0.5])
+def test_lambda_rejects_level_outside_one_to_infinity(R):
+    with pytest.raises(ValueError, match="R must be finite and > 1"):
+        lambda_R(FractionalIdeal.unit_ideal(Q), R)
+
+
+@pytest.mark.parametrize("logR", [math.nan, math.inf, 0.0, -1.0])
+def test_nu_weight_rejects_level_outside_one_to_infinity(logR):
+    cfg = SieveConfig(Q, N=100, logR=logR, raw=True)
+    with pytest.raises(ValueError, match="R must be finite and > 1"):
+        nu_weight(cfg, Q.element(3))
