@@ -161,7 +161,7 @@ def _square_region(K):
     edges = [K.theta_power(j) for j in range(K.degree)]
     origin = K.zero
     for e in edges:
-        origin = origin - e * K.element(Fraction(1, 2))
+        origin = origin - e * Fraction(1, 2)
     return Parallelotope(K, origin, edges)
 
 

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from .correlation import pattern_points
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, enumerate_prime_ideals, factor_ideal,
                      is_prime_vector, principal_generator)
@@ -32,8 +33,7 @@ class ConstellationSpec:
     max_hits: int = None
 
     def pattern(self):
-        pts = ball_elements(self.K, FractionalIdeal.unit_ideal(self.K),
-                            self.k)
+        pts = pattern_points(self.K, self.k)
         if not pts:
             raise ValueError("empty pattern")
         return pts
@@ -76,7 +76,7 @@ def _coords_in(K, coords):
             and all(isinstance(c, str) and _COORD.fullmatch(c)
                     for c in coords)):
         raise ValueError("coordinates are integer or fraction strings")
-    return K.element([Fraction(c) for c in coords])
+    return K.element(coords)
 
 
 def _witness(K, ambient, pt):
@@ -111,12 +111,12 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
     pattern = spec.pattern()
     steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12),
                                       budget=budget) if x]
-    steps.sort(key=lambda x: (minkowski_norm(K, x), tuple(x.coords)))
+    steps.sort(key=lambda x: (minkowski_norm(K, x), x.coords))
     anchors = ball_elements(K, b, spec.anchor_bound * (1 + 1e-12),
                             budget=budget)
-    anchors.sort(key=lambda x: (minkowski_norm(K, x), tuple(x.coords)))
+    anchors.sort(key=lambda x: (minkowski_norm(K, x), x.coords))
     anchor_nums = [b.numerators(a) for a in anchors]
-    pattern_nums = [j.integer_coords()[1] for j in pattern]
+    pattern_nums = [j.num for j in pattern]  # O_K: den 1
     hits = []
     prime = {}  # candidate numerators -> is_prime_vector, for this call only
 
@@ -169,8 +169,7 @@ def verify_certificate(cert: Certificate):
         iter_ball_elements(K, FractionalIdeal.unit_ideal(K), cert.k),
         len(given) + 1))
     expected = [a + xi * j for j in pattern]
-    if sorted(tuple(p.coords) for p in expected) != \
-            sorted(tuple(p.coords) for p in given):
+    if sorted(p.coords for p in expected) != sorted(p.coords for p in given):
         diagnoses.append("pattern")
     if len(pattern) <= len(given):
         # the points are a + xi j (else "pattern"), so each |pt - a| is

@@ -4,9 +4,9 @@ hypergraph pseudo-randomness conditions.
 A local density omega is an exact rational p^-rank read off one linear
 system over F_p; the singular series is evaluated either by a factored
 fast path (when the form system has full row rank at every prime) or by
-direct enumeration of squarefree ideal tuples.  All floating
-accumulations use fixed-order compensated summation, so a report is
-byte-identical from run to run.
+direct enumeration of squarefree ideal tuples.  Floating sums are taken
+by math.fsum, which rounds the exact sum once, so a report does not
+depend on the summation order and is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -23,20 +23,10 @@ from .arith import factorint, primerange
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
                      factor_ideal, factor_rational_prime, zeta_residue)
-from .lattice import Parallelotope, points_in_parallelotope
+from .lattice import (Parallelotope, ball_elements, iter_ball_elements,
+                      points_in_parallelotope)
 from .numberfield import FieldElement
 from .sieve import SieveConfig, c_phi, nu_weight
-
-_N_SLABS = 16
-
-
-def _sharded_fsum(items, term) -> float:
-    """Compensated sum of term(x) over items, split into a fixed number of
-    slabs summed in order, so the reduction order never changes."""
-    items = list(items)
-    return math.fsum(math.fsum(term(x) for x in items[i::_N_SLABS])
-                     for i in range(_N_SLABS))
-
 
 # ---------------------------------------------------------------------
 # Linear form systems
@@ -46,8 +36,7 @@ class LinearFormSystem:
 
     def __init__(self, K, coeffs, shifts=None, ambient=None):
         self.K = K
-        self.coeffs = [[c if isinstance(c, FieldElement) else K.element(c)
-                        for c in row] for row in coeffs]
+        self.coeffs = [[K.element(c) for c in row] for row in coeffs]
         self.s = len(self.coeffs)
         self.m = len(self.coeffs[0]) if self.coeffs else 0
         if any(len(row) != self.m for row in self.coeffs):
@@ -56,13 +45,12 @@ class LinearFormSystem:
             else FractionalIdeal.unit_ideal(K)
         if shifts is None:
             shifts = [K.zero] * self.s
-        self.shifts = [b if isinstance(b, FieldElement) else K.element(b)
-                       for b in shifts]
+        self.shifts = [K.element(b) for b in shifts]
         self._validate()
 
     def _validate(self):
-        if any(x.denominator != 1 for row in self.coeffs for c in row
-               for x in c.coords):  # O_K = Z[theta] in every vetted field
+        # O_K = Z[theta] in every vetted field
+        if any(c.den != 1 for row in self.coeffs for c in row):
             raise ValueError("coefficients must lie in O_K")
         for row in self.coeffs:
             if all(not c for c in row):
@@ -157,10 +145,8 @@ def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
                                   budget=budget)
     if not pts:
         raise ValueError("empty region")
+    _check_power(len(pts), forms.m, budget, "sample tuples")
     count = len(pts) ** forms.m
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} sample tuples exceed budget {budget}")
 
     def term(x):
         prod = 1.0
@@ -168,7 +154,7 @@ def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
             prod *= weight(forms.apply(j, x) + forms.shifts[j])
         return prod
 
-    total = _sharded_fsum(itertools.product(pts, repeat=forms.m), term)
+    total = math.fsum(map(term, itertools.product(pts, repeat=forms.m)))
     emp = total / count
     return CorrelationReport("cross_correlation", emp, 1.0, count,
                              {"s": forms.s, "m": forms.m, "lambda": float(lam),
@@ -192,8 +178,7 @@ def local_factor_omega(forms: LinearFormSystem, P: PrimeIdeal, marks,
         return Fraction(1)
     if W % P.p == 0:
         return Fraction(0)
-    alpha = alpha if isinstance(alpha, FieldElement) \
-        else forms.K.element(alpha)
+    alpha = forms.K.element(alpha)
     return _omega_cached_key(tuple(map(tuple, forms.coeffs)),
                              tuple(forms.shifts), forms.ambient, P, marks,
                              W, alpha)
@@ -202,7 +187,6 @@ def local_factor_omega(forms: LinearFormSystem, P: PrimeIdeal, marks,
 @lru_cache(maxsize=2 ** 16)
 def _omega_cached_key(coeffs, shifts, ambient, P, marks, W, alpha):
     """local_factor_omega keyed on the content of the form system."""
-    Wel = ambient.K.element(W)
     Pb = P.ideal() * ambient
 
     def conditions(v):  # v in b: p times its P b-coordinates, 0 iff v in P b
@@ -210,10 +194,10 @@ def _omega_cached_key(coeffs, shifts, ambient, P, marks, W, alpha):
 
     rows = []
     for i in (i for i, t in enumerate(marks) if t):
-        bp = Wel * shifts[i] + alpha
+        bp = shifts[i] * W + alpha
         if not ambient.contains(bp):
             return Fraction(0)
-        cols = [conditions(Wel * c * beta) for c in coeffs[i]
+        cols = [conditions(c * beta * W) for c in coeffs[i]
                 for beta in ambient.basis_elements()]
         rows += [list(r) for r in zip(*cols, conditions(bp))]
     rank = _solve_mod_p(rows, P.p, len(coeffs[0]) * ambient.K.degree)
@@ -306,7 +290,7 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     K = forms.K
     phi = phi or DEFAULT_BUMP
     logR = math.log(R)
-    alpha = alpha if isinstance(alpha, FieldElement) else K.element(alpha)
+    alpha = K.element(alpha)
 
     def g(n):
         return phi(math.log(n) / logR) if n < R else 0.0
@@ -327,9 +311,7 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     pairs = squarefree_ideals(K, R, W, prime_support=prime_support,
                               budget=budget)
     D = len(pairs)
-    if D ** (2 * forms.s) > budget:
-        raise BudgetExceededError(
-            f"{D}^{2 * forms.s} tuples exceed budget {budget}")
+    _check_power(D, 2 * forms.s, budget, "tuples")
     total = []
     for dd in itertools.product(range(D), repeat=forms.s):
         for dp in itertools.product(range(D), repeat=forms.s):
@@ -455,7 +437,7 @@ def F_euler(forms: LinearFormSystem, t, tprime, P_cutoff: float, R: float,
     logR = math.log(R)
     t = list(t)
     tprime = list(tprime)
-    alpha = alpha if isinstance(alpha, FieldElement) else K.element(alpha)
+    alpha = K.element(alpha)
     value = complex(1.0)
     for P in enumerate_prime_ideals(K, int(P_cutoff)):
         if W % P.p == 0:
@@ -534,7 +516,7 @@ def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
             prod *= nu_weight(cfg, x + yi)
         return prod
 
-    emp = _sharded_fsum(pts, term) / len(pts)
+    emp = math.fsum(map(term, pts)) / len(pts)
     bound = 2.0 ** cfg.s
     for i in range(s):
         for j in range(i + 1, s):
@@ -548,8 +530,6 @@ def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
 
 def pattern_points(K, k: float):
     """O_K cap B_k, sorted by coordinates."""
-    from .lattice import ball_elements
-
     return ball_elements(K, FractionalIdeal.unit_ideal(K), k)
 
 
@@ -573,7 +553,18 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
     T = np.asarray(nu_table, dtype=float)
     if T.shape != (N,) * n:
         raise ValueError(f"nu_table has shape {T.shape}, expected {(N,) * n}")
-    J = pattern_points(K, cfg.k)
+    # every term has |J| - 1 variables, so N^(n (|J| - 1)) states, and the
+    # edges hold |J| (|J| - 1) entries: the pattern is enumerated one point
+    # past the largest size both admit, before anything quadratic is built
+    limit = min((1 + math.isqrt(1 + 4 * budget)) // 2,
+                1 + _max_exponent(N ** n, budget))
+    J = list(itertools.islice(
+        iter_ball_elements(K, FractionalIdeal.unit_ideal(K), cfg.k),
+        limit + 1))
+    if len(J) > limit:
+        raise BudgetExceededError(
+            f"pattern O_K cap B_k at k = {cfg.k} is larger than {limit}, "
+            f"the most points that budget {budget} admits at N = {N}")
     edges = {pos: [q for q in range(len(J)) if q != pos]
              for pos in range(len(J))}
     if Omegas is None:
@@ -585,7 +576,7 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
     terms = [[((i, om[a]), mats[i, j]) for a, i in enumerate(edges[j])]
              for j, omegas in Omegas.items() for om in omegas]
     used = sorted({v for deps in terms for v, _ in deps})
-    _check_states(N ** (len(used) * n), budget)
+    _check_power(N, len(used) * n, budget, "states")
     cond2 = _grid_mean(T, terms, used)
 
     # condition 3: j = first key of Omegas, i = first of e_j
@@ -597,7 +588,7 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
         used3 = {v for deps in terms3 for v, _ in deps}
         outer = sorted(v for v in used3 if v[0] != i)
         inner = sorted(v for v in used3 if v[0] == i)
-        _check_states(N ** (len(used3) * n), budget)
+        _check_power(N, len(used3) * n, budget, "states")
         cond3 = _grid_mean(T, terms3, outer + inner, inner=len(inner), M=M)
     else:
         cond3 = 1.0
@@ -606,7 +597,7 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
     # all-ones vector make the average x^(0)-independent
     used1 = [v for v in used if v[1] == 1]
     used0 = [v for v in used if v[1] == 0]
-    _check_states(N ** (len(used1) * n), budget)
+    _check_power(N, len(used1) * n, budget, "states")
     rng = random.Random(0)
     samples = [[_residue(N, n, rng.randrange(N ** n)) for _ in used0]
                for _ in range(8)] if used0 else [[]]
@@ -616,15 +607,30 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
             "condition3": cond3, "pattern_size": len(J), "N": N, "M": M}
 
 
-def _check_states(states, budget):
-    if states > budget:
-        raise BudgetExceededError(f"{states} states exceed budget {budget}")
+def _max_exponent(base, budget):
+    """The largest e with base^e <= budget (budget >= 1); math.inf for
+    base <= 1."""
+    if base <= 1:
+        return math.inf
+    e, power = 0, base
+    while power <= budget:
+        e, power = e + 1, power * base
+    return e
+
+
+def _check_power(base, e, budget, what):
+    """BudgetExceededError unless base^e <= budget.  The power is neither
+    formed nor printed: it may have more digits than int-to-string
+    conversion allows, so the message names it as base^e."""
+    if e > _max_exponent(base, budget):
+        raise BudgetExceededError(
+            f"{base}^{e} {what} exceed budget {budget}")
 
 
 def _mult_matrix(K, c, N):
     """Multiplication by the integral element c on O_K / N O_K as an
     integer matrix mod N: column l holds the coordinates of c theta^l."""
-    return [[int(x) % N for x in row] for row in zip(*K.mul_rows(c.coords))]
+    return [[x % N for x in row] for row in zip(*K.mul_rows(c.num))]
 
 
 def _residue(N, n, r):

@@ -54,16 +54,15 @@ class FractionalIdeal:
     def from_generators(cls, K, gens):
         """O_K-module generated by the given field elements: the rows
         d g theta^j over their common denominator d."""
-        gens = [g if isinstance(g, FieldElement) else K.element(g) for g in gens]
-        scaled = [g.integer_coords() for g in gens]
-        d = math.lcm(*(e for e, _ in scaled))
-        rows = [r for e, a in scaled
-                for r in K.mul_rows([x * (d // e) for x in a])]
+        gens = [K.element(g) for g in gens]
+        d = math.lcm(*(g.den for g in gens))
+        rows = [r for g in gens
+                for r in K.mul_rows([x * (d // g.den) for x in g.num])]
         return cls(K, hnf(rows, K.degree), d)
 
     @classmethod
     def principal(cls, K, x):
-        x = x if isinstance(x, FieldElement) else K.element(x)
+        x = K.element(x)
         if not x:
             raise ValueError("zero element generates the zero ideal")
         return cls.from_generators(K, [x])
@@ -73,9 +72,8 @@ class FractionalIdeal:
     def basis_elements(self):
         """Z-basis of the ideal as field elements (HNF rows / den)."""
         if self._basis is None:
-            d = self.den
-            self._basis = tuple(
-                self.K.element([Fraction(x, d) for x in row]) for row in self.mat)
+            self._basis = tuple(FieldElement(self.K, row, self.den)
+                                for row in self.mat)
         return self._basis
 
     def norm(self) -> Fraction:
@@ -88,32 +86,46 @@ class FractionalIdeal:
         return self.den == 1
 
     def coords(self, x: FieldElement):
-        """Coordinates of x on the Z-basis (HNF rows / den), by triangular
-        back-substitution."""
+        """Rational coordinates of any x on the Z-basis (HNF rows / den),
+        by triangular back-substitution."""
         y = []
         for col, column in enumerate(zip(*self.mat)):
-            rem = x.coords[col] * self.den - sum(map(operator.mul, y, column))
+            rem = Fraction(x.num[col] * self.den, x.den) \
+                - sum(map(operator.mul, y, column))
             y.append(rem / column[col])
         return y
 
     def numerators(self, x: FieldElement):
         """The integer vector den x, or None if it is not integral (then x
-        is not in the ideal)."""
-        v = [c * self.den for c in x.coords]
-        if any(c.denominator != 1 for c in v):
-            return None
-        return tuple(c.numerator for c in v)
+        is not in the ideal); x is in lowest terms, so that is iff x.den
+        divides den."""
+        q, r = divmod(self.den, x.den)
+        return None if r else tuple(a * q for a in x.num)
+
+    def _coefficients(self, v):
+        """The integer coordinates on the Z-basis of v / den, v an integer
+        vector, by HNF back-substitution with divmod; None if v / den is
+        not in the ideal."""
+        y = []
+        for col, column in enumerate(zip(*self.mat)):
+            q, r = divmod(v[col] - sum(map(operator.mul, y, column)),
+                          column[col])
+            if r:
+                return None
+            y.append(q)
+        return y
 
     def contains(self, x: FieldElement) -> bool:
-        """Exact lattice membership: x is in the ideal iff its coordinates
-        are integers."""
-        return all(c.denominator == 1 for c in self.coords(x))
+        """Exact lattice membership: x is in the ideal iff den x is
+        integral and its coordinates on the HNF rows are integers."""
+        v = self.numerators(x)
+        return v is not None and self._coefficients(v) is not None
 
     def element_at(self, coeffs) -> FieldElement:
         """sum coeffs_i * (basis element i), from the integer HNF rows."""
         return FieldElement(self.K, tuple(
-            Fraction(sum(map(operator.mul, coeffs, column)), self.den)
-            for column in zip(*self.mat)))
+            sum(map(operator.mul, coeffs, column))
+            for column in zip(*self.mat)), self.den)
 
     def contains_ideal(self, other) -> bool:
         return all(self.contains(b) for b in other.basis_elements())
@@ -530,8 +542,7 @@ def _generators(c: FractionalIdeal):
     least = n * math.prod(row[i] for i, row in enumerate(c.mat)) ** (2 // n)
     gens = sorted(tuple(s * x for x in w) for w in candidates
                   if B(w, w) == least for s in (1, -1))
-    return [FieldElement(K, tuple(Fraction(x, c.den) for x in w))
-            for w in gens]
+    return [FieldElement(K, w, c.den) for w in gens]
 
 
 def principal_generator(c: FractionalIdeal):
@@ -568,19 +579,15 @@ def is_prime_vector(K: NumberField, b: FractionalIdeal, v):
     """For x = v / b.den, v an integer vector: None if x is not in b, else
     whether the integral ideal (x) b^{-1} is prime.
 
-    Membership is HNF back-substitution with divmod.  Primality is read off
+    Membership is b's integer back-substitution.  Primality is read off
     the norm N = N((x) b^{-1}) = |det(multiplication-by-v matrix)| / det(H),
     H the HNF of b: every vetted field is Galois, so the primes above p
     share one residue degree f, which divides n, and an ideal of norm p^a
     is prime iff a = f.  Nothing is factored: for each f | n, N = r^f is
     tested with r the integer f-th root.  b must be an O_K-ideal in
     canonical HNF (see from_json)."""
-    y = []
-    for col, column in enumerate(zip(*b.mat)):
-        q, r = divmod(v[col] - sum(map(operator.mul, y, column)), column[col])
-        if r:
-            return None
-        y.append(q)
+    if b._coefficients(v) is None:
+        return None
     if not any(v):
         return False
     N, r = divmod(abs(det_int(K.mul_rows(v))),

@@ -82,8 +82,8 @@ def iter_ball_elements(K: NumberField, ideal, radius: float,
         # the point is c H / den, H's last row scaled by the innermost c_i
         base = [sum(a * row[j] for a, row in zip(c[:i], H)) for j in range(n)]
         for ci in range(lo, hi + 1):
-            yield FieldElement(K, tuple(Fraction(b + ci * h, den)
-                                        for b, h in zip(base, H[i])))
+            yield FieldElement(
+                K, tuple(b + ci * h for b, h in zip(base, H[i])), den)
 
     yield from descend(0, (math.ceil(R2) - 1) * W)
 
@@ -98,8 +98,8 @@ class Parallelotope:
 
     def scaled(self, factor):
         f = Fraction(factor)
-        return Parallelotope(self.K, self.origin * self.K.element(f),
-                             [u * self.K.element(f) for u in self.edges])
+        return Parallelotope(self.K, self.origin * f,
+                             [u * f for u in self.edges])
 
 
 def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
@@ -110,14 +110,15 @@ def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
     """
     K = ideal.K
     n = K.degree
-    E = [[Fraction(c) for c in u.coords] for u in box.edges]
+    E = [u.coords for u in box.edges]
     Einv = mat_inv_fraction(E)
+    o = box.origin.coords
     # box of candidates: corners of the parallelotope in lattice coordinates
     corners = []
     for mask in itertools.product((0, 1), repeat=n):
-        pt = [Fraction(box.origin.coords[j])
-              + sum(mask[i] * E[i][j] for i in range(n)) for j in range(n)]
-        corners.append(ideal.coords(FieldElement(K, tuple(pt))))
+        pt = [o[j] + sum(mask[i] * E[i][j] for i in range(n))
+              for j in range(n)]
+        corners.append(ideal.coords(K.element(pt)))
     los = [min(math.floor(c[i]) for c in corners) for i in range(n)]
     his = [max(math.ceil(c[i]) for c in corners) for i in range(n)]
     total = 1
@@ -127,15 +128,14 @@ def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
             raise BudgetExceededError(
                 f"parallelotope box has {total}+ candidates (budget {budget})")
     out = []
-    o = [Fraction(c) for c in box.origin.coords]
     for coeffs in itertools.product(*(range(lo, hi + 1)
                                       for lo, hi in zip(los, his))):
         x = ideal.element_at(coeffs)
-        d = [Fraction(x.coords[j]) - o[j] for j in range(n)]
+        d = [c - oj for c, oj in zip(x.coords, o)]
         t = [sum(d[c] * Einv[c][r] for c in range(n)) for r in range(n)]
         if all(0 <= ti < 1 for ti in t):
             out.append(x)
-    out.sort(key=lambda x: tuple(x.coords))
+    out.sort(key=lambda x: x.coords)
     return out
 
 
@@ -157,8 +157,9 @@ def _ceil_frac(q: Fraction) -> int:
 
 
 def in_scaled_domain(K: NumberField, ideal, x: FieldElement, N: int) -> bool:
-    """Is x in N * G for the ideal's fundamental domain G?"""
-    half = Fraction(N, 2)
+    """Is x in N * G for the ideal's fundamental domain G?  N is an int or
+    a float, taken exactly."""
+    half = Fraction(N) / 2
     return all(-half < ci <= half for ci in ideal.coords(x))
 
 

@@ -3,8 +3,9 @@
 A field is defined by a monic irreducible integer polynomial f with
 O_K = Z[theta].  Only a vetted list of such fields is accepted (degree <= 4,
 index 1), which keeps Dedekind splitting and all HNF ideal arithmetic exact.
-Elements are coordinate vectors on the power basis 1, theta, ..., theta^(n-1)
-with arbitrary-precision rational coordinates.
+An element is a vector of integer numerators over one positive common
+denominator on the power basis 1, theta, ..., theta^(n-1), kept in lowest
+terms; its rational coordinates are read off as Fractions.
 """
 
 from __future__ import annotations
@@ -144,12 +145,21 @@ class NumberField:
         return self.element(self._theta_pow[j - self.degree])
 
     def element(self, coords):
+        """The element with these rational coordinates, or the rational
+        number coords, or coords itself if it is an element of K: the one
+        place where coordinates become numerators over a denominator."""
+        if isinstance(coords, FieldElement):
+            if coords.K != self:
+                raise ValueError("mixed fields")
+            return coords
         if isinstance(coords, (int, Fraction)):
             coords = [coords] + [0] * (self.degree - 1)
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
-        return FieldElement(self, coords)
+        d = math.lcm(*(c.denominator for c in coords))
+        return FieldElement(self, tuple(c.numerator * (d // c.denominator)
+                                        for c in coords), d)
 
     @property
     def zero(self):
@@ -176,31 +186,37 @@ class NumberField:
 
 
 class FieldElement:
-    """Element of a NumberField on the power basis."""
+    """Element num / den of a NumberField on the power basis: num a tuple
+    of ints, den >= 1, in lowest terms (gcd(den, *num) = 1, so 0 is
+    (0, ..., 0) / 1).  Equal elements have equal num and den."""
 
-    __slots__ = ("K", "coords")
+    __slots__ = ("K", "num", "den")
 
-    def __init__(self, K, coords):
+    def __init__(self, K, num, den):
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
         self.K = K
-        self.coords = coords
+        self.num = num
+        self.den = den
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.K != self.K:
-                raise ValueError("mixed fields")
-            return other
-        return self.K.element(other)
+    @property
+    def coords(self):
+        """The rational coordinates on the power basis."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.K, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        o = self.K.element(other)
+        d, e = self.den, o.den
+        return FieldElement(self.K, tuple(a * e + b * d for a, b in
+                                          zip(self.num, o.num)), d * e)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.K, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self + -self.K.element(other)
 
     def __neg__(self):
-        return FieldElement(self.K, tuple(-a for a in self.coords))
+        return FieldElement(self.K, tuple(-a for a in self.num), self.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -213,36 +229,28 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.K, tuple(Fraction(other) * a for a in self.coords))
-        o = self._coerce(other)
-        # the product of the integer numerators over d e
-        d, a = self.integer_coords()
-        e, b = o.integer_coords()
-        return FieldElement(self.K, tuple(Fraction(c, d * e)
-                                          for c in self.K.mul(a, b)))
+            return FieldElement(self.K, tuple(other.numerator * a
+                                              for a in self.num),
+                                other.denominator * self.den)
+        o = self.K.element(other)
+        return FieldElement(self.K, tuple(self.K.mul(self.num, o.num)),
+                            self.den * o.den)
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement) and self.K == other.K
-                and self.coords == other.coords)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.K.poly, self.coords))
+        return hash((self.K.poly, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coords)
-
-    def integer_coords(self):
-        """(d, a): the common denominator d of the coordinates and the
-        integer vector a = d x."""
-        d = math.lcm(*(c.denominator for c in self.coords))
-        return d, [c.numerator * (d // c.denominator) for c in self.coords]
+        return any(self.num)
 
     def norm(self):
-        """Field norm N_{K/Q}, exact: with d the common denominator of the
-        coordinates, det(multiplication-by-dx matrix) / d^n, the
-        determinant taken over the integers."""
-        d, a = self.integer_coords()
-        return Fraction(det_int(self.K.mul_rows(a)), d ** self.K.degree)
+        """Field norm N_{K/Q}, exact: det(multiplication-by-num matrix) /
+        den^n, the determinant taken over the integers."""
+        return Fraction(det_int(self.K.mul_rows(self.num)),
+                        self.den ** self.K.degree)
 
     def __repr__(self):
         return f"<{self.K.name}: {tuple(str(c) for c in self.coords)}>"
@@ -271,11 +279,11 @@ def minkowski_norm(K: NumberField, x: FieldElement) -> float:
     """sqrt(sum over the n embeddings s of |s(x)|^2), each complex place
     counted twice through its conjugate pair.
 
-    With d the common denominator of x's coordinates and a = d x, the
-    square is the exact rational a^T G a / d^2 (G = K.gram), rounded once
-    by the integer division and once by the square root.
+    For x = a / d, the square is the exact rational a^T G a / d^2 (G =
+    K.gram), rounded once by the integer division and once by the square
+    root.
     """
-    d, a = x.integer_coords()
+    a, d = x.num, x.den
     q = sum(ai * sum(g * aj for g, aj in zip(row, a))
             for ai, row in zip(a, K.gram))
     return math.sqrt(q / (d * d))

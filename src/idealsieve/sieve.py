@@ -25,12 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import factorint
 from .ideals import factor_ideal, factor_rational_prime
-from .lattice import admissible_modulus
+from .lattice import (admissible_modulus, fundamental_domain_reduce,
+                      in_scaled_domain)
 
 
 class BumpFunction:
@@ -261,7 +261,7 @@ def nu_weight(cfg: SieveConfig, x) -> float:
     """
     logR = _log_level(cfg.R)
     K = cfg.K
-    y = K.element(cfg.W) * x + cfg.alpha
+    y = x * cfg.W + cfg.alpha
     if not y:
         return 0.0
     if not cfg.ambient.contains(y):
@@ -281,10 +281,7 @@ def lift_nu(cfg: SieveConfig, residue) -> float:
     x lies in the centered box with coordinates in (-eps N / 2, eps N / 2]
     return nu(x), else 1.
     """
-    from .lattice import fundamental_domain_reduce
-
     xhat, _ = fundamental_domain_reduce(cfg.K, cfg.ambient, residue, cfg.N)
-    half = Fraction(cfg.epsilon * cfg.N / 2)
-    if all(-half < ci <= half for ci in cfg.ambient.coords(xhat)):
+    if in_scaled_domain(cfg.K, cfg.ambient, xhat, cfg.epsilon * cfg.N):
         return nu_weight(cfg, xhat)
     return 1.0

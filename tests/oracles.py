@@ -1,6 +1,11 @@
-"""Fraction routes that the integer ideal arithmetic replaced, kept as
-test oracles.
+"""Fraction routes that the integer element and ideal arithmetic
+replaced, kept as test oracles.
 
+- `coords_add`, `coords_neg`, `coords_scale`, `coords_mul`, `coords_norm`,
+  `coords_minkowski_norm`: element arithmetic on tuples of Fraction
+  coordinates, the product reduced modulo f by polynomial long division
+  and the norm a Fraction determinant (`det_fraction`); FieldElement now
+  keeps integer numerators over one denominator.
 - `gauss_jordan_coords`: coordinates on an ideal's Z-basis through the
   Gauss-Jordan inverse of its basis matrix.
 - `from_rows`: the ideal spanned by rational rows, over their common
@@ -29,6 +34,67 @@ from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_ideal, principal_generator)
 from idealsieve.lattice import ball_elements, fundamental_domain_reduce
 from idealsieve.linalg import hnf, mat_inv_fraction
+
+
+def coords_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def coords_neg(a):
+    return tuple(-x for x in a)
+
+
+def coords_scale(q, a):
+    return tuple(Fraction(q) * x for x in a)
+
+
+def coords_mul(K, a, b):
+    """The polynomial product of a and b, reduced modulo the monic f by
+    theta^m = -sum_{i < n} f_i theta^(m - n + i), highest m first."""
+    n = K.degree
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for m in range(2 * n - 2, n - 1, -1):
+        c, prod[m] = prod[m], Fraction(0)
+        for i, f in enumerate(K.poly[:-1]):
+            prod[m - n + i] -= c * f
+    return tuple(prod[:n])
+
+
+def det_fraction(mat):
+    """Determinant of a square matrix of Fractions/ints by Gaussian
+    elimination over Q."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def coords_norm(K, a):
+    """N(a): the determinant of the rows a theta^j."""
+    n = K.degree
+    return det_fraction([coords_mul(K, a, [int(i == j) for i in range(n)])
+                         for j in range(n)])
+
+
+def coords_minkowski_norm(K, a):
+    """sqrt(a^T G a), the exact rational rounded once to a float."""
+    q = sum(x * g * y for x, row in zip(a, K.gram) for g, y in zip(row, a))
+    return math.sqrt(Fraction(q))
 
 
 def gauss_jordan_coords(ideal, x):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -544,6 +545,24 @@ def test_hypergraph_extreme_N():
     assert run(["hypergraph", "--field", "Q(i)", "--N", "1000000"]) \
         == EXIT_BUDGET
     assert run(["hypergraph", "--N", "1"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    # patterns of 2 * 10^6 + 1 and of 591 points: each is enumerated only
+    # up to the largest size the state budget admits
+    ["hypergraph", "--field", "Q", "--N", "3", "--k", "1000000"],
+    ["hypergraph", "--field", "Q(zeta5)", "--N", "101", "--k", "6"],
+    # state and sample counts of more than 4300 digits, which int-to-string
+    # conversion refuses, named as base^exponent
+    ["hypergraph", "--field", "Q", "--N", "1000000", "--k", "500"],
+    ["correlate", "--field", "Q", "--s", "1", "--m", "5000", "--lam", "12"],
+])
+def test_budget_checked_before_quadratic_work(argv, capsys):
+    start = time.perf_counter()
+    assert run(argv) == EXIT_BUDGET
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "budget" in err and len(err) < 300
 
 
 # ---------------------------------------------------------------- determinism

@@ -409,7 +409,7 @@ def test_cross_correlation_collapses_to_mean():
 
 
 def test_cross_correlation_workers_bitwise():
-    # the fixed 16-slab reduction: repeated runs give the same bytes
+    # one correctly rounded math.fsum: repeated runs give the same bytes
     forms = LinearFormSystem(Q, [[1, 0], [0, 1], [1, 1]])
     weight = lambda x: 1.0 / (1.0 + abs(float(x.coords[0])))
     r1 = cross_correlation_sum(forms, unit_box(Q), 13, weight)

@@ -572,12 +572,17 @@ def test_coords_match_gauss_jordan_oracle(data):
     c = I.coords(x)
     assert c == gauss_jordan_coords(I, x)
     assert I.contains(x) == all(ci.denominator == 1 for ci in c)
+    # den x, integral or None, on ideals with den > 1 too
+    scaled = [ci * I.den for ci in x.coords]
+    integral = all(s.denominator == 1 for s in scaled)
+    assert I.numerators(x) == (tuple(map(int, scaled)) if integral else None)
     coeffs = data.draw(st.lists(st.integers(-20, 20), min_size=K.degree,
                                 max_size=K.degree), label="coeffs")
     y = I.element_at(coeffs)
     assert y == sum((b * K.element(a) for a, b in
                      zip(coeffs, I.basis_elements())), K.zero)
     assert gauss_jordan_coords(I, y) == coeffs and I.contains(y)
+    assert I.numerators(y) == tuple(ci * I.den for ci in y.coords)
     assert all(type(v) is Fraction for v in y.coords)
 
 

@@ -10,6 +10,8 @@ from idealsieve.errors import ReduciblePolynomialError, UnsupportedFieldError
 from idealsieve.linalg import det_int
 from idealsieve.numberfield import (_discriminant, field_by_name, make_field,
                                     minkowski_norm)
+from oracles import (coords_add, coords_minkowski_norm, coords_mul,
+                     coords_neg, coords_norm, coords_scale, det_fraction)
 
 ALL_FIELDS = ["Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)", "Q(sqrt-3)", "Q(sqrt5)",
               "Q(sqrt-5)", "Q(zeta5)"]
@@ -185,43 +187,13 @@ def test_norm_arithmetic_mean_geometric():
         minkowski_norm(K, x) / math.sqrt(n) + 1e-9
 
 
-def _det_fraction(mat):
-    """Determinant of a square matrix of Fractions/ints by Gaussian
-    elimination over Q: the route FieldElement.norm took before its
-    integer Bareiss determinant, kept as the oracle."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _norm_oracle(x):
-    K = x.K
-    if K.degree == 1:
-        return Fraction(x.coords[0])
-    return _det_fraction([(x * K.theta_power(j)).coords
-                          for j in range(K.degree)])
-
-
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(ALL_FIELDS),
        coords=st.lists(rational, min_size=4, max_size=4))
 def test_norm_matches_fraction_determinant(name, coords):
     K = field_by_name(name)
     x = K.element(coords[:K.degree])
-    assert x.norm() == _norm_oracle(x)
+    assert x.norm() == coords_norm(K, tuple(x.coords))
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,4 +202,46 @@ def test_norm_matches_fraction_determinant(name, coords):
     min_size=n, max_size=n)))
 def test_det_int_matches_fraction_determinant(rows):
     # small entries hit zero pivots and singular matrices often
-    assert det_int(rows) == _det_fraction(rows)
+    assert det_int(rows) == det_fraction(rows)
+
+
+def _in_lowest_terms(x):
+    return (type(x.num) is tuple and len(x.num) == x.K.degree
+            and all(type(a) is int for a in x.num)
+            and type(x.den) is int and x.den >= 1
+            and math.gcd(x.den, *x.num) == 1)
+
+
+# denominators 1 .. 12
+small_rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(ALL_FIELDS),
+       a=st.lists(small_rational, min_size=4, max_size=4),
+       b=st.lists(small_rational, min_size=4, max_size=4),
+       m=st.integers(-50, 50), q=small_rational)
+def test_element_arithmetic_matches_fraction_oracle(name, a, b, m, q):
+    K = field_by_name(name)
+    a, b = tuple(a[:K.degree]), tuple(b[:K.degree])
+    x, y = K.element(a), K.element(b)
+    m_, q_ = ((m,) + (0,) * (K.degree - 1), (q,) + (0,) * (K.degree - 1))
+    cases = [(x, a), (y, b), (x + y, coords_add(a, b)),
+             (x - y, coords_add(a, coords_neg(b))), (-x, coords_neg(a)),
+             (x * y, coords_mul(K, a, b)), (x * m, coords_scale(m, a)),
+             (m * x, coords_scale(m, a)), (x * q, coords_scale(q, a)),
+             (q * x, coords_scale(q, a)), (x + m, coords_add(a, m_)),
+             (q - x, coords_add(q_, coords_neg(a)))]
+    for z, want in cases:
+        assert z.coords == want
+        assert all(type(c) is Fraction for c in z.coords)
+        assert _in_lowest_terms(z)
+        assert K.element(z.coords) == z
+        assert z.norm() == coords_norm(K, want)
+        assert minkowski_norm(K, z) == coords_minkowski_norm(K, want)
+        assert bool(z) == any(want)
+    assert (x == y) == (a == b)
+    # equal values built by different routes are equal, with equal hashes
+    w = (x + y) - y
+    assert w == x and hash(w) == hash(x)
+    assert (w.num, w.den) == (x.num, x.den)
