@@ -277,7 +277,7 @@ def cmd_residue(args):
     K = _field(args)
     x = K.element(args.x)
     ideal = FractionalIdeal.unit_ideal(K)
-    red, shift = fundamental_domain_reduce(K, ideal, x, args.N)
+    red, shift = fundamental_domain_reduce(ideal, x, args.N)
     _emit(args, [json.dumps({"op": "residue",
                              "x": [str(c) for c in x.coords],
                              "reduced": [str(c) for c in red.coords],

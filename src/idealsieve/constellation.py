@@ -253,8 +253,8 @@ def alpha_scan(cfg: SieveConfig, window, budget: int = 10**6) -> AlphaScanResult
         xi = principal_generator(pb)
         if xi is None:
             continue  # prime not in the class of the inverse ambient ideal
-        alpha, _ = fundamental_domain_reduce(K, cfg.ambient, xi, cfg.W)
-        lam = lambda_of_primes(K, (P,), cfg.R, cfg.phi)
+        alpha, _ = fundamental_domain_reduce(cfg.ambient, xi, cfg.W)
+        lam = lambda_of_primes((P,), cfg.R, cfg.phi)
         mass = Fraction(lam) ** 2
         key = tuple(str(c) for c in alpha.coords)
         masses[key] = masses.get(key, Fraction(0)) + mass

@@ -395,7 +395,7 @@ def _pair_sum_ideals(pairs, logR, phi):
     pairs is in pairs too."""
     inner = {}
     for S, n in pairs:
-        c = (-1) ** len(S) * (phi(math.log(n) / logR) if n > 1 else 1.0) / n
+        c = (-1) ** len(S) * phi(math.log(n) / logR) / n
         for r in range(len(S) + 1):
             for e in itertools.combinations(S, r):
                 inner.setdefault(frozenset(e), []).append(c)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .arith import factorint, iroot, isprime, primerange, sqrt_mod
 from .errors import BudgetExceededError, UnsupportedFieldError
-from .linalg import det_int, hnf, mat_inv_fraction
+from .linalg import adjugate, det_int, hnf
 from .numberfield import FieldElement, NumberField
 
 
@@ -86,14 +86,12 @@ class FractionalIdeal:
         return self.den == 1
 
     def coords(self, x: FieldElement):
-        """Rational coordinates of any x on the Z-basis (HNF rows / den),
-        by triangular back-substitution."""
-        y = []
-        for col, column in enumerate(zip(*self.mat)):
-            rem = Fraction(x.num[col] * self.den, x.den) \
-                - sum(map(operator.mul, y, column))
-            y.append(rem / column[col])
-        return y
+        """Rational coordinates of any x on the Z-basis (HNF rows / den).
+        With D = x.den det(H), D x lies in the ideal, so they are the
+        integer coordinates of D x (from _coefficients) over D."""
+        det = math.prod(self.mat[i][i] for i in range(self.K.degree))
+        v = [a * self.den * det for a in x.num]
+        return [Fraction(c, x.den * det) for c in self._coefficients(v)]
 
     def numerators(self, x: FieldElement):
         """The integer vector den x, or None if it is not integral (then x
@@ -173,8 +171,7 @@ class FractionalIdeal:
         cols = [c for h in self.mat for c in zip(*K.mul_rows(h))]
         B = hnf(cols, n)
         det = math.prod(B[i][i] for i in range(n))
-        adj = [[int(det * x) for x in row] for row in mat_inv_fraction(B)]
-        rows = [[d * adj[r][c] for r in range(n)] for c in range(n)]
+        rows = [[d * a for a in col] for col in zip(*adjugate(B))]
         inv = FractionalIdeal(K, hnf(rows, n), det)
         self._inv = inv
         inv._inv = self

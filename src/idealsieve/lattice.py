@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .arith import primerange
 from .errors import BudgetExceededError
-from .linalg import mat_inv_fraction
+from .linalg import adjugate, det_int
 from .numberfield import FieldElement, NumberField
 
 
@@ -32,9 +33,9 @@ def iter_ball_elements(K: NumberField, ideal, radius: float,
     the point c H / den has squared norm c Q c^T / den^2 for the integer
     form Q = H G H^T (G = K.gram), so it lies in the ball iff c Q c^T <=
     B = ceil(radius^2 den^2) - 1, the radius taken as an exact Fraction.
-    The coefficient box |c_i| <= radius den sqrt((Q^-1)_ii) is checked
-    against the budget before anything is enumerated.  The points are
-    then enumerated by Fincke-Pohst in integers: the rational
+    The coefficient box |c_i| <= radius den sqrt(adj(Q)_ii / det Q) is
+    checked against the budget before anything is enumerated.  The points
+    are then enumerated by Fincke-Pohst in integers: the rational
     decomposition Q(c) = sum_i d_i (c_i + sum_{j<i} mu_ij c_j)^2 is
     scaled to W Q(c) = sum_i e_i y_i^2 with y_i = M_i c_i + sum_{j<i}
     A_ij c_j, so every coordinate's range is an exact integer square
@@ -49,9 +50,10 @@ def iter_ball_elements(K: NumberField, ideal, radius: float,
           for row in H]
     Q = [[sum(a * b for a, b in zip(row, h)) for h in H] for row in HG]
     R2 = Fraction(radius) ** 2 * den * den
+    detQ = det_int(Q)
     total = 1
-    for i, row in enumerate(mat_inv_fraction(Q)):
-        total *= 2 * math.isqrt(math.floor(R2 * row[i])) + 1
+    for i, row in enumerate(adjugate(Q)):
+        total *= 2 * math.isqrt(R2 * row[i] // detQ) + 1
         if total > budget:
             raise BudgetExceededError(
                 f"ball enumeration box has {total}+ candidates (budget {budget})")
@@ -103,22 +105,28 @@ class Parallelotope:
 
 
 def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
-    """Lattice points of the ideal inside the half-open parallelotope.
+    """Lattice points of the ideal inside the half-open parallelotope, in
+    coordinate order.
 
-    Exact rational arithmetic: a point x qualifies iff the coordinates t of
-    x - origin in the edge basis satisfy 0 <= t_i < 1.
+    x qualifies iff the coordinates t of x - origin in the edge basis
+    satisfy 0 <= t_i < 1.  In integers: with the edges A / e over one
+    denominator and x - origin = w / L, t = e w adj(A) / (L det A), so x
+    qualifies iff 0 <= e (w adj A)_i sgn(det A) < L |det A| for every i.
+    The candidates c H / den run over the box of the corners' coordinates
+    c in lexicographic order, which is coordinate order as H is upper
+    triangular with positive pivots; only accepted ones become elements.
     """
-    K = ideal.K
-    n = K.degree
-    E = [u.coords for u in box.edges]
-    Einv = mat_inv_fraction(E)
-    o = box.origin.coords
+    n = ideal.K.degree
+    e = math.lcm(*(u.den for u in box.edges))
+    A = [[a * (e // u.den) for a in u.num] for u in box.edges]
+    det = det_int(A) if len(A) == n else 0
+    if det == 0:
+        raise ValueError("singular matrix")
+    adj = adjugate(A)
+    o = box.origin
     # box of candidates: corners of the parallelotope in lattice coordinates
-    corners = []
-    for mask in itertools.product((0, 1), repeat=n):
-        pt = [o[j] + sum(mask[i] * E[i][j] for i in range(n))
-              for j in range(n)]
-        corners.append(ideal.coords(K.element(pt)))
+    corners = [ideal.coords(sum((u for m, u in zip(mask, box.edges) if m), o))
+               for mask in itertools.product((0, 1), repeat=n)]
     los = [min(math.floor(c[i]) for c in corners) for i in range(n)]
     his = [max(math.ceil(c[i]) for c in corners) for i in range(n)]
     total = 1
@@ -127,19 +135,21 @@ def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
         if total > budget:
             raise BudgetExceededError(
                 f"parallelotope box has {total}+ candidates (budget {budget})")
-    out = []
-    for coeffs in itertools.product(*(range(lo, hi + 1)
-                                      for lo, hi in zip(los, his))):
-        x = ideal.element_at(coeffs)
-        d = [c - oj for c, oj in zip(x.coords, o)]
-        t = [sum(d[c] * Einv[c][r] for c in range(n)) for r in range(n)]
-        if all(0 <= ti < 1 for ti in t):
-            out.append(x)
-    out.sort(key=lambda x: x.coords)
-    return out
+    # x - origin = w / L with w = o.den c H - den o.num and L = den o.den,
+    # so the test vector e sgn(det A) w adj(A) is c G - g
+    s = e if det > 0 else -e
+    G = [[s * o.den * sum(map(operator.mul, h, col)) for col in zip(*adj)]
+         for h in ideal.mat]
+    g = [s * ideal.den * sum(map(operator.mul, o.num, col))
+         for col in zip(*adj)]
+    bound = ideal.den * o.den * abs(det)
+    return [ideal.element_at(c) for c in itertools.product(
+        *(range(lo, hi + 1) for lo, hi in zip(los, his)))
+        if all(0 <= sum(map(operator.mul, c, col)) - gi < bound
+               for col, gi in zip(zip(*G), g))]
 
 
-def fundamental_domain_reduce(K: NumberField, ideal, x: FieldElement, N: int):
+def fundamental_domain_reduce(ideal, x: FieldElement, N: int):
     """Reduce x modulo N * ideal into the scaled fundamental domain
     N * G, where G = sum (-1/2, 1/2] eta_i over the ideal basis.
 
@@ -147,16 +157,12 @@ def fundamental_domain_reduce(K: NumberField, ideal, x: FieldElement, N: int):
     ceil(c_i / N - 1/2), giving coordinates in (-N/2, N/2].  Returns
     (reduced, shift) with x = reduced + shift and shift in N * ideal.
     """
-    m = [_ceil_frac(ci / N - Fraction(1, 2)) for ci in ideal.coords(x)]
+    m = [math.ceil(ci / N - Fraction(1, 2)) for ci in ideal.coords(x)]
     shift = ideal.element_at([mi * N for mi in m])
     return x - shift, shift
 
 
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-def in_scaled_domain(K: NumberField, ideal, x: FieldElement, N: int) -> bool:
+def in_scaled_domain(ideal, x: FieldElement, N: int) -> bool:
     """Is x in N * G for the ideal's fundamental domain G?  N is an int or
     a float, taken exactly."""
     half = Fraction(N) / 2

@@ -1,13 +1,13 @@
-"""Exact integer/rational linear algebra helpers (tiny dimensions).
+"""Exact integer linear algebra helpers (tiny dimensions).
 
-Everything here works on plain lists/tuples of ints or Fractions; matrices
-are row-major.  Dimensions never exceed the field degree (<= 4) or small
-multiples of it, so the simple algorithms below are plenty.
+Everything here works on plain lists/tuples of ints; matrices are
+row-major.  Dimensions never exceed the field degree (<= 4) or small
+multiples of it, so the simple algorithms below are plenty.  An inverse
+is never formed: callers use the adjugate and the determinant, A^-1 =
+adj(A) / det(A).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def hnf(rows, n):
@@ -49,25 +49,6 @@ def hnf(rows, n):
     return tuple(tuple(r) for r in basis)
 
 
-def mat_inv_fraction(mat):
-    """Inverse of a square matrix of Fractions/ints via Gauss-Jordan."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def det_int(mat):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination; every division is exact."""
@@ -87,3 +68,14 @@ def det_int(mat):
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
+
+def adjugate(mat):
+    """The integer adjugate of a square integer matrix by cofactors,
+    adj(A)_ij = (-1)^(i+j) det(A without row j and column i), so that
+    adj(A) A = det(A) I."""
+    n = len(mat)
+    if n == 1:
+        return [[1]]
+    return [[(-1) ** (i + j) * det_int([row[:i] + row[i + 1:]
+                                        for k, row in enumerate(mat) if k != j])
+             for j in range(n)] for i in range(n)]

@@ -145,7 +145,7 @@ def _is_small(norm, logR, phi) -> bool:
 
 
 @lru_cache(maxsize=2 ** 16)
-def _lambda_cached(K, primes, logR, phi):
+def _lambda_cached(primes, logR, phi):
     terms = []
     for mask in itertools.product((0, 1), repeat=len(primes)):
         logNd = sum(m * math.log(P.norm()) for m, P in zip(mask, primes))
@@ -154,13 +154,13 @@ def _lambda_cached(K, primes, logR, phi):
     return math.fsum(terms)
 
 
-def lambda_of_primes(K, primes, R: float, phi: BumpFunction = DEFAULT_BUMP):
+def lambda_of_primes(primes, R: float, phi: BumpFunction = DEFAULT_BUMP):
     """Lambda_{K,R} of an integral ideal of K whose distinct primes, in
     factor_ideal's order, are `primes`; only those of norm below
     R^phi.support[1] enter the subset sum."""
     logR = _log_level(R)
     small = tuple(P for P in primes if _is_small(P.norm(), logR, phi))
-    return _lambda_cached(K, small, logR, phi)
+    return _lambda_cached(small, logR, phi)
 
 
 def lambda_R(n, R: float, phi: BumpFunction = DEFAULT_BUMP) -> float:
@@ -169,8 +169,7 @@ def lambda_R(n, R: float, phi: BumpFunction = DEFAULT_BUMP) -> float:
     Only the distinct primes of n of norm below R^phi.support[1] matter;
     the sum runs over their subsets.  ValueError unless 1 < R < inf.
     """
-    return lambda_of_primes(n.K, (P for P, _ in factor_ideal(n).factors),
-                            R, phi)
+    return lambda_of_primes((P for P, _ in factor_ideal(n).factors), R, phi)
 
 
 @lru_cache(maxsize=2 ** 12)
@@ -260,14 +259,13 @@ def nu_weight(cfg: SieveConfig, x) -> float:
     in b.
     """
     logR = _log_level(cfg.R)
-    K = cfg.K
     y = x * cfg.W + cfg.alpha
     if not y:
         return 0.0
     if not cfg.ambient.contains(y):
         raise ValueError("W x + alpha does not lie in the ambient ideal")
     primes = _small_primes_dividing(y, cfg.ambient, logR, cfg.phi)
-    lam = _lambda_cached(K, primes, logR, cfg.phi)
+    lam = _lambda_cached(primes, logR, cfg.phi)
     v = lam * lam
     if not cfg.raw:
         v *= cfg.prefactor()
@@ -281,7 +279,7 @@ def lift_nu(cfg: SieveConfig, residue) -> float:
     x lies in the centered box with coordinates in (-eps N / 2, eps N / 2]
     return nu(x), else 1.
     """
-    xhat, _ = fundamental_domain_reduce(cfg.K, cfg.ambient, residue, cfg.N)
-    if in_scaled_domain(cfg.K, cfg.ambient, xhat, cfg.epsilon * cfg.N):
+    xhat, _ = fundamental_domain_reduce(cfg.ambient, residue, cfg.N)
+    if in_scaled_domain(cfg.ambient, xhat, cfg.epsilon * cfg.N):
         return nu_weight(cfg, xhat)
     return 1.0

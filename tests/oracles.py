@@ -6,8 +6,13 @@ replaced, kept as test oracles.
   coordinates, the product reduced modulo f by polynomial long division
   and the norm a Fraction determinant (`det_fraction`); FieldElement now
   keeps integer numerators over one denominator.
+- `mat_inv_fraction`: the Gauss-Jordan inverse in Fractions; the
+  library uses the integer adjugate and determinant instead.
 - `gauss_jordan_coords`: coordinates on an ideal's Z-basis through the
   Gauss-Jordan inverse of its basis matrix.
+- `parallelotope_oracle`: points_in_parallelotope with every candidate
+  built as a field element and tested against the Fraction inverse of
+  the edge matrix, then sorted by coordinates.
 - `from_rows`: the ideal spanned by rational rows, over their common
   denominator.
 - `mul_oracle`, `add_oracle`, `inverse_oracle`: product, sum and inverse
@@ -32,8 +37,9 @@ from fractions import Fraction
 from idealsieve.correlation import omega_tuple, squarefree_ideals
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_ideal, principal_generator)
+from idealsieve.errors import BudgetExceededError
 from idealsieve.lattice import ball_elements, fundamental_domain_reduce
-from idealsieve.linalg import hnf, mat_inv_fraction
+from idealsieve.linalg import hnf
 
 
 def coords_add(a, b):
@@ -95,6 +101,56 @@ def coords_minkowski_norm(K, a):
     """sqrt(a^T G a), the exact rational rounded once to a float."""
     q = sum(x * g * y for x, row in zip(a, K.gram) for g, y in zip(row, a))
     return math.sqrt(Fraction(q))
+
+
+def mat_inv_fraction(mat):
+    """Inverse of a square matrix of Fractions/ints via Gauss-Jordan."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        d = a[col][col]
+        a[col] = [x / d for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def parallelotope_oracle(ideal, box, budget=10**7):
+    K = ideal.K
+    n = K.degree
+    E = [u.coords for u in box.edges]
+    Einv = mat_inv_fraction(E)
+    o = box.origin.coords
+    corners = []
+    for mask in itertools.product((0, 1), repeat=n):
+        pt = [o[j] + sum(mask[i] * E[i][j] for i in range(n))
+              for j in range(n)]
+        corners.append(gauss_jordan_coords(ideal, K.element(pt)))
+    los = [min(math.floor(c[i]) for c in corners) for i in range(n)]
+    his = [max(math.ceil(c[i]) for c in corners) for i in range(n)]
+    total = 1
+    for lo, hi in zip(los, his):
+        total *= hi - lo + 1
+        if total > budget:
+            raise BudgetExceededError(
+                f"parallelotope box has {total}+ candidates (budget {budget})")
+    out = []
+    for coeffs in itertools.product(*(range(lo, hi + 1)
+                                      for lo, hi in zip(los, his))):
+        x = ideal.element_at(coeffs)
+        d = [c - oj for c, oj in zip(x.coords, o)]
+        t = [sum(d[c] * Einv[c][r] for c in range(n)) for r in range(n)]
+        if all(0 <= ti < 1 for ti in t):
+            out.append(x)
+    out.sort(key=lambda x: x.coords)
+    return out
 
 
 def gauss_jordan_coords(ideal, x):
@@ -223,7 +279,7 @@ def alpha_scan_oracle(cfg, window):
         xi = principal_generator(P.ideal() * cfg.ambient)
         if xi is None:
             continue
-        alpha, _ = fundamental_domain_reduce(K, cfg.ambient, xi, cfg.W)
+        alpha, _ = fundamental_domain_reduce(cfg.ambient, xi, cfg.W)
         mass = Fraction(lambda_oracle(P.ideal(), cfg.R, cfg.phi)) ** 2
         key = tuple(str(c) for c in alpha.coords)
         masses[key] = masses.get(key, Fraction(0)) + mass

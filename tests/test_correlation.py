@@ -337,6 +337,21 @@ def test_singular_series_gaussian_fast_vs_direct():
     assert fast == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("K", [Q, QI])
+def test_singular_series_fast_path_weights_unit_ideal_by_phi_at_zero(K):
+    # phi(0) = 1/2: d = O_K carries the weight phi(0) on both paths
+    half = sieve.BumpFunction(f=lambda t: DEFAULT_BUMP(t) / 2,
+                              df=lambda t: DEFAULT_BUMP.derivative(t) / 2)
+    forms = LinearFormSystem(K, [[1]])
+    fast = singular_series_direct(forms, 30.0, 6, phi=half)
+    direct = singular_series_direct(
+        forms, 30.0, 6, phi=half, budget=10**8,
+        prime_support=enumerate_prime_ideals(K, 29))
+    assert fast == pytest.approx(direct, rel=1e-12)
+    assert fast == pytest.approx(singular_series_direct(forms, 30.0, 6) / 4,
+                                 rel=1e-12)
+
+
 def test_euler_route_agrees_on_common_support():
     # with Euler weights and identical prime support, the direct tuple sum
     # factors exactly into the truncated Euler product; R is chosen so that

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from idealsieve.ideals import FractionalIdeal, factor_rational_prime
 from idealsieve.lattice import (Parallelotope, admissible_modulus,
                                 ball_elements, fundamental_domain_reduce,
                                 in_scaled_domain, points_in_parallelotope)
-from idealsieve.linalg import mat_inv_fraction
+from idealsieve.linalg import adjugate, det_int
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field, minkowski_norm
+from oracles import mat_inv_fraction, parallelotope_oracle
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -60,21 +62,21 @@ def test_ball_budget():
 
 def test_interval_reduction():
     O = FractionalIdeal.unit_ideal(Q)
-    red, shift = fundamental_domain_reduce(Q, O, Q.element(17), 10)
+    red, shift = fundamental_domain_reduce(O, Q.element(17), 10)
     assert int(red.coords[0]) == -3 and int(shift.coords[0]) == 20
     # boundary convention: (-N/2, N/2], so 5 stays, -5 moves to 5
-    red, _ = fundamental_domain_reduce(Q, O, Q.element(5), 10)
+    red, _ = fundamental_domain_reduce(O, Q.element(5), 10)
     assert int(red.coords[0]) == 5
-    red, _ = fundamental_domain_reduce(Q, O, Q.element(-5), 10)
+    red, _ = fundamental_domain_reduce(O, Q.element(-5), 10)
     assert int(red.coords[0]) == 5
 
 
 def test_reduction_gaussian():
     O = FractionalIdeal.unit_ideal(QI)
     x = QI.element([3, 1])
-    red, shift = fundamental_domain_reduce(QI, O, x, 2)
+    red, shift = fundamental_domain_reduce(O, x, 2)
     assert red + shift == x
-    assert in_scaled_domain(QI, O, red, 2)
+    assert in_scaled_domain(O, red, 2)
     assert O.contains(shift)
     for c in shift.coords:
         assert c % 2 == 0
@@ -87,9 +89,9 @@ def test_reduction_gaussian():
 def test_reduction_property(a, b, N):
     O = FractionalIdeal.unit_ideal(QI)
     x = QI.element([a, b])
-    red, shift = fundamental_domain_reduce(QI, O, x, N)
+    red, shift = fundamental_domain_reduce(O, x, N)
     assert red + shift == x
-    assert in_scaled_domain(QI, O, red, N)
+    assert in_scaled_domain(O, red, N)
     assert all((c / N).denominator == 1 for c in O.coords(shift))
 
 
@@ -99,7 +101,7 @@ def test_reduction_ideal_lattice():
     a = P5.ideal()
     x = QI.element([7, 4])  # 7+4i = (2+i)(2+i) ... member check not needed
     x = a.basis_elements()[0] * QI.element(3)
-    red, shift = fundamental_domain_reduce(QI, a, x, 4)
+    red, shift = fundamental_domain_reduce(a, x, 4)
     assert red + shift == x
     assert all((c / 4).denominator == 1 for c in a.coords(shift))
 
@@ -127,6 +129,76 @@ def test_parallelotope_skew_ideal():
     pts = points_in_parallelotope(a, box.scaled(4))
     # index-2 sublattice of [0,4)^2
     assert len(pts) == 8
+
+
+# every vetted field with O_K, the primes above 2, 3, 5 and 7 and their
+# inverses (fractional ideals with den > 1), grouped by field
+_BOX_AMBIENTS = [
+    [(K, I) for I in [FractionalIdeal.unit_ideal(K)]
+     + [J for p in (2, 3, 5, 7) for P in factor_rational_prime(K, p)
+        for J in (P.ideal(), P.ideal().inverse())]]
+    for K in map(make_field, SUPPORTED_POLYS)]
+
+
+def _element(K, nums, den):
+    return K.element([Fraction(a, den) for a in nums[:K.degree]])
+
+
+_small_element = st.tuples(st.lists(st.integers(-4, 4), min_size=4,
+                                    max_size=4), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_BOX_AMBIENTS).flatmap(st.sampled_from),
+       origin=_small_element,
+       edges=st.lists(_small_element, min_size=4, max_size=4),
+       factor=(st.fractions(-3, 3, max_denominator=4)
+               | st.floats(-3, 3)).filter(bool),
+       budget=st.sampled_from([40, 5000]))
+def test_parallelotope_matches_fraction_oracle(case, origin, edges, factor,
+                                               budget):
+    # small random edges are sometimes singular, and their order gives
+    # both signs of the determinant
+    K, I = case
+    box = Parallelotope(K, _element(K, *origin),
+                        [_element(K, *u) for u in edges[:K.degree]])
+    box = box.scaled(factor)
+    try:
+        want = parallelotope_oracle(I, box, budget=budget)
+    except (BudgetExceededError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            points_in_parallelotope(I, box, budget=budget)
+        return
+    got = points_in_parallelotope(I, box, budget=budget)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_adjugate_times_matrix_is_det_identity(rows):
+    # small entries give singular matrices (adj A A = 0) often
+    n = len(rows)
+    adj, det = adjugate(rows), det_int(rows)
+    scalar = [[det * (i == j) for j in range(n)] for i in range(n)]
+    assert all(type(a) is int for row in adj for a in row)
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)]
+            for row in adj] == scalar
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)]
+            for row in rows] == scalar
+    if det:
+        assert [[Fraction(a, det) for a in row] for row in adj] \
+            == mat_inv_fraction(rows)
+
+
+@pytest.mark.parametrize("edges", [[[3, 0]], [[3, 0], [0, 3], [1, 1]]])
+def test_parallelotope_needs_one_edge_per_degree(edges):
+    # edges that are no basis of K are a singular edge matrix
+    O = FractionalIdeal.unit_ideal(QI)
+    box = Parallelotope(QI, QI.zero, [QI.element(u) for u in edges])
+    with pytest.raises(ValueError, match="singular matrix"):
+        points_in_parallelotope(O, box)
 
 
 def test_admissible_moduli():
