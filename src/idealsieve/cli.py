@@ -57,6 +57,15 @@ def positive_int(text):
     return N
 
 
+def sieve_scale(text):
+    """An --N that sets the sieve level, log R = log N / (8 s z 2^{sz}):
+    an integer >= 2, so that log R > 0."""
+    N = int(text)
+    if N < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {text}")
+    return N
+
+
 def non_negative_int(text):
     """An integer >= 0."""
     N = int(text)
@@ -320,7 +329,7 @@ def build_parser():
     p.add_argument("--W", type=int, default=6)
     p.add_argument("--R", type=sieve_level, nargs="+", default=[100.0])
     p = add("autocorr", cmd_autocorr)
-    p.add_argument("--N", type=positive_int, default=500)
+    p.add_argument("--N", type=sieve_scale, default=500)
     p.add_argument("--s", type=positive_int, default=2)
     p.add_argument("--w", type=int, default=3)
     p.add_argument("--y", type=int, nargs="+", default=[0, 2])

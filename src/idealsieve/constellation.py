@@ -10,7 +10,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from .correlation import pattern_points
@@ -19,18 +19,16 @@ from .ideals import (FractionalIdeal, enumerate_prime_ideals, factor_ideal,
                      is_prime_vector, principal_generator)
 from .lattice import (ball_elements, fundamental_domain_reduce,
                       iter_ball_elements)
-from .numberfield import FieldElement, NumberField, make_field, minkowski_norm
+from .numberfield import FieldElement, make_field, minkowski_norm
 from .sieve import SieveConfig, lambda_of_primes
 
 
-@dataclass
-class ConstellationSpec:
-    K: NumberField
-    ambient: FractionalIdeal
-    k: float                    # pattern = O_K cap B_k
-    anchor_bound: float         # search |a|_Min <= anchor_bound
-    step_bound: float           # search 0 < |xi|_Min <= step_bound
-    max_hits: int = None
+class ConstellationSpec(namedtuple(
+        "ConstellationSpec", "K ambient k anchor_bound step_bound max_hits",
+        defaults=(None,))):
+    """The pattern is O_K cap B_k; the search takes anchors with |a|_Min <=
+    anchor_bound and steps with 0 < |xi|_Min <= step_bound."""
+    __slots__ = ()
 
     def pattern(self):
         pts = pattern_points(self.K, self.k)
@@ -39,19 +37,28 @@ class ConstellationSpec:
         return pts
 
 
-@dataclass
 class Certificate:
-    field: str
-    ambient: dict
-    k: float
-    anchor: list        # coordinate strings
-    step: list
-    points: list        # list of coordinate-string lists
-    radius: float
-    witnesses: list     # per-point prime data {p, g, e, f}
+    """One hit as mutable JSON-ready values: coordinate strings for anchor,
+    step and each point, and per-point prime witnesses {p, g, e, f}."""
+    __slots__ = ("field", "ambient", "k", "anchor", "step", "points",
+                 "radius", "witnesses")
+
+    def __init__(self, field, ambient, k, anchor, step, points, radius,
+                 witnesses):
+        self.field, self.ambient, self.k = field, ambient, k
+        self.anchor, self.step, self.points = anchor, step, points
+        self.radius, self.witnesses = radius, witnesses
+
+    def _items(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
+        return json.dumps(self._items(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -211,19 +218,16 @@ def verify_line(text: str):
     except ValueError:  # json.JSONDecodeError is a ValueError
         return False, ["schema"]
     if not isinstance(obj, dict) \
-            or set(obj) != {f.name for f in fields(Certificate)}:
+            or set(obj) != set(Certificate.__slots__):
         return False, ["schema"]
     return verify_certificate(Certificate(**obj))
 
 
-@dataclass
-class AlphaScanResult:
-    masses: dict          # alpha key -> Fraction mass (exact sums of floats)
-    total: Fraction
-    maximizer: tuple
-    window: tuple
-    W: int
-    count: int
+class AlphaScanResult(namedtuple(
+        "AlphaScanResult", "masses total maximizer window W count")):
+    """masses maps an alpha key to its Fraction mass, an exact sum of
+    floats, and total is the sum over every prime counted."""
+    __slots__ = ()
 
     def partition_exact(self) -> bool:
         return sum(self.masses.values(), Fraction(0)) == self.total

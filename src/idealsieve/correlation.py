@@ -15,16 +15,16 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorint, primerange
+from .arith import factorint, iroot, primerange
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
                      factor_ideal, factor_rational_prime, zeta_residue)
 from .lattice import (Parallelotope, ball_elements, iter_ball_elements,
-                      points_in_parallelotope)
+                      iter_points_in_parallelotope, points_in_parallelotope)
 from .numberfield import FieldElement
 from .sieve import SieveConfig, c_phi, nu_weight
 
@@ -116,13 +116,9 @@ def report_line(op, empirical, predicted, params, **extra) -> str:
                       sort_keys=True)
 
 
-@dataclass
-class CorrelationReport:
-    op: str
-    empirical: float
-    predicted: float
-    sample_size: int
-    parameters: dict
+class CorrelationReport(namedtuple(
+        "CorrelationReport", "op empirical predicted sample_size parameters")):
+    __slots__ = ()
 
     @property
     def ratio(self):
@@ -140,12 +136,17 @@ def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
                           lam, weight, budget: int = 10**7
                           ) -> CorrelationReport:
     """(1/|b cap lam I|^m) sum over x in (b cap lam I)^m of
-    prod_j weight(psi_j(x) + b_j)."""
-    pts = points_in_parallelotope(forms.ambient, region.scaled(lam),
-                                  budget=budget)
+    prod_j weight(psi_j(x) + b_j).  At most iroot(budget, m) + 1 points
+    are enumerated, as that many already make more than budget tuples."""
+    cap = iroot(budget, forms.m) + 1
+    pts = list(itertools.islice(iter_points_in_parallelotope(
+        forms.ambient, region.scaled(lam), budget=budget), cap))
     if not pts:
         raise ValueError("empty region")
-    _check_power(len(pts), forms.m, budget, "sample tuples")
+    if len(pts) == cap:
+        raise BudgetExceededError(
+            f"{cap}+ region points: {cap}^{forms.m}+ sample tuples exceed "
+            f"budget {budget}")
     count = len(pts) ** forms.m
 
     def term(x):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -212,15 +212,11 @@ class FractionalIdeal:
         return all(self.contains(b * th) for b in self.basis_elements())
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(namedtuple("PrimeIdeal", "K p gpoly e f")):
     """Two-element representation (p, g(theta)) with residue degree f and
-    ramification index e."""
-    K: NumberField
-    p: int
-    gpoly: tuple  # constant-first, monic, coefficients in [0, p)
-    e: int
-    f: int
+    ramification index e; gpoly is constant-first, monic, with
+    coefficients in [0, p)."""
+    __slots__ = ()
 
     def norm(self) -> int:
         return self.p ** self.f
@@ -254,9 +250,9 @@ def _prime_ideal_lattice(P: PrimeIdeal) -> FractionalIdeal:
         P.K, [P.K.element(P.p), P.generator_element()])
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
-    factors: tuple  # ((PrimeIdeal, exponent), ...)
+class IdealFactorization(namedtuple("IdealFactorization", "factors")):
+    """factors: ((PrimeIdeal, exponent), ...)."""
+    __slots__ = ()
 
     def product(self, K) -> FractionalIdeal:
         out = FractionalIdeal.unit_ideal(K)
@@ -600,14 +596,10 @@ def is_prime_vector(K: NumberField, b: FractionalIdeal, v):
     return False
 
 
-@dataclass(frozen=True)
-class TruncatedClass:
+class TruncatedClass(namedtuple("TruncatedClass",
+                                "ambient modulus anchor radius members")):
     """{xi in ambient : xi = anchor (mod modulus), |xi - anchor|_Min < radius}"""
-    ambient: FractionalIdeal
-    modulus: FractionalIdeal
-    anchor: FieldElement
-    radius: float
-    members: tuple
+    __slots__ = ()
 
     @classmethod
     def build(cls, ambient, modulus, anchor, radius, budget: int = 10**6):

@@ -106,7 +106,14 @@ class Parallelotope:
 
 def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
     """Lattice points of the ideal inside the half-open parallelotope, in
-    coordinate order.
+    coordinate order (the list of iter_points_in_parallelotope)."""
+    return list(iter_points_in_parallelotope(ideal, box, budget))
+
+
+def iter_points_in_parallelotope(ideal, box: Parallelotope,
+                                 budget: int = 10**7):
+    """The lattice points of the ideal inside the half-open parallelotope,
+    in coordinate order, generated one at a time.
 
     x qualifies iff the coordinates t of x - origin in the edge basis
     satisfy 0 <= t_i < 1.  In integers: with the edges A / e over one
@@ -143,10 +150,10 @@ def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
     g = [s * ideal.den * sum(map(operator.mul, o.num, col))
          for col in zip(*adj)]
     bound = ideal.den * o.den * abs(det)
-    return [ideal.element_at(c) for c in itertools.product(
+    yield from (ideal.element_at(c) for c in itertools.product(
         *(range(lo, hi + 1) for lo, hi in zip(los, his)))
         if all(0 <= sum(map(operator.mul, c, col)) - gi < bound
-               for col, gi in zip(zip(*G), g))]
+               for col, gi in zip(zip(*G), g)))
 
 
 def fundamental_domain_reduce(ideal, x: FieldElement, N: int):

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorint
-from .ideals import factor_ideal, factor_rational_prime
+from .ideals import (FractionalIdeal, euler_phi, factor_ideal,
+                     factor_rational_prime, zeta_residue)
 from .lattice import (admissible_modulus, fundamental_domain_reduce,
                       in_scaled_domain)
 
@@ -195,46 +195,31 @@ def _small_primes_dividing(y, b, logR, phi):
     return tuple(out)
 
 
-@dataclass
 class SieveConfig:
-    """Parameters of the truncated-divisor-sum measure.
+    """Parameters of the truncated-divisor-sum measure: alpha is the anchor
+    residue (default 1), ambient the fractional ideal b (default O_K), and
+    raw drops the density prefactor.  logR defaults to log N / (8 s z
+    2^{sz}), z the field degree times the number of forms per point."""
 
-    logR defaults to log N / (8 s z 2^{sz}) with z the degree of the field
-    times the number of forms per point; override via logR.
-    """
-    K: object
-    N: int
-    s: int = 1
-    k: float = 1.5
-    w: int = 3
-    alpha: object = None           # anchor residue, a FieldElement
-    epsilon: float = 0.05
-    A: float = 10.0
-    logR: float = None
-    phi: BumpFunction = DEFAULT_BUMP
-    raw: bool = False              # drop the density prefactor, keep Lambda^2
-    ambient: object = None         # fractional ideal b; defaults to O_K
-
-    def __post_init__(self):
-        from .ideals import FractionalIdeal, euler_phi
-
-        if self.ambient is None:
-            self.ambient = FractionalIdeal.unit_ideal(self.K)
-        self.W = admissible_modulus(self.w)
-        if self.alpha is None:
-            self.alpha = self.K.one
-        if self.logR is None:
-            sz = self.s * self.K.degree
-            self.logR = math.log(self.N) / (8 * sz * 2 ** sz)
-        self.R = math.exp(self.logR)
-        self.phi_W = euler_phi(self.K, self.W)
+    def __init__(self, K, N, s=1, k=1.5, w=3, alpha=None, epsilon=0.05,
+                 A=10.0, logR=None, phi=DEFAULT_BUMP, raw=False,
+                 ambient=None):
+        self.K, self.N, self.s, self.k, self.w = K, N, s, k, w
+        self.epsilon, self.A, self.phi, self.raw = epsilon, A, phi, raw
+        self.ambient = (FractionalIdeal.unit_ideal(K) if ambient is None
+                        else ambient)
+        self.W = admissible_modulus(w)
+        self.alpha = K.one if alpha is None else alpha
+        if logR is None:
+            sz = s * K.degree
+            logR = math.log(N) / (8 * sz * 2 ** sz)
+        self.logR, self.R = logR, math.exp(logR)
+        self.phi_W = euler_phi(K, self.W)
         self._prefactor = None
 
     def prefactor(self) -> float:
         """phi_K(W) log R Res zeta_K / (c_phi W^n), the density scale of nu."""
         if self._prefactor is None:
-            from .ideals import zeta_residue
-
             n = self.K.degree
             self._prefactor = (self.phi_W * self.logR * zeta_residue(self.K)
                                / (c_phi(self.phi) * self.W ** n))

@@ -462,6 +462,7 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     ["lambda", "--R", "1"],
     ["residue", "--N", "0"],
     ["autocorr", "--N", "0"],
+    ["autocorr", "--N", "1"],
     ["hypergraph", "--N", "0"],
     ["hypergraph", "--N", "-3"],
     ["search", "--anchor-bound", "inf"],
@@ -556,6 +557,8 @@ def test_hypergraph_extreme_N():
     # conversion refuses, named as base^exponent
     ["hypergraph", "--field", "Q", "--N", "1000000", "--k", "500"],
     ["correlate", "--field", "Q", "--s", "1", "--m", "5000", "--lam", "12"],
+    # 5 * 10^6 region points: only iroot(budget, m) + 1 are enumerated
+    ["correlate", "--field", "Q", "--lam", "5000000"],
 ])
 def test_budget_checked_before_quadratic_work(argv, capsys):
     start = time.perf_counter()
@@ -604,10 +607,13 @@ def test_console_entry_point():
     assert len(proc.stdout.splitlines()) == 3
 
 
-def test_cli_does_not_import_numpy_mpmath_scipy_or_sympy(tmp_path):
+def test_cli_does_not_import_numpy_mpmath_scipy_sympy_dataclasses_or_inspect(
+        tmp_path):
     # a fresh interpreter, because this test process has them all loaded;
     # sympy is imported only to classify a rejected defining polynomial,
-    # numpy only by hypergraph and count_ideals
+    # numpy only by hypergraph and count_ideals; the record classes are
+    # namedtuples and plain classes, so dataclasses (which loads inspect,
+    # ast and dis) stays off the start-up path
     certs = str(tmp_path / "certs.jsonl")
     out = str(tmp_path / "out.jsonl")
     runs = [["--output", certs, "search", "--anchor-bound", "12",
@@ -625,7 +631,8 @@ def test_cli_does_not_import_numpy_mpmath_scipy_or_sympy(tmp_path):
             f"print([cli.main(argv) for argv in {runs!r}])\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in\n"
-            "             ('numpy', 'mpmath', 'scipy', 'sympy')))\n")
+            "             ('numpy', 'mpmath', 'scipy', 'sympy',\n"
+            "              'dataclasses', 'inspect')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
