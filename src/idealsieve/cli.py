@@ -28,10 +28,11 @@ from .correlation import (LinearFormSystem, auto_correlation_check,
                           report_line, singular_series_direct,
                           singular_series_main_term)
 from .errors import BudgetExceededError, IdealSieveError
-from .ideals import FractionalIdeal, enumerate_prime_ideals, mobius
+from .ideals import (ENUMERATION_BUDGET, FractionalIdeal,
+                     enumerate_prime_ideals, mobius)
 from .lattice import Parallelotope, fundamental_domain_reduce
 from .numberfield import field_by_name
-from .sieve import SieveConfig, c_phi, lambda_R
+from .sieve import SieveConfig, c_phi, lambda_of_primes
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -134,6 +135,9 @@ def cmd_primes(args):
 
 def cmd_mobius(args):
     K = _field(args)
+    if args.bound > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"--bound {args.bound} exceeds the "
+                                  f"enumeration budget {ENUMERATION_BUDGET}")
     lines = []
     for m in range(1, args.bound + 1):
         a = FractionalIdeal.principal(K, K.element(m))
@@ -149,7 +153,7 @@ def cmd_lambda(args):
     lines = []
     rows = []
     for P in enumerate_prime_ideals(K, args.bound):
-        val = lambda_R(P.ideal(), args.R)
+        val = lambda_of_primes((P,), args.R)
         lines.append(report_line("lambda", val, 1.0,
                                  {"field": K.name, "R": args.R,
                                   "norm": P.norm(), "p": P.p,

@@ -13,10 +13,9 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .correlation import pattern_points
 from .errors import BudgetExceededError
-from .ideals import (FractionalIdeal, enumerate_prime_ideals, factor_ideal,
-                     is_prime_vector, principal_generator)
+from .ideals import (FractionalIdeal, enumerate_prime_ideals, is_prime_vector,
+                     primes_dividing, principal_generator)
 from .lattice import (ball_elements, fundamental_domain_reduce,
                       iter_ball_elements)
 from .numberfield import FieldElement, make_field, minkowski_norm
@@ -31,7 +30,7 @@ class ConstellationSpec(namedtuple(
     __slots__ = ()
 
     def pattern(self):
-        pts = pattern_points(self.K, self.k)
+        pts = ball_elements(self.K, FractionalIdeal.unit_ideal(self.K), self.k)
         if not pts:
             raise ValueError("empty pattern")
         return pts
@@ -86,16 +85,9 @@ def _coords_in(K, coords):
     return K.element(coords)
 
 
-def _witness(K, ambient, pt):
-    """Prime data {p, g, e, f} of the prime ideal (pt) b^{-1}."""
-    (P, _), = factor_ideal(FractionalIdeal.principal(K, pt)
-                           * ambient.inverse()).factors
-    return P.to_json()
-
-
 def make_certificate(K, ambient, k, a, xi, pattern) -> Certificate:
     pts = [a + xi * j for j in pattern]
-    witnesses = [_witness(K, ambient, pt) for pt in pts]
+    witnesses = [primes_dividing(ambient, pt)[0].to_json() for pt in pts]
     return Certificate(K.name, ambient.to_json(), k, _coords_out(a),
                        _coords_out(xi), [_coords_out(p) for p in pts],
                        _radius(K, xi, pattern), witnesses)
@@ -118,10 +110,11 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
     pattern = spec.pattern()
     steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12),
                                       budget=budget) if x]
-    steps.sort(key=lambda x: (minkowski_norm(K, x), x.coords))
     anchors = ball_elements(K, b, spec.anchor_bound * (1 + 1e-12),
                             budget=budget)
-    anchors.sort(key=lambda x: (minkowski_norm(K, x), x.coords))
+    # stable sorts of lists in coordinate order: ties keep that order
+    steps.sort(key=lambda x: minkowski_norm(K, x))
+    anchors.sort(key=lambda x: minkowski_norm(K, x))
     anchor_nums = [b.numerators(a) for a in anchors]
     pattern_nums = [j.num for j in pattern]  # O_K: den 1
     hits = []
@@ -188,7 +181,8 @@ def verify_certificate(cert: Certificate):
         if cert.radius != radius:
             diagnoses.append("metric")
     derived = []
-    step_ideal = FractionalIdeal.principal(K, xi) * ambient
+    # the points are a + xi j with j in O_K: pt - a lies in (xi), not (xi) b
+    step_ideal = FractionalIdeal.principal(K, xi)
     for pt in given:
         # one membership test: is_prime_vector's, None for a non-member
         v = ambient.numerators(pt)
@@ -201,7 +195,7 @@ def verify_certificate(cert: Certificate):
         if not prime:
             diagnoses.append("primality")
         else:
-            derived.append(_witness(K, ambient, pt))
+            derived.append(primes_dividing(ambient, pt)[0].to_json())
     # the witnesses are compared when every point passed the prime check
     if len(derived) == len(given) and derived != cert.witnesses:
         diagnoses.append("witness")

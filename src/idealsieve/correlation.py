@@ -23,7 +23,7 @@ from .arith import factorint, iroot, primerange
 from .errors import BudgetExceededError
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
                      factor_ideal, factor_rational_prime, zeta_residue)
-from .lattice import (Parallelotope, ball_elements, iter_ball_elements,
+from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope, points_in_parallelotope)
 from .numberfield import FieldElement
 from .sieve import SieveConfig, c_phi, nu_weight
@@ -247,24 +247,25 @@ def omega_tuple(forms, primes_marks, W, alpha):
 
 def squarefree_ideals(K, R, W, prime_support=None, budget: int = 10**6):
     """Squarefree integral ideals of norm < R whose primes avoid W,
-    represented as (frozenset of primes, norm) pairs, including (|, 1)."""
+    represented as (frozenset of primes, norm) pairs, including (|, 1).
+    Each listed ideal is extended by the later primes in norm order, up to
+    the first that takes its norm to R."""
     if prime_support is None:
-        primes = [P for P in enumerate_prime_ideals(K, int(math.ceil(R)))
-                  if W % P.p != 0 and P.norm() < R]
-    else:
-        primes = [P for P in prime_support if W % P.p != 0 and P.norm() < R]
-    out = [(frozenset(), 1)]
-    for P in primes:
-        q = P.norm()
-        new = []
-        for S, n in out:
-            if n * q < R:
-                new.append((S | {P}, n * q))
-        out.extend(new)
-        if len(out) > budget:
-            raise BudgetExceededError("squarefree ideal list exceeds budget")
-    out.sort(key=lambda t: (t[1], tuple(sorted(P.sort_key() for P in t[0]))))
-    return out
+        prime_support = enumerate_prime_ideals(K, int(math.ceil(R)))
+    primes = sorted((P for P in prime_support
+                     if W % P.p != 0 and P.norm() < R),
+                    key=lambda P: P.sort_key())
+    walk = [(1, ())]  # (norm, ascending indices into primes)
+    for n, ix in walk:  # the list grows as it is read
+        for i in range(ix[-1] + 1 if ix else 0, len(primes)):
+            if n * primes[i].norm() >= R:
+                break
+            walk.append((n * primes[i].norm(), ix + (i,)))
+            if len(walk) > budget:
+                raise BudgetExceededError(
+                    "squarefree ideal list exceeds budget")
+    # indices ascend as the primes' sort keys do
+    return [(frozenset(primes[i] for i in ix), n) for n, ix in sorted(walk)]
 
 
 # ---------------------------------------------------------------------
@@ -528,11 +529,6 @@ def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
 
 # ---------------------------------------------------------------------
 # Hypergraph conditions
-
-def pattern_points(K, k: float):
-    """O_K cap B_k, sorted by coordinates."""
-    return ball_elements(K, FractionalIdeal.unit_ideal(K), k)
-
 
 def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
                                  Omegas=None, M: int = 2,

@@ -222,10 +222,7 @@ class PrimeIdeal(namedtuple("PrimeIdeal", "K p gpoly e f")):
         return self.p ** self.f
 
     def generator_element(self) -> FieldElement:
-        coords = [0] * self.K.degree
-        for i, c in enumerate(self.gpoly):
-            if i < self.K.degree:
-                coords[i] = c
+        coords = (list(self.gpoly) + [0] * self.K.degree)[:self.K.degree]
         # deg g == n means g == f mod p, i.e. g(theta) = (g - f)(theta)
         if len(self.gpoly) - 1 == self.K.degree:
             coords = [c - fc for c, fc in zip(self.gpoly, self.K.poly)][: self.K.degree]
@@ -352,6 +349,7 @@ def residue_degrees(K: NumberField, p: int):
 
 _FACTOR_CACHE = {}  # ideal key -> factorization, oldest entry dropped first
 _FACTOR_CACHE_SIZE = 2**16
+ENUMERATION_BUDGET = 10**7  # the largest norm bound a command enumerates
 
 
 def valuation(a: FractionalIdeal, P: PrimeIdeal) -> int:
@@ -416,7 +414,7 @@ def euler_phi(K: NumberField, W: int) -> int:
     return phi
 
 
-def enumerate_prime_ideals(K: NumberField, X, budget: int = 10**7):
+def enumerate_prime_ideals(K: NumberField, X, budget=ENUMERATION_BUDGET):
     """All prime ideals of norm <= X, sorted by (norm, p, generator)."""
     X = int(X)
     if X > budget:
@@ -573,20 +571,16 @@ def is_prime_vector(K: NumberField, b: FractionalIdeal, v):
     whether the integral ideal (x) b^{-1} is prime.
 
     Membership is b's integer back-substitution.  Primality is read off
-    the norm N = N((x) b^{-1}) = |det(multiplication-by-v matrix)| / det(H),
-    H the HNF of b: every vetted field is Galois, so the primes above p
-    share one residue degree f, which divides n, and an ideal of norm p^a
-    is prime iff a = f.  Nothing is factored: for each f | n, N = r^f is
-    tested with r the integer f-th root.  b must be an O_K-ideal in
-    canonical HNF (see from_json)."""
+    the norm N = N((x) b^{-1}) (_quotient_norm): every vetted field is
+    Galois, so the primes above p share one residue degree f, which
+    divides n, and an ideal of norm p^a is prime iff a = f.  Nothing is
+    factored: for each f | n, N = r^f is tested with r the integer f-th
+    root.  b must be an O_K-ideal in canonical HNF (see from_json)."""
     if b._coefficients(v) is None:
         return None
     if not any(v):
         return False
-    N, r = divmod(abs(det_int(K.mul_rows(v))),
-                  math.prod(row[i] for i, row in enumerate(b.mat)))
-    if r:
-        raise ValueError("(x) b^{-1} is not integral; malformed ambient ideal")
+    N = _quotient_norm(b, v)
     n = K.degree
     for f in range(1, n + 1):
         if n % f == 0:
@@ -594,6 +588,38 @@ def is_prime_vector(K: NumberField, b: FractionalIdeal, v):
             if r ** f == N and isprime(r) and residue_degrees(K, r)[0] == f:
                 return True
     return False
+
+
+def _quotient_norm(b: FractionalIdeal, v) -> int:
+    """N((x) b^{-1}) = |det(multiplication-by-v matrix)| / det(H) for x =
+    v / b.den in b, v nonzero and H the HNF of b, in integers."""
+    N, r = divmod(abs(det_int(b.K.mul_rows(v))),
+                  math.prod(row[i] for i, row in enumerate(b.mat)))
+    if r:
+        raise ValueError("(x) b^{-1} is not integral; malformed ambient ideal")
+    return N
+
+
+@lru_cache(maxsize=2**12)
+def _prime_times(P: PrimeIdeal, b: FractionalIdeal) -> FractionalIdeal:
+    """The ideal P b: y lies in it iff P divides (y) b^{-1}."""
+    return P.ideal() * b
+
+
+def primes_dividing(b: FractionalIdeal, y: FieldElement, small=None):
+    """The distinct primes P of (y) b^{-1}, y a nonzero element of b, in
+    factor_ideal's order: over the rational primes of its norm, those with
+    y in P b.  Given small, a predicate on norms that holds below a bound,
+    only the P passing it are kept, and the walk stops at the first p that
+    fails (N P >= p, and p ascends)."""
+    out = []
+    for p in factorint(_quotient_norm(b, b.numerators(y))):
+        if small is not None and not small(p):
+            break
+        out += [P for P in factor_rational_prime(b.K, p)
+                if (small is None or small(P.norm()))
+                and _prime_times(P, b).contains(y)]
+    return tuple(out)
 
 
 class TruncatedClass(namedtuple("TruncatedClass",

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .arith import factorint
 from .ideals import (FractionalIdeal, euler_phi, factor_ideal,
-                     factor_rational_prime, zeta_residue)
+                     primes_dividing, zeta_residue)
 from .lattice import (admissible_modulus, fundamental_domain_reduce,
                       in_scaled_domain)
 
@@ -172,29 +171,6 @@ def lambda_R(n, R: float, phi: BumpFunction = DEFAULT_BUMP) -> float:
     return lambda_of_primes((P for P, _ in factor_ideal(n).factors), R, phi)
 
 
-@lru_cache(maxsize=2 ** 12)
-def _prime_times(P, b):
-    """The ideal P b: y lies in it iff P divides (y) b^{-1}."""
-    return P.ideal() * b
-
-
-def _small_primes_dividing(y, b, logR, phi):
-    """The primes P of norm below R^phi.support[1] that divide the integral
-    ideal (y) b^{-1}, in factor_ideal's order.  They lie over the rational
-    primes of its norm |N(y)| / N(b); P divides it iff y lies in P b."""
-    if not _is_small(2, logR, phi):
-        return ()
-    K = y.K
-    out = []
-    for p in factorint(int(abs(y.norm()) / b.norm())):
-        if not _is_small(p, logR, phi):
-            break  # N P >= p, and p ascends
-        out += [P for P in factor_rational_prime(K, p)
-                if _is_small(P.norm(), logR, phi)
-                and _prime_times(P, b).contains(y)]
-    return tuple(out)
-
-
 class SieveConfig:
     """Parameters of the truncated-divisor-sum measure: alpha is the anchor
     residue (default 1), ambient the fractional ideal b (default O_K), and
@@ -238,7 +214,7 @@ def nu_weight(cfg: SieveConfig, x) -> float:
 
     x ranges over the ambient ideal b; the argument of the sieve weight is
     the integral ideal (W x + alpha) b^{-1}, and only its primes of norm
-    below R^phi.support[1] are found, by the rational primes of its norm.
+    below R^phi.support[1] are found, by primes_dividing.
     With cfg.raw the density prefactor phi_K(W) logR Res / (c_phi W^n) is
     dropped.  ValueError unless 1 < cfg.R < inf, or if W x + alpha is not
     in b.
@@ -249,7 +225,9 @@ def nu_weight(cfg: SieveConfig, x) -> float:
         return 0.0
     if not cfg.ambient.contains(y):
         raise ValueError("W x + alpha does not lie in the ambient ideal")
-    primes = _small_primes_dividing(y, cfg.ambient, logR, cfg.phi)
+    small = partial(_is_small, logR=logR, phi=cfg.phi)
+    # for R^support[1] <= 2 no prime is small: then no arithmetic at all
+    primes = primes_dividing(cfg.ambient, y, small) if small(2) else ()
     lam = _lambda_cached(primes, logR, cfg.phi)
     v = lam * lam
     if not cfg.raw:

@@ -25,6 +25,10 @@ replaced, kept as test oracles.
   weight by the full subset sum over every prime that factor_ideal finds,
   with nu's argument built as the ideal (W x + alpha) b^{-1}; the sieve
   now reads the primes below R off the norm instead.
+- `squarefree_ideals_oracle`: the squarefree ideal list built by letting
+  each prime extend every ideal listed so far; squarefree_ideals extends
+  each listed ideal only by the later primes in norm order, up to the
+  first that takes its norm to R.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
@@ -313,3 +317,25 @@ def singular_series_euler(forms, R, W, prime_support, t, tprime,
             total.append(term * float(om))
     return complex(math.fsum(x.real for x in total),
                    math.fsum(x.imag for x in total))
+
+
+def squarefree_ideals_oracle(K, R, W, prime_support=None, budget=10**6):
+    """squarefree_ideals by rescanning: each prime, in the given order,
+    extends every ideal listed so far."""
+    if prime_support is None:
+        primes = [P for P in enumerate_prime_ideals(K, int(math.ceil(R)))
+                  if W % P.p != 0 and P.norm() < R]
+    else:
+        primes = [P for P in prime_support if W % P.p != 0 and P.norm() < R]
+    out = [(frozenset(), 1)]
+    for P in primes:
+        q = P.norm()
+        new = []
+        for S, n in out:
+            if n * q < R:
+                new.append((S | {P}, n * q))
+        out.extend(new)
+        if len(out) > budget:
+            raise BudgetExceededError("squarefree ideal list exceeds budget")
+    out.sort(key=lambda t: (t[1], tuple(sorted(P.sort_key() for P in t[0]))))
+    return out

@@ -193,6 +193,22 @@ def test_verify_huge_coordinate_is_schema(tmp_path, digits):
         (True, []), (False, ["schema"]), (True, [])]
 
 
+def test_verify_prime_point_beyond_factor_budget(tmp_path):
+    # the one point of this pattern (k 0.5) is the prime 10^18 + 3, past
+    # factor_ideal's 10^15 norm budget: the verifier reads its witness off
+    # the norm, as the primality test does, so it verifies
+    p = 10**18 + 3
+    cert = {"field": "Q", "ambient": {"hnf": [[1]], "den": 1}, "k": 0.5,
+            "anchor": [str(p)], "step": ["2"], "points": [[str(p)]],
+            "radius": 1e-9, "witnesses": [{"p": p, "g": [0, 1], "e": 1,
+                                           "f": 1}]}
+    certs = tmp_path / "big.jsonl"
+    certs.write_text(json.dumps(cert) + "\n")
+    out = tmp_path / "v.jsonl"
+    assert run(["--output", str(out), "verify", str(certs)]) == EXIT_OK
+    assert read_lines(out) == [{"op": "verify", "ok": True, "diagnoses": []}]
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_certificates():
     QI = make_field("Q(i)")
@@ -559,6 +575,8 @@ def test_hypergraph_extreme_N():
     ["correlate", "--field", "Q", "--s", "1", "--m", "5000", "--lam", "12"],
     # 5 * 10^6 region points: only iroot(budget, m) + 1 are enumerated
     ["correlate", "--field", "Q", "--lam", "5000000"],
+    # one report line per m, built in memory: the bound is checked first
+    ["mobius", "--bound", "100000000"],
 ])
 def test_budget_checked_before_quadratic_work(argv, capsys):
     start = time.perf_counter()

@@ -314,6 +314,27 @@ def test_search_then_verify_many():
         assert ok, (c.anchor, c.step, why)
 
 
+# the (anchor, step) bounds over N(b)^(1/n) at which every field has hits:
+# the 7-point pattern of Q(sqrt-3) needs longer steps, and Q(zeta5)'s
+# pattern is the one point 0
+_CONGRUENCE_BOUNDS = {"Q(sqrt-3)": (10, 5), "Q(zeta5)": (3.5, 2)}
+
+
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+def test_search_over_integral_ambients_verifies(name):
+    # the points are a + xi j with j in O_K, so pt - a lies in (xi); over
+    # an integral ambient b != O_K it need not lie in (xi) b
+    K = make_field(name)
+    anchor, step = _CONGRUENCE_BOUNDS.get(name, (10, 3))
+    hits = []
+    for b in _search_ambients(K)[1:-1]:
+        scale = float(b.norm()) ** (1 / K.degree)
+        hits += search_constellation(ConstellationSpec(
+            K, b, 1.5, anchor * scale, step * scale, max_hits=0))
+    assert hits
+    assert all(verify_certificate(c) == (True, []) for c in hits)
+
+
 # ---------------------------------------------------------------- generators
 
 @pytest.mark.parametrize("name", ["Q(sqrt2)", "Q(sqrt5)", "Q(zeta5)"])

@@ -15,19 +15,21 @@ from idealsieve.correlation import (LinearFormSystem, F_euler,
                                     auto_correlation_check,
                                     cross_correlation_sum,
                                     hypergraph_conditions_report,
-                                    local_factor_omega, pattern_points,
+                                    local_factor_omega,
                                     relative_density,
                                     singular_series_direct,
                                     singular_series_main_term,
                                     squarefree_ideals, tau_factor,
                                     tau_weight)
+from idealsieve.errors import BudgetExceededError
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_rational_prime)
-from idealsieve.lattice import Parallelotope
+from idealsieve.lattice import Parallelotope, ball_elements
 from idealsieve.linalg import hnf
-from idealsieve.numberfield import make_field
+from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig
-from oracles import gauss_jordan_coords, singular_series_euler
+from oracles import (gauss_jordan_coords, singular_series_euler,
+                     squarefree_ideals_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -299,6 +301,30 @@ def test_pair_sum_ideals_matches_lcm_oracle(name, R, W):
         _pair_sum_ideals_oracle(pairs, logR, DEFAULT_BUMP), rel=1e-12)
 
 
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+@pytest.mark.parametrize("R,W", [(1.5, 1), (2.0, 1), (30.5, 1), (300.0, 6),
+                                 (1000.0, 2), (2000.0, 30), (5000.0, 1)])
+def test_squarefree_ideals_matches_oracle(name, R, W):
+    K = make_field(name)
+    assert squarefree_ideals(K, R, W) == squarefree_ideals_oracle(K, R, W)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+def test_squarefree_ideals_prime_support_matches_oracle(name):
+    # a support out of norm order, with primes above W and at or past R
+    K = make_field(name)
+    support = enumerate_prime_ideals(K, 60)[::-1]
+    for R, W in ((50.0, 1), (400.0, 6), (61.0, 5)):
+        assert squarefree_ideals(K, R, W, prime_support=support) == \
+            squarefree_ideals_oracle(K, R, W, prime_support=support)
+
+
+def test_squarefree_ideals_budget():
+    with pytest.raises(BudgetExceededError, match="squarefree ideal list"):
+        squarefree_ideals(QI, 1000.0, 1, budget=100)
+    assert len(squarefree_ideals(QI, 1000.0, 1, budget=10**6)) > 100
+
+
 def test_mobius_totient_sieve_matches_sympy():
     mu, tot = _mobius_totient(5000)
     assert mu[1:] == [sympy.mobius(k) for k in range(1, 5001)]
@@ -516,7 +542,7 @@ def test_hypergraph_nontrivial_omegas():
     N = 31
     cfg = SieveConfig(Q, N=N, k=1.5)
     # Omega with mixed omegas exercises both delta copies
-    J = pattern_points(Q, 1.5)
+    J = ball_elements(Q, FractionalIdeal.unit_ideal(Q), 1.5)
     Omegas = {0: [(1, 1), (0, 1)], 1: [(1, 1)], 2: [(1, 1)]}
     rep = hypergraph_conditions_report(cfg, [1.0] * N, Omegas=Omegas)
     assert rep["condition2"] == 1.0
@@ -537,7 +563,7 @@ def test_hypergraph_scaled_measure():
 
 def _oracle_hypergraph(cfg, T, Omegas, M=2, sup_samples=8):
     K, N = cfg.K, cfg.N
-    J = pattern_points(K, cfg.k)
+    J = ball_elements(K, FractionalIdeal.unit_ideal(K), cfg.k)
     edges = {pos: [q for q in range(len(J)) if q != pos]
              for pos in range(len(J))}
     if Omegas is None:
@@ -601,7 +627,7 @@ _ORACLE_CASES = [("Q", 1.5, 2, 11), ("Q", 2.5, 2, 11),
 def test_hypergraph_matches_python_oracle(data):
     name, k, n_lo, n_hi = data.draw(st.sampled_from(_ORACLE_CASES))
     K = make_field(name)
-    size = len(pattern_points(K, k))
+    size = len(ball_elements(K, FractionalIdeal.unit_ideal(K), k))
     # each pattern point gets one delta, and a key may add one random
     # vector on top, so terms share variables and the count stays small
     delta = data.draw(st.tuples(*[st.integers(0, 1)] * size))

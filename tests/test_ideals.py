@@ -11,8 +11,9 @@ from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
                                has_finite_unit_group, is_prime_element,
-                               is_prime_vector, mobius, principal_generator,
-                               residue_degrees, zeta_residue)
+                               is_prime_vector, mobius, primes_dividing,
+                               principal_generator, residue_degrees,
+                               zeta_residue)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from oracles import (add_oracle, class_equivalent_oracle,
                      gauss_jordan_coords, inverse_oracle, mul_oracle,
@@ -467,6 +468,23 @@ def test_is_prime_vector_matches_ideal_oracle_den_above_one(amb, coeffs):
     v = b.numerators(xi)
     assert v == tuple(x * b.den for x in xi.coords)
     assert is_prime_vector(K, b, v) == _is_prime_element_oracle(K, b, xi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(amb=st.sampled_from(_AMBIENTS + _INVERSE_AMBIENTS),
+       coeffs=st.lists(st.integers(-12, 12), min_size=4, max_size=4),
+       bound=st.integers(2, 200))
+def test_primes_dividing_matches_factor_ideal(amb, coeffs, bound):
+    # the primes read off the norm are factor_ideal's, in its order, and
+    # a norm predicate keeps those below its bound
+    K, b = amb
+    y = b.element_at(coeffs[:K.degree])
+    assume(y)
+    want = tuple(P for P, _ in factor_ideal(
+        FractionalIdeal.principal(K, y) * b.inverse()).factors)
+    assert primes_dividing(b, y) == want
+    assert primes_dividing(b, y, lambda q: q < bound) == \
+        tuple(P for P in want if P.norm() < bound)
 
 
 def test_is_prime_vector_membership_and_zero():

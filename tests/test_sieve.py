@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from idealsieve import constellation, ideals, sieve
-from idealsieve.constellation import alpha_scan
-from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
-                               factor_rational_prime)
+from idealsieve import ideals, sieve
+from idealsieve.constellation import (ConstellationSpec, alpha_scan,
+                                      search_constellation,
+                                      verify_certificate)
+from idealsieve.ideals import (FractionalIdeal, _prime_times,
+                               enumerate_prime_ideals, factor_rational_prime)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from idealsieve.sieve import (DEFAULT_BUMP, BumpFunction, SieveConfig,
-                              _lambda_cached, _prime_times, c_phi, lambda_R,
+                              _lambda_cached, c_phi, lambda_R,
                               lift_nu, nu_weight)
 from oracles import alpha_scan_oracle, lambda_oracle, nu_weight_oracle
 from test_acceptance import _c_phi_fourier
@@ -348,19 +350,29 @@ def test_per_point_paths_neither_factor_nor_build_principal_ideals(
     want = [nu_weight_oracle(cfg, x) for x in points]
     scan = alpha_scan_oracle(cfg, (2, 120))
     for owner, name in ((sieve, "factor_ideal"), (ideals, "factor_ideal"),
-                        (constellation, "factor_ideal"),
                         (sieve, "lambda_R"), (FractionalIdeal, "principal"),
                         (FractionalIdeal, "inverse")):
         _forbid(monkeypatch, owner, name)
     assert [nu_weight(cfg, x) for x in points] == want
     res = alpha_scan(cfg, (2, 120))
     assert (res.masses, res.total) == scan
+    # the search reads each witness off the norm as well
+    hits = search_constellation(
+        ConstellationSpec(K5, P2.ideal(), 1.5, 12, 4))
+    assert hits
+    # the verifier builds (xi) for the congruence, but inverts and
+    # factors nothing
+    monkeypatch.undo()
+    for owner, name in ((ideals, "factor_ideal"),
+                        (FractionalIdeal, "inverse")):
+        _forbid(monkeypatch, owner, name)
+    assert all(verify_certificate(c) == (True, []) for c in hits)
 
 
 def test_nu_weight_below_level_two_skips_the_norm(monkeypatch):
     # R < 2: no prime is small, so Lambda = phi(0) with no arithmetic
     cfg = SieveConfig(QI, N=10**4, logR=math.log(1.9), raw=True)
-    _forbid(monkeypatch, sieve, "factorint")
+    _forbid(monkeypatch, ideals, "factorint")
     assert nu_weight(cfg, QI.element([5, 7])) == 1.0
 
 
