@@ -42,7 +42,7 @@ def _strong_probable_prime(n, a):
     return False
 
 
-def _jacobi(a, n):
+def jacobi(a, n):
     """Jacobi symbol (a|n) for odd n > 0."""
     a %= n
     t = 1
@@ -65,7 +65,7 @@ def _strong_lucas(n):
     if math.isqrt(n) ** 2 == n:
         return False  # no such D exists
     D = 5
-    while (j := _jacobi(D, n)) != -1:
+    while (j := jacobi(D, n)) != -1:
         if j == 0 and abs(D) != n:
             return False
         D = -D - 2 if D > 0 else -D + 2

@@ -21,8 +21,9 @@ from functools import lru_cache
 
 from .arith import factorint, iroot, primerange
 from .errors import BudgetExceededError
-from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     factor_ideal, factor_rational_prime, zeta_residue)
+from .ideals import (ENUMERATION_BUDGET, FractionalIdeal, PrimeIdeal,
+                     enumerate_prime_ideals, factor_ideal,
+                     factor_rational_prime, zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope, points_in_parallelotope)
 from .numberfield import FieldElement
@@ -95,11 +96,15 @@ class LinearFormSystem:
 
 
 def _det_elements(K, rows):
+    """Laplace expansion along the first row, skipping its zero entries
+    (the identity costs n calls, not n!)."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     det = K.zero
     for c in range(n):
+        if not rows[0][c]:
+            continue
         sub = [[rows[r][cc] for cc in range(n) if cc != c]
                for r in range(1, n)]
         term = rows[0][c] * _det_elements(K, sub)
@@ -379,9 +384,13 @@ def _pair_sum_rational(R, W, logR, phi):
         sum_e phi(e) (sum_{e | d} c_d / d)^2
 
     over squarefree e < R coprime to W; every sum is a fixed-order
-    math.fsum, and no D x D matrix is formed.
+    math.fsum, and no D x D matrix is formed.  The integers below R are
+    checked against the enumeration budget before any list is built.
     """
     Ri = int(math.ceil(R)) - 1
+    if Ri > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"R = {R}: the integers below R exceed the "
+                                  f"enumeration budget {ENUMERATION_BUDGET}")
     mob, tot = _mobius_totient(Ri)
     ds = [x for x in range(1, Ri + 1) if mob[x] and math.gcd(x, W) == 1]
     v = [0.0] * (Ri + 1)

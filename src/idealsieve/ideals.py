@@ -15,9 +15,9 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .arith import factorint, iroot, isprime, primerange, sqrt_mod
+from .arith import factorint, iroot, isprime, jacobi, primerange, sqrt_mod
 from .errors import BudgetExceededError, UnsupportedFieldError
 from .linalg import adjugate, det_int, hnf
 from .numberfield import FieldElement, NumberField
@@ -252,26 +252,23 @@ class IdealFactorization(namedtuple("IdealFactorization", "factors")):
     __slots__ = ()
 
     def product(self, K) -> FractionalIdeal:
-        out = FractionalIdeal.unit_ideal(K)
-        for P, e in self.factors:
-            out = out * P.ideal() ** e
-        return out
+        """The product of the factors, one prime ideal at a time (the unit
+        ideal for no factors)."""
+        primes = [P.ideal() for P, e in self.factors for _ in range(e)]
+        return reduce(operator.mul, primes) if primes \
+            else FractionalIdeal.unit_ideal(K)
 
 
 # ---------------------------------------------------------------------
 # Dedekind splitting
 
 def _kronecker(a: int, p: int) -> int:
-    """Kronecker symbol (a|p) for prime p."""
+    """Kronecker symbol (a|p) for prime p: the Jacobi symbol for odd p."""
     if p == 2:
         if a % 2 == 0:
             return 0
         return 1 if a % 8 in (1, 7) else -1
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+    return jacobi(a, p)
 
 
 @lru_cache(maxsize=2**16)
@@ -352,21 +349,12 @@ _FACTOR_CACHE_SIZE = 2**16
 ENUMERATION_BUDGET = 10**7  # the largest norm bound a command enumerates
 
 
-def valuation(a: FractionalIdeal, P: PrimeIdeal) -> int:
-    """P-adic valuation of a nonzero integral ideal (nonnegative)."""
-    v = 0
-    Pinv = P.ideal().inverse()
-    cur = a
-    while True:
-        nxt = cur * Pinv
-        if not nxt.is_integral():
-            return v
-        v += 1
-        cur = nxt
-
-
 def factor_ideal(a: FractionalIdeal, budget: int = 10**15) -> IdealFactorization:
-    """Factor a nonzero integral ideal into prime ideals (memoized)."""
+    """Factor a nonzero integral ideal into prime ideals (memoized).
+
+    For each p^k exactly dividing N(a), the exponent of each P above p is
+    the largest j with a contained in P^j; the P^j over p take f j of the
+    k, so the tests stop when fewer than f are left."""
     key = a.key()
     if key in _FACTOR_CACHE:
         return _FACTOR_CACHE[key]
@@ -376,12 +364,15 @@ def factor_ideal(a: FractionalIdeal, budget: int = 10**15) -> IdealFactorization
     if N > budget:
         raise BudgetExceededError(f"ideal norm {N} exceeds factorization budget")
     factors = []
-    if N > 1:
-        for p in factorint(N):
-            for P in factor_rational_prime(a.K, p):
-                v = valuation(a, P)
-                if v:
-                    factors.append((P, v))
+    for p, k in factorint(N).items():
+        for P in factor_rational_prime(a.K, p):
+            j, power = 0, P.ideal()
+            while P.f <= k and power.contains_ideal(a):
+                j, k = j + 1, k - P.f
+                if P.f <= k:
+                    power = power * P.ideal()
+            if j:
+                factors.append((P, j))
     fac = IdealFactorization(tuple(factors))
     # reconstruction check is an invariant of the representation
     if fac.product(a.K) != a:
@@ -428,39 +419,23 @@ def enumerate_prime_ideals(K: NumberField, X, budget=ENUMERATION_BUDGET):
 
 
 def count_ideals(K: NumberField, x, budget: int = 4 * 10**6) -> int:
-    """#{integral ideals of norm <= x} by multiplicative convolution."""
-    import numpy as np
-
+    """#{integral ideals of norm <= x}: the coefficients A[m] of the Euler
+    product zeta_K = prod_P (1 - N P^-s)^-1 up to x, summed.  Each factor
+    with q = N P updates A[m] += A[m / q] in ascending m, which adds
+    A[m / q^j] for every j."""
     X = int(math.floor(x))
     if X < 1:
         return 0
     if X > budget:
         raise BudgetExceededError("count_ideals bound exceeds budget")
-    A = np.zeros(X + 1, dtype=np.int64)
+    A = [0] * (X + 1)
     A[1] = 1
     for p in primerange(2, X + 1):
-        fs = residue_degrees(K, p)
-        emax = int(math.log(X) / math.log(p)) + 1
-        # ways to write e as a sum over primes above p of a_i * f_i
-        c = [1] + [0] * emax
-        for f in fs:
-            nc = c[:]
-            for e in range(f, emax + 1):
-                add = 0
-                for a in range(1, e // f + 1):
-                    add += c[e - a * f]
-                nc[e] += add
-            c = nc
-        for e in range(1, emax + 1):
-            pe = p ** e
-            if pe > X or c[e] == 0:
-                continue
-            limit = X // pe
-            idx = np.arange(1, limit + 1)
-            if p <= limit:
-                idx = idx[idx % p != 0]
-            A[idx * pe] += c[e] * A[idx]
-    return int(A[1:].sum())
+        for f in residue_degrees(K, p):
+            q = p ** f
+            for m in range(q, X + 1, q):
+                A[m] += A[m // q]
+    return sum(A)
 
 
 _ZETA_RESIDUES = {

@@ -29,6 +29,12 @@ replaced, kept as test oracles.
   each prime extend every ideal listed so far; squarefree_ideals extends
   each listed ideal only by the later primes in norm order, up to the
   first that takes its norm to R.
+- `count_ideals_oracle`: the ideal count by a numpy convolution of the
+  per-p table of the ways to write e as a sum of a_i f_i over the primes
+  above p; count_ideals now runs the Euler product in plain ints.
+- `factor_ideal_oracle`: each exponent found by multiplying by P^-1
+  until the quotient is not integral (the valuation loop); factor_ideal
+  now tests a in P^j and inverts nothing.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
@@ -38,9 +44,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from idealsieve.arith import factorint, primerange
 from idealsieve.correlation import omega_tuple, squarefree_ideals
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
-                               factor_ideal, principal_generator)
+                               factor_ideal, factor_rational_prime,
+                               principal_generator, residue_degrees)
 from idealsieve.errors import BudgetExceededError
 from idealsieve.lattice import ball_elements, fundamental_domain_reduce
 from idealsieve.linalg import hnf
@@ -339,3 +349,49 @@ def squarefree_ideals_oracle(K, R, W, prime_support=None, budget=10**6):
             raise BudgetExceededError("squarefree ideal list exceeds budget")
     out.sort(key=lambda t: (t[1], tuple(sorted(P.sort_key() for P in t[0]))))
     return out
+
+
+def count_ideals_oracle(K, x):
+    """#{integral ideals of norm <= x}: the number c[e] of ideals of norm
+    p^e composed over the primes above p, then A[m p^e] += c[e] A[m] for
+    the m prime to p, as int64 numpy arrays."""
+    X = int(math.floor(x))
+    if X < 1:
+        return 0
+    A = np.zeros(X + 1, dtype=np.int64)
+    A[1] = 1
+    for p in primerange(2, X + 1):
+        emax = int(math.log(X) / math.log(p)) + 1
+        # ways to write e as a sum over primes above p of a_i * f_i
+        c = [1] + [0] * emax
+        for f in residue_degrees(K, p):
+            nc = c[:]
+            for e in range(f, emax + 1):
+                nc[e] += sum(c[e - a * f] for a in range(1, e // f + 1))
+            c = nc
+        for e in range(1, emax + 1):
+            pe = p ** e
+            if pe > X or c[e] == 0:
+                continue
+            idx = np.arange(1, X // pe + 1)
+            if p <= X // pe:
+                idx = idx[idx % p != 0]
+            A[idx * pe] += c[e] * A[idx]
+    return int(A[1:].sum())
+
+
+def factor_ideal_oracle(a):
+    """The factors ((P, v), ...) of a nonzero integral ideal, over the
+    rational primes of its norm in factor_rational_prime's order, with
+    v = v_P(a) counted by dividing by P until the quotient is not
+    integral."""
+    factors = []
+    N = int(a.norm())
+    for p in factorint(N):
+        for P in factor_rational_prime(a.K, p):
+            v, cur, Pinv = 0, a, P.ideal().inverse()
+            while (cur := cur * Pinv).is_integral():
+                v += 1
+            if v:
+                factors.append((P, v))
+    return tuple(factors)

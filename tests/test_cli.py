@@ -577,6 +577,10 @@ def test_hypergraph_extreme_N():
     ["correlate", "--field", "Q", "--lam", "5000000"],
     # one report line per m, built in memory: the bound is checked first
     ["mobius", "--bound", "100000000"],
+    # the integers below R over Q: two lists of R entries, or an
+    # OverflowError (exit 4) past the index range
+    ["singular-series", "--R", "1e300"],
+    ["singular-series", "--R", "2e7"],
 ])
 def test_budget_checked_before_quadratic_work(argv, capsys):
     start = time.perf_counter()
@@ -629,9 +633,9 @@ def test_cli_does_not_import_numpy_mpmath_scipy_sympy_dataclasses_or_inspect(
         tmp_path):
     # a fresh interpreter, because this test process has them all loaded;
     # sympy is imported only to classify a rejected defining polynomial,
-    # numpy only by hypergraph and count_ideals; the record classes are
-    # namedtuples and plain classes, so dataclasses (which loads inspect,
-    # ast and dis) stays off the start-up path
+    # numpy only by hypergraph; the record classes are namedtuples and
+    # plain classes, so dataclasses (which loads inspect, ast and dis)
+    # stays off the start-up path
     certs = str(tmp_path / "certs.jsonl")
     out = str(tmp_path / "out.jsonl")
     runs = [["--output", certs, "search", "--anchor-bound", "12",

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from idealsieve import sieve
+from idealsieve import correlation, sieve
 from idealsieve.correlation import (LinearFormSystem, F_euler,
                                     _mobius_totient, _pair_sum_ideals,
                                     _pair_sum_rational,
@@ -59,6 +59,31 @@ def test_forms_apply():
     forms = LinearFormSystem(Q, [[1, 2]], shifts=[5])
     x = [Q.element(3), Q.element(4)]
     assert int((forms.apply(0, x) + forms.shifts[0]).coords[0]) == 16
+
+
+def test_minor_norm_skips_zero_entries(monkeypatch):
+    # the Laplace expansion recursed into every column, so the 12 x 12
+    # identity cost 12! calls; skipping zero entries makes it 12
+    det, calls = correlation._det_elements, [0]
+
+    def counted(K, rows):
+        calls[0] += 1
+        if calls[0] > 10**4:
+            raise AssertionError("too many _det_elements calls")
+        return det(K, rows)
+
+    monkeypatch.setattr(correlation, "_det_elements", counted)
+    eye = [[int(i == j) for j in range(12)] for i in range(12)]
+    assert LinearFormSystem(Q, eye).minor_norm() == 1
+    rng = random.Random(5)
+    for _ in range(20):
+        rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(4)]
+                for _ in range(4)]
+        try:
+            forms = LinearFormSystem(Q, rows)
+        except ValueError:  # a zero or proportional row
+            continue
+        assert forms.minor_norm() == abs(sympy.Matrix(rows).det())
 
 
 # ---------------------------------------------------------------- omega

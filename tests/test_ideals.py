@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                zeta_residue)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from oracles import (add_oracle, class_equivalent_oracle,
+                     count_ideals_oracle, factor_ideal_oracle,
                      gauss_jordan_coords, inverse_oracle, mul_oracle,
                      principal_generator_oracle)
 
@@ -180,6 +183,43 @@ def test_factor_reconstructs():
     assert sorted(P.norm() ** e for P, e in fac2.factors) == [5, 5]
 
 
+# principal ideals times P^e over every vetted field, P above 2, 3, 5, 11
+# or 19: ramified above 2 in Q(i) and above 5 in Q(zeta5), and 11 = 1 and
+# 19 = 4 mod 5 split in Q(zeta5) into primes of degree 1 and 2
+_FACTOR_PRIMES = [(K, P) for K in map(make_field, SUPPORTED_POLYS)
+                  for p in (2, 3, 5, 11, 19)
+                  for P in factor_rational_prime(K, p)]
+
+
+def _forbidden_inverse(self):
+    raise AssertionError("inverse called")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(KP=st.sampled_from(_FACTOR_PRIMES),
+       coeffs=st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+       e=st.integers(0, 3))
+@example(KP=next(kp for kp in _FACTOR_PRIMES
+                 if kp[0].name == "Q(zeta5)" and kp[1].p == 19),
+         coeffs=[1, 0, 0, 0], e=3)
+def test_factor_ideal_matches_valuation_oracle(KP, coeffs, e):
+    # exponents by containment in P^j, with nothing inverted and no
+    # cached factorization returned
+    K, P = KP
+    x = K.element(coeffs[:K.degree])
+    assume(x)
+    a = FractionalIdeal.principal(K, x)
+    for _ in range(e):
+        a = a * P.ideal()
+    want = factor_ideal_oracle(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "_FACTOR_CACHE", {})
+        mp.setattr(FractionalIdeal, "inverse", _forbidden_inverse)
+        got = factor_ideal(FractionalIdeal(K, a.mat, a.den))
+    assert got.factors == want
+    assert dict(want).get(P, 0) >= e
+
+
 def test_mobius_values():
     two = FractionalIdeal.principal(QI, QI.element(2))
     assert mobius(two) == 0  # (2) = p^2 is not squarefree
@@ -234,6 +274,27 @@ def test_count_ideals_oracle_qi():
 
 def test_count_ideals_rational():
     assert count_ideals(Q, 1000) == 1000
+
+
+@pytest.mark.parametrize("poly", SUPPORTED_POLYS)
+def test_count_ideals_matches_convolution_oracle(poly):
+    K = make_field(poly)
+    for x in (1, 2, 10, 1000, 60000, 99.5):
+        assert count_ideals(K, x) == count_ideals_oracle(K, x), (K.name, x)
+
+
+def test_count_ideals_loads_no_numpy():
+    # a fresh interpreter, because this test process has numpy loaded
+    code = ("import sys\n"
+            "from idealsieve.ideals import count_ideals\n"
+            "from idealsieve.numberfield import make_field\n"
+            "print(count_ideals(make_field('Q(i)'), 1000))\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(count_ideals_oracle(QI, 1000)),
+                                   "False"]
 
 
 def test_zeta_residue_against_counts():
