@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-import traceback
 from fractions import Fraction
 
 from .constellation import (ConstellationSpec, alpha_scan,
@@ -248,7 +247,12 @@ def cmd_search(args):
                              anchor_bound=args.anchor_bound,
                              step_bound=args.step_bound,
                              max_hits=args.max_hits)
-    hits = search_constellation(spec)
+    try:
+        hits = search_constellation(spec)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"--anchor-bound {args.anchor_bound}, --step-bound "
+            f"{args.step_bound}, --k {args.k}: {exc}") from None
     _emit(args, [h.to_json() for h in hits])
     return EXIT_OK
 
@@ -412,6 +416,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback  # only a crash needs it: off the start-up path
         traceback.print_exc()
         return EXIT_INTERNAL
 

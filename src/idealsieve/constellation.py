@@ -14,9 +14,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BudgetExceededError
-from .ideals import (FractionalIdeal, enumerate_prime_ideals, is_prime_vector,
-                     primes_dividing, principal_generator)
-from .lattice import (ball_elements, fundamental_domain_reduce,
+from .ideals import (FractionalIdeal, enumerate_prime_ideals, is_prime_norm,
+                     is_prime_vector, primes_dividing, principal_generator,
+                     quotient_norms)
+from .lattice import (ball_elements, ball_rows, fundamental_domain_reduce,
                       iter_ball_elements)
 from .numberfield import FieldElement, make_field, minkowski_norm
 from .sieve import SieveConfig, lambda_of_primes
@@ -100,40 +101,72 @@ def _radius(K, xi, pattern):
 
 def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
     """All (a, xi) hits in deterministic order: increasing step Minkowski
-    norm, then increasing anchor norm (ties by coordinates).
-
-    The candidates a + xi j are integer numerator vectors over the
-    ambient's denominator: each step's offsets xi j are multiplied once,
-    each candidate is one vector sum, and each distinct one gets one
-    is_prime_vector test.  Only hits become field elements again."""
-    K, b = spec.K, spec.ambient
+    norm, then increasing anchor norm (ties by coordinates).  The table has
+    a bit per point x of its ball's box, set iff (x) b^{-1} is prime; a
+    step's hits are the anchor bits left by ANDs with its shifted tables."""
+    K, b, n = spec.K, spec.ambient, spec.K.degree
+    # every candidate lies in this ball (|xi j| <= |xi| |j|): budget first
+    Q = ball_rows(b, spec.anchor_bound + spec.step_bound * spec.k, budget)[0]
     pattern = spec.pattern()
     steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12),
                                       budget=budget) if x]
-    anchors = ball_elements(K, b, spec.anchor_bound * (1 + 1e-12),
-                            budget=budget)
-    # stable sorts of lists in coordinate order: ties keep that order
+    # stable sorts of lists in coordinate order, ties keeping that order;
+    # the anchors' key is minkowski_norm's rational, rounded the same way
     steps.sort(key=lambda x: minkowski_norm(K, x))
-    anchors.sort(key=lambda x: minkowski_norm(K, x))
-    anchor_nums = [b.numerators(a) for a in anchors]
-    pattern_nums = [j.num for j in pattern]  # O_K: den 1
+
+    def q(c):  # c H / den has squared Minkowski norm q(c) / den^2
+        return sum(x * sum(map(operator.mul, row, c)) for x, row in zip(c, Q))
+
+    # R holds xi theta^i on b's rows, so xi j is j R for j in O_K = Z[theta]
+    R = [[b._coefficients(r) for r in K.mul_rows(b.numerators(xi))]
+         for xi in steps]
+    # |xi j|^2 is convex along a row of the pattern: largest at its ends
+    ends = [c + (t,) for c, lo, hi in ball_rows(
+        FractionalIdeal.unit_ideal(K), spec.k, budget)[2] for t in (lo, hi)]
+    radius = spec.anchor_bound * (1 + 1e-12)
+    reach = max((q([sum(map(operator.mul, j, col)) for col in zip(*Rx)])
+                 for Rx in R for j in ends), default=0)
+    # widened past the roundings of the square root and the sum
+    _, box, rows = ball_rows(
+        b, (radius + math.sqrt(reach) / b.den) * (1 + 1e-12), budget)
+    stride = [math.prod(2 * m + 1 for m in box[i + 1:]) for i in range(n)]
+
+    def index(c):
+        return sum((x + m) * s for x, m, s in zip(c, box, stride))
+
+    flags = bytearray(b"0") * (index(box) + 1)  # flags[i] is bit i in ASCII
+    prime = {}  # norm -> is_prime_norm, for this call only
+    for c, lo, hi in rows:
+        v = [sum(map(operator.mul, c + (lo,), col)) for col in zip(*b.mat)]
+        for i, N in enumerate(quotient_norms(b, v, b.mat[-1], hi - lo + 1),
+                              index(c + (lo,))):
+            if N not in prime:
+                prime[N] = is_prime_norm(K, N)
+            flags[i] += prime[N]
+    table = int(flags[::-1], 2)
+    anchors = sorted((c + (t,) for c, lo, hi in ball_rows(b, radius, budget)[2]
+                      for t in range(lo, hi + 1)),
+                     key=lambda c: math.sqrt(q(c) / b.den ** 2))
+    rank = {index(c): r for r, c in enumerate(anchors)}
+    flags = bytearray(b"0") * (index(box) + 1)
+    for i in rank:
+        flags[i] = 49
+    prime_anchors = int(flags[::-1], 2) & table  # 0 is in every pattern
     hits = []
-    prime = {}  # candidate numerators -> is_prime_vector, for this call only
-
-    def is_prime(v):
-        if v not in prime:
-            prime[v] = is_prime_vector(K, b, v)
-        return prime[v]
-
-    for xi in steps:
-        xi_num = b.numerators(xi)
-        offsets = [K.mul(xi_num, j) for j in pattern_nums]
-        for a, a_num in zip(anchors, anchor_nums):
-            if all(is_prime(tuple(map(operator.add, a_num, off)))
-                   for off in offsets):
-                hits.append(make_certificate(K, b, spec.k, a, xi, pattern))
-                if spec.max_hits and len(hits) >= spec.max_hits:
-                    return hits
+    for xi, Rx in zip(steps, R):
+        live = prime_anchors
+        shifts = [sum(map(operator.mul, r, stride)) for r in Rx]
+        for j in pattern:
+            s = sum(map(operator.mul, j.num, shifts))
+            live &= table >> s if s >= 0 else table << -s
+            if not live:
+                break
+        for r in sorted(rank[m.start()]
+                        for m in re.finditer("1", bin(live)[:1:-1])):
+            hits.append(make_certificate(K, b, spec.k, b.element_at(anchors[r]),
+                                         xi, pattern))
+            if spec.max_hits and len(hits) >= spec.max_hits:
+                return hits
     return hits
 
 

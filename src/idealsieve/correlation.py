@@ -56,20 +56,17 @@ class LinearFormSystem:
         for row in self.coeffs:
             if all(not c for c in row):
                 raise ValueError("zero form")
-        for i in range(self.s):
-            for j in range(i + 1, self.s):
-                if self._proportional(self.coeffs[i], self.coeffs[j]):
-                    raise ValueError(f"forms {i} and {j} are proportional")
+        for i, j in itertools.combinations(range(self.s), 2):
+            if self._proportional(self.coeffs[i], self.coeffs[j]):
+                raise ValueError(f"forms {i} and {j} are proportional")
 
     @staticmethod
     def _proportional(u, v):
-        # u, v proportional over K iff all 2x2 minors vanish
-        m = len(u)
-        for a in range(m):
-            for b in range(a + 1, m):
-                if u[a] * v[b] - u[b] * v[a]:
-                    return False
-        return True
+        # equal zero patterns and v[a] u = u[a] v at the first nonzero index a
+        if [bool(x) for x in u] != [bool(y) for y in v]:
+            return False
+        a = next(i for i, x in enumerate(u) if x)
+        return not any(v[a] * x - u[a] * y for x, y in zip(u, v))
 
     def apply(self, j: int, x) -> FieldElement:
         acc = self.K.zero

@@ -542,20 +542,18 @@ def is_prime_element(K: NumberField, b: FractionalIdeal, xi: FieldElement) -> bo
 
 
 def is_prime_vector(K: NumberField, b: FractionalIdeal, v):
-    """For x = v / b.den, v an integer vector: None if x is not in b, else
-    whether the integral ideal (x) b^{-1} is prime.
-
-    Membership is b's integer back-substitution.  Primality is read off
-    the norm N = N((x) b^{-1}) (_quotient_norm): every vetted field is
-    Galois, so the primes above p share one residue degree f, which
-    divides n, and an ideal of norm p^a is prime iff a = f.  Nothing is
-    factored: for each f | n, N = r^f is tested with r the integer f-th
-    root.  b must be an O_K-ideal in canonical HNF (see from_json)."""
+    """None if x = v / b.den (v an integer vector) is not in b, else whether
+    (x) b^{-1} is prime; b is an O_K-ideal in canonical HNF (from_json)."""
     if b._coefficients(v) is None:
         return None
-    if not any(v):
-        return False
-    N = _quotient_norm(b, v)
+    return is_prime_norm(K, _quotient_norm(b, v))
+
+
+def is_prime_norm(K: NumberField, N: int) -> bool:
+    """Whether an integral ideal of norm N (0 for the zero ideal) is prime:
+    every vetted field is Galois, so the primes above p share one residue
+    degree f | n, and an ideal of norm p^a is prime iff a = f; nothing is
+    factored, as N = r^f is tested with r the integer f-th root."""
     n = K.degree
     for f in range(1, n + 1):
         if n % f == 0:
@@ -567,12 +565,28 @@ def is_prime_vector(K: NumberField, b: FractionalIdeal, v):
 
 def _quotient_norm(b: FractionalIdeal, v) -> int:
     """N((x) b^{-1}) = |det(multiplication-by-v matrix)| / det(H) for x =
-    v / b.den in b, v nonzero and H the HNF of b, in integers."""
+    v / b.den in b and H the HNF of b, in integers (0 for x = 0)."""
     N, r = divmod(abs(det_int(b.K.mul_rows(v))),
                   math.prod(row[i] for i, row in enumerate(b.mat)))
     if r:
         raise ValueError("(x) b^{-1} is not integral; malformed ambient ideal")
     return N
+
+
+def quotient_norms(b: FractionalIdeal, v, h, count: int):
+    """_quotient_norm at (v + t h) / b.den in b for t = 0, ..., count - 1:
+    the determinant is an integer polynomial of degree n in t, taken at
+    min(count, n + 1) points and stepped by forward differences."""
+    L = min(count, b.K.degree + 1)
+    d = [det_int(b.K.mul_rows([x + t * y for x, y in zip(v, h)]))
+         for t in range(L)]
+    for k in range(1, L):  # d[k:] becomes the k-th differences
+        d[k:] = [y - x for x, y in zip(d[k - 1:], d[k:])]
+    det = math.prod(row[i] for i, row in enumerate(b.mat))
+    for _ in range(count):
+        yield abs(d[0]) // det
+        for k in range(L - 1):
+            d[k] += d[k + 1]
 
 
 @lru_cache(maxsize=2**12)

@@ -27,33 +27,45 @@ def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
 def iter_ball_elements(K: NumberField, ideal, radius: float,
                        budget: int = 10**7):
     """The lattice points of the ideal with Minkowski norm < radius, in
-    coordinate order, generated one at a time.
+    coordinate order, generated one at a time from ball_rows."""
+    H, den, n = ideal.mat, ideal.den, K.degree
+    for c, lo, hi in ball_rows(ideal, radius, budget)[2]:
+        base = [sum(a * row[j] for a, row in zip(c, H)) for j in range(n)]
+        for ci in range(lo, hi + 1):
+            yield FieldElement(
+                K, tuple(b + ci * h for b, h in zip(base, H[-1])), den)
 
-    Exact.  With H the ideal's integer HNF rows and den its denominator,
-    the point c H / den has squared norm c Q c^T / den^2 for the integer
+
+def ball_rows(ideal, radius: float, budget: int = 10**7):
+    """(Q, box, rows) for the points c H / den of the ideal with Minkowski
+    norm < radius: |c_i| <= box[i], and rows generates one (c_0..c_{n-2},
+    lo, hi) per prefix, its last coefficient running over lo..hi, lo <= hi.
+
+    Exact.  The point has squared norm c Q c^T / den^2 for the integer
     form Q = H G H^T (G = K.gram), so it lies in the ball iff c Q c^T <=
     B = ceil(radius^2 den^2) - 1, the radius taken as an exact Fraction.
     The coefficient box |c_i| <= radius den sqrt(adj(Q)_ii / det Q) is
-    checked against the budget before anything is enumerated.  The points
-    are then enumerated by Fincke-Pohst in integers: the rational
-    decomposition Q(c) = sum_i d_i (c_i + sum_{j<i} mu_ij c_j)^2 is
-    scaled to W Q(c) = sum_i e_i y_i^2 with y_i = M_i c_i + sum_{j<i}
-    A_ij c_j, so every coordinate's range is an exact integer square
-    root.  The loops run c_0 outermost and each c_i upwards; H is upper
-    triangular with positive pivots, so that is the order of the
+    checked against the budget on the call, before anything is
+    enumerated.  The rows are then enumerated by Fincke-Pohst in integers:
+    the rational decomposition Q(c) = sum_i d_i (c_i + sum_{j<i} mu_ij
+    c_j)^2 is scaled to W Q(c) = sum_i e_i y_i^2 with y_i = M_i c_i +
+    sum_{j<i} A_ij c_j, so every coordinate's range is an exact integer
+    square root.  The loops run c_0 outermost and each c_i upwards; H is
+    upper triangular with positive pivots, so that is the order of the
     coordinates.
     """
-    if radius <= 0:
-        return
-    H, den, n = ideal.mat, ideal.den, K.degree
-    HG = [[sum(h * g for h, g in zip(row, col)) for col in zip(*K.gram)]
+    H, n = ideal.mat, ideal.K.degree
+    HG = [[sum(map(operator.mul, row, col)) for col in zip(*ideal.K.gram)]
           for row in H]
-    Q = [[sum(a * b for a, b in zip(row, h)) for h in H] for row in HG]
-    R2 = Fraction(radius) ** 2 * den * den
+    Q = [[sum(map(operator.mul, row, h)) for h in H] for row in HG]
+    if radius <= 0:
+        return Q, [0] * n, iter(())
+    R2 = Fraction(radius) ** 2 * ideal.den ** 2
     detQ = det_int(Q)
-    total = 1
+    box, total = [], 1
     for i, row in enumerate(adjugate(Q)):
-        total *= 2 * math.isqrt(R2 * row[i] // detQ) + 1
+        box.append(math.isqrt(R2 * row[i] // detQ))
+        total *= 2 * box[i] + 1
         if total > budget:
             raise BudgetExceededError(
                 f"ball enumeration box has {total}+ candidates (budget {budget})")
@@ -76,18 +88,15 @@ def iter_ball_elements(K: NumberField, ideal, radius: float,
         S = sum(a * x for a, x in zip(A[i], c))
         root = math.isqrt(T // e[i])  # |y_i| <= root
         lo, hi = -((root + S) // M[i]), (root - S) // M[i]
-        if i < n - 1:
-            for c[i] in range(lo, hi + 1):
-                y = M[i] * c[i] + S
-                yield from descend(i + 1, T - e[i] * y * y)
+        if i == n - 1:
+            if lo <= hi:
+                yield tuple(c[:i]), lo, hi
             return
-        # the point is c H / den, H's last row scaled by the innermost c_i
-        base = [sum(a * row[j] for a, row in zip(c[:i], H)) for j in range(n)]
-        for ci in range(lo, hi + 1):
-            yield FieldElement(
-                K, tuple(b + ci * h for b, h in zip(base, H[i])), den)
+        for c[i] in range(lo, hi + 1):
+            y = M[i] * c[i] + S
+            yield from descend(i + 1, T - e[i] * y * y)
 
-    yield from descend(0, (math.ceil(R2) - 1) * W)
+    return Q, box, descend(0, (math.ceil(R2) - 1) * W)
 
 
 class Parallelotope:

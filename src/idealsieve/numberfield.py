@@ -134,10 +134,12 @@ class NumberField:
         return out
 
     def mul_rows(self, a):
-        """The matrix of multiplication by a: row r holds a theta^r."""
-        n = self.degree
-        return [self.mul(a, [int(i == r) for i in range(n)])
-                for r in range(n)]
+        """The matrix of multiplication by a: row r is row r - 1 times theta."""
+        rows = [list(a)]
+        for _ in range(self.degree - 1):
+            rows.append([s + rows[-1][-1] * t for s, t in
+                         zip([0] + rows[-1][:-1], self._theta_pow[0])])
+        return rows
 
     def theta_power(self, j):
         if j < self.degree:

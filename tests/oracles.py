@@ -35,6 +35,10 @@ replaced, kept as test oracles.
 - `factor_ideal_oracle`: each exponent found by multiplying by P^-1
   until the quotient is not integral (the valuation loop); factor_ideal
   now tests a in P^j and inverts nothing.
+- `search_oracle`: search_constellation as a loop over every (step,
+  anchor) pair, each candidate a + xi j an integer numerator vector
+  tested by is_prime_vector once per search (memoized); the search now
+  reads a prime table of the whole ball through bitset shifts.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
@@ -42,18 +46,22 @@ replaced, kept as test oracles.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from idealsieve.arith import factorint, primerange
+from idealsieve.constellation import make_certificate
 from idealsieve.correlation import omega_tuple, squarefree_ideals
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_ideal, factor_rational_prime,
-                               principal_generator, residue_degrees)
+                               is_prime_vector, principal_generator,
+                               residue_degrees)
 from idealsieve.errors import BudgetExceededError
 from idealsieve.lattice import ball_elements, fundamental_domain_reduce
 from idealsieve.linalg import hnf
+from idealsieve.numberfield import minkowski_norm
 
 
 def coords_add(a, b):
@@ -395,3 +403,36 @@ def factor_ideal_oracle(a):
             if v:
                 factors.append((P, v))
     return tuple(factors)
+
+
+def search_oracle(spec):
+    """search_constellation by the pair loop: for each step in norm order
+    and each anchor in norm order, the hit if every a + xi j is prime."""
+    K, b = spec.K, spec.ambient
+    pattern = spec.pattern()
+    steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12))
+             if x]
+    anchors = ball_elements(K, b, spec.anchor_bound * (1 + 1e-12))
+    # stable sorts of lists in coordinate order: ties keep that order
+    steps.sort(key=lambda x: minkowski_norm(K, x))
+    anchors.sort(key=lambda x: minkowski_norm(K, x))
+    anchor_nums = [b.numerators(a) for a in anchors]
+    pattern_nums = [j.num for j in pattern]  # O_K: den 1
+    hits = []
+    prime = {}  # candidate numerators -> is_prime_vector
+
+    def is_prime(v):
+        if v not in prime:
+            prime[v] = is_prime_vector(K, b, v)
+        return prime[v]
+
+    for xi in steps:
+        xi_num = b.numerators(xi)
+        offsets = [K.mul(xi_num, j) for j in pattern_nums]
+        for a, a_num in zip(anchors, anchor_nums):
+            if all(is_prime(tuple(map(operator.add, a_num, off)))
+                   for off in offsets):
+                hits.append(make_certificate(K, b, spec.k, a, xi, pattern))
+                if spec.max_hits and len(hits) >= spec.max_hits:
+                    return hits
+    return hits

@@ -581,6 +581,11 @@ def test_hypergraph_extreme_N():
     # OverflowError (exit 4) past the index range
     ["singular-series", "--R", "1e300"],
     ["singular-series", "--R", "2e7"],
+    # an 8 * 10^6-point pattern: every candidate lies in the ball of radius
+    # anchor-bound + step-bound * k, whose box of 1.6 * 10^7 is checked
+    # before the pattern is enumerated
+    ["search", "--field", "Q", "--k", "4000000", "--anchor-bound", "5",
+     "--step-bound", "2"],
 ])
 def test_budget_checked_before_quadratic_work(argv, capsys):
     start = time.perf_counter()
@@ -588,6 +593,14 @@ def test_budget_checked_before_quadratic_work(argv, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "budget" in err and len(err) < 300
+
+
+def test_search_budget_names_its_flags(capsys):
+    assert run(["search", "--field", "Q(i)", "--anchor-bound", "5000",
+                "--step-bound", "3", "--k", "2"]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert all(s in err for s in ("--anchor-bound 5000.0", "--step-bound 3.0",
+                                  "--k 2.0", "candidates (budget"))
 
 
 # ---------------------------------------------------------------- determinism
@@ -635,7 +648,8 @@ def test_cli_does_not_import_numpy_mpmath_scipy_sympy_dataclasses_or_inspect(
     # sympy is imported only to classify a rejected defining polynomial,
     # numpy only by hypergraph; the record classes are namedtuples and
     # plain classes, so dataclasses (which loads inspect, ast and dis)
-    # stays off the start-up path
+    # stays off the start-up path, and traceback (linecache, tokenize) is
+    # imported only for an internal error
     certs = str(tmp_path / "certs.jsonl")
     out = str(tmp_path / "out.jsonl")
     runs = [["--output", certs, "search", "--anchor-bound", "12",
@@ -654,7 +668,7 @@ def test_cli_does_not_import_numpy_mpmath_scipy_sympy_dataclasses_or_inspect(
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in\n"
             "             ('numpy', 'mpmath', 'scipy', 'sympy',\n"
-            "              'dataclasses', 'inspect')))\n")
+            "              'dataclasses', 'inspect', 'traceback')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

@@ -15,11 +15,12 @@ from idealsieve.errors import UnsupportedFieldError
 from idealsieve.ideals import (FractionalIdeal, class_equivalent,
                                enumerate_prime_ideals, euler_phi,
                                factor_rational_prime, is_prime_element,
-                               is_prime_vector, principal_generator)
+                               is_prime_norm, principal_generator)
 from idealsieve.lattice import ball_elements
 from idealsieve.numberfield import (SUPPORTED_POLYS, FieldElement, make_field,
                                     minkowski_norm)
 from idealsieve.sieve import SieveConfig
+from oracles import search_oracle
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -58,22 +59,26 @@ def test_search_finds_5_11_17():
     assert sorted(int(p[0]) for p in cert.points) == [5, 11, 17]
 
 
-def test_search_tests_each_point_once(monkeypatch):
-    # (anchor, step, pattern point) triples repeat points; each distinct
-    # point gets one primality test per search
+def test_search_decides_each_norm_once(monkeypatch):
+    # the prime table reads every point's norm: primality is decided once
+    # per distinct norm, and no candidate gets an is_prime_vector call
     calls = collections.Counter()
 
-    def counting(K, b, v):
-        calls[tuple(v)] += 1
-        return is_prime_vector(K, b, v)
+    def counting(K, N):
+        calls[N] += 1
+        return is_prime_norm(K, N)
 
-    monkeypatch.setattr(constellation, "is_prime_vector", counting)
+    def forbidden(K, b, v):
+        raise AssertionError("is_prime_vector called by the search")
+
+    monkeypatch.setattr(constellation, "is_prime_norm", counting)
+    monkeypatch.setattr(constellation, "is_prime_vector", forbidden)
     spec = ConstellationSpec(QI, FractionalIdeal.unit_ideal(QI), 1.5,
                              5.5, 2.1)
-    assert search_constellation(spec)
-    assert len(calls) > 1 and set(calls.values()) == {1}
+    hits = search_constellation(spec)
+    assert hits and len(calls) > 1 and set(calls.values()) == {1}
     monkeypatch.undo()
-    assert [c.to_json() for c in search_constellation(spec)] == \
+    assert [c.to_json() for c in hits] == \
         [c.to_json() for c in _search_oracle(spec)]
 
 
@@ -106,17 +111,18 @@ def _search_ambients(K):
 @pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), k=st.sampled_from([1.5, 2, 2.1]),
-       anchor=st.integers(4, 16), step=st.integers(2, 8))
-def test_search_matches_oracle(name, data, k, anchor, step):
-    # the integer-vector search gives the oracle's certificates, in order;
+       anchor=st.integers(4, 16), step=st.integers(2, 8),
+       max_hits=st.sampled_from([None, 1, 3]))
+def test_search_matches_oracle(name, data, k, anchor, step, max_hits):
+    # the prime-table search gives the pair loop's certificates, in order;
     # the bounds are scaled by N(b)^(1/n), so the balls hold about the same
     # number of points for every ambient, fewer in the quartic field
     K = make_field(name)
     b = data.draw(st.sampled_from(_search_ambients(K)), label="ambient")
     scale = float(b.norm()) ** (1 / K.degree) * (0.3 if K.degree == 4 else 0.5)
-    spec = ConstellationSpec(K, b, k, anchor * scale, step * scale)
+    spec = ConstellationSpec(K, b, k, anchor * scale, step * scale, max_hits)
     assert [c.to_json() for c in search_constellation(spec)] == \
-        [c.to_json() for c in _search_oracle(spec)]
+        [c.to_json() for c in search_oracle(spec)]
 
 
 def test_search_field_arithmetic_only_in_certificates(monkeypatch):

@@ -26,7 +26,7 @@ from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_rational_prime)
 from idealsieve.lattice import Parallelotope, ball_elements
 from idealsieve.linalg import hnf
-from idealsieve.numberfield import SUPPORTED_POLYS, make_field
+from idealsieve.numberfield import SUPPORTED_POLYS, FieldElement, make_field
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig
 from oracles import (gauss_jordan_coords, singular_series_euler,
                      squarefree_ideals_oracle)
@@ -53,6 +53,34 @@ def test_forms_validation():
     with pytest.raises(ValueError):
         LinearFormSystem(QI, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]])
     # i * (x + i y) = ix - y: proportional over O_K
+
+
+def test_forms_validation_is_quadratic(monkeypatch):
+    # all 2 x 2 minors of every pair cost O(s^4) products; forms whose
+    # zero patterns differ need none
+    mul, calls = FieldElement.__mul__, [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        if calls[0] > 10**4:
+            raise AssertionError("too many FieldElement products")
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    LinearFormSystem(Q, [[int(i == j) for j in range(40)] for i in range(40)])
+    monkeypatch.undo()
+    # the first-nonzero-index rule agrees with the vanishing of all minors
+    rng = random.Random(3)
+    for _ in range(300):
+        u, v = ([QI.element([rng.choice([0, 0, 1, -1, 2]) for _ in range(2)])
+                 for _ in range(3)] for _ in range(2))
+        if any(u) and any(v):
+            minors = all(not (u[a] * v[b] - u[b] * v[a])
+                         for a in range(3) for b in range(a + 1, 3))
+            assert LinearFormSystem._proportional(u, v) == minors
+    assert LinearFormSystem._proportional(
+        [QI.element([1, 0]), QI.element([0, 1])],
+        [QI.element([0, 1]), QI.element([-1, 0])])
 
 
 def test_forms_apply():

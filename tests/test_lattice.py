@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from idealsieve.errors import BudgetExceededError
 from idealsieve.ideals import FractionalIdeal, factor_rational_prime
 from idealsieve.lattice import (Parallelotope, admissible_modulus,
-                                ball_elements, fundamental_domain_reduce,
+                                ball_elements, ball_rows,
+                                fundamental_domain_reduce,
                                 in_scaled_domain, points_in_parallelotope)
 from idealsieve.linalg import adjugate, det_int
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field, minkowski_norm
@@ -313,6 +314,29 @@ def test_ball_elements_matches_oracle(case, scale, on_point):
     if on_point is not None:
         # norm < radius, decided exactly
         assert (x in got) == (_inner(K, x, x) < Fraction(radius) ** 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_BALL_AMBIENTS), scale=st.floats(0, 2.5))
+def test_ball_rows_reproduce_ball_elements(case, scale):
+    # Q is the integer Gram form of the HNF rows; each row (c_0..c_{n-2},
+    # lo, hi) is nonempty and inside the box, and expanded over its last
+    # coefficient gives ball_elements, in order
+    K, I = case
+    radius = scale * math.sqrt(K.degree) * float(I.norm()) ** (1 / K.degree)
+    try:
+        Q, box, rows = ball_rows(I, radius, budget=20000)
+    except BudgetExceededError:
+        return
+    basis = I.basis_elements()
+    assert Q == [[_inner(K, u, v) * I.den ** 2 for v in basis] for u in basis]
+    rows = list(rows)
+    assert all(lo <= hi for _, lo, hi in rows)
+    got = [c + (t,) for c, lo, hi in rows for t in range(lo, hi + 1)]
+    assert all(abs(x) <= m for c in got for x, m in zip(c, box))
+    assert [I.element_at(c) for c in got] == ball_elements(K, I, radius)
+    if radius > 0:
+        assert box == _ball_box(K, I, radius)
 
 
 def test_ball_excludes_its_sphere():

@@ -194,6 +194,11 @@ def test_norm_matches_fraction_determinant(name, coords):
     K = field_by_name(name)
     x = K.element(coords[:K.degree])
     assert x.norm() == coords_norm(K, tuple(x.coords))
+    # the rows x theta^r, each the row above times theta
+    n = K.degree
+    assert [tuple(r) for r in K.mul_rows(x.coords)] == \
+        [coords_mul(K, x.coords, [int(i == r) for i in range(n)])
+         for r in range(n)]
 
 
 @settings(max_examples=200, deadline=None)
