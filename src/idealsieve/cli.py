@@ -31,7 +31,7 @@ from .ideals import (ENUMERATION_BUDGET, FractionalIdeal,
                      enumerate_prime_ideals, mobius)
 from .lattice import Parallelotope, fundamental_domain_reduce
 from .numberfield import field_by_name
-from .sieve import SieveConfig, c_phi, lambda_of_primes
+from .sieve import SieveConfig, c_phi, lambda_of_norms
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -152,7 +152,7 @@ def cmd_lambda(args):
     lines = []
     rows = []
     for P in enumerate_prime_ideals(K, args.bound):
-        val = lambda_of_primes((P,), args.R)
+        val = lambda_of_norms((P.norm(),), args.R)
         lines.append(report_line("lambda", val, 1.0,
                                  {"field": K.name, "R": args.R,
                                   "norm": P.norm(), "p": P.p,

@@ -14,13 +14,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BudgetExceededError
-from .ideals import (FractionalIdeal, enumerate_prime_ideals, is_prime_norm,
-                     is_prime_vector, primes_dividing, principal_generator,
-                     quotient_norms)
-from .lattice import (ball_elements, ball_rows, fundamental_domain_reduce,
-                      iter_ball_elements)
+from .ideals import (FractionalIdeal, _generators, is_prime_norm,
+                     is_prime_vector, primes_dividing, quotient_norms)
+from .lattice import ball_elements, ball_rows, iter_ball_elements
 from .numberfield import FieldElement, make_field, minkowski_norm
-from .sieve import SieveConfig, lambda_of_primes
+from .sieve import SieveConfig, lambda_of_norms
 
 
 class ConstellationSpec(namedtuple(
@@ -261,37 +259,39 @@ class AlphaScanResult(namedtuple(
 
 
 def alpha_scan(cfg: SieveConfig, window, budget: int = 10**6) -> AlphaScanResult:
-    """Bin Lambda_{K,R}^2 masses of prime ideals in the class of the
-    inverse ambient ideal by the residue alpha in (W G) cap b of the
-    canonical generator (principal_generator) of the principal ideal P b.
-
-    Masses are accumulated as exact rationals (each float Lambda^2 value
-    converts exactly), so the partition identity is zero-tolerance.
-    """
-    K = cfg.K
-    lo, hi = window
+    """Bin the Lambda_{K,R}^2 masses of the primes P of b^{-1}'s class, N P
+    in the window and prime to W, by the residue alpha in (W G) cap b of
+    P b's canonical generator (principal_generator's: least in its unit
+    orbit), read off the ball of b holding them all.  Masses are exact
+    rationals, so the partition identity is exact; see the README."""
+    (lo, hi), K, b, W = window, cfg.K, cfg.ambient, cfg.W
     if hi > budget * 10:
         raise BudgetExceededError("window exceeds enumeration budget")
-    masses = {}
-    total = Fraction(0)
-    count = 0
-    for P in enumerate_prime_ideals(K, hi):
-        if P.norm() < lo:
+    units = [u.num for u in _generators(FractionalIdeal.unit_ideal(K))]
+    n, top = K.degree, max(hi, 0)
+    # n <= 2, |x|^2 = n |N x|^(2/n); widened past the float root, unbudgeted
+    r = math.sqrt(n * (top * b.norm()) ** (2 // n)) * (1 + 1e-9)
+    counted = bytearray(top + 1)  # 0 untested, else 1 + (N is counted)
+    acc, total, count = {}, Fraction(0), 0
+    for c, t0, t1 in ball_rows(b, r, math.inf)[2]:
+        if c > (0,) * len(c):  # -1 is a unit: an orbit's least is c < 0
             continue
-        if math.gcd(P.norm(), cfg.W) != 1:
-            continue
-        pb = P.ideal() * cfg.ambient
-        xi = principal_generator(pb)
-        if xi is None:
-            continue  # prime not in the class of the inverse ambient ideal
-        alpha, _ = fundamental_domain_reduce(cfg.ambient, xi, cfg.W)
-        lam = lambda_of_primes((P,), cfg.R, cfg.phi)
-        mass = Fraction(lam) ** 2
-        key = tuple(str(c) for c in alpha.coords)
-        masses[key] = masses.get(key, Fraction(0)) + mass
-        total += mass
-        count += 1
+        t1 = t1 if any(c) else -1
+        v = [sum(map(operator.mul, c + (t0,), col)) for col in zip(*b.mat)]
+        for t, N in enumerate(quotient_norms(b, v, b.mat[-1], t1 - t0 + 1)):
+            if lo <= N <= top and not counted[N]:
+                counted[N] = 1 + (math.gcd(N, W) == 1 and is_prime_norm(K, N))
+            if not lo <= N <= top or counted[N] == 1:
+                continue
+            w = [x + t * h for x, h in zip(v, b.mat[-1])]
+            if any(K.mul(u, w) < w for u in units):
+                continue
+            red = tuple(x + W * ((W - 2 * x) // (2 * W)) for x in c + (t0 + t,))
+            mass = Fraction(lambda_of_norms((N,), cfg.R, cfg.phi)) ** 2
+            acc[red] = acc.get(red, 0) + mass
+            total, count = total + mass, count + 1
+    masses = {tuple(map(str, b.element_at(r).coords)): m for r, m in acc.items()}
     if not masses:
         raise ValueError("no primes of the required class in the window")
     maximizer = max(sorted(masses), key=lambda k: masses[k])
-    return AlphaScanResult(masses, total, maximizer, (lo, hi), cfg.W, count)
+    return AlphaScanResult(masses, total, maximizer, (lo, hi), W, count)

@@ -329,16 +329,16 @@ def _factor_prime_zeta5(K, p):
 
 
 def residue_degrees(K: NumberField, p: int):
-    """Residue degrees of the primes above p (one entry per prime ideal),
-    read off p modulo the conductor as in factor_rational_prime; the
-    quadratic fields take the Kronecker symbol alone."""
+    """Residue degrees of the primes above the prime p, one per prime, read
+    off p modulo the conductor as in factor_rational_prime: the Kronecker
+    symbol in the quadratic fields, the order of p mod 5 in Q(zeta5)."""
     n = K.degree
     if n == 1:
         return [1]
     if n == 2:
         chi = _kronecker(K.discriminant, p)
         return [1, 1] if chi == 1 else ([2] if chi == -1 else [1])
-    return [P.f for P in factor_rational_prime(K, p)]
+    return {0: [1], 1: [1, 1, 1, 1], 4: [2, 2]}.get(p % 5, [4])
 
 
 # ---------------------------------------------------------------------

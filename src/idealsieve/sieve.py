@@ -144,21 +144,20 @@ def _is_small(norm, logR, phi) -> bool:
 
 
 @lru_cache(maxsize=2 ** 16)
-def _lambda_cached(primes, logR, phi):
+def _lambda_cached(norms, logR, phi):
     terms = []
-    for mask in itertools.product((0, 1), repeat=len(primes)):
-        logNd = sum(m * math.log(P.norm()) for m, P in zip(mask, primes))
-        sgn = (-1) ** sum(mask)
-        terms.append(sgn * phi(logNd / logR))
+    for mask in itertools.product((0, 1), repeat=len(norms)):
+        logNd = sum(m * math.log(q) for m, q in zip(mask, norms))
+        terms.append((-1) ** sum(mask) * phi(logNd / logR))
     return math.fsum(terms)
 
 
-def lambda_of_primes(primes, R: float, phi: BumpFunction = DEFAULT_BUMP):
+def lambda_of_norms(norms, R: float, phi: BumpFunction = DEFAULT_BUMP):
     """Lambda_{K,R} of an integral ideal of K whose distinct primes, in
-    factor_ideal's order, are `primes`; only those of norm below
+    factor_ideal's order, have these norms; only those below
     R^phi.support[1] enter the subset sum."""
     logR = _log_level(R)
-    small = tuple(P for P in primes if _is_small(P.norm(), logR, phi))
+    small = tuple(q for q in norms if _is_small(q, logR, phi))
     return _lambda_cached(small, logR, phi)
 
 
@@ -168,7 +167,8 @@ def lambda_R(n, R: float, phi: BumpFunction = DEFAULT_BUMP) -> float:
     Only the distinct primes of n of norm below R^phi.support[1] matter;
     the sum runs over their subsets.  ValueError unless 1 < R < inf.
     """
-    return lambda_of_primes((P for P, _ in factor_ideal(n).factors), R, phi)
+    return lambda_of_norms((P.norm() for P, _ in factor_ideal(n).factors),
+                           R, phi)
 
 
 class SieveConfig:
@@ -228,7 +228,7 @@ def nu_weight(cfg: SieveConfig, x) -> float:
     small = partial(_is_small, logR=logR, phi=cfg.phi)
     # for R^support[1] <= 2 no prime is small: then no arithmetic at all
     primes = primes_dividing(cfg.ambient, y, small) if small(2) else ()
-    lam = _lambda_cached(primes, logR, cfg.phi)
+    lam = _lambda_cached(tuple(P.norm() for P in primes), logR, cfg.phi)
     v = lam * lam
     if not cfg.raw:
         v *= cfg.prefactor()

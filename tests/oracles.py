@@ -21,10 +21,16 @@ replaced, kept as test oracles.
 - `principal_generator_oracle`, `class_equivalent_oracle`: the bounded
   generator search that the reduced binary form replaced, a Minkowski
   ball of radius sqrt(n) c_K N(c)^(1/n) searched for points of norm N(c).
-- `lambda_oracle`, `nu_weight_oracle`, `alpha_scan_oracle`: the sieve
-  weight by the full subset sum over every prime that factor_ideal finds,
-  with nu's argument built as the ideal (W x + alpha) b^{-1}; the sieve
-  now reads the primes below R off the norm instead.
+- `lambda_oracle`, `nu_weight_oracle`: the sieve weight by the full
+  subset sum over every prime that factor_ideal finds, with nu's argument
+  built as the ideal (W x + alpha) b^{-1}; the sieve now reads the primes
+  below R off the norm instead.
+- `alpha_scan_oracle`: the alpha-scan as a loop over the prime ideals of
+  the window, each P b built in HNF, its generator found by
+  principal_generator and reduced by fundamental_domain_reduce, and
+  Lambda from lambda_oracle; alpha_scan now reads the generators off one
+  ball of b, the points whose quotient norm is prime, least in their
+  unit orbit.
 - `squarefree_ideals_oracle`: the squarefree ideal list built by letting
   each prime extend every ideal listed so far; squarefree_ideals extends
   each listed ideal only by the later primes in norm order, up to the
@@ -290,11 +296,12 @@ def nu_weight_oracle(cfg, x):
 
 
 def alpha_scan_oracle(cfg, window):
-    """alpha_scan's masses and total, each prime's Lambda from
-    lambda_oracle(P)."""
+    """alpha_scan's masses, total and count, prime by prime: P b built as
+    an ideal, its canonical generator from principal_generator, reduced by
+    fundamental_domain_reduce, and Lambda from lambda_oracle(P)."""
     K = cfg.K
     lo, hi = window
-    masses, total = {}, Fraction(0)
+    masses, total, count = {}, Fraction(0), 0
     for P in enumerate_prime_ideals(K, hi):
         if P.norm() < lo or math.gcd(P.norm(), cfg.W) != 1:
             continue
@@ -306,7 +313,8 @@ def alpha_scan_oracle(cfg, window):
         key = tuple(str(c) for c in alpha.coords)
         masses[key] = masses.get(key, Fraction(0)) + mass
         total += mass
-    return masses, total
+        count += 1
+    return masses, total, count
 
 
 def singular_series_euler(forms, R, W, prime_support, t, tprime,

@@ -493,6 +493,31 @@ def test_degenerate_parameter_is_usage_error(argv, capsys):
     assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", [("60", "-5"), ("50", "10"),
+                                    ("-10", "-1"), ("24", "28"), ("1", "1")],
+                         ids=" ".join)
+def test_alpha_scan_empty_window_message(window, capsys):
+    # negative, inverted and prime-free windows are one usage error, not a
+    # math-domain error from the ball's radius
+    assert run(["alpha-scan", "--field", "Q(i)", "--window", *window]) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err \
+        == "error: no primes of the required class in the window\n"
+
+
+@pytest.mark.parametrize("field", ["Q(sqrt2)", "Q(sqrt5)", "Q(zeta5)"])
+@pytest.mark.parametrize("window", [("60", "-5"), ("100", "300")],
+                         ids=" ".join)
+def test_alpha_scan_infinite_unit_group_fails_up_front(field, window,
+                                                       capsys):
+    # the field is refused whatever the window holds
+    assert run(["alpha-scan", "--field", field, "--window", *window]) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: principal generators require a finite unit group; "
+        f"{field} has unit rank 1\n")
+
+
 def test_help_exits_ok(capsys):
     assert run(["search", "--help"]) == EXIT_OK
     assert "--anchor-bound" in capsys.readouterr().out

@@ -64,6 +64,17 @@ def test_quartic_splitting_by_order_mod_5():
         assert len(primes) == 4 // f
 
 
+def test_zeta5_residue_degrees_read_off_p_mod_5():
+    K = make_field("Q(zeta5)")
+    for p in sympy.primerange(2, 10**4):
+        assert residue_degrees(K, p) \
+            == [P.f for P in factor_rational_prime(K, p)], p
+    # the closed form neither splits p nor touches the splitting cache
+    before = factor_rational_prime.cache_info()
+    count_ideals(K, 10**5)
+    assert factor_rational_prime.cache_info() == before
+
+
 def test_galois_premise_primes_share_e_and_f():
     # is_prime_element reads primality off the norm, which is valid only
     # when the primes above p share (e, f), i.e. on Galois fields

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from idealsieve import ideals, sieve
+from idealsieve import constellation, ideals, lattice, sieve
 from idealsieve.constellation import (ConstellationSpec, alpha_scan,
                                       search_constellation,
                                       verify_certificate)
@@ -302,20 +302,24 @@ def test_nu_weight_matches_factorisation_oracle(data):
 @given(st.data())
 def test_alpha_scan_lambda_matches_oracle(data):
     K = data.draw(st.sampled_from(GENERATOR_FIELDS), label="field")
-    lo = data.draw(st.integers(2, 40), label="lo")
-    window = (lo, lo + data.draw(st.integers(0, 120), label="width"))
+    lo = data.draw(st.integers(-5, 60), label="lo")
+    # inverted, empty and negative windows as well
+    window = (lo, lo + data.draw(st.integers(-20, 400), label="width"))
     cfg = SieveConfig(K, N=10**4, w=data.draw(st.integers(1, 3), label="w"),
                       ambient=data.draw(st.sampled_from(AMBIENTS[K]),
                                         label="ambient"),
                       logR=math.log(data.draw(LEVELS, label="R")),
                       phi=data.draw(st.sampled_from(BUMPS), label="phi"))
-    masses, total = alpha_scan_oracle(cfg, window)
+    masses, total, count = alpha_scan_oracle(cfg, window)
     if not masses:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^no primes of the required "
+                           "class in the window$"):
             alpha_scan(cfg, window)
         return
     res = alpha_scan(cfg, window)
-    assert (res.masses, res.total) == (masses, total)
+    assert (res.masses, res.total, res.count) == (masses, total, count)
+    assert res.maximizer == max(sorted(masses), key=masses.__getitem__)
+    assert res.window == window
 
 
 def test_truncation_keeps_factor_order_and_level():
@@ -338,6 +342,33 @@ def _forbid(monkeypatch, owner, name):
     monkeypatch.setattr(owner, name, forbidden)
 
 
+def test_alpha_scan_builds_no_prime_ideal_or_generator(monkeypatch):
+    # every ambient of every field with a finite unit group, against the
+    # prime-by-prime oracle; the scan itself reads the generators off one
+    # ball, so it builds no P b and searches or reduces no generator
+    cases = [SieveConfig(K, N=10**4, w=w, ambient=b, logR=math.log(30.0))
+             for K in GENERATOR_FIELDS for b in AMBIENTS[K] for w in (1, 2)]
+    want = [alpha_scan_oracle(cfg, (3, 300)) for cfg in cases]
+    for owner, name in ((ideals, "enumerate_prime_ideals"),
+                        (ideals, "principal_generator"),
+                        (ideals, "_prime_ideal_lattice"),
+                        (FractionalIdeal, "__mul__"),
+                        (lattice, "fundamental_domain_reduce")):
+        for where in (owner, constellation):
+            if hasattr(where, name):
+                _forbid(monkeypatch, where, name)
+    for cfg, (masses, total, count) in zip(cases, want):
+        decided = []
+        monkeypatch.setattr(constellation, "is_prime_norm",
+                            lambda K, N: decided.append(N)
+                            or ideals.is_prime_norm(K, N))
+        res = alpha_scan(cfg, (3, 300))
+        assert (res.masses, res.total, res.count) == (masses, total, count)
+        # each norm is decided once per call, and only inside the window
+        assert len(decided) == len(set(decided))
+        assert all(3 <= N <= 300 for N in decided)
+
+
 def test_per_point_paths_neither_factor_nor_build_principal_ideals(
         monkeypatch):
     K5 = make_field("Q(sqrt-5)")
@@ -355,7 +386,7 @@ def test_per_point_paths_neither_factor_nor_build_principal_ideals(
         _forbid(monkeypatch, owner, name)
     assert [nu_weight(cfg, x) for x in points] == want
     res = alpha_scan(cfg, (2, 120))
-    assert (res.masses, res.total) == scan
+    assert (res.masses, res.total, res.count) == scan
     # the search reads each witness off the norm as well
     hits = search_constellation(
         ConstellationSpec(K5, P2.ideal(), 1.5, 12, 4))
