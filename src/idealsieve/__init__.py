@@ -16,7 +16,8 @@ from .ideals import (FractionalIdeal, IdealFactorization, PrimeIdeal,
                      TruncatedClass, class_equivalent, count_ideals,
                      enumerate_prime_ideals, euler_phi, factor_ideal,
                      factor_rational_prime, is_prime_element, mobius,
-                     principal_generator, residue_degrees, zeta_residue)
+                     prime_divisors, principal_generator, residue_degrees,
+                     zeta_residue)
 from .lattice import (Parallelotope, admissible_modulus, ball_elements,
                       fundamental_domain_reduce, in_scaled_domain,
                       points_in_parallelotope)

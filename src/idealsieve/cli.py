@@ -27,7 +27,7 @@ from .correlation import (LinearFormSystem, auto_correlation_check,
                           report_line, singular_series_direct,
                           singular_series_main_term)
 from .errors import BudgetExceededError, IdealSieveError
-from .ideals import (ENUMERATION_BUDGET, FractionalIdeal,
+from .ideals import (ENUMERATION_BUDGET, FACTOR_BUDGET, FractionalIdeal,
                      enumerate_prime_ideals, mobius)
 from .lattice import Parallelotope, fundamental_domain_reduce
 from .numberfield import field_by_name
@@ -137,6 +137,10 @@ def cmd_mobius(args):
     if args.bound > ENUMERATION_BUDGET:
         raise BudgetExceededError(f"--bound {args.bound} exceeds the "
                                   f"enumeration budget {ENUMERATION_BUDGET}")
+    if max(args.bound, 0) ** K.degree > FACTOR_BUDGET:  # N((m)) = m^n
+        raise BudgetExceededError(f"--bound {args.bound}: m^{K.degree} "
+                                  f"exceeds the factorization budget "
+                                  f"{FACTOR_BUDGET} at m = {args.bound}")
     lines = []
     for m in range(1, args.bound + 1):
         a = FractionalIdeal.principal(K, K.element(m))

@@ -22,8 +22,8 @@ from functools import lru_cache
 from .arith import factorint, iroot, primerange
 from .errors import BudgetExceededError
 from .ideals import (ENUMERATION_BUDGET, FractionalIdeal, PrimeIdeal,
-                     enumerate_prime_ideals, factor_ideal,
-                     factor_rational_prime, zeta_residue)
+                     enumerate_prime_ideals, factor_rational_prime,
+                     prime_divisors, zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope, points_in_parallelotope)
 from .numberfield import FieldElement
@@ -490,7 +490,7 @@ def tau_factor(cfg: SieveConfig, y: FieldElement) -> float:
     c_tau = float(cfg.s ** 2)
     ideal = FractionalIdeal.principal(cfg.K, y) * cfg.ambient.inverse()
     out = 1.0
-    for P, _ in factor_ideal(ideal).factors:
+    for P in prime_divisors(ideal):
         if cfg.W % P.p == 0:
             continue
         if P.norm() <= cfg.R ** 2:

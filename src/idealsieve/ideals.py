@@ -265,79 +265,63 @@ class IdealFactorization(namedtuple("IdealFactorization", "factors")):
 def _kronecker(a: int, p: int) -> int:
     """Kronecker symbol (a|p) for prime p: the Jacobi symbol for odd p."""
     if p == 2:
-        if a % 2 == 0:
-            return 0
-        return 1 if a % 8 in (1, 7) else -1
+        return {1: 1, 3: -1, 5: -1, 7: 1}.get(a % 8, 0)
     return jacobi(a, p)
 
 
 @lru_cache(maxsize=2**16)
 def factor_rational_prime(K: NumberField, p: int):
-    """Dedekind splitting of (p): the primes (p, g(theta)) for the monic
-    irreducible factors g of f mod p.  Every vetted field is abelian, so
-    the splitting is read off p modulo the conductor (1, 4, 8, 8, 3, 5,
-    20, 5 for Q, Q(i), Q(sqrt2), Q(sqrt-2), Q(sqrt-3), Q(sqrt5), Q(sqrt-5),
-    Q(zeta5)) and no polynomial is factored."""
+    """Dedekind splitting of (p), the primes (p, g(theta)) for the monic
+    irreducible factors g of f mod p: their residue degrees come from
+    residue_degrees, with e = n / (sum of them); g is f mod p if p is
+    inert (x over Q), x^2 - s x + 1 with s = (-1 -+ sqrt 5) / 2 if p = 4
+    mod 5 in Q(zeta5), else x - r for each root r of _roots_mod."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     n = K.degree
-    if n == 1:
-        primes = [PrimeIdeal(K, p, (0, 1), 1, 1)]
-    elif n == 2:
-        primes = _factor_prime_quadratic(K, p)
-    else:  # Q(zeta5), the one vetted quartic
-        primes = _factor_prime_zeta5(K, p)
+    degrees = residue_degrees(K, p)
+    if degrees == [n]:
+        primes = [PrimeIdeal(K, p, tuple(c % p for c in K.poly), 1, n)]
+    elif degrees == [2, 2]:
+        t, inv2 = sqrt_mod(5, p), (p + 1) // 2
+        primes = [PrimeIdeal(K, p, (1, (1 + u) * inv2 % p, 1), 1, 2)
+                  for u in (t, -t)]
+    else:
+        primes = [PrimeIdeal(K, p, (-r % p, 1), n // sum(degrees), 1)
+                  for r in _roots_mod(K, p)]
     assert sum(P.e * P.f for P in primes) == n
     return tuple(sorted(primes, key=lambda P: P.sort_key()))
 
 
-def _factor_prime_quadratic(K, p):
-    """chi = (disc|p) is the splitting type: inert at -1, else the roots
-    of f mod p, with e = 2 - |chi| (sqrt_mod(0) = 0 gives the double root
-    of the ramified case)."""
-    c0, c1, _ = K.poly  # x^2 + c1 x + c0
-    disc = c1 * c1 - 4 * c0
-    chi = _kronecker(disc, p)
-    if chi == -1:
-        return [PrimeIdeal(K, p, (c0 % p, c1 % p, 1), 1, 2)]
-    if p == 2:
-        roots = {x for x in (0, 1) if (x * x + c1 * x + c0) % 2 == 0}
-    else:
-        r, inv2 = sqrt_mod(disc, p), (p + 1) // 2
-        roots = {(-c1 + r) * inv2 % p, (-c1 - r) * inv2 % p}
-    return [PrimeIdeal(K, p, (-x % p, 1), 2 - abs(chi), 1) for x in roots]
-
-
-def _factor_prime_zeta5(K, p):
-    """f = x^4 + x^3 + x^2 + x + 1: (x - 1)^4 at p = 5, else the residue
-    degree is the order of p mod 5."""
+def _roots_mod(K, p):
+    """The distinct roots of f mod p when they are all its factors: by the
+    quadratic formula (0 and 1 tried at p = 2), or in Q(zeta5) 1 at p = 5
+    and r^k, k = 1..4, for r a primitive fifth root of unity mod p."""
+    if K.degree == 2:
+        c0, c1, _ = K.poly  # x^2 + c1 x + c0
+        if p == 2:
+            return {x for x in (0, 1) if (x * x + c1 * x + c0) % 2 == 0}
+        r, inv2 = sqrt_mod(c1 * c1 - 4 * c0, p), (p + 1) // 2
+        return {(-c1 + r) * inv2 % p, (-c1 - r) * inv2 % p}
     if p == 5:
-        return [PrimeIdeal(K, p, (4, 1), 4, 1)]
-    if p % 5 == 1:
-        # the roots are r, r^2, r^3, r^4 for any primitive 5th root r
-        a = 2
-        while (r := pow(a, (p - 1) // 5, p)) == 1:
-            a += 1
-        return [PrimeIdeal(K, p, (-pow(r, k, p) % p, 1), 1, 1)
-                for k in range(1, 5)]
-    if p % 5 == 4:
-        # x^2 - s x + 1 with s = r + 1/r, a root of s^2 + s - 1
-        t, inv2 = sqrt_mod(5, p), (p + 1) // 2
-        return [PrimeIdeal(K, p, (1, (1 + u) * inv2 % p, 1), 1, 2)
-                for u in (t, -t)]
-    return [PrimeIdeal(K, p, K.poly, 1, 4)]
+        return {1}
+    a = 2
+    while (r := pow(a, (p - 1) // 5, p)) == 1:
+        a += 1
+    return {pow(r, k, p) for k in range(1, 5)}
 
 
 def residue_degrees(K: NumberField, p: int):
-    """Residue degrees of the primes above the prime p, one per prime, read
-    off p modulo the conductor as in factor_rational_prime: the Kronecker
-    symbol in the quadratic fields, the order of p mod 5 in Q(zeta5)."""
+    """The residue degrees of the primes above the prime p, the one
+    splitting rule.  Every vetted field is abelian, so it reads p modulo
+    the conductor (1, 4, 8, 8, 3, 5, 20, 5 for Q, Q(i), Q(sqrt2),
+    Q(sqrt-2), Q(sqrt-3), Q(sqrt5), Q(sqrt-5), Q(zeta5)): the Kronecker
+    symbol of the discriminant, or the order of p mod 5 in Q(zeta5)."""
     n = K.degree
     if n == 1:
         return [1]
     if n == 2:
-        chi = _kronecker(K.discriminant, p)
-        return [1, 1] if chi == 1 else ([2] if chi == -1 else [1])
+        return {1: [1, 1], -1: [2]}.get(_kronecker(K.discriminant, p), [1])
     return {0: [1], 1: [1, 1, 1, 1], 4: [2, 2]}.get(p % 5, [4])
 
 
@@ -347,32 +331,41 @@ def residue_degrees(K: NumberField, p: int):
 _FACTOR_CACHE = {}  # ideal key -> factorization, oldest entry dropped first
 _FACTOR_CACHE_SIZE = 2**16
 ENUMERATION_BUDGET = 10**7  # the largest norm bound a command enumerates
+FACTOR_BUDGET = 10**15  # the largest ideal norm that is factored
 
 
-def factor_ideal(a: FractionalIdeal, budget: int = 10**15) -> IdealFactorization:
-    """Factor a nonzero integral ideal into prime ideals (memoized).
+def prime_divisors(a: FractionalIdeal):
+    """The distinct primes P containing a nonzero integral ideal a, in
+    factor_ideal's order: those above the primes of N(a), ascending, with
+    a in P.  N(a) is factored only up to FACTOR_BUDGET."""
+    if not a.is_integral():
+        raise ValueError("factoring requires an integral ideal")
+    N = int(a.norm())
+    if N > FACTOR_BUDGET:
+        raise BudgetExceededError(
+            f"ideal norm {N} exceeds factorization budget {FACTOR_BUDGET}")
+    return tuple(P for p in factorint(N) for P in factor_rational_prime(a.K, p)
+                 if P.ideal().contains_ideal(a))
 
-    For each p^k exactly dividing N(a), the exponent of each P above p is
-    the largest j with a contained in P^j; the P^j over p take f j of the
-    k, so the tests stop when fewer than f are left."""
+
+def factor_ideal(a: FractionalIdeal) -> IdealFactorization:
+    """Factor a nonzero integral ideal into prime ideals (memoized): each P
+    of prime_divisors(a) to the largest j with a in P^j, P^(j+1) built only
+    while N(P) divides N(a) over the norm of the factorization so far."""
     key = a.key()
     if key in _FACTOR_CACHE:
         return _FACTOR_CACHE[key]
-    if not a.is_integral():
-        raise ValueError("factor_ideal requires an integral ideal")
-    N = int(a.norm())
-    if N > budget:
-        raise BudgetExceededError(f"ideal norm {N} exceeds factorization budget")
+    primes = prime_divisors(a)
+    rest = int(a.norm()) // math.prod(P.norm() for P in primes)
     factors = []
-    for p, k in factorint(N).items():
-        for P in factor_rational_prime(a.K, p):
-            j, power = 0, P.ideal()
-            while P.f <= k and power.contains_ideal(a):
-                j, k = j + 1, k - P.f
-                if P.f <= k:
-                    power = power * P.ideal()
-            if j:
-                factors.append((P, j))
+    for P in primes:
+        j, power = 1, P.ideal()
+        while rest % P.norm() == 0:
+            power = power * P.ideal()
+            if not power.contains_ideal(a):
+                break
+            j, rest = j + 1, rest // P.norm()
+        factors.append((P, j))
     fac = IdealFactorization(tuple(factors))
     # reconstruction check is an invariant of the representation
     if fac.product(a.K) != a:
@@ -384,10 +377,12 @@ def factor_ideal(a: FractionalIdeal, budget: int = 10**15) -> IdealFactorization
 
 
 def mobius(a: FractionalIdeal) -> int:
-    fac = factor_ideal(a)
-    if any(e > 1 for _, e in fac.factors):
+    """(-1)^r if the norms of the r primes of a multiply to N(a), else 0:
+    a lies in their product, with equality iff a is squarefree."""
+    primes = prime_divisors(a)
+    if math.prod(P.norm() for P in primes) != a.norm():
         return 0
-    return (-1) ** len(fac.factors)
+    return (-1) ** len(primes)
 
 
 def euler_phi(K: NumberField, W: int) -> int:

@@ -26,7 +26,7 @@ import itertools
 import math
 from functools import lru_cache, partial
 
-from .ideals import (FractionalIdeal, euler_phi, factor_ideal,
+from .ideals import (FractionalIdeal, euler_phi, prime_divisors,
                      primes_dividing, zeta_residue)
 from .lattice import (admissible_modulus, fundamental_domain_reduce,
                       in_scaled_domain)
@@ -167,8 +167,7 @@ def lambda_R(n, R: float, phi: BumpFunction = DEFAULT_BUMP) -> float:
     Only the distinct primes of n of norm below R^phi.support[1] matter;
     the sum runs over their subsets.  ValueError unless 1 < R < inf.
     """
-    return lambda_of_norms((P.norm() for P, _ in factor_ideal(n).factors),
-                           R, phi)
+    return lambda_of_norms((P.norm() for P in prime_divisors(n)), R, phi)
 
 
 class SieveConfig:

@@ -611,6 +611,9 @@ def test_hypergraph_extreme_N():
     # before the pattern is enumerated
     ["search", "--field", "Q", "--k", "4000000", "--anchor-bound", "5",
      "--step-bound", "2"],
+    # N((5624)) = 5624^4 > 10^15 in Q(zeta5): the factorization budget is
+    # checked before the loop, not at m = 5624
+    ["mobius", "--field", "Q(zeta5)", "--bound", "5624"],
 ])
 def test_budget_checked_before_quadratic_work(argv, capsys):
     start = time.perf_counter()
@@ -618,6 +621,17 @@ def test_budget_checked_before_quadratic_work(argv, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "budget" in err and len(err) < 300
+
+
+def test_mobius_factor_budget_names_bound(tmp_path, capsys):
+    # 5623^4 < 10^15 <= 5624^4: the last m whose norm is factored
+    assert run(["mobius", "--field", "Q(zeta5)", "--bound", "5624"]) \
+        == EXIT_BUDGET
+    assert "--bound 5624" in capsys.readouterr().err
+    out = tmp_path / "m.jsonl"
+    assert run(["--output", str(out), "mobius", "--field", "Q(zeta5)",
+                "--bound", "5623"]) == EXIT_OK
+    assert read_lines(out)[-1]["m"] == 5623
 
 
 def test_search_budget_names_its_flags(capsys):

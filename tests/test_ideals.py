@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import time
@@ -7,20 +8,21 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealsieve import correlation, ideals
+from idealsieve import correlation, ideals, sieve
 from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
                                has_finite_unit_group, is_prime_element,
-                               is_prime_vector, mobius, primes_dividing,
-                               principal_generator, residue_degrees,
-                               zeta_residue)
+                               is_prime_vector, mobius, prime_divisors,
+                               primes_dividing, principal_generator,
+                               residue_degrees, zeta_residue)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
+from idealsieve.sieve import DEFAULT_BUMP, SieveConfig, lambda_R
 from oracles import (add_oracle, class_equivalent_oracle,
                      count_ideals_oracle, factor_ideal_oracle,
-                     gauss_jordan_coords, inverse_oracle, mul_oracle,
-                     principal_generator_oracle)
+                     gauss_jordan_coords, inverse_oracle, lambda_oracle,
+                     mul_oracle, principal_generator_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -238,6 +240,72 @@ def test_mobius_values():
     assert mobius(five) == 1  # two distinct primes
     pr = FractionalIdeal.principal(QI, QI.element([1, 1]))
     assert mobius(pr) == -1
+
+
+def _oracle_mu(factors):
+    return 0 if any(v > 1 for _, v in factors) else (-1) ** len(factors)
+
+
+@st.composite
+def _prime_power_product(draw):
+    """A field and up to three distinct primes of _FACTOR_PRIMES above
+    it, each with an exponent 0 to 3."""
+    K = draw(st.sampled_from([make_field(f) for f in SUPPORTED_POLYS]))
+    pool = [P for L, P in _FACTOR_PRIMES if L == K]
+    return K, draw(st.lists(st.tuples(st.sampled_from(pool),
+                                      st.integers(0, 3)),
+                            max_size=3, unique_by=lambda t: t[0]))
+
+
+_Z5 = make_field("Q(zeta5)")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_prime_power_product())
+@example(case=(_Z5, [(factor_rational_prime(_Z5, 19)[0], 2),
+                     (factor_rational_prime(_Z5, 2)[0], 1),
+                     (factor_rational_prime(_Z5, 5)[0], 3)]))
+def test_prime_divisors_and_mobius_match_valuation_oracle(case):
+    # the distinct primes in factor_ideal's order, and mu read off their
+    # norms, against the exponents of the valuation loop
+    K, powers = case
+    assume(math.prod(P.norm() ** e for P, e in powers)
+           <= ideals.FACTOR_BUDGET)
+    a = FractionalIdeal.unit_ideal(K)
+    for P, e in powers:
+        a = a * P.ideal() ** e
+    want = factor_ideal_oracle(a)
+    assert prime_divisors(a) == tuple(P for P, _ in want)
+    assert mobius(a) == _oracle_mu(want)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("forbidden call")
+
+
+def test_mobius_lambda_and_tau_find_no_exponent(monkeypatch):
+    # mobius, lambda_R and tau_factor read only the distinct primes: none
+    # reaches factor_ideal, and mobius multiplies no ideals
+    cases = []
+    for K in map(make_field, SUPPORTED_POLYS):
+        cfg = SieveConfig(K, N=10**4, s=2, w=1, logR=math.log(50))
+        for m in (1, 6, 12, 30, 98, 361):
+            a = FractionalIdeal.principal(K, K.element(m))
+            want = factor_ideal_oracle(a)
+            # tau_factor's product, c_tau = s^2 = 4, over primes off W
+            tau = math.prod(1.0 + 4.0 / P.norm() for P, _ in want
+                            if cfg.W % P.p and P.norm() <= cfg.R ** 2)
+            cases.append((cfg, m, a, _oracle_mu(want),
+                          lambda_oracle(a, 30.0, DEFAULT_BUMP), tau))
+    for module in (ideals, sieve, correlation):
+        monkeypatch.setattr(module, "factor_ideal", _forbidden,
+                            raising=False)
+    for cfg, m, a, _, lam, tau in cases:
+        assert lambda_R(a, 30.0) == lam
+        assert correlation.tau_factor(cfg, cfg.K.element(m)) == tau
+    monkeypatch.setattr(FractionalIdeal, "__mul__", _forbidden)
+    for _, _, a, mu, _, _ in cases:
+        assert mobius(a) == mu
 
 
 def test_euler_phi_brute_force():

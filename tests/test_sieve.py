@@ -380,7 +380,8 @@ def test_per_point_paths_neither_factor_nor_build_principal_ideals(
               for c in range(-4, 5)]
     want = [nu_weight_oracle(cfg, x) for x in points]
     scan = alpha_scan_oracle(cfg, (2, 120))
-    for owner, name in ((sieve, "factor_ideal"), (ideals, "factor_ideal"),
+    for owner, name in ((ideals, "factor_ideal"),
+                        (sieve, "prime_divisors"), (ideals, "prime_divisors"),
                         (sieve, "lambda_R"), (FractionalIdeal, "principal"),
                         (FractionalIdeal, "inverse")):
         _forbid(monkeypatch, owner, name)
