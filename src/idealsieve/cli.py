@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -26,9 +27,9 @@ from .correlation import (LinearFormSystem, auto_correlation_check,
                           cross_correlation_sum, hypergraph_conditions_report,
                           report_line, singular_series_direct,
                           singular_series_main_term)
-from .errors import BudgetExceededError, IdealSieveError
-from .ideals import (ENUMERATION_BUDGET, FACTOR_BUDGET, FractionalIdeal,
-                     enumerate_prime_ideals, mobius)
+from .errors import (ENUMERATION_BUDGET, FACTOR_BUDGET, BudgetExceededError,
+                     IdealSieveError, check_budget)
+from .ideals import FractionalIdeal, enumerate_prime_ideals, mobius
 from .lattice import Parallelotope, fundamental_domain_reduce
 from .numberfield import field_by_name
 from .sieve import SieveConfig, c_phi, lambda_of_norms
@@ -134,13 +135,9 @@ def cmd_primes(args):
 
 def cmd_mobius(args):
     K = _field(args)
-    if args.bound > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"--bound {args.bound} exceeds the "
-                                  f"enumeration budget {ENUMERATION_BUDGET}")
-    if max(args.bound, 0) ** K.degree > FACTOR_BUDGET:  # N((m)) = m^n
-        raise BudgetExceededError(f"--bound {args.bound}: m^{K.degree} "
-                                  f"exceeds the factorization budget "
-                                  f"{FACTOR_BUDGET} at m = {args.bound}")
+    check_budget("the bound", args.bound, ENUMERATION_BUDGET)
+    check_budget(f"N(({args.bound})) =", max(args.bound, 0) ** K.degree,
+                 FACTOR_BUDGET)
     lines = []
     for m in range(1, args.bound + 1):
         a = FractionalIdeal.principal(K, K.element(m))
@@ -251,13 +248,7 @@ def cmd_search(args):
                              anchor_bound=args.anchor_bound,
                              step_bound=args.step_bound,
                              max_hits=args.max_hits)
-    try:
-        hits = search_constellation(spec)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"--anchor-bound {args.anchor_bound}, --step-bound "
-            f"{args.step_bound}, --k {args.k}: {exc}") from None
-    _emit(args, [h.to_json() for h in hits])
+    _emit(args, [h.to_json() for h in search_constellation(spec)])
     return EXIT_OK
 
 
@@ -314,42 +305,44 @@ def build_parser():
     top.add_argument("--workers", type=int, default=1,
                      help="accepted and ignored: runs are single-threaded")
     top.add_argument("--output", help="report file (default stdout)")
-    top.add_argument("--csv", help="CSV mirror of the report")
+    top.add_argument("--csv", help="CSV mirror of the report, written "
+                     "only by lambda, singular-series and correlate")
     sub = top.add_subparsers(dest="command")
     top.commands = sub.choices
 
-    def add(name, fn):
+    def add(name, fn, *sizes):
+        # sizes: the flags that size the work, named by main's budget error
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, sizes=sizes)
         p.add_argument("--field", default="Q")
         return p
 
-    p = add("primes", cmd_primes)
+    p = add("primes", cmd_primes, "bound")
     p.add_argument("--bound", type=int, default=100)
-    p = add("mobius", cmd_mobius)
+    p = add("mobius", cmd_mobius, "bound")
     p.add_argument("--bound", type=int, default=50)
-    p = add("lambda", cmd_lambda)
+    p = add("lambda", cmd_lambda, "bound")
     p.add_argument("--bound", type=int, default=200)
     p.add_argument("--R", type=sieve_level, default=50.0)
     add("cphi", cmd_cphi)
-    p = add("correlate", cmd_correlate)
+    p = add("correlate", cmd_correlate, "m", "lam")
     p.add_argument("--s", type=positive_int, default=2)
     p.add_argument("--m", type=positive_int, default=2)
     p.add_argument("--lam", type=positive_float, default=12.0)
-    p = add("singular-series", cmd_singular_series)
+    p = add("singular-series", cmd_singular_series, "s", "R")
     p.add_argument("--s", type=positive_int, default=2)
     p.add_argument("--W", type=int, default=6)
     p.add_argument("--R", type=sieve_level, nargs="+", default=[100.0])
-    p = add("autocorr", cmd_autocorr)
+    p = add("autocorr", cmd_autocorr, "N", "y")
     p.add_argument("--N", type=sieve_scale, default=500)
     p.add_argument("--s", type=positive_int, default=2)
     p.add_argument("--w", type=int, default=3)
     p.add_argument("--y", type=int, nargs="+", default=[0, 2])
-    p = add("hypergraph", cmd_hypergraph)
+    p = add("hypergraph", cmd_hypergraph, "N", "k")
     p.add_argument("--N", type=positive_int, default=101)
     p.add_argument("--k", type=positive_float, default=1.5)
     p.add_argument("--w", type=int, default=3)
-    p = add("search", cmd_search)
+    p = add("search", cmd_search, "anchor_bound", "step_bound", "k")
     p.add_argument("--k", type=positive_float, default=1.5,
                    help="the pattern is O_K cap B_k; for k <= |1| = "
                    "sqrt(degree) (1 in Q, 1.41 in the quadratic fields, 2 "
@@ -361,7 +354,7 @@ def build_parser():
                    help="stop after this many hits; 0 means no limit")
     p = add("verify", cmd_verify)
     p.add_argument("certificate")
-    p = add("alpha-scan", cmd_alpha_scan)
+    p = add("alpha-scan", cmd_alpha_scan, "window")
     p.add_argument("--w", type=int, default=3)
     p.add_argument("--R", type=sieve_level, default=50.0)
     p.add_argument("--window", type=int, nargs=2, default=[100, 10000])
@@ -391,6 +384,13 @@ def _config_argv(parser, argv, command, cfg):
     return head + argv[:i + 1] + tail + argv[i + 1:]
 
 
+def _flag_text(args, name):
+    """--name and its value as typed, a list's items space-separated."""
+    value = getattr(args, name)
+    items = value if isinstance(value, list) else [value]
+    return " ".join(["--" + name.replace("_", "-"), *map(str, items)])
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -411,7 +411,12 @@ def main(argv=None):
     try:
         return args.fn(args)
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        sizes = ", ".join(_flag_text(args, name) for name in args.sizes)
+        # a size past 30 digits prints as its first digits and power of ten
+        text = re.sub(r"\d{31,}", lambda d: f"{d[0][0]}.{d[0][1:4]}e"
+                      f"{len(d[0]) - 1}", str(exc))
+        print(f"budget exceeded: {sizes + ': ' if sizes else ''}{text}",
+              file=sys.stderr)
         return EXIT_BUDGET
     except IdealSieveError as exc:
         print(f"error: {exc}", file=sys.stderr)

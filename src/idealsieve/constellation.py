@@ -13,7 +13,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import ENUMERATION_BUDGET, check_budget
 from .ideals import (FractionalIdeal, _generators, is_prime_norm,
                      is_prime_vector, primes_dividing, quotient_norms)
 from .lattice import ball_elements, ball_rows, iter_ball_elements
@@ -94,23 +94,24 @@ def make_certificate(K, ambient, k, a, xi, pattern) -> Certificate:
 
 def _radius(K, xi, pattern):
     """The certified radius: the largest |xi j|, widened by 1e-9."""
-    return max(minkowski_norm(K, xi * j) for j in pattern) + 1e-9
+    return max(minkowski_norm(xi * j) for j in pattern) + 1e-9
 
 
-def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
+def search_constellation(spec: ConstellationSpec):
     """All (a, xi) hits in deterministic order: increasing step Minkowski
     norm, then increasing anchor norm (ties by coordinates).  The table has
     a bit per point x of its ball's box, set iff (x) b^{-1} is prime; a
     step's hits are the anchor bits left by ANDs with its shifted tables."""
     K, b, n = spec.K, spec.ambient, spec.K.degree
     # every candidate lies in this ball (|xi j| <= |xi| |j|): budget first
-    Q = ball_rows(b, spec.anchor_bound + spec.step_bound * spec.k, budget)[0]
+    Q = ball_rows(b, spec.anchor_bound + spec.step_bound * spec.k,
+                  ENUMERATION_BUDGET)[0]
     pattern = spec.pattern()
-    steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12),
-                                      budget=budget) if x]
+    steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12))
+             if x]
     # stable sorts of lists in coordinate order, ties keeping that order;
     # the anchors' key is minkowski_norm's rational, rounded the same way
-    steps.sort(key=lambda x: minkowski_norm(K, x))
+    steps.sort(key=minkowski_norm)
 
     def q(c):  # c H / den has squared Minkowski norm q(c) / den^2
         return sum(x * sum(map(operator.mul, row, c)) for x, row in zip(c, Q))
@@ -120,13 +121,14 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
          for xi in steps]
     # |xi j|^2 is convex along a row of the pattern: largest at its ends
     ends = [c + (t,) for c, lo, hi in ball_rows(
-        FractionalIdeal.unit_ideal(K), spec.k, budget)[2] for t in (lo, hi)]
+        FractionalIdeal.unit_ideal(K), spec.k, ENUMERATION_BUDGET)[2]
+        for t in (lo, hi)]
     radius = spec.anchor_bound * (1 + 1e-12)
     reach = max((q([sum(map(operator.mul, j, col)) for col in zip(*Rx)])
                  for Rx in R for j in ends), default=0)
     # widened past the roundings of the square root and the sum
-    _, box, rows = ball_rows(
-        b, (radius + math.sqrt(reach) / b.den) * (1 + 1e-12), budget)
+    _, box, rows = ball_rows(b, (radius + math.sqrt(reach) / b.den)
+                             * (1 + 1e-12), ENUMERATION_BUDGET)
     stride = [math.prod(2 * m + 1 for m in box[i + 1:]) for i in range(n)]
 
     def index(c):
@@ -142,9 +144,9 @@ def search_constellation(spec: ConstellationSpec, budget: int = 10**7):
                 prime[N] = is_prime_norm(K, N)
             flags[i] += prime[N]
     table = int(flags[::-1], 2)
-    anchors = sorted((c + (t,) for c, lo, hi in ball_rows(b, radius, budget)[2]
-                      for t in range(lo, hi + 1)),
-                     key=lambda c: math.sqrt(q(c) / b.den ** 2))
+    anchors = sorted((c + (t,) for c, lo, hi in ball_rows(
+        b, radius, ENUMERATION_BUDGET)[2] for t in range(lo, hi + 1)),
+        key=lambda c: math.sqrt(q(c) / b.den ** 2))
     rank = {index(c): r for r, c in enumerate(anchors)}
     flags = bytearray(b"0") * (index(box) + 1)
     for i in rank:
@@ -197,7 +199,7 @@ def verify_certificate(cert: Certificate):
     # lists: a longer one fails "pattern" whatever it holds, and its radius
     # is not re-derived
     pattern = list(itertools.islice(
-        iter_ball_elements(K, FractionalIdeal.unit_ideal(K), cert.k),
+        iter_ball_elements(FractionalIdeal.unit_ideal(K), cert.k),
         len(given) + 1))
     expected = [a + xi * j for j in pattern]
     if sorted(p.coords for p in expected) != sorted(p.coords for p in given):
@@ -217,7 +219,7 @@ def verify_certificate(cert: Certificate):
     for pt in given:
         # one membership test: is_prime_vector's, None for a non-member
         v = ambient.numerators(pt)
-        prime = None if v is None else is_prime_vector(K, ambient, v)
+        prime = None if v is None else is_prime_vector(ambient, v)
         if prime is None:
             diagnoses.append("membership")
             continue
@@ -258,15 +260,14 @@ class AlphaScanResult(namedtuple(
         return sum(self.masses.values(), Fraction(0)) == self.total
 
 
-def alpha_scan(cfg: SieveConfig, window, budget: int = 10**6) -> AlphaScanResult:
+def alpha_scan(cfg: SieveConfig, window) -> AlphaScanResult:
     """Bin the Lambda_{K,R}^2 masses of the primes P of b^{-1}'s class, N P
     in the window and prime to W, by the residue alpha in (W G) cap b of
     P b's canonical generator (principal_generator's: least in its unit
     orbit), read off the ball of b holding them all.  Masses are exact
     rationals, so the partition identity is exact; see the README."""
     (lo, hi), K, b, W = window, cfg.K, cfg.ambient, cfg.W
-    if hi > budget * 10:
-        raise BudgetExceededError("window exceeds enumeration budget")
+    check_budget("window top", hi, ENUMERATION_BUDGET)
     units = [u.num for u in _generators(FractionalIdeal.unit_ideal(K))]
     n, top = K.degree, max(hi, 0)
     # n <= 2, |x|^2 = n |N x|^(2/n); widened past the float root, unbudgeted

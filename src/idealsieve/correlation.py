@@ -20,10 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import factorint, iroot, primerange
-from .errors import BudgetExceededError
-from .ideals import (ENUMERATION_BUDGET, FractionalIdeal, PrimeIdeal,
-                     enumerate_prime_ideals, factor_rational_prime,
-                     prime_divisors, zeta_residue)
+from .errors import (ENUMERATION_BUDGET, NU_POINT_BUDGET, TUPLE_BUDGET,
+                     BudgetExceededError, check_budget)
+from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
+                     factor_rational_prime, prime_divisors, zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope, points_in_parallelotope)
 from .numberfield import FieldElement
@@ -135,20 +135,19 @@ class CorrelationReport(namedtuple(
 # Cross-correlation
 
 def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
-                          lam, weight, budget: int = 10**7
-                          ) -> CorrelationReport:
+                          lam, weight) -> CorrelationReport:
     """(1/|b cap lam I|^m) sum over x in (b cap lam I)^m of
-    prod_j weight(psi_j(x) + b_j).  At most iroot(budget, m) + 1 points
-    are enumerated, as that many already make more than budget tuples."""
-    cap = iroot(budget, forms.m) + 1
+    prod_j weight(psi_j(x) + b_j).  At most iroot(B, m) + 1 points are
+    enumerated, B = ENUMERATION_BUDGET: that many make more than B tuples."""
+    cap = iroot(ENUMERATION_BUDGET, forms.m) + 1
     pts = list(itertools.islice(iter_points_in_parallelotope(
-        forms.ambient, region.scaled(lam), budget=budget), cap))
+        forms.ambient, region.scaled(lam), ENUMERATION_BUDGET), cap))
     if not pts:
         raise ValueError("empty region")
     if len(pts) == cap:
         raise BudgetExceededError(
             f"{cap}+ region points: {cap}^{forms.m}+ sample tuples exceed "
-            f"budget {budget}")
+            f"budget {ENUMERATION_BUDGET}")
     count = len(pts) ** forms.m
 
     def term(x):
@@ -247,11 +246,11 @@ def omega_tuple(forms, primes_marks, W, alpha):
 # ---------------------------------------------------------------------
 # Squarefree ideal enumeration (as frozensets of prime ideals)
 
-def squarefree_ideals(K, R, W, prime_support=None, budget: int = 10**6):
+def squarefree_ideals(K, R, W, prime_support=None):
     """Squarefree integral ideals of norm < R whose primes avoid W,
     represented as (frozenset of primes, norm) pairs, including (|, 1).
     Each listed ideal is extended by the later primes in norm order, up to
-    the first that takes its norm to R."""
+    the first that takes its norm to R; at most TUPLE_BUDGET are listed."""
     if prime_support is None:
         prime_support = enumerate_prime_ideals(K, int(math.ceil(R)))
     primes = sorted((P for P in prime_support
@@ -263,9 +262,8 @@ def squarefree_ideals(K, R, W, prime_support=None, budget: int = 10**6):
             if n * primes[i].norm() >= R:
                 break
             walk.append((n * primes[i].norm(), ix + (i,)))
-            if len(walk) > budget:
-                raise BudgetExceededError(
-                    "squarefree ideal list exceeds budget")
+            check_budget("squarefree ideal list length", len(walk),
+                         TUPLE_BUDGET)
     # indices ascend as the primes' sort keys do
     return [(frozenset(primes[i] for i in ix), n) for n, ix in sorted(walk)]
 
@@ -274,8 +272,7 @@ def squarefree_ideals(K, R, W, prime_support=None, budget: int = 10**6):
 # Singular series
 
 def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
-                           alpha=1, budget: int = 10**8,
-                           prime_support=None, phi=None):
+                           alpha=1, prime_support=None, phi=None):
     """The double sum over squarefree ideal s-tuples d, d' of
 
         omega((d_j cap d'_j)_j) prod_j mu(d_j) mu(d'_j) g(d_j) g(d'_j)
@@ -304,18 +301,16 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
         if K.degree == 1:
             pair = _pair_sum_rational(R, W, logR, phi)
         else:
-            pair = _pair_sum_ideals(squarefree_ideals(K, R, W, budget=budget),
-                                    logR, phi)
+            pair = _pair_sum_ideals(squarefree_ideals(K, R, W), logR, phi)
         val = 1.0
         for _ in range(forms.s):
             val *= pair
         return val
 
     # direct tuple enumeration
-    pairs = squarefree_ideals(K, R, W, prime_support=prime_support,
-                              budget=budget)
+    pairs = squarefree_ideals(K, R, W, prime_support=prime_support)
     D = len(pairs)
-    _check_power(D, 2 * forms.s, budget, "tuples")
+    _check_power(D, 2 * forms.s, "tuples")
     total = []
     for dd in itertools.product(range(D), repeat=forms.s):
         for dp in itertools.product(range(D), repeat=forms.s):
@@ -385,9 +380,7 @@ def _pair_sum_rational(R, W, logR, phi):
     checked against the enumeration budget before any list is built.
     """
     Ri = int(math.ceil(R)) - 1
-    if Ri > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"R = {R}: the integers below R exceed the "
-                                  f"enumeration budget {ENUMERATION_BUDGET}")
+    check_budget(f"the integers below R = {R}:", Ri, ENUMERATION_BUDGET)
     mob, tot = _mobius_totient(Ri)
     ds = [x for x in range(1, Ri + 1) if mob[x] and math.gcd(x, W) == 1]
     v = [0.0] * (Ri + 1)
@@ -503,8 +496,8 @@ def tau_weight(cfg: SieveConfig, y: FieldElement) -> float:
     return (2.0 ** cfg.s) * tau_factor(cfg, y)
 
 
-def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
-                           budget: int = 10**6) -> CorrelationReport:
+def auto_correlation_check(y, region: Parallelotope,
+                           cfg: SieveConfig) -> CorrelationReport:
     """Empirical mean of prod_i nu_N(x + y_i) over x in (N I) cap b versus
     the bound C_s prod_{i<j} tau_factor(y_i - y_j)."""
     y = list(y)
@@ -514,7 +507,7 @@ def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
             if not (y[i] - y[j]):
                 raise ValueError("coincident coordinates in y")
     pts = points_in_parallelotope(cfg.ambient, region.scaled(cfg.N),
-                                  budget=budget)
+                                  NU_POINT_BUDGET)
     if not pts:
         raise ValueError("empty region")
 
@@ -537,8 +530,7 @@ def auto_correlation_check(y, region: Parallelotope, cfg: SieveConfig,
 # Hypergraph conditions
 
 def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
-                                 Omegas=None, M: int = 2,
-                                 budget: int = 10**8) -> dict:
+                                 Omegas=None) -> dict:
     """Exact evaluation of the three pseudo-randomness conditions for the
     measure system nu~_{N,j} built from nu_table.
 
@@ -548,7 +540,7 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
     Omegas maps j to a list of 0/1 vectors over e_j; default is the
     all-ones vector for each j.  Only the variables that actually occur in
     some term are enumerated; unused coordinates factor out of the
-    normalized average exactly.
+    normalized average exactly.  Condition 3 takes M = 2.
     """
     import numpy as np
 
@@ -559,15 +551,14 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
     # every term has |J| - 1 variables, so N^(n (|J| - 1)) states, and the
     # edges hold |J| (|J| - 1) entries: the pattern is enumerated one point
     # past the largest size both admit, before anything quadratic is built
-    limit = min((1 + math.isqrt(1 + 4 * budget)) // 2,
-                1 + _max_exponent(N ** n, budget))
+    limit = min((1 + math.isqrt(1 + 4 * TUPLE_BUDGET)) // 2,
+                1 + _max_exponent(N ** n, TUPLE_BUDGET))
     J = list(itertools.islice(
-        iter_ball_elements(K, FractionalIdeal.unit_ideal(K), cfg.k),
-        limit + 1))
+        iter_ball_elements(FractionalIdeal.unit_ideal(K), cfg.k), limit + 1))
     if len(J) > limit:
         raise BudgetExceededError(
             f"pattern O_K cap B_k at k = {cfg.k} is larger than {limit}, "
-            f"the most points that budget {budget} admits at N = {N}")
+            f"the most points that budget {TUPLE_BUDGET} admits at N = {N}")
     edges = {pos: [q for q in range(len(J)) if q != pos]
              for pos in range(len(J))}
     if Omegas is None:
@@ -579,7 +570,7 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
     terms = [[((i, om[a]), mats[i, j]) for a, i in enumerate(edges[j])]
              for j, omegas in Omegas.items() for om in omegas]
     used = sorted({v for deps in terms for v, _ in deps})
-    _check_power(N, len(used) * n, budget, "states")
+    _check_power(N, len(used) * n, "states")
     cond2 = _grid_mean(T, terms, used)
 
     # condition 3: j = first key of Omegas, i = first of e_j
@@ -591,8 +582,8 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
         used3 = {v for deps in terms3 for v, _ in deps}
         outer = sorted(v for v in used3 if v[0] != i)
         inner = sorted(v for v in used3 if v[0] == i)
-        _check_power(N, len(used3) * n, budget, "states")
-        cond3 = _grid_mean(T, terms3, outer + inner, inner=len(inner), M=M)
+        _check_power(N, len(used3) * n, "states")
+        cond3 = _grid_mean(T, terms3, outer + inner, inner=len(inner), M=2)
     else:
         cond3 = 1.0
 
@@ -600,14 +591,14 @@ def hypergraph_conditions_report(cfg: SieveConfig, nu_table,
     # all-ones vector make the average x^(0)-independent
     used1 = [v for v in used if v[1] == 1]
     used0 = [v for v in used if v[1] == 0]
-    _check_power(N, len(used1) * n, budget, "states")
+    _check_power(N, len(used1) * n, "states")
     rng = random.Random(0)
     samples = [[_residue(N, n, rng.randrange(N ** n)) for _ in used0]
                for _ in range(8)] if used0 else [[]]
     cond1 = max([0.0] + [_grid_mean(T, terms, used1, dict(zip(used0, x0)))
                          for x0 in samples])
     return {"condition1_sup": cond1, "condition2": cond2,
-            "condition3": cond3, "pattern_size": len(J), "N": N, "M": M}
+            "condition3": cond3, "pattern_size": len(J), "N": N, "M": 2}
 
 
 def _max_exponent(base, budget):
@@ -621,13 +612,13 @@ def _max_exponent(base, budget):
     return e
 
 
-def _check_power(base, e, budget, what):
-    """BudgetExceededError unless base^e <= budget.  The power is neither
-    formed nor printed: it may have more digits than int-to-string
+def _check_power(base, e, what):
+    """BudgetExceededError unless base^e <= TUPLE_BUDGET.  The power is
+    neither formed nor printed: it may have more digits than int-to-string
     conversion allows, so the message names it as base^e."""
-    if e > _max_exponent(base, budget):
+    if e > _max_exponent(base, TUPLE_BUDGET):
         raise BudgetExceededError(
-            f"{base}^{e} {what} exceed budget {budget}")
+            f"{base}^{e} {what} exceed budget {TUPLE_BUDGET}")
 
 
 def _mult_matrix(K, c, N):

@@ -18,9 +18,11 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .arith import factorint, iroot, isprime, jacobi, primerange, sqrt_mod
-from .errors import BudgetExceededError, UnsupportedFieldError
+from .errors import (COUNT_BUDGET, ENUMERATION_BUDGET, FACTOR_BUDGET,
+                     UnsupportedFieldError, check_budget)
+from .lattice import iter_ball_elements
 from .linalg import adjugate, det_int, hnf
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, minkowski_norm
 
 
 class FractionalIdeal:
@@ -330,8 +332,6 @@ def residue_degrees(K: NumberField, p: int):
 
 _FACTOR_CACHE = {}  # ideal key -> factorization, oldest entry dropped first
 _FACTOR_CACHE_SIZE = 2**16
-ENUMERATION_BUDGET = 10**7  # the largest norm bound a command enumerates
-FACTOR_BUDGET = 10**15  # the largest ideal norm that is factored
 
 
 def prime_divisors(a: FractionalIdeal):
@@ -341,9 +341,7 @@ def prime_divisors(a: FractionalIdeal):
     if not a.is_integral():
         raise ValueError("factoring requires an integral ideal")
     N = int(a.norm())
-    if N > FACTOR_BUDGET:
-        raise BudgetExceededError(
-            f"ideal norm {N} exceeds factorization budget {FACTOR_BUDGET}")
+    check_budget("factored ideal norm", N, FACTOR_BUDGET)
     return tuple(P for p in factorint(N) for P in factor_rational_prime(a.K, p)
                  if P.ideal().contains_ideal(a))
 
@@ -400,11 +398,10 @@ def euler_phi(K: NumberField, W: int) -> int:
     return phi
 
 
-def enumerate_prime_ideals(K: NumberField, X, budget=ENUMERATION_BUDGET):
+def enumerate_prime_ideals(K: NumberField, X):
     """All prime ideals of norm <= X, sorted by (norm, p, generator)."""
     X = int(X)
-    if X > budget:
-        raise BudgetExceededError("norm bound exceeds enumeration budget")
+    check_budget("norm bound", X, ENUMERATION_BUDGET)
     out = []
     for p in primerange(2, X + 1):
         for P in factor_rational_prime(K, p):
@@ -413,7 +410,7 @@ def enumerate_prime_ideals(K: NumberField, X, budget=ENUMERATION_BUDGET):
     return sorted(out, key=lambda P: P.sort_key())
 
 
-def count_ideals(K: NumberField, x, budget: int = 4 * 10**6) -> int:
+def count_ideals(K: NumberField, x) -> int:
     """#{integral ideals of norm <= x}: the coefficients A[m] of the Euler
     product zeta_K = prod_P (1 - N P^-s)^-1 up to x, summed.  Each factor
     with q = N P updates A[m] += A[m / q] in ascending m, which adds
@@ -421,8 +418,7 @@ def count_ideals(K: NumberField, x, budget: int = 4 * 10**6) -> int:
     X = int(math.floor(x))
     if X < 1:
         return 0
-    if X > budget:
-        raise BudgetExceededError("count_ideals bound exceeds budget")
+    check_budget("count_ideals bound", X, COUNT_BUDGET)
     A = [0] * (X + 1)
     A[1] = 1
     for p in primerange(2, X + 1):
@@ -526,22 +522,22 @@ def class_equivalent(a: FractionalIdeal, b: FractionalIdeal,
     return False, None
 
 
-def is_prime_element(K: NumberField, b: FractionalIdeal, xi: FieldElement) -> bool:
+def is_prime_element(b: FractionalIdeal, xi: FieldElement) -> bool:
     """True iff the integral ideal (xi) b^{-1} is prime (is_prime_vector on
     the numerators of xi over b.den); ValueError if xi is not in b."""
     v = b.numerators(xi)
-    prime = None if v is None else is_prime_vector(K, b, v)
+    prime = None if v is None else is_prime_vector(b, v)
     if prime is None:
         raise ValueError("xi is not an element of the ambient ideal")
     return prime
 
 
-def is_prime_vector(K: NumberField, b: FractionalIdeal, v):
+def is_prime_vector(b: FractionalIdeal, v):
     """None if x = v / b.den (v an integer vector) is not in b, else whether
     (x) b^{-1} is prime; b is an O_K-ideal in canonical HNF (from_json)."""
     if b._coefficients(v) is None:
         return None
-    return is_prime_norm(K, _quotient_norm(b, v))
+    return is_prime_norm(b.K, _quotient_norm(b, v))
 
 
 def is_prime_norm(K: NumberField, N: int) -> bool:
@@ -612,26 +608,21 @@ class TruncatedClass(namedtuple("TruncatedClass",
     __slots__ = ()
 
     @classmethod
-    def build(cls, ambient, modulus, anchor, radius, budget: int = 10**6):
-        from .lattice import ball_elements
-
+    def build(cls, ambient, modulus, anchor, radius):
         if not ambient.contains_ideal(modulus):
             raise ValueError("modulus must be contained in the ambient ideal")
         if not ambient.contains(anchor):
             raise ValueError("anchor must lie in the ambient ideal")
         members = tuple(anchor + mu
-                        for mu in ball_elements(ambient.K, modulus, radius,
-                                                budget=budget))
+                        for mu in iter_ball_elements(modulus, radius))
         return cls(ambient, modulus, anchor, radius, members)
 
     def verify(self) -> bool:
-        from .numberfield import minkowski_norm
-
         for xi in self.members:
             if not self.ambient.contains(xi):
                 return False
             if not self.modulus.contains(xi - self.anchor):
                 return False
-            if minkowski_norm(self.ambient.K, xi - self.anchor) >= self.radius:
+            if minkowski_norm(xi - self.anchor) >= self.radius:
                 return False
         return True

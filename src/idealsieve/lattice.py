@@ -13,30 +13,29 @@ import operator
 from fractions import Fraction
 
 from .arith import primerange
-from .errors import BudgetExceededError
+from .errors import ENUMERATION_BUDGET, BudgetExceededError
 from .linalg import adjugate, det_int
 from .numberfield import FieldElement, NumberField
 
 
-def ball_elements(K: NumberField, ideal, radius: float, budget: int = 10**7):
+def ball_elements(K: NumberField, ideal, radius: float):
     """All lattice points of the ideal with Minkowski norm < radius, sorted
-    by coordinates (the list of iter_ball_elements)."""
-    return list(iter_ball_elements(K, ideal, radius, budget))
+    by coordinates (the list of iter_ball_elements; K is the ideal's)."""
+    return list(iter_ball_elements(ideal, radius))
 
 
-def iter_ball_elements(K: NumberField, ideal, radius: float,
-                       budget: int = 10**7):
+def iter_ball_elements(ideal, radius: float):
     """The lattice points of the ideal with Minkowski norm < radius, in
-    coordinate order, generated one at a time from ball_rows."""
-    H, den, n = ideal.mat, ideal.den, K.degree
-    for c, lo, hi in ball_rows(ideal, radius, budget)[2]:
+    coordinate order, one at a time from ball_rows under ENUMERATION_BUDGET."""
+    K, H, den, n = ideal.K, ideal.mat, ideal.den, ideal.K.degree
+    for c, lo, hi in ball_rows(ideal, radius, ENUMERATION_BUDGET)[2]:
         base = [sum(a * row[j] for a, row in zip(c, H)) for j in range(n)]
         for ci in range(lo, hi + 1):
             yield FieldElement(
                 K, tuple(b + ci * h for b, h in zip(base, H[-1])), den)
 
 
-def ball_rows(ideal, radius: float, budget: int = 10**7):
+def ball_rows(ideal, radius: float, budget):
     """(Q, box, rows) for the points c H / den of the ideal with Minkowski
     norm < radius: |c_i| <= box[i], and rows generates one (c_0..c_{n-2},
     lo, hi) per prefix, its last coefficient running over lo..hi, lo <= hi.
@@ -113,14 +112,15 @@ class Parallelotope:
                              [u * f for u in self.edges])
 
 
-def points_in_parallelotope(ideal, box: Parallelotope, budget: int = 10**7):
+def points_in_parallelotope(ideal, box: Parallelotope,
+                            budget: int = ENUMERATION_BUDGET):
     """Lattice points of the ideal inside the half-open parallelotope, in
     coordinate order (the list of iter_points_in_parallelotope)."""
     return list(iter_points_in_parallelotope(ideal, box, budget))
 
 
 def iter_points_in_parallelotope(ideal, box: Parallelotope,
-                                 budget: int = 10**7):
+                                 budget: int = ENUMERATION_BUDGET):
     """The lattice points of the ideal inside the half-open parallelotope,
     in coordinate order, generated one at a time.
 

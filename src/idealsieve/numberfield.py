@@ -277,7 +277,7 @@ def field_by_name(name: str) -> NumberField:
     raise UnsupportedFieldError(f"unknown field name {name!r}")
 
 
-def minkowski_norm(K: NumberField, x: FieldElement) -> float:
+def minkowski_norm(x: FieldElement) -> float:
     """sqrt(sum over the n embeddings s of |s(x)|^2), each complex place
     counted twice through its conjugate pair.
 
@@ -287,5 +287,5 @@ def minkowski_norm(K: NumberField, x: FieldElement) -> float:
     """
     a, d = x.num, x.den
     q = sum(ai * sum(g * aj for g, aj in zip(row, a))
-            for ai, row in zip(a, K.gram))
+            for ai, row in zip(a, x.K.gram))
     return math.sqrt(q / (d * d))

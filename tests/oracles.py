@@ -317,15 +317,13 @@ def alpha_scan_oracle(cfg, window):
     return masses, total, count
 
 
-def singular_series_euler(forms, R, W, prime_support, t, tprime,
-                          budget=10**8):
+def singular_series_euler(forms, R, W, prime_support, t, tprime):
     """The double sum over squarefree ideal s-tuples d, d' built from
     prime_support of omega((d_j cap d'_j)_j) prod_j mu(d_j) mu(d'_j)
     N d_j^{-(1+i t_j)/log R} N d'_j^{-(1+i t'_j)/log R}, at alpha = 1."""
     K, s = forms.K, forms.s
     logR = math.log(R)
-    pairs = squarefree_ideals(K, R, W, prime_support=prime_support,
-                              budget=budget)
+    pairs = squarefree_ideals(K, R, W, prime_support=prime_support)
     total = []
     for dd in itertools.product(pairs, repeat=s):
         for dp in itertools.product(pairs, repeat=s):
@@ -422,8 +420,8 @@ def search_oracle(spec):
              if x]
     anchors = ball_elements(K, b, spec.anchor_bound * (1 + 1e-12))
     # stable sorts of lists in coordinate order: ties keep that order
-    steps.sort(key=lambda x: minkowski_norm(K, x))
-    anchors.sort(key=lambda x: minkowski_norm(K, x))
+    steps.sort(key=minkowski_norm)
+    anchors.sort(key=minkowski_norm)
     anchor_nums = [b.numerators(a) for a in anchors]
     pattern_nums = [j.num for j in pattern]  # O_K: den 1
     hits = []
@@ -431,7 +429,7 @@ def search_oracle(spec):
 
     def is_prime(v):
         if v not in prime:
-            prime[v] = is_prime_vector(K, b, v)
+            prime[v] = is_prime_vector(b, v)
         return prime[v]
 
     for xi in steps:

@@ -614,6 +614,15 @@ def test_hypergraph_extreme_N():
     # N((5624)) = 5624^4 > 10^15 in Q(zeta5): the factorization budget is
     # checked before the loop, not at m = 5624
     ["mobius", "--field", "Q(zeta5)", "--bound", "5624"],
+    # norm bounds and windows past the enumeration budget
+    ["primes", "--bound", "10000001"],
+    ["lambda", "--bound", "10000001"],
+    ["alpha-scan", "--window", "100", "10000001"],
+    # N((10^16)) over Q is past the factorization budget of tau_factor
+    ["autocorr", "--N", "10", "--y", "0", "10000000000000000"],
+    # boxes of 10^300 candidates and more, named in a short line
+    ["search", "--field", "Q(i)", "--anchor-bound", "1e300"],
+    ["correlate", "--field", "Q(zeta5)", "--lam", "1e300"],
 ])
 def test_budget_checked_before_quadratic_work(argv, capsys):
     start = time.perf_counter()
@@ -621,6 +630,35 @@ def test_budget_checked_before_quadratic_work(argv, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "budget" in err and len(err) < 300
+    assert all(flag in err for flag in _named_sizes(argv))
+
+
+# the flags that size each command's work, and those that parse as floats
+_SIZE_FLAGS = {
+    "primes": ["--bound"], "mobius": ["--bound"], "lambda": ["--bound"],
+    "correlate": ["--m", "--lam"], "singular-series": ["--s", "--R"],
+    "autocorr": ["--N", "--y"], "hypergraph": ["--N", "--k"],
+    "search": ["--anchor-bound", "--step-bound", "--k"],
+    "alpha-scan": ["--window"]}
+_FLOAT_FLAGS = {"--lam", "--R", "--k", "--anchor-bound", "--step-bound"}
+
+
+def _named_sizes(argv):
+    """Each size flag of argv's command, with its value as printed when
+    argv gives it: a float's repr, a list's items space-separated."""
+    out = []
+    for flag in _SIZE_FLAGS[argv[0]]:
+        if flag not in argv:
+            out.append(flag + " ")
+            continue
+        i = argv.index(flag) + 1
+        values = []
+        while i < len(argv) and not argv[i].startswith("--"):
+            values.append(str(float(argv[i])) if flag in _FLOAT_FLAGS
+                          else argv[i])
+            i += 1
+        out.append(" ".join([flag] + values))
+    return out
 
 
 def test_mobius_factor_budget_names_bound(tmp_path, capsys):

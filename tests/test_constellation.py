@@ -88,7 +88,7 @@ def _search_oracle(spec):
     pattern = spec.pattern()
 
     def key(x):
-        return minkowski_norm(K, x), tuple(x.coords)
+        return minkowski_norm(x), tuple(x.coords)
 
     steps = sorted((x for x in ball_elements(K, spec.ambient,
                                              spec.step_bound * (1 + 1e-12))
@@ -97,7 +97,7 @@ def _search_oracle(spec):
                                    spec.anchor_bound * (1 + 1e-12)), key=key)
     return [make_certificate(K, spec.ambient, spec.k, a, xi, pattern)
             for xi in steps for a in anchors
-            if all(is_prime_element(K, spec.ambient, a + xi * j)
+            if all(is_prime_element(spec.ambient, a + xi * j)
                    for j in pattern)]
 
 
@@ -371,7 +371,7 @@ def test_generator_bound_validated(name):
             continue
         assert FractionalIdeal.principal(K, xi) == P.ideal()
         Nrm = P.norm()
-        assert minkowski_norm(K, xi) ** 2 == pytest.approx(2.0 * Nrm,
+        assert minkowski_norm(xi) ** 2 == pytest.approx(2.0 * Nrm,
                                                            rel=1e-12)
         checked += 1
     # class number 2 leaves fewer principal primes below the cutoff

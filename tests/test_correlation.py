@@ -372,10 +372,14 @@ def test_squarefree_ideals_prime_support_matches_oracle(name):
             squarefree_ideals_oracle(K, R, W, prime_support=support)
 
 
-def test_squarefree_ideals_budget():
-    with pytest.raises(BudgetExceededError, match="squarefree ideal list"):
-        squarefree_ideals(QI, 1000.0, 1, budget=100)
-    assert len(squarefree_ideals(QI, 1000.0, 1, budget=10**6)) > 100
+def test_squarefree_ideals_budget(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(correlation, "TUPLE_BUDGET", 100)
+        with pytest.raises(BudgetExceededError,
+                           match="squarefree ideal list length 101 exceeds "
+                           "budget 100"):
+            squarefree_ideals(QI, 1000.0, 1)
+    assert len(squarefree_ideals(QI, 1000.0, 1)) > 100
 
 
 def test_mobius_totient_sieve_matches_sympy():
@@ -401,8 +405,7 @@ def test_singular_series_fast_vs_direct():
     forms = LinearFormSystem(Q, [[1, 0], [0, 1]])
     fast = singular_series_direct(forms, 20.0, 6)
     primes = enumerate_prime_ideals(Q, 19)
-    direct = singular_series_direct(forms, 20.0, 6, prime_support=primes,
-                                    budget=10**8)
+    direct = singular_series_direct(forms, 20.0, 6, prime_support=primes)
     assert fast == pytest.approx(direct, rel=1e-12)
 
 
@@ -412,7 +415,7 @@ def test_singular_series_gaussian_fast_vs_direct():
     fast = singular_series_direct(forms, 8.0, 2, alpha=QI.one)
     primes = enumerate_prime_ideals(QI, 7)
     direct = singular_series_direct(forms, 8.0, 2, alpha=QI.one,
-                                    prime_support=primes, budget=10**8)
+                                    prime_support=primes)
     assert fast == pytest.approx(direct, rel=1e-12)
 
 
@@ -424,7 +427,7 @@ def test_singular_series_fast_path_weights_unit_ideal_by_phi_at_zero(K):
     forms = LinearFormSystem(K, [[1]])
     fast = singular_series_direct(forms, 30.0, 6, phi=half)
     direct = singular_series_direct(
-        forms, 30.0, 6, phi=half, budget=10**8,
+        forms, 30.0, 6, phi=half,
         prime_support=enumerate_prime_ideals(K, 29))
     assert fast == pytest.approx(direct, rel=1e-12)
     assert fast == pytest.approx(singular_series_direct(forms, 30.0, 6) / 4,

@@ -1,14 +1,18 @@
 """Source hygiene: every import under src/, tests/ and bench/ is used in
-its module.
+its module, and parameters that did nothing stay out of the API.
 
 No linter ships with the toolchain, so this walks the AST.  The package
 __init__ is exempt: its imports are the public re-exports.
 """
 
 import ast
+import inspect
 import pathlib
 
 import pytest
+
+from idealsieve import constellation, correlation, ideals, lattice
+from idealsieve.numberfield import minkowski_norm
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "idealsieve"
 TESTS = SRC.parent.parent / "tests"
@@ -106,3 +110,32 @@ def test_no_builtin_id_calls():
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "id"]
     assert calls == []
+
+
+def _params(fn):
+    return set(inspect.signature(fn).parameters)
+
+
+def test_named_limits_replace_unused_parameters():
+    # budgets that every caller left at their default are named limits in
+    # idealsieve.errors; M of the hypergraph report is the constant 2; K
+    # goes where another argument carries it
+    for fn in (constellation.search_constellation, constellation.alpha_scan,
+               correlation.cross_correlation_sum,
+               correlation.squarefree_ideals,
+               correlation.singular_series_direct,
+               correlation.auto_correlation_check,
+               correlation.hypergraph_conditions_report,
+               ideals.enumerate_prime_ideals, ideals.count_ideals,
+               ideals.TruncatedClass.build, lattice.ball_elements,
+               lattice.iter_ball_elements):
+        assert "budget" not in _params(fn), fn.__name__
+    assert "M" not in _params(correlation.hypergraph_conditions_report)
+    for fn in (lattice.iter_ball_elements, minkowski_norm,
+               ideals.is_prime_element, ideals.is_prime_vector):
+        assert "K" not in _params(fn), fn.__name__
+    # two budgets each are in use: the search's and alpha-scan's infinite
+    # one; autocorr's and the enumeration budget
+    for fn in (lattice.ball_rows, lattice.points_in_parallelotope,
+               lattice.iter_points_in_parallelotope):
+        assert "budget" in _params(fn), fn.__name__

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from idealsieve import lattice
 from idealsieve.errors import BudgetExceededError
 from idealsieve.ideals import FractionalIdeal, factor_rational_prime
 from idealsieve.lattice import (Parallelotope, admissible_modulus,
@@ -55,10 +56,11 @@ def test_ball_pattern_B15():
     assert got == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
-def test_ball_budget():
+def test_ball_budget(monkeypatch):
     O = FractionalIdeal.unit_ideal(QI)
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        ball_elements(QI, O, 1e4, budget=100)
+        ball_elements(QI, O, 1e4)
 
 
 def test_interval_reduction():
@@ -302,14 +304,16 @@ def test_ball_elements_matches_oracle(case, scale, on_point):
     else:
         # the radius a lattice point attains, so points lie on the boundary
         x = I.element_at(on_point[:n])
-        radius = minkowski_norm(K, x)
-    try:
-        want = _ball_elements_oracle(K, I, radius, budget=20000)
-    except BudgetExceededError:
-        with pytest.raises(BudgetExceededError):
-            ball_elements(K, I, radius, budget=20000)
-        return
-    got = ball_elements(K, I, radius, budget=20000)
+        radius = minkowski_norm(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "ENUMERATION_BUDGET", 20000)
+        try:
+            want = _ball_elements_oracle(K, I, radius, budget=20000)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                ball_elements(K, I, radius)
+            return
+        got = ball_elements(K, I, radius)
     assert [x.coords for x in got] == [x.coords for x in want]
     if on_point is not None:
         # norm < radius, decided exactly

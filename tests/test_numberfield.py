@@ -86,10 +86,10 @@ def test_minkowski_norm_values():
     K = make_field("Q(i)")
     # |1 + i| in the metric: both complex embeddings contribute,
     # sqrt(2 * |1+i|^2) = 2
-    assert minkowski_norm(K, K.element([1, 1])) == pytest.approx(2.0)
-    assert minkowski_norm(K, K.one) == pytest.approx(math.sqrt(2))
+    assert minkowski_norm(K.element([1, 1])) == pytest.approx(2.0)
+    assert minkowski_norm(K.one) == pytest.approx(math.sqrt(2))
     Q = make_field("Q")
-    assert minkowski_norm(Q, Q.element(7)) == pytest.approx(7.0)
+    assert minkowski_norm(Q.element(7)) == pytest.approx(7.0)
 
 
 def _roots(K):
@@ -150,8 +150,8 @@ def test_norm_multiplicative(a, b):
 def test_minkowski_triangle_inequality(a, b):
     K = make_field("Q(sqrt-2)")
     x, y = K.element(a), K.element(b)
-    lhs = minkowski_norm(K, x + y)
-    assert lhs <= minkowski_norm(K, x) + minkowski_norm(K, y) + 1e-9
+    lhs = minkowski_norm(x + y)
+    assert lhs <= minkowski_norm(x) + minkowski_norm(y) + 1e-9
 
 
 rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -163,7 +163,7 @@ rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 def test_minkowski_norm_matches_float_route(name, coords):
     K = field_by_name(name)
     x = K.element(coords[:K.degree])
-    assert minkowski_norm(K, x) == pytest.approx(_minkowski_norm_float(K, x),
+    assert minkowski_norm(x) == pytest.approx(_minkowski_norm_float(K, x),
                                                  rel=1e-15, abs=0)
 
 
@@ -175,7 +175,7 @@ def test_minkowski_norm_is_float_route_on_integers(name, coords):
     # agree bit for bit
     K = field_by_name(name)
     x = K.element(coords[:K.degree])
-    assert minkowski_norm(K, x) == _minkowski_norm_float(K, x)
+    assert minkowski_norm(x) == _minkowski_norm_float(K, x)
 
 
 def test_norm_arithmetic_mean_geometric():
@@ -184,7 +184,7 @@ def test_norm_arithmetic_mean_geometric():
     x = K.element([3, 2])
     n = K.degree
     assert abs(float(x.norm())) ** (1 / n) <= \
-        minkowski_norm(K, x) / math.sqrt(n) + 1e-9
+        minkowski_norm(x) / math.sqrt(n) + 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,7 +243,7 @@ def test_element_arithmetic_matches_fraction_oracle(name, a, b, m, q):
         assert _in_lowest_terms(z)
         assert K.element(z.coords) == z
         assert z.norm() == coords_norm(K, want)
-        assert minkowski_norm(K, z) == coords_minkowski_norm(K, want)
+        assert minkowski_norm(z) == coords_minkowski_norm(K, want)
         assert bool(z) == any(want)
     assert (x == y) == (a == b)
     # equal values built by different routes are equal, with equal hashes
