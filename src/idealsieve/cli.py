@@ -29,7 +29,7 @@ from .correlation import (LinearFormSystem, auto_correlation_check,
                           singular_series_main_term)
 from .errors import (ENUMERATION_BUDGET, FACTOR_BUDGET, BudgetExceededError,
                      IdealSieveError, check_budget)
-from .ideals import FractionalIdeal, enumerate_prime_ideals, mobius
+from .ideals import FractionalIdeal, enumerate_prime_ideals, mobius_totient
 from .lattice import Parallelotope, fundamental_domain_reduce
 from .numberfield import field_by_name
 from .sieve import SieveConfig, c_phi, lambda_of_norms
@@ -41,47 +41,19 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def sieve_level(text):
-    """A --R value: a finite float R > 1, so that log R > 0."""
-    R = float(text)
-    if not 1 < R < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"R must be finite and > 1, got {text}")
-    return R
+def _at_least(cast, least, strict=False):
+    """An argparse type: cast(text), finite and >= least (> least if
+    strict); NaN and +-inf are rejected with the bound named."""
+    def check(text):
+        x = cast(text)
+        if not ((least < x if strict else least <= x) and x < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be {'finite and ' if cast is float else ''}"
+                f"{'>' if strict else '>='} {least}, got {text}")
+        return x
 
-
-def positive_int(text):
-    """An integer >= 1."""
-    N = int(text)
-    if N < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return N
-
-
-def sieve_scale(text):
-    """An --N that sets the sieve level, log R = log N / (8 s z 2^{sz}):
-    an integer >= 2, so that log R > 0."""
-    N = int(text)
-    if N < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text}")
-    return N
-
-
-def non_negative_int(text):
-    """An integer >= 0."""
-    N = int(text)
-    if N < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return N
-
-
-def positive_float(text):
-    """A finite float > 0: a radius, a bound or a scale."""
-    x = float(text)
-    if not 0 < x < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be finite and > 0, got {text}")
-    return x
+    check.__name__ = cast.__name__  # argparse: "invalid int value: ..."
+    return check
 
 
 def read_config(path):
@@ -99,57 +71,48 @@ def read_config(path):
     return out
 
 
-def _emit(args, lines):
+def _emit(args, lines, rows=None):
+    """Write the report lines, and their CSV mirror when rows are given
+    and --csv is set."""
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_csv(args, rows):
-    if not getattr(args, "csv", None):
-        return
-    with open(args.csv, "w") as fh:
-        fh.write("x,empirical,predicted,ratio\n")
-        for x, emp, pred in rows:
-            ratio = emp / pred if pred else math.inf
-            fh.write(f"{x},{emp!r},{pred!r},{ratio!r}\n")
-
-
-def _field(args):
-    return field_by_name(args.field)
+    if rows is not None and args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write("x,empirical,predicted,ratio\n")
+            for x, emp, pred in rows:
+                ratio = emp / pred if pred else math.inf
+                fh.write(f"{x},{emp!r},{pred!r},{ratio!r}\n")
+    return EXIT_OK
 
 
 def cmd_primes(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     lines = [json.dumps({"op": "prime", "p": P.p, "g": list(P.gpoly),
                          "e": P.e, "f": P.f, "norm": P.norm(),
                          "params": {"field": K.name, "bound": args.bound}},
                         sort_keys=True)
              for P in enumerate_prime_ideals(K, args.bound)]
-    _emit(args, lines)
-    return EXIT_OK
+    return _emit(args, lines)
 
 
 def cmd_mobius(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     check_budget("the bound", args.bound, ENUMERATION_BUDGET)
     check_budget(f"N(({args.bound})) =", max(args.bound, 0) ** K.degree,
                  FACTOR_BUDGET)
-    lines = []
-    for m in range(1, args.bound + 1):
-        a = FractionalIdeal.principal(K, K.element(m))
-        lines.append(json.dumps({"op": "mobius", "m": m, "mu": mobius(a),
-                                 "params": {"field": K.name}},
-                                sort_keys=True))
-    _emit(args, lines)
-    return EXIT_OK
+    mu = mobius_totient(K, args.bound)[0]
+    return _emit(args, [json.dumps({"op": "mobius", "m": m, "mu": mu[m],
+                                    "params": {"field": K.name}},
+                                   sort_keys=True)
+                        for m in range(1, args.bound + 1)])
 
 
 def cmd_lambda(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     lines = []
     rows = []
     for P in enumerate_prime_ideals(K, args.bound):
@@ -159,15 +122,12 @@ def cmd_lambda(args):
                                   "norm": P.norm(), "p": P.p,
                                   "g": list(P.gpoly)}))
         rows.append((P.norm(), val, 1.0))
-    _emit(args, lines)
-    _emit_csv(args, rows)
-    return EXIT_OK
+    return _emit(args, lines, rows)
 
 
 def cmd_cphi(args):
     c = c_phi()
-    _emit(args, [report_line("cphi", c, c, {})])
-    return EXIT_OK
+    return _emit(args, [report_line("cphi", c, c, {})])
 
 
 def _square_region(K):
@@ -191,7 +151,7 @@ def _random_forms(K, rng, s, m):
 
 
 def cmd_correlate(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     if args.s > 1 and args.m < 2:
         raise ValueError(
             "pairwise non-proportional forms need m >= 2 once s >= 2")
@@ -199,13 +159,12 @@ def cmd_correlate(args):
     forms = _random_forms(K, rng, args.s, args.m)
     region = _square_region(K)
     rep = cross_correlation_sum(forms, region, args.lam, lambda x: 1.0)
-    _emit(args, [rep.to_json()])
-    _emit_csv(args, [(args.lam, rep.empirical, rep.predicted)])
-    return EXIT_OK
+    return _emit(args, [rep.to_json()],
+                 [(args.lam, rep.empirical, rep.predicted)])
 
 
 def cmd_singular_series(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     forms = LinearFormSystem(
         K, [[int(i == j) for j in range(args.s)] for i in range(args.s)])
     lines, rows = [], []
@@ -216,40 +175,41 @@ def cmd_singular_series(args):
                                  {"field": K.name, "R": R, "W": args.W,
                                   "s": args.s}))
         rows.append((R, S, main))
-    _emit(args, lines)
-    _emit_csv(args, rows)
-    return EXIT_OK
+    return _emit(args, lines, rows)
 
 
 def cmd_autocorr(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     cfg = SieveConfig(K, N=args.N, s=args.s, w=args.w)
     y = [K.element(v) for v in args.y]
     rep = auto_correlation_check(y, _square_region(K), cfg)
-    _emit(args, [rep.to_json()])
-    return EXIT_OK
+    return _emit(args, [rep.to_json()])
 
 
 def cmd_hypergraph(args):
     import numpy as np
 
-    K = _field(args)
+    K = field_by_name(args.field)
     cfg = SieveConfig(K, N=args.N, k=args.k, w=args.w)
-    # a read-only view of one 1.0: no memory before the state budget check
+    # a read-only view of one 1.0: no memory before the state budget check,
+    # but numpy refuses an array of more than intp's maximum bytes
+    limit = np.iinfo(np.intp).max // 8
+    if args.N ** K.degree > limit:
+        raise BudgetExceededError(f"{args.N}^{K.degree} residues exceed "
+                                  f"numpy's array size limit {limit}")
     ones = np.broadcast_to(1.0, (args.N,) * K.degree)
     rep = hypergraph_conditions_report(cfg, ones)
-    _emit(args, [json.dumps(dict(rep, op="hypergraph"), sort_keys=True)])
-    return EXIT_OK
+    return _emit(args, [json.dumps(dict(rep, op="hypergraph"),
+                                   sort_keys=True)])
 
 
 def cmd_search(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     spec = ConstellationSpec(K, FractionalIdeal.unit_ideal(K), args.k,
                              anchor_bound=args.anchor_bound,
                              step_bound=args.step_bound,
                              max_hits=args.max_hits)
-    _emit(args, [h.to_json() for h in search_constellation(spec)])
-    return EXIT_OK
+    return _emit(args, [h.to_json() for h in search_constellation(spec)])
 
 
 def cmd_verify(args):
@@ -270,32 +230,31 @@ def cmd_verify(args):
 
 
 def cmd_alpha_scan(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     cfg = SieveConfig(K, N=args.window[1], w=args.w, logR=math.log(args.R))
     res = alpha_scan(cfg, tuple(args.window))
     masses = {",".join(k): float(v) for k, v in sorted(res.masses.items())}
-    _emit(args, [json.dumps({"op": "alpha_scan", "masses": masses,
-                             "total": float(res.total),
-                             "maximizer": list(res.maximizer),
-                             "count": res.count,
-                             "partition_exact": res.partition_exact(),
-                             "params": {"field": K.name, "W": cfg.W,
-                                        "window": list(args.window)}},
-                            sort_keys=True)])
-    return EXIT_OK
+    line = json.dumps({"op": "alpha_scan", "masses": masses,
+                       "total": float(res.total),
+                       "maximizer": list(res.maximizer),
+                       "count": res.count,
+                       "partition_exact": res.partition_exact(),
+                       "params": {"field": K.name, "W": cfg.W,
+                                  "window": list(args.window)}},
+                      sort_keys=True)
+    return _emit(args, [line])
 
 
 def cmd_residue(args):
-    K = _field(args)
+    K = field_by_name(args.field)
     x = K.element(args.x)
     ideal = FractionalIdeal.unit_ideal(K)
     red, shift = fundamental_domain_reduce(ideal, x, args.N)
-    _emit(args, [json.dumps({"op": "residue",
-                             "x": [str(c) for c in x.coords],
-                             "reduced": [str(c) for c in red.coords],
-                             "shift": [str(c) for c in shift.coords],
-                             "N": args.N}, sort_keys=True)])
-    return EXIT_OK
+    line = json.dumps({"op": "residue", "x": [str(c) for c in x.coords],
+                       "reduced": [str(c) for c in red.coords],
+                       "shift": [str(c) for c in shift.coords],
+                       "N": args.N}, sort_keys=True)
+    return _emit(args, [line])
 
 
 def build_parser():
@@ -310,6 +269,10 @@ def build_parser():
     sub = top.add_subparsers(dest="command")
     top.commands = sub.choices
 
+    # --R > 1 and autocorr's --N >= 2 keep the sieve level's log R > 0
+    level = _at_least(float, 1, strict=True)
+    positive, count = _at_least(float, 0, strict=True), _at_least(int, 1)
+
     def add(name, fn, *sizes):
         # sizes: the flags that size the work, named by main's budget error
         p = sub.add_parser(name)
@@ -323,44 +286,44 @@ def build_parser():
     p.add_argument("--bound", type=int, default=50)
     p = add("lambda", cmd_lambda, "bound")
     p.add_argument("--bound", type=int, default=200)
-    p.add_argument("--R", type=sieve_level, default=50.0)
+    p.add_argument("--R", type=level, default=50.0)
     add("cphi", cmd_cphi)
     p = add("correlate", cmd_correlate, "m", "lam")
-    p.add_argument("--s", type=positive_int, default=2)
-    p.add_argument("--m", type=positive_int, default=2)
-    p.add_argument("--lam", type=positive_float, default=12.0)
+    p.add_argument("--s", type=count, default=2)
+    p.add_argument("--m", type=count, default=2)
+    p.add_argument("--lam", type=positive, default=12.0)
     p = add("singular-series", cmd_singular_series, "s", "R")
-    p.add_argument("--s", type=positive_int, default=2)
+    p.add_argument("--s", type=count, default=2)
     p.add_argument("--W", type=int, default=6)
-    p.add_argument("--R", type=sieve_level, nargs="+", default=[100.0])
+    p.add_argument("--R", type=level, nargs="+", default=[100.0])
     p = add("autocorr", cmd_autocorr, "N", "y")
-    p.add_argument("--N", type=sieve_scale, default=500)
-    p.add_argument("--s", type=positive_int, default=2)
+    p.add_argument("--N", type=_at_least(int, 2), default=500)
+    p.add_argument("--s", type=count, default=2)
     p.add_argument("--w", type=int, default=3)
     p.add_argument("--y", type=int, nargs="+", default=[0, 2])
     p = add("hypergraph", cmd_hypergraph, "N", "k")
-    p.add_argument("--N", type=positive_int, default=101)
-    p.add_argument("--k", type=positive_float, default=1.5)
+    p.add_argument("--N", type=count, default=101)
+    p.add_argument("--k", type=positive, default=1.5)
     p.add_argument("--w", type=int, default=3)
     p = add("search", cmd_search, "anchor_bound", "step_bound", "k")
-    p.add_argument("--k", type=positive_float, default=1.5,
+    p.add_argument("--k", type=positive, default=1.5,
                    help="the pattern is O_K cap B_k; for k <= |1| = "
                    "sqrt(degree) (1 in Q, 1.41 in the quadratic fields, 2 "
                    "in Q(zeta5)) it is the one point 0, so the default 1.5 "
                    "certifies single prime elements in Q(zeta5)")
-    p.add_argument("--anchor-bound", type=positive_float, default=100.0)
-    p.add_argument("--step-bound", type=positive_float, default=12.0)
-    p.add_argument("--max-hits", type=non_negative_int, default=10,
+    p.add_argument("--anchor-bound", type=positive, default=100.0)
+    p.add_argument("--step-bound", type=positive, default=12.0)
+    p.add_argument("--max-hits", type=_at_least(int, 0), default=10,
                    help="stop after this many hits; 0 means no limit")
     p = add("verify", cmd_verify)
     p.add_argument("certificate")
     p = add("alpha-scan", cmd_alpha_scan, "window")
     p.add_argument("--w", type=int, default=3)
-    p.add_argument("--R", type=sieve_level, default=50.0)
+    p.add_argument("--R", type=level, default=50.0)
     p.add_argument("--window", type=int, nargs=2, default=[100, 10000])
     p = add("residue", cmd_residue)
     p.add_argument("--x", type=int, default=17)
-    p.add_argument("--N", type=positive_int, default=10)
+    p.add_argument("--N", type=count, default=10)
     return top
 
 
@@ -418,10 +381,7 @@ def main(argv=None):
         print(f"budget exceeded: {sizes + ': ' if sizes else ''}{text}",
               file=sys.stderr)
         return EXIT_BUDGET
-    except IdealSieveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (IdealSieveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -23,7 +23,8 @@ from .arith import factorint, iroot, primerange
 from .errors import (ENUMERATION_BUDGET, NU_POINT_BUDGET, TUPLE_BUDGET,
                      BudgetExceededError, check_budget)
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     factor_rational_prime, prime_divisors, zeta_residue)
+                     factor_rational_prime, mobius_totient, prime_divisors,
+                     zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope, points_in_parallelotope)
 from .numberfield import FieldElement
@@ -299,7 +300,7 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     exceptional = _exceptional_primes(forms, W)
     if not exceptional and forms.s <= forms.m and prime_support is None:
         if K.degree == 1:
-            pair = _pair_sum_rational(R, W, logR, phi)
+            pair = _pair_sum_rational(K, R, W, logR, phi)
         else:
             pair = _pair_sum_ideals(squarefree_ideals(K, R, W), logR, phi)
         val = 1.0
@@ -351,23 +352,9 @@ def _exceptional_primes(forms, W):
     return out
 
 
-def _mobius_totient(n):
-    """mu(k) and phi(k) for 0 <= k <= n (index 0 unused), by a sieve."""
-    mu = [1] * (n + 1)
-    tot = list(range(n + 1))
-    for p in range(2, n + 1):
-        if tot[p] != p:  # a smaller prime divides p
-            continue
-        for k in range(p, n + 1, p):
-            mu[k] = -mu[k]
-            tot[k] -= tot[k] // p
-        for k in range(p * p, n + 1, p * p):
-            mu[k] = 0
-    return mu, tot
-
-
-def _pair_sum_rational(R, W, logR, phi):
-    """sum over squarefree d, d' < R coprime to W of
+def _pair_sum_rational(K, R, W, logR, phi):
+    """Over the degree-1 field K, the sum over squarefree d, d' < R
+    coprime to W of
     mu(d) mu(d') phi(log d / log R) phi(log d' / log R) / lcm(d, d').
 
     Selberg's diagonalisation: 1/lcm(d, d') = sum_{e | gcd(d, d')} phi(e)
@@ -381,7 +368,7 @@ def _pair_sum_rational(R, W, logR, phi):
     """
     Ri = int(math.ceil(R)) - 1
     check_budget(f"the integers below R = {R}:", Ri, ENUMERATION_BUDGET)
-    mob, tot = _mobius_totient(Ri)
+    mob, tot = mobius_totient(K, Ri)
     ds = [x for x in range(1, Ri + 1) if mob[x] and math.gcd(x, W) == 1]
     v = [0.0] * (Ri + 1)
     for x in ds:
@@ -652,8 +639,10 @@ def _grid_mean(T, terms, free, fixed=None, inner=0, M=1):
     x = dict(fixed or {})
     lead = free[0] if len(free) > inner else None
     rest = free[1:] if lead is not None else free
+    # no arange unless a variable is free: a one-point pattern has none,
+    # and N may then be past any array size
     axes = np.meshgrid(*[np.arange(N)] * (n * len(rest)), indexing="ij",
-                       sparse=True)
+                       sparse=True) if rest else []
     for a, v in enumerate(rest):
         x[v] = axes[a * n:(a + 1) * n]
     inner_size = N ** (n * inner)

@@ -10,11 +10,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import cli
+from idealsieve import cli, ideals
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
 from idealsieve.constellation import ConstellationSpec, search_constellation
-from idealsieve.ideals import FractionalIdeal, enumerate_prime_ideals
+from idealsieve.ideals import FractionalIdeal, enumerate_prime_ideals, mobius
 from idealsieve.numberfield import make_field
 
 
@@ -45,6 +45,23 @@ def test_mobius_report(tmp_path):
     mus = {r["m"]: r["mu"] for r in read_lines(out)}
     assert mus == {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0,
                    9: 0, 10: 1}
+
+
+def test_mobius_reads_the_integer_sieve(tmp_path, monkeypatch):
+    # mu((m)) comes off the sieve over the rational primes: no ideal (m)
+    # is built and no divisor of one is read
+    K = make_field("Q(zeta5)")
+    want = [mobius(FractionalIdeal.principal(K, K.element(m)))
+            for m in range(1, 61)]
+    monkeypatch.setattr(ideals, "prime_divisors", _forbidden)
+    out = tmp_path / "m.jsonl"
+    assert run(["--output", str(out), "mobius", "--field", "Q(zeta5)",
+                "--bound", "60"]) == EXIT_OK
+    assert [r["mu"] for r in read_lines(out)] == want
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("forbidden call")
 
 
 def test_lambda_csv_mirror(tmp_path):
@@ -468,7 +485,7 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
-@pytest.mark.parametrize("argv", [
+_DEGENERATE = [
     ["singular-series", "--R", "1"],
     ["singular-series", "--R", "inf"],
     ["singular-series", "--R", "0.5"],
@@ -486,6 +503,22 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     ["autocorr", "--s", "0"],
     ["hypergraph", "--k", "0"],
     ["search", "--max-hits", "-1"],
+]
+_KINDS = [("lambda", "--R", "1"), ("correlate", "--lam", "0"),
+          ("correlate", "--m", "0"), ("autocorr", "--N", "1"),
+          ("search", "--max-hits", "-1")]
+
+
+@pytest.mark.parametrize("argv", _DEGENERATE + [
+    # each argument kind at NaN, +-inf, its bound and a non-number
+    [cmd, flag, value] for cmd, flag, bound in _KINDS
+    for value in ("nan", "inf", "-inf", bound, "x")
+    if [cmd, flag, value] not in _DEGENERATE
+] + [
+    ["hypergraph", "--k", "-inf"],
+    ["search", "--step-bound", "0"],
+    ["search", "--max-hits", "1.5"],
+    ["autocorr", "--N", "2.5"],
 ], ids=",".join)
 def test_degenerate_parameter_is_usage_error(argv, capsys):
     # argparse rejects the value before any command runs and names the flag
@@ -580,13 +613,30 @@ def test_hypergraph_every_field(tmp_path):
     assert run(["hypergraph", "--field", "Q(i)"]) == EXIT_BUDGET
 
 
-def test_hypergraph_extreme_N():
+def test_hypergraph_extreme_N(tmp_path, capsys):
     # the trivial table is a view of one 1.0, so N^n floats are never
     # allocated and a huge N reaches the state budget; N = 1 (log R = 0)
     # never evaluates a sieve weight
     assert run(["hypergraph", "--field", "Q(i)", "--N", "1000000"]) \
         == EXIT_BUDGET
     assert run(["hypergraph", "--N", "1"]) == EXIT_OK
+    # a one-point pattern has no free variable, so no axis of N residues
+    # is built and the conditions are 1.0 at any N numpy can index
+    out = tmp_path / "h.jsonl"
+    assert run(["--output", str(out), "hypergraph", "--field", "Q",
+                "--N", "1000000000000", "--k", "0.5"]) == EXIT_OK
+    (rec,) = read_lines(out)
+    assert rec["pattern_size"] == 1
+    assert rec["condition1_sup"] == rec["condition2"] \
+        == rec["condition3"] == 1.0
+    # N^n past numpy's array size is a budget error naming --N, before
+    # the view of ones is built
+    capsys.readouterr()
+    for argv in (["--field", "Q(i)", "--N", "10000000000"],
+                 ["--field", "Q", "--N", "10000000000000000000000"]):
+        assert run(["hypergraph", *argv]) == EXIT_BUDGET
+        assert capsys.readouterr().err.startswith(
+            f"budget exceeded: --N {argv[3]}, --k 1.5: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -738,6 +788,10 @@ def test_cli_does_not_import_numpy_mpmath_scipy_sympy_dataclasses_or_inspect(
             ["--output", out, "autocorr", "--N", "100"],
             ["--output", out, "primes", "--field", "Q(zeta5)",
              "--bound", "300"],
+            ["--output", out, "mobius", "--field", "Q(i)", "--bound", "50"],
+            ["--output", out, "lambda", "--field", "Q(i)", "--bound", "50"],
+            ["--output", out, "residue", "--field", "Q(i)"],
+            ["--output", out, "correlate", "--field", "Q(i)", "--lam", "4"],
             ["--output", out, "cphi"]]
     code = ("import sys\n"
             "import idealsieve.cli as cli\n"

@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from idealsieve import correlation, sieve
 from idealsieve.correlation import (LinearFormSystem, F_euler,
-                                    _mobius_totient, _pair_sum_ideals,
-                                    _pair_sum_rational,
+                                    _pair_sum_ideals, _pair_sum_rational,
                                     auto_correlation_check,
                                     cross_correlation_sum,
                                     hypergraph_conditions_report,
@@ -325,7 +324,7 @@ def _pair_sum_lcm_oracle(R, W):
 @given(R=st.floats(min_value=2.0, max_value=3000.0),
        W=st.sampled_from([1, 2, 6, 30, 210]))
 def test_pair_sum_diagonalised_matches_lcm_oracle(R, W):
-    got = _pair_sum_rational(R, W, math.log(R), DEFAULT_BUMP)
+    got = _pair_sum_rational(Q, R, W, math.log(R), DEFAULT_BUMP)
     assert got == pytest.approx(_pair_sum_lcm_oracle(R, W), rel=1e-12)
 
 
@@ -380,12 +379,6 @@ def test_squarefree_ideals_budget(monkeypatch):
                            "budget 100"):
             squarefree_ideals(QI, 1000.0, 1)
     assert len(squarefree_ideals(QI, 1000.0, 1)) > 100
-
-
-def test_mobius_totient_sieve_matches_sympy():
-    mu, tot = _mobius_totient(5000)
-    assert mu[1:] == [sympy.mobius(k) for k in range(1, 5001)]
-    assert tot[1:] == [sympy.totient(k) for k in range(1, 5001)]
 
 
 def test_singular_series_rational_oracle():

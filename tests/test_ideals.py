@@ -14,9 +14,10 @@ from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
                                has_finite_unit_group, is_prime_element,
-                               is_prime_vector, mobius, prime_divisors,
-                               primes_dividing, principal_generator,
-                               residue_degrees, zeta_residue)
+                               is_prime_vector, mobius, mobius_totient,
+                               prime_divisors, primes_dividing,
+                               principal_generator, residue_degrees,
+                               zeta_residue)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig, lambda_R
 from oracles import (add_oracle, class_equivalent_oracle,
@@ -240,6 +241,24 @@ def test_mobius_values():
     assert mobius(five) == 1  # two distinct primes
     pr = FractionalIdeal.principal(QI, QI.element([1, 1]))
     assert mobius(pr) == -1
+
+
+def test_mobius_totient_sieve_matches_sympy():
+    mu, tot = mobius_totient(Q, 5000)
+    assert mu[1:] == [sympy.mobius(k) for k in range(1, 5001)]
+    assert tot[1:] == [sympy.totient(k) for k in range(1, 5001)]
+
+
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(n=st.integers(0, 150))
+def test_mobius_totient_matches_principal_ideal_oracle(name, n):
+    # mu((m)) off the integer sieve against the ideal (m) built and read
+    K = make_field(name)
+    mu, _ = mobius_totient(K, n)
+    assert len(mu) == n + 1
+    for m in range(1, n + 1):
+        assert mu[m] == mobius(FractionalIdeal.principal(K, K.element(m)))
 
 
 def _oracle_mu(factors):
