@@ -20,15 +20,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import factorint, iroot, primerange
-from .errors import (ENUMERATION_BUDGET, NU_POINT_BUDGET, TUPLE_BUDGET,
-                     BudgetExceededError, check_budget)
+from .errors import (ENUMERATION_BUDGET, TUPLE_BUDGET, BudgetExceededError,
+                     check_budget)
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     factor_rational_prime, mobius_totient, prime_divisors,
+                     mobius_totient, prime_divisors, primes_above,
                      zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
-                      iter_points_in_parallelotope, points_in_parallelotope)
+                      iter_points_in_parallelotope)
 from .numberfield import FieldElement
-from .sieve import SieveConfig, c_phi, nu_weight
+from .sieve import SieveConfig, c_phi, region_nu_rows
 
 # ---------------------------------------------------------------------
 # Linear form systems
@@ -344,7 +344,7 @@ def _exceptional_primes(forms, W):
     for p in factorint(G):
         if W % p == 0:
             continue
-        for P in factor_rational_prime(forms.K, p):
+        for P in primes_above(forms.K, p):
             om = local_factor_omega(forms, P, (True,) * forms.s, W,
                                     forms.K.one)
             if om != Fraction(1, P.norm() ** forms.s):
@@ -486,30 +486,28 @@ def tau_weight(cfg: SieveConfig, y: FieldElement) -> float:
 def auto_correlation_check(y, region: Parallelotope,
                            cfg: SieveConfig) -> CorrelationReport:
     """Empirical mean of prod_i nu_N(x + y_i) over x in (N I) cap b versus
-    the bound C_s prod_{i<j} tau_factor(y_i - y_j)."""
+    the bound C_s prod_{i<j} tau_factor(y_i - y_j).  The products come a
+    row segment at a time from region_nu_rows and go to one math.fsum."""
     y = list(y)
     s = len(y)
     for i in range(s):
         for j in range(i + 1, s):
             if not (y[i] - y[j]):
                 raise ValueError("coincident coordinates in y")
-    pts = points_in_parallelotope(cfg.ambient, region.scaled(cfg.N),
-                                  NU_POINT_BUDGET)
-    if not pts:
-        raise ValueError("empty region")
+    count = 0
 
-    def term(x):
-        prod = 1.0
-        for yi in y:
-            prod *= nu_weight(cfg, x + yi)
-        return prod
+    def terms():
+        nonlocal count
+        for segment in region_nu_rows(cfg, y, region.scaled(cfg.N)):
+            count += len(segment)
+            yield from segment
 
-    emp = math.fsum(map(term, pts)) / len(pts)
+    emp = math.fsum(terms()) / count
     bound = 2.0 ** cfg.s
     for i in range(s):
         for j in range(i + 1, s):
             bound *= tau_factor(cfg, y[i] - y[j])
-    return CorrelationReport("auto_correlation", emp, bound, len(pts),
+    return CorrelationReport("auto_correlation", emp, bound, count,
                              dict(cfg.params_echo(), s_tuple=s))
 
 

@@ -27,8 +27,15 @@ def ball_elements(K: NumberField, ideal, radius: float):
 def iter_ball_elements(ideal, radius: float):
     """The lattice points of the ideal with Minkowski norm < radius, in
     coordinate order, one at a time from ball_rows under ENUMERATION_BUDGET."""
+    yield from row_elements(
+        ideal, ball_rows(ideal, radius, ENUMERATION_BUDGET)[2])
+
+
+def row_elements(ideal, rows):
+    """The points c H / den of the ideal along rows (c_0..c_{n-2}, lo, hi),
+    the last coefficient running over lo..hi, as field elements."""
     K, H, den, n = ideal.K, ideal.mat, ideal.den, ideal.K.degree
-    for c, lo, hi in ball_rows(ideal, radius, ENUMERATION_BUDGET)[2]:
+    for c, lo, hi in rows:
         base = [sum(a * row[j] for a, row in zip(c, H)) for j in range(n)]
         for ci in range(lo, hi + 1):
             yield FieldElement(
@@ -111,6 +118,11 @@ class Parallelotope:
         return Parallelotope(self.K, self.origin * f,
                              [u * f for u in self.edges])
 
+    def corners(self):
+        """The 2^n vertices origin + sum of a subset of the edges."""
+        return [sum((u for m, u in zip(mask, self.edges) if m), self.origin)
+                for mask in itertools.product((0, 1), repeat=len(self.edges))]
+
 
 def points_in_parallelotope(ideal, box: Parallelotope,
                             budget: int = ENUMERATION_BUDGET):
@@ -122,15 +134,24 @@ def points_in_parallelotope(ideal, box: Parallelotope,
 def iter_points_in_parallelotope(ideal, box: Parallelotope,
                                  budget: int = ENUMERATION_BUDGET):
     """The lattice points of the ideal inside the half-open parallelotope,
-    in coordinate order, generated one at a time.
+    in coordinate order, generated one at a time from parallelotope_rows."""
+    yield from row_elements(ideal, parallelotope_rows(ideal, box, budget))
+
+
+def parallelotope_rows(ideal, box: Parallelotope, budget):
+    """The rows (c_0..c_{n-2}, lo, hi) of the points c H / den of the ideal
+    inside the half-open parallelotope, the last coefficient running over
+    lo..hi, in coordinate order and none empty.
 
     x qualifies iff the coordinates t of x - origin in the edge basis
     satisfy 0 <= t_i < 1.  In integers: with the edges A / e over one
     denominator and x - origin = w / L, t = e w adj(A) / (L det A), so x
-    qualifies iff 0 <= e (w adj A)_i sgn(det A) < L |det A| for every i.
-    The candidates c H / den run over the box of the corners' coordinates
-    c in lexicographic order, which is coordinate order as H is upper
-    triangular with positive pivots; only accepted ones become elements.
+    qualifies iff 0 <= e (w adj A)_i sgn(det A) < L |det A| for every i,
+    that is 0 <= (c G - g)_i < bound.  The prefixes run over the box of
+    the corners' coordinates, whose size is checked against the budget on
+    the call, before anything is enumerated.  Each constraint is linear
+    in the last coefficient, so a row's range costs one ceiling and one
+    floor per constraint, not one test per candidate.
     """
     n = ideal.K.degree
     e = math.lcm(*(u.den for u in box.edges))
@@ -141,8 +162,7 @@ def iter_points_in_parallelotope(ideal, box: Parallelotope,
     adj = adjugate(A)
     o = box.origin
     # box of candidates: corners of the parallelotope in lattice coordinates
-    corners = [ideal.coords(sum((u for m, u in zip(mask, box.edges) if m), o))
-               for mask in itertools.product((0, 1), repeat=n)]
+    corners = [ideal.coords(x) for x in box.corners()]
     los = [min(math.floor(c[i]) for c in corners) for i in range(n)]
     his = [max(math.ceil(c[i]) for c in corners) for i in range(n)]
     total = 1
@@ -159,10 +179,28 @@ def iter_points_in_parallelotope(ideal, box: Parallelotope,
     g = [s * ideal.den * sum(map(operator.mul, o.num, col))
          for col in zip(*adj)]
     bound = ideal.den * o.den * abs(det)
-    yield from (ideal.element_at(c) for c in itertools.product(
-        *(range(lo, hi + 1) for lo, hi in zip(los, his)))
-        if all(0 <= sum(map(operator.mul, c, col)) - gi < bound
-               for col, gi in zip(zip(*G), g)))
+    cols = [col[:-1] for col in zip(*G)]  # the prefix's rows of G
+
+    def rows():
+        for c in itertools.product(*map(range, los[:-1],
+                                        [hi + 1 for hi in his[:-1]])):
+            lo, hi = los[-1], his[-1]
+            for col, gi, a in zip(cols, g, G[-1]):
+                # 0 <= r + a t < bound, i.e. -r <= a t <= top, in the last
+                # coefficient t
+                r = sum(map(operator.mul, c, col)) - gi
+                top = bound - 1 - r
+                if a > 0:
+                    lo, hi = max(lo, -(r // a)), min(hi, top // a)
+                elif a < 0:
+                    lo, hi = max(lo, -(top // -a)), min(hi, r // -a)
+                elif not 0 <= r < bound:
+                    break
+            else:
+                if lo <= hi:
+                    yield c, lo, hi
+
+    return rows()
 
 
 def fundamental_domain_reduce(ideal, x: FieldElement, N: int):

@@ -24,12 +24,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache, partial
 
-from .ideals import (FractionalIdeal, euler_phi, prime_divisors,
-                     primes_dividing, zeta_residue)
+from .arith import primerange
+from .errors import ENUMERATION_BUDGET, NU_POINT_BUDGET, check_budget
+from .ideals import (FractionalIdeal, _prime_times, euler_phi, prime_divisors,
+                     primes_above, primes_dividing, zeta_residue)
 from .lattice import (admissible_modulus, fundamental_domain_reduce,
-                      in_scaled_domain)
+                      in_scaled_domain, parallelotope_rows)
+from .numberfield import minkowski_norm
 
 
 class BumpFunction:
@@ -127,9 +131,9 @@ def c_phi(phi: BumpFunction = DEFAULT_BUMP) -> float:
 # for every divisor d that P divides, so every subset that holds a prime P
 # with log N P / log R >= support[1] adds exactly +-0.0 to the sum.
 # Lambda_R therefore runs over the subsets of the small primes alone, kept
-# in factor_ideal's order (ascending p, then factor_rational_prime's
-# order), so the sums of logs and the fsum are those of the full subset
-# sum and the value is the same float.
+# in factor_ideal's order (ascending p, then primes_above's order), so the
+# sums of logs and the fsum are those of the full subset sum and the value
+# is the same float.
 
 def _log_level(R) -> float:
     """log R for a sieve level R; ValueError unless 1 < R < inf."""
@@ -232,6 +236,135 @@ def nu_weight(cfg: SieveConfig, x) -> float:
     if not cfg.raw:
         v *= cfg.prefactor()
     return v
+
+
+# ---------------------------------------------------------------------
+# nu over a region: a divisor sieve along the rows of its points, each row
+# cut into segments of at most _SEGMENT points, so no list grows with the
+# region
+
+_SEGMENT = 2 ** 12
+
+
+def region_nu_rows(cfg: SieveConfig, shifts, region):
+    """prod_i nu(x + shifts_i) over the points x of the ambient b in the
+    region, one list per row segment, in coordinate order; each term
+    multiplies nu_weight's floats in the order of the shifts.
+
+    The errors are those of a loop of nu_weight over the points, in its
+    order: the region's, "empty region", the level R, then a shift with
+    alpha' = W shifts_i + alpha outside b (W x + alpha' is in b iff alpha'
+    is, so that is tested once).  In b-coordinates W x + alpha' is W c + a,
+    a those of alpha'; it is 0 at one point at most, where nu is 0 although
+    0 lies in every P b.  A small P (N P < R^support[1]) divides (W x +
+    alpha') b^-1 iff W c + a passes _sieve_rule's test, which along a row
+    holds on one residue class mod p of the last coefficient, on all of
+    the row or on none of it.  The primes are walked in factor_ideal's
+    order, so each point collects the norms nu_weight reads, in its order,
+    and Lambda is the same float.  The walk costs one step per row, shift
+    and small prime, so it pays while R^support[1] is small next to the
+    rows' length.
+    """
+    K, b, W = cfg.K, cfg.ambient, cfg.W
+    rows = parallelotope_rows(b, region, NU_POINT_BUDGET)
+    first = next(rows, None)
+    if first is None:
+        raise ValueError("empty region")
+    logR = _log_level(cfg.R)
+    alphas = [y * W + cfg.alpha for y in shifts]
+    coeffs = [b.coefficients(a) for a in alphas]
+    if None in coeffs:
+        raise ValueError("W x + alpha does not lie in the ambient ideal")
+    zeros = [tuple(-x // W for x in a) if all(x % W == 0 for x in a)
+             else None for a in coeffs]
+    small = partial(_is_small, logR=logR, phi=cfg.phi)
+    rules = []
+    for p in primerange(2, _walk_bound(cfg, region, alphas, logR) + 1):
+        if not small(p):
+            break
+        rules += [_sieve_rule(P, b, W, coeffs) for P in primes_above(K, p)
+                  if small(P.norm())]
+
+    @lru_cache(maxsize=None)
+    def nu(norms):
+        lam = _lambda_cached(norms, logR, cfg.phi)
+        return lam * lam if cfg.raw else lam * lam * cfg.prefactor()
+
+    def segment(c, lo, hi):
+        L = hi - lo + 1
+        marks = [[()] * L for _ in coeffs]  # per shift, each point's norms
+        for q, p, pre, along, aLs in rules:
+            r = [sum(map(operator.mul, c, col)) for col in pre]
+            for m, aL in zip(marks, aLs):
+                v = [(x + y) % p for x, y in zip(r, aL)]
+                t = -v.pop(0) if along else 0  # v_0 + t = 0 mod p
+                if any(v):
+                    continue
+                step = p if along else 1
+                for k in range((t - lo) % step, L, step):
+                    m[k] += (q,)
+        terms = [1.0] * L
+        for m, z in zip(marks, zeros):
+            col = list(map(nu, m))
+            if z is not None and z[:-1] == c and lo <= z[-1] <= hi:
+                col[z[-1] - lo] = 0.0
+            terms = list(map(operator.mul, terms, col))
+        return terms
+
+    for c, lo, hi in itertools.chain([first], rows):
+        for start in range(lo, hi + 1, _SEGMENT):
+            yield segment(c, start, min(hi, start + _SEGMENT - 1))
+
+
+def _walk_bound(cfg, region, alphas, logR):
+    """The largest p the region sieve walks, checked against
+    ENUMERATION_BUDGET: past R^support[1] no prime is small, and past the
+    largest quotient norm of the region none divides.  That norm is
+    bounded by AM-GM, |N y| <= (|y|^2 / n)^(n/2) for the Minkowski norm,
+    which is convex and so largest at a corner."""
+    n = cfg.K.degree
+    top = max(minkowski_norm(x * cfg.W + a)
+              for x in region.corners() for a in alphas)
+    # the slack covers the rounding of the float bound
+    bound = int((top * top / n) ** (n / 2) / cfg.ambient.norm()
+                * (1 + 1e-9)) + 1
+    level = logR * cfg.phi.support[1]
+    if level < 700:  # math.exp overflows past 709
+        bound = min(bound, int(math.exp(level)) + 2)
+    check_budget("region sieve prime bound", bound, ENUMERATION_BUDGET)
+    return bound
+
+
+def _sieve_rule(P, b, W, coeffs):
+    """The test of P in the region sieve, (N P, p, pre, along, aLs).
+
+    c in b-coordinates lies in P b iff g(c) = 0 mod p for the functionals
+    g, the columns of p times the P b-coordinates of b's basis, reduced mod
+    p to a basis of their span.  The last coordinate is pivoted first, so
+    only g_0 can involve it, with coefficient 1 when along.  With W
+    invertible mod p, W c + a is in P b iff g(prefix) + g_last t + g(a) / W
+    = 0 for every g: pre holds the prefix coefficients of each g, and aLs,
+    per shift, each g(a) / W.  When P | W, W c is in P b and the test is
+    g(a) = 0 at every point (pre is 0).
+    """
+    p, n = P.p, b.K.degree
+    Pb = _prime_times(P, b)
+    cols = [list(col) for col in zip(*([int(p * x) % p for x in Pb.coords(e)]
+                                       for e in b.basis_elements()))]
+    basis = []
+    for i in reversed(range(n)):
+        piv = next((v for v in cols if v[i]), None)
+        if piv is not None:
+            piv = [x * pow(piv[i], -1, p) % p for x in piv]
+            cols = [[(x - v[i] * y) % p for x, y in zip(v, piv)]
+                    for v in cols]
+            basis.append(piv)
+    winv = pow(W, -1, p) if W % p else 0
+    pre = [g[:-1] if winv else [0] * (n - 1) for g in basis]
+    along = bool(winv and basis and basis[0][-1])
+    aLs = [[(winv or 1) * sum(map(operator.mul, a, g)) % p for g in basis]
+           for a in coeffs]
+    return P.norm(), p, pre, along, aLs
 
 
 def lift_nu(cfg: SieveConfig, residue) -> float:

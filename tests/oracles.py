@@ -25,6 +25,10 @@ replaced, kept as test oracles.
   subset sum over every prime that factor_ideal finds, with nu's argument
   built as the ideal (W x + alpha) b^{-1}; the sieve now reads the primes
   below R off the norm instead.
+- `auto_correlation_oracle`: auto_correlation_check as a loop over the
+  points of points_in_parallelotope, each term a product of nu_weight
+  calls; auto_correlation_check now sieves nu along the rows of the
+  region (sieve.region_nu_rows) and factors no point.
 - `alpha_scan_oracle`: the alpha-scan as a loop over the prime ideals of
   the window, each P b built in HNF, its generator found by
   principal_generator and reduced by fundamental_domain_reduce, and
@@ -59,15 +63,18 @@ import numpy as np
 
 from idealsieve.arith import factorint, primerange
 from idealsieve.constellation import make_certificate
-from idealsieve.correlation import omega_tuple, squarefree_ideals
+from idealsieve.correlation import (CorrelationReport, omega_tuple,
+                                    squarefree_ideals, tau_factor)
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_ideal, factor_rational_prime,
                                is_prime_vector, principal_generator,
                                residue_degrees)
-from idealsieve.errors import BudgetExceededError
-from idealsieve.lattice import ball_elements, fundamental_domain_reduce
+from idealsieve.errors import NU_POINT_BUDGET, BudgetExceededError
+from idealsieve.lattice import (ball_elements, fundamental_domain_reduce,
+                                points_in_parallelotope)
 from idealsieve.linalg import hnf
 from idealsieve.numberfield import minkowski_norm
+from idealsieve.sieve import nu_weight
 
 
 def coords_add(a, b):
@@ -293,6 +300,35 @@ def nu_weight_oracle(cfg, x):
     if not cfg.raw:
         v *= cfg.prefactor()
     return v
+
+
+def auto_correlation_oracle(y, region, cfg):
+    """auto_correlation_check as a loop over points_in_parallelotope, each
+    term a product of nu_weight calls."""
+    y = list(y)
+    s = len(y)
+    for i in range(s):
+        for j in range(i + 1, s):
+            if not (y[i] - y[j]):
+                raise ValueError("coincident coordinates in y")
+    pts = points_in_parallelotope(cfg.ambient, region.scaled(cfg.N),
+                                  NU_POINT_BUDGET)
+    if not pts:
+        raise ValueError("empty region")
+
+    def term(x):
+        prod = 1.0
+        for yi in y:
+            prod *= nu_weight(cfg, x + yi)
+        return prod
+
+    emp = math.fsum(map(term, pts)) / len(pts)
+    bound = 2.0 ** cfg.s
+    for i in range(s):
+        for j in range(i + 1, s):
+            bound *= tau_factor(cfg, y[i] - y[j])
+    return CorrelationReport("auto_correlation", emp, bound, len(pts),
+                             dict(cfg.params_echo(), s_tuple=s))
 
 
 def alpha_scan_oracle(cfg, window):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -805,3 +806,29 @@ def test_cli_does_not_import_numpy_mpmath_scipy_sympy_dataclasses_or_inspect(
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [str([EXIT_OK] * len(runs)), "[]"]
     assert read_lines(tmp_path / "out.jsonl")[0]["op"] == "cphi"
+
+
+# The four seed-0 runs the benchmark times, with the sha256 of each report:
+# a change that keeps the reports keeps these values.
+_SEED0_REPORTS = [
+    (["search", "--field", "Q(i)", "--anchor-bound", "25", "--step-bound",
+      "2.5", "--max-hits", "20"],
+     "b16efe3a3b07acc9d2bae59ed4498b5c6ab48ff73c43e07f28dd7f82e6766c22"),
+    (["alpha-scan", "--field", "Q(i)", "--w", "2", "--window", "100",
+      "1200", "--R", "50"],
+     "364f036ea1595f3f62d73c173ed4d4a4d6b1019a45c3d943c6ba81140153625a"),
+    (["singular-series", "--s", "2", "--R", "5000"],
+     "b35604ba108966cd6c94f861cfdfcc96644cb5113e424e76106ba7cf33c4ebee"),
+    (["--workers", "2", "autocorr", "--N", "1000", "--s", "2", "--y", "0",
+      "2"],
+     "4c0c09a525a47d9291995b68035e4503e485aa603e88eabf5adff72541df177b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _SEED0_REPORTS,
+                         ids=["search-qi", "alpha-scan-qi",
+                              "singular-series-q", "autocorr-q-w2"])
+def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "report.jsonl"
+    assert run(["--output", str(out)] + argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

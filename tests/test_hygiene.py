@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from idealsieve import constellation, correlation, ideals, lattice
+from idealsieve import constellation, correlation, ideals, lattice, sieve
 from idealsieve.numberfield import minkowski_norm
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "idealsieve"
@@ -128,7 +128,7 @@ def test_named_limits_replace_unused_parameters():
                correlation.hypergraph_conditions_report,
                ideals.enumerate_prime_ideals, ideals.count_ideals,
                ideals.TruncatedClass.build, lattice.ball_elements,
-               lattice.iter_ball_elements):
+               lattice.iter_ball_elements, sieve.region_nu_rows):
         assert "budget" not in _params(fn), fn.__name__
     assert "M" not in _params(correlation.hypergraph_conditions_report)
     for fn in (lattice.iter_ball_elements, minkowski_norm,
@@ -137,5 +137,6 @@ def test_named_limits_replace_unused_parameters():
     # two budgets each are in use: the search's and alpha-scan's infinite
     # one; autocorr's and the enumeration budget
     for fn in (lattice.ball_rows, lattice.points_in_parallelotope,
-               lattice.iter_points_in_parallelotope):
+               lattice.iter_points_in_parallelotope,
+               lattice.parallelotope_rows):
         assert "budget" in _params(fn), fn.__name__

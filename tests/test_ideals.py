@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealsieve import correlation, ideals, sieve
+from idealsieve import correlation, ideals, lattice, sieve
 from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
@@ -73,9 +73,9 @@ def test_zeta5_residue_degrees_read_off_p_mod_5():
         assert residue_degrees(K, p) \
             == [P.f for P in factor_rational_prime(K, p)], p
     # the closed form neither splits p nor touches the splitting cache
-    before = factor_rational_prime.cache_info()
+    before = ideals.primes_above.cache_info()
     count_ideals(K, 10**5)
-    assert factor_rational_prime.cache_info() == before
+    assert ideals.primes_above.cache_info() == before
 
 
 def test_galois_premise_primes_share_e_and_f():
@@ -138,7 +138,7 @@ def test_quartic_splitting_matches_sympy_large(n, r):
 
 
 def test_caches_bounded(monkeypatch):
-    assert factor_rational_prime.cache_info().maxsize == 2**16
+    assert ideals.primes_above.cache_info().maxsize == 2**16
     assert ideals._prime_ideal_lattice.cache_info().maxsize == 2**16
     assert ideals._FACTOR_CACHE_SIZE == 2**16
     assert correlation._omega_cached_key.cache_info().maxsize == 2**16
@@ -774,3 +774,29 @@ def test_ideal_arithmetic_matches_fraction_oracle(data):
     inv = I.inverse()
     assert inv == inverse_oracle(I)
     assert I * inv == FractionalIdeal.unit_ideal(K)
+
+
+def test_prime_walks_do_not_reprove_primes(monkeypatch):
+    # enumerate_prime_ideals takes p from primerange, prime_divisors and
+    # primes_dividing from factorint, and the region sieve walks
+    # primerange: none runs isprime, which factor_rational_prime keeps
+    want = {K: enumerate_prime_ideals(K, 200) for K in map(
+        make_field, SUPPORTED_POLYS.values())}
+    ideals.primes_above.cache_clear()
+
+    def forbidden(n):
+        raise AssertionError("isprime called")
+
+    monkeypatch.setattr(ideals, "isprime", forbidden)
+    for K, primes in want.items():
+        assert enumerate_prime_ideals(K, 200) == primes
+        x = K.element([60] + [1] * (K.degree - 1))
+        O = FractionalIdeal.unit_ideal(K)
+        assert primes_dividing(O, x) \
+            == prime_divisors(FractionalIdeal.principal(K, x))
+    cfg = SieveConfig(Q, N=50, s=1, w=1, logR=math.log(30.0))
+    correlation.auto_correlation_check([Q.zero], lattice.Parallelotope(
+        Q, Q.zero, [Q.one]), cfg)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="4 is not prime"):
+        factor_rational_prime(Q, 4)

@@ -176,6 +176,41 @@ def test_parallelotope_matches_fraction_oracle(case, origin, edges, factor,
     assert got == want
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_BOX_AMBIENTS).flatmap(st.sampled_from),
+       scales=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+       shear=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       flip=st.booleans(), origin=_small_element,
+       factor=st.fractions(-4, 4, max_denominator=3).filter(bool),
+       budget=st.sampled_from([30, 5000]))
+def test_parallelotope_rows_expand_to_the_oracle(case, scales, shear, flip,
+                                                 origin, factor, budget):
+    # edges d_i (e_i + sum_{j > i} s_ij e_j) are sheared, so the bounds of
+    # a row have negative, zero and positive slopes in its last
+    # coefficient; flip negates the first edge, and with the sign of the
+    # factor that gives both signs of the determinant
+    K, I = case
+    n = K.degree
+    s = iter(shear)
+    edges = [[0] * i + [d] + [d * next(s) for _ in range(i + 1, n)]
+             for i, d in enumerate(scales[:n])]
+    if flip:
+        edges[0] = [-x for x in edges[0]]
+    box = Parallelotope(K, _element(K, *origin),
+                        [K.element(u) for u in edges]).scaled(factor)
+    try:
+        want = parallelotope_oracle(I, box, budget=budget)
+    except BudgetExceededError as exc:
+        # raised on the call, before a row is asked for
+        with pytest.raises(BudgetExceededError, match=re.escape(str(exc))):
+            lattice.parallelotope_rows(I, box, budget)
+        return
+    rows = list(lattice.parallelotope_rows(I, box, budget))
+    assert all(lo <= hi for _, lo, hi in rows)
+    assert [I.element_at(c + (t,)) for c, lo, hi in rows
+            for t in range(lo, hi + 1)] == want
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.integers(-5, 5), min_size=n, max_size=n),

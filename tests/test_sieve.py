@@ -7,17 +7,21 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from idealsieve import constellation, ideals, lattice, sieve
+from idealsieve.cli import _square_region
 from idealsieve.constellation import (ConstellationSpec, alpha_scan,
                                       search_constellation,
                                       verify_certificate)
+from idealsieve.correlation import auto_correlation_check
 from idealsieve.ideals import (FractionalIdeal, _prime_times,
                                enumerate_prime_ideals, factor_rational_prime)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from idealsieve.sieve import (DEFAULT_BUMP, BumpFunction, SieveConfig,
                               _lambda_cached, c_phi, lambda_R,
                               lift_nu, nu_weight)
-from oracles import alpha_scan_oracle, lambda_oracle, nu_weight_oracle
+from oracles import (alpha_scan_oracle, auto_correlation_oracle,
+                     lambda_oracle, nu_weight_oracle)
 from test_acceptance import _c_phi_fourier
+from test_constellation import _search_ambients
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -296,6 +300,47 @@ def test_nu_weight_matches_factorisation_oracle(data):
                       phi=data.draw(st.sampled_from(BUMPS), label="phi"),
                       raw=data.draw(st.booleans(), label="raw"))
     assert _outcome(nu_weight, cfg, x) == _outcome(nu_weight_oracle, cfg, x)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_auto_correlation_matches_per_point_oracle(name, data):
+    # the region sieve gives the report of the loop of nu_weight over the
+    # points, or its error: W = 1, 2, 6, one or two shifts, the CLI's level
+    # and levels where primes are small, W y + alpha outside b, and alpha
+    # = W e with e in b, so that W (x + y_i) + alpha = 0 at x = -(y_i + e)
+    K = make_field(name)
+    b = data.draw(st.sampled_from(_search_ambients(K)), label="ambient")
+    w = data.draw(st.integers(1, 3), label="w")
+    coeffs = st.lists(st.integers(-3, 3), min_size=K.degree,
+                      max_size=K.degree)
+    in_b = coeffs.map(b.element_at)
+    alpha = data.draw(in_b | in_b.map(lambda e: e * (1, 2, 6)[w - 1])
+                      | coeffs.map(K.element), label="alpha")
+    y = data.draw(st.lists(in_b | coeffs.map(K.element), min_size=1,
+                           max_size=2), label="y")
+    logR = data.draw(st.sampled_from([2.0, 2.5, 5.0, 12.0, 40.0]).map(
+        math.log) | st.floats(0.05, 4.0) | st.none(), label="logR")
+    cfg = SieveConfig(K, N=data.draw(st.integers(2, 3 if K.degree == 4
+                                                 else 9), label="N"),
+                      s=len(y), w=w, alpha=alpha, ambient=b, logR=logR,
+                      raw=data.draw(st.booleans(), label="raw"))
+    region = _square_region(K)
+    assert _outcome(auto_correlation_check, y, region, cfg) \
+        == _outcome(auto_correlation_oracle, y, region, cfg)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+def test_auto_correlation_reads_zero_before_the_sieve(name):
+    # alpha = 0: W (x + y_i) + alpha is 0 at x = -y_i, a point of the
+    # region; 0 lies in every P b, yet nu is 0 there
+    K = make_field(name)
+    cfg = SieveConfig(K, N=3, s=2, w=2, alpha=K.zero, logR=math.log(40.0))
+    y = [K.zero, K.one]
+    assert nu_weight(cfg, K.zero) == 0.0
+    assert auto_correlation_check(y, _square_region(K), cfg) \
+        == auto_correlation_oracle(y, _square_region(K), cfg)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
