@@ -89,10 +89,10 @@ def make_certificate(K, ambient, k, a, xi, pattern) -> Certificate:
     witnesses = [primes_dividing(ambient, pt)[0].to_json() for pt in pts]
     return Certificate(K.name, ambient.to_json(), k, _coords_out(a),
                        _coords_out(xi), [_coords_out(p) for p in pts],
-                       _radius(K, xi, pattern), witnesses)
+                       _radius(xi, pattern), witnesses)
 
 
-def _radius(K, xi, pattern):
+def _radius(xi, pattern):
     """The certified radius: the largest |xi j|, widened by 1e-9."""
     return max(minkowski_norm(xi * j) for j in pattern) + 1e-9
 
@@ -109,8 +109,8 @@ def search_constellation(spec: ConstellationSpec):
     pattern = spec.pattern()
     steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12))
              if x]
-    # stable sorts of lists in coordinate order, ties keeping that order;
-    # the anchors' key is minkowski_norm's rational, rounded the same way
+    # stable sorts of lists in coordinate order, ties keeping that order:
+    # the steps once here, each step's hit anchors as they are found
     steps.sort(key=minkowski_norm)
 
     def q(c):  # c H / den has squared Minkowski norm q(c) / den^2
@@ -144,13 +144,9 @@ def search_constellation(spec: ConstellationSpec):
                 prime[N] = is_prime_norm(K, N)
             flags[i] += prime[N]
     table = int(flags[::-1], 2)
-    anchors = sorted((c + (t,) for c, lo, hi in ball_rows(
-        b, radius, ENUMERATION_BUDGET)[2] for t in range(lo, hi + 1)),
-        key=lambda c: math.sqrt(q(c) / b.den ** 2))
-    rank = {index(c): r for r, c in enumerate(anchors)}
     flags = bytearray(b"0") * (index(box) + 1)
-    for i in rank:
-        flags[i] = 49
+    for c, lo, hi in ball_rows(b, radius, ENUMERATION_BUDGET)[2]:
+        flags[index(c + (lo,)):index(c + (hi,)) + 1] = b"1" * (hi - lo + 1)
     prime_anchors = int(flags[::-1], 2) & table  # 0 is in every pattern
     hits = []
     for xi, Rx in zip(steps, R):
@@ -161,10 +157,12 @@ def search_constellation(spec: ConstellationSpec):
             live &= table >> s if s >= 0 else table << -s
             if not live:
                 break
-        for r in sorted(rank[m.start()]
-                        for m in re.finditer("1", bin(live)[:1:-1])):
-            hits.append(make_certificate(K, b, spec.k, b.element_at(anchors[r]),
-                                         xi, pattern))
+        # the bits ascend in index, which is coordinate order
+        bits = (m.start() for m in re.finditer("1", bin(live)[:1:-1]))
+        found = [b.element_at([i // s % (2 * m + 1) - m
+                               for m, s in zip(box, stride)]) for i in bits]
+        for a in sorted(found, key=minkowski_norm):
+            hits.append(make_certificate(K, b, spec.k, a, xi, pattern))
             if spec.max_hits and len(hits) >= spec.max_hits:
                 return hits
     return hits
@@ -208,7 +206,7 @@ def verify_certificate(cert: Certificate):
         # the points are a + xi j (else "pattern"), so each |pt - a| is
         # below the radius once it is the one make_certificate derives
         try:
-            radius = _radius(K, xi, pattern)
+            radius = _radius(xi, pattern)
         except OverflowError:  # |xi j|^2 beyond the float range
             radius = math.inf
         if cert.radius != radius:

@@ -181,10 +181,9 @@ class SieveConfig:
     2^{sz}), z the field degree times the number of forms per point."""
 
     def __init__(self, K, N, s=1, k=1.5, w=3, alpha=None, epsilon=0.05,
-                 A=10.0, logR=None, phi=DEFAULT_BUMP, raw=False,
-                 ambient=None):
+                 logR=None, phi=DEFAULT_BUMP, raw=False, ambient=None):
         self.K, self.N, self.s, self.k, self.w = K, N, s, k, w
-        self.epsilon, self.A, self.phi, self.raw = epsilon, A, phi, raw
+        self.epsilon, self.phi, self.raw = epsilon, phi, raw
         self.ambient = (FractionalIdeal.unit_ideal(K) if ambient is None
                         else ambient)
         self.W = admissible_modulus(w)
@@ -208,7 +207,7 @@ class SieveConfig:
         return {"field": self.K.name, "N": self.N, "s": self.s, "k": self.k,
                 "w": self.w,
                 "W": self.W, "alpha": [str(c) for c in self.alpha.coords],
-                "epsilon": self.epsilon, "A": self.A, "logR": self.logR,
+                "epsilon": self.epsilon, "A": 10.0, "logR": self.logR,
                 "raw": self.raw}
 
 

@@ -824,10 +824,27 @@ _SEED0_REPORTS = [
      "4c0c09a525a47d9291995b68035e4503e485aa603e88eabf5adff72541df177b"),
 ]
 
+# Three searches over anchor balls with many ties of Minkowski norm (units of
+# order 4 and 6, and degree 4): their hashes pin the order of a step's hits,
+# ties in coordinate order.
+_SEARCH_REPORTS = [
+    (["search", "--field", "Q(i)", "--k", "2.5", "--anchor-bound", "120",
+      "--step-bound", "8", "--max-hits", "40"],
+     "5de3e94803e579c71a0ecb44681887517b52f11b0cb20b43b12dcd6bb15946f3"),
+    (["search", "--field", "Q(sqrt-3)", "--k", "2.1", "--anchor-bound", "80",
+      "--step-bound", "6", "--max-hits", "40"],
+     "05224821b053205d99987dea1d5cb5aa663cd162121f89b741e674ad36dd56cd"),
+    (["search", "--field", "Q(zeta5)", "--k", "2.1", "--anchor-bound", "12",
+      "--step-bound", "4", "--max-hits", "40"],
+     "4795859a9139d43a7a078b04204777dbca498953d06bc500f642ae91fea8ee79"),
+]
 
-@pytest.mark.parametrize("argv, digest", _SEED0_REPORTS,
+
+@pytest.mark.parametrize("argv, digest", _SEED0_REPORTS + _SEARCH_REPORTS,
                          ids=["search-qi", "alpha-scan-qi",
-                              "singular-series-q", "autocorr-q-w2"])
+                              "singular-series-q", "autocorr-q-w2",
+                              "search-ties-qi", "search-ties-qsqrt-3",
+                              "search-ties-qzeta5"])
 def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK

@@ -131,6 +131,7 @@ def test_named_limits_replace_unused_parameters():
                lattice.iter_ball_elements, sieve.region_nu_rows):
         assert "budget" not in _params(fn), fn.__name__
     assert "M" not in _params(correlation.hypergraph_conditions_report)
+    assert "A" not in _params(sieve.SieveConfig)
     for fn in (lattice.iter_ball_elements, minkowski_norm,
                ideals.is_prime_element, ideals.is_prime_vector):
         assert "K" not in _params(fn), fn.__name__
@@ -140,3 +141,33 @@ def test_named_limits_replace_unused_parameters():
                lattice.iter_points_in_parallelotope,
                lattice.parallelotope_rows):
         assert "budget" in _params(fn), fn.__name__
+
+
+# bench/micro.py calls ball_elements(Qi, unit, r), so its positional K stays
+# until the benchmark is revised (ROADMAP item 6)
+_UNREAD_ALLOWED = {"lattice.py: ball_elements(K)"}
+
+
+def _unread_parameters(path):
+    """Parameters of the functions and methods in a module that their body
+    (nested functions included) never reads; self and cls excepted."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                  + [a.vararg, a.kwarg] if p is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{path.name}: {fn.name}({p})" for p in params
+                if p not in read and p not in ("self", "cls")]
+    return out
+
+
+def test_every_parameter_is_read():
+    # a parameter that does nothing is removed, not carried
+    unread = [u for path in sorted(SRC.glob("*.py"))
+              for u in _unread_parameters(path)]
+    assert sorted(set(unread) - _UNREAD_ALLOWED) == []
+    assert _UNREAD_ALLOWED <= set(unread)

@@ -41,7 +41,7 @@ SIGNATURES = {
                         ("predicted", REQUIRED), ("sample_size", REQUIRED),
                         ("parameters", REQUIRED)],
     SieveConfig: [("K", REQUIRED), ("N", REQUIRED), ("s", 1), ("k", 1.5),
-                  ("w", 3), ("alpha", None), ("epsilon", 0.05), ("A", 10.0),
+                  ("w", 3), ("alpha", None), ("epsilon", 0.05),
                   ("logR", None), ("phi", DEFAULT_BUMP), ("raw", False),
                   ("ambient", None)],
 }
