@@ -3,17 +3,19 @@
 Flat key=value config files (# comments) feed experiment parameters: each
 line becomes the flag --key with the value's whitespace-split tokens, ahead
 of the command line's own flags, so CLI flags override file values.
-Reports are JSON lines, optionally mirrored to CSV with columns x,
-empirical, predicted, ratio.  Exit codes: 0 ok, 1 a well-formed
-certificate failed verification, 2 usage error or only malformed
-("schema") certificate lines, 3 budget exhausted, 4 internal error (an
-unexpected exception; its traceback goes to stderr).  Runs are
-single-threaded; --workers is accepted and leaves every report unchanged.
+Reports are JSON lines, written as they are made and optionally mirrored
+to CSV with columns x, empirical, predicted, ratio.  Exit codes: 0 ok, 1 a
+well-formed certificate failed verification, 2 usage error or only
+malformed ("schema") certificate lines, 3 budget exhausted (no report), 4
+internal error (an unexpected exception, its traceback on stderr; the
+report may be partial).  Runs are single-threaded; --workers is accepted
+and leaves every report unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -29,7 +31,7 @@ from .correlation import (LinearFormSystem, auto_correlation_check,
                           singular_series_main_term)
 from .errors import (ENUMERATION_BUDGET, FACTOR_BUDGET, BudgetExceededError,
                      IdealSieveError, check_budget)
-from .ideals import FractionalIdeal, enumerate_prime_ideals, mobius_totient
+from .ideals import FractionalIdeal, enumerate_prime_ideals, mobius_sieve
 from .lattice import Parallelotope, fundamental_domain_reduce
 from .numberfield import field_by_name
 from .sieve import SieveConfig, c_phi, lambda_of_norms
@@ -71,31 +73,36 @@ def read_config(path):
     return out
 
 
-def _emit(args, lines, rows=None):
-    """Write the report lines, and their CSV mirror when rows are given
-    and --csv is set."""
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if rows is not None and args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("x,empirical,predicted,ratio\n")
-            for x, emp, pred in rows:
-                ratio = emp / pred if pred else math.inf
-                fh.write(f"{x},{emp!r},{pred!r},{ratio!r}\n")
+def _emit(args, lines, x=None):
+    """Write the report lines, from any iterable, as they arrive (an empty
+    report is one newline), and with --csv mirror each line's params[x],
+    empirical, predicted and ratio, read back off its JSON.  --output, then
+    --csv, is opened first, so a crash part-way leaves a partial report."""
+    with contextlib.ExitStack() as files:
+        out = (files.enter_context(open(args.output, "w")) if args.output
+               else sys.stdout)
+        csv = x and args.csv and files.enter_context(open(args.csv, "w"))
+        if csv:
+            csv.write("x,empirical,predicted,ratio\n")
+        sep = ""  # "\n".join(lines) + "\n", a line at a time
+        for line in lines:
+            out.write(sep + line)
+            sep = "\n"
+            if csv:
+                r = json.loads(line)
+                csv.write(f"{r['params'][x]},{r['empirical']!r},"
+                          f"{r['predicted']!r},{r['ratio']!r}\n")
+        out.write("\n")
     return EXIT_OK
 
 
 def cmd_primes(args):
     K = field_by_name(args.field)
-    lines = [json.dumps({"op": "prime", "p": P.p, "g": list(P.gpoly),
+    lines = (json.dumps({"op": "prime", "p": P.p, "g": list(P.gpoly),
                          "e": P.e, "f": P.f, "norm": P.norm(),
                          "params": {"field": K.name, "bound": args.bound}},
                         sort_keys=True)
-             for P in enumerate_prime_ideals(K, args.bound)]
+             for P in enumerate_prime_ideals(K, args.bound))
     return _emit(args, lines)
 
 
@@ -104,25 +111,20 @@ def cmd_mobius(args):
     check_budget("the bound", args.bound, ENUMERATION_BUDGET)
     check_budget(f"N(({args.bound})) =", max(args.bound, 0) ** K.degree,
                  FACTOR_BUDGET)
-    mu = mobius_totient(K, args.bound)[0]
-    return _emit(args, [json.dumps({"op": "mobius", "m": m, "mu": mu[m],
+    mu = mobius_sieve(K, args.bound)
+    return _emit(args, (json.dumps({"op": "mobius", "m": m, "mu": mu[m],
                                     "params": {"field": K.name}},
                                    sort_keys=True)
-                        for m in range(1, args.bound + 1)])
+                        for m in range(1, args.bound + 1)))
 
 
 def cmd_lambda(args):
     K = field_by_name(args.field)
-    lines = []
-    rows = []
-    for P in enumerate_prime_ideals(K, args.bound):
-        val = lambda_of_norms((P.norm(),), args.R)
-        lines.append(report_line("lambda", val, 1.0,
-                                 {"field": K.name, "R": args.R,
-                                  "norm": P.norm(), "p": P.p,
-                                  "g": list(P.gpoly)}))
-        rows.append((P.norm(), val, 1.0))
-    return _emit(args, lines, rows)
+    lines = (report_line("lambda", lambda_of_norms((P.norm(),), args.R), 1.0,
+                         {"field": K.name, "R": args.R, "norm": P.norm(),
+                          "p": P.p, "g": list(P.gpoly)})
+             for P in enumerate_prime_ideals(K, args.bound))
+    return _emit(args, lines, "norm")
 
 
 def cmd_cphi(args):
@@ -159,23 +161,20 @@ def cmd_correlate(args):
     forms = _random_forms(K, rng, args.s, args.m)
     region = _square_region(K)
     rep = cross_correlation_sum(forms, region, args.lam, lambda x: 1.0)
-    return _emit(args, [rep.to_json()],
-                 [(args.lam, rep.empirical, rep.predicted)])
+    return _emit(args, [rep.to_json()], "lambda")
 
 
 def cmd_singular_series(args):
     K = field_by_name(args.field)
     forms = LinearFormSystem(
         K, [[int(i == j) for j in range(args.s)] for i in range(args.s)])
-    lines, rows = [], []
-    for R in args.R:
-        S = singular_series_direct(forms, R, args.W)
-        main = singular_series_main_term(forms, R, args.W)
-        lines.append(report_line("singular_series", S, main,
-                                 {"field": K.name, "R": R, "W": args.W,
-                                  "s": args.s}))
-        rows.append((R, S, main))
-    return _emit(args, lines, rows)
+    # a list: a budget error at a later --R leaves no report behind
+    lines = [report_line("singular_series",
+                         singular_series_direct(forms, R, args.W),
+                         singular_series_main_term(forms, R, args.W),
+                         {"field": K.name, "R": R, "W": args.W, "s": args.s})
+             for R in args.R]
+    return _emit(args, lines, "R")
 
 
 def cmd_autocorr(args):
@@ -209,12 +208,12 @@ def cmd_search(args):
                              anchor_bound=args.anchor_bound,
                              step_bound=args.step_bound,
                              max_hits=args.max_hits)
-    return _emit(args, [h.to_json() for h in search_constellation(spec)])
+    return _emit(args, (h.to_json() for h in search_constellation(spec)))
 
 
 def cmd_verify(args):
     ok_all = schema_only = True
-    lines = []
+    lines = []  # the exit code needs every verdict before the report
     with open(args.certificate) as fh:
         for line in fh:
             line = line.strip()

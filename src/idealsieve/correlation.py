@@ -23,7 +23,7 @@ from .arith import factorint, iroot, primerange
 from .errors import (ENUMERATION_BUDGET, TUPLE_BUDGET, BudgetExceededError,
                      check_budget)
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     mobius_totient, prime_divisors, primes_above,
+                     mobius_sieve, prime_divisors, primes_above,
                      zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope)
@@ -368,7 +368,12 @@ def _pair_sum_rational(K, R, W, logR, phi):
     """
     Ri = int(math.ceil(R)) - 1
     check_budget(f"the integers below R = {R}:", Ri, ENUMERATION_BUDGET)
-    mob, tot = mobius_totient(K, Ri)
+    mob = mobius_sieve(K, Ri)
+    tot = list(range(Ri + 1))  # Euler's phi, right at every e coprime to W
+    for p in primerange(2, Ri + 1):
+        if W % p:
+            for k in range(p, Ri + 1, p):
+                tot[k] -= tot[k] // p
     ds = [x for x in range(1, Ri + 1) if mob[x] and math.gcd(x, W) == 1]
     v = [0.0] * (Ri + 1)
     for x in ds:

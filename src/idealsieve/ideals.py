@@ -400,24 +400,20 @@ def mobius(a: FractionalIdeal) -> int:
     return (-1) ** len(primes)
 
 
-def mobius_totient(K: NumberField, n):
-    """mu((k)) over K and the rational phi(k) for 0 <= k <= n (index 0
-    unused), by a sieve over the primes p <= n: (k) is squarefree iff k is
-    and every p | k is unramified (its residue degrees sum to the degree),
-    and then mu((k)) is the product over p | k of (-1)^(primes above p)."""
+def mobius_sieve(K: NumberField, n):
+    """mu((k)) over K for 0 <= k <= n (index 0 unused), by a sieve over
+    the primes p <= n: (k) is squarefree iff k is and every p | k is
+    unramified (its residue degrees sum to the degree), and then mu((k))
+    is the product over p | k of (-1)^(primes above p)."""
     mu = [1] * (n + 1)
-    tot = list(range(n + 1))
-    for p in range(2, n + 1):
-        if tot[p] != p:  # a smaller prime divides p
-            continue
+    for p in primerange(2, n + 1):
         degrees = residue_degrees(K, p)
         sign = (-1) ** len(degrees) if sum(degrees) == K.degree else 0
         for k in range(p, n + 1, p):
             mu[k] *= sign
-            tot[k] -= tot[k] // p
         for k in range(p * p, n + 1, p * p):
             mu[k] = 0
-    return mu, tot
+    return mu
 
 
 def euler_phi(K: NumberField, W: int) -> int:

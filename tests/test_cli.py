@@ -75,6 +75,64 @@ def test_lambda_csv_mirror(tmp_path):
     assert len(lines) - 1 == len(read_lines(out))
 
 
+# The CSV mirror of each command that writes one, with the sha256 of the
+# CSV: the mirror is read back off the report lines, and json keeps every
+# float's repr, so the CSV carries the report's exact values.
+_CSV_MIRRORS = [
+    (["lambda", "--field", "Q(i)", "--bound", "200", "--R", "30"],
+     "ced4c16af2510668dab539b7e6a08d62228ef098f1f0b58937dd129cd6a78a17"),
+    (["singular-series", "--s", "1", "--R", "100", "1000", "4999.5"],
+     "246c5dc648e5cf296b57d517d268b3ea0d8a7cca2d0331a6412ab0a08dddbfbe"),
+    (["correlate", "--field", "Q", "--lam", "5"],
+     "f1aef72b611e2a22755c4f1fb5dc7e0a1a82c23f7309632611c79d51f3723947"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _CSV_MIRRORS,
+                         ids=["lambda", "singular-series", "correlate"])
+def test_csv_mirror_hashes_are_pinned(tmp_path, argv, digest):
+    csv = tmp_path / "mirror.csv"
+    assert run(["--output", str(tmp_path / "report.jsonl"), "--csv",
+                str(csv)] + argv) == EXIT_OK
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+def test_empty_report_is_one_newline(tmp_path):
+    out = tmp_path / "p.jsonl"
+    assert run(["--output", str(out), "primes", "--bound", "1"]) == EXIT_OK
+    assert out.read_bytes() == b"\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # the first --R is within budget: its line must not be written alone
+    ["singular-series", "--R", "100", "1e300"],
+    ["primes", "--bound", "20000000"],
+])
+def test_budget_error_leaves_no_report(tmp_path, argv):
+    out = tmp_path / "f"
+    assert run(["--output", str(out)] + argv) == EXIT_BUDGET
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_mobius_report_streams_in_bounded_memory():
+    # a fresh interpreter, whose peak RSS is this one run's: 200,000 report
+    # lines held at once took 67 MB, written one at a time under 20 MB.
+    # VmHWM, not ru_maxrss: Linux carries the ru_maxrss of this large test
+    # process over the child's exec
+    code = ("import os\n"
+            "from idealsieve.cli import main\n"
+            "assert main(['--output', os.devnull, 'mobius', '--field', 'Q',"
+            " '--bound', '200000']) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(fh.read().split('VmHWM:')[1].split()[0])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024  # kB
+
+
 def test_cphi_subcommand(tmp_path):
     out = tmp_path / "c.jsonl"
     assert run(["--output", str(out), "cphi"]) == EXIT_OK
@@ -651,7 +709,7 @@ def test_hypergraph_extreme_N(tmp_path, capsys):
     ["correlate", "--field", "Q", "--s", "1", "--m", "5000", "--lam", "12"],
     # 5 * 10^6 region points: only iroot(budget, m) + 1 are enumerated
     ["correlate", "--field", "Q", "--lam", "5000000"],
-    # one report line per m, built in memory: the bound is checked first
+    # one report line per m: the bound is checked before the first
     ["mobius", "--bound", "100000000"],
     # the integers below R over Q: two lists of R entries, or an
     # OverflowError (exit 4) past the index range

@@ -328,6 +328,16 @@ def test_pair_sum_diagonalised_matches_lcm_oracle(R, W):
     assert got == pytest.approx(_pair_sum_lcm_oracle(R, W), rel=1e-12)
 
 
+@pytest.mark.parametrize("R", [100.0, 1000.0, 4999.5])
+@pytest.mark.parametrize("W", [1, 6, 30])
+def test_pair_sum_rational_equals_ideal_pair_sum_over_Q(R, W):
+    # the integer sieve and the squarefree ideals of Q give the same terms,
+    # and math.fsum rounds their exact sum once, so the floats are equal
+    logR = math.log(R)
+    assert _pair_sum_rational(Q, R, W, logR, DEFAULT_BUMP) == \
+        _pair_sum_ideals(squarefree_ideals(Q, R, W), logR, DEFAULT_BUMP)
+
+
 def _pair_sum_ideals_oracle(pairs, logR, phi):
     # the D x D double loop over squarefree ideals d, d' with N lcm(d, d')
     vals = []

@@ -14,7 +14,7 @@ from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
                                has_finite_unit_group, is_prime_element,
-                               is_prime_vector, mobius, mobius_totient,
+                               is_prime_vector, mobius, mobius_sieve,
                                prime_divisors, primes_dividing,
                                principal_generator, residue_degrees,
                                zeta_residue)
@@ -243,10 +243,9 @@ def test_mobius_values():
     assert mobius(pr) == -1
 
 
-def test_mobius_totient_sieve_matches_sympy():
-    mu, tot = mobius_totient(Q, 5000)
-    assert mu[1:] == [sympy.mobius(k) for k in range(1, 5001)]
-    assert tot[1:] == [sympy.totient(k) for k in range(1, 5001)]
+def test_mobius_sieve_matches_sympy():
+    assert mobius_sieve(Q, 5000)[1:] == [sympy.mobius(k)
+                                         for k in range(1, 5001)]
 
 
 @pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
@@ -255,7 +254,7 @@ def test_mobius_totient_sieve_matches_sympy():
 def test_mobius_totient_matches_principal_ideal_oracle(name, n):
     # mu((m)) off the integer sieve against the ideal (m) built and read
     K = make_field(name)
-    mu, _ = mobius_totient(K, n)
+    mu = mobius_sieve(K, n)
     assert len(mu) == n + 1
     for m in range(1, n + 1):
         assert mu[m] == mobius(FractionalIdeal.principal(K, K.element(m)))
