@@ -1,8 +1,9 @@
-"""Batch command-line front end.
+"""Batch command-line front end: idealsieve [flags] command [its flags].
 
 Flat key=value config files (# comments) feed experiment parameters: each
 line becomes the flag --key with the value's whitespace-split tokens, ahead
-of the command line's own flags, so CLI flags override file values.
+of the command line's flags of the same parser, so CLI flags override file
+values; a key that names no flag of either parser is ignored.
 Reports are JSON lines, written as they are made and optionally mirrored
 to CSV with columns x, empirical, predicted, ratio.  Exit codes: 0 ok, 1 a
 well-formed certificate failed verification, 2 usage error or only
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -73,11 +75,19 @@ def read_config(path):
     return out
 
 
+def _one_file(a, b):
+    with contextlib.suppress(OSError):  # either may not exist yet
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _emit(args, lines, x=None):
     """Write the report lines, from any iterable, as they arrive (an empty
     report is one newline), and with --csv mirror each line's params[x],
     empirical, predicted and ratio, read back off its JSON.  --output, then
-    --csv, is opened first, so a crash part-way leaves a partial report."""
+    --csv (not the same file), opens first: a crash leaves a partial report."""
+    if x and args.csv and args.output and _one_file(args.output, args.csv):
+        raise ValueError(f"--output and --csv name one file: {args.csv}")
     with contextlib.ExitStack() as files:
         out = (files.enter_context(open(args.output, "w")) if args.output
                else sys.stdout)
@@ -256,124 +266,110 @@ def cmd_residue(args):
     return _emit(args, [line])
 
 
-def build_parser():
+def _arg(cast, default, **kw):
+    """The add_argument keywords of a flag of type cast."""
+    return dict(kw, type=cast, default=default)
+
+
+# --R > 1 and autocorr's --N >= 2 keep the sieve level's log R > 0
+_LEVEL = _at_least(float, 1, strict=True)
+_POSITIVE, _COUNT = _at_least(float, 0, strict=True), _at_least(int, 1)
+
+# the flags given before the command's name
+TOP_FLAGS = {
+    "--config": dict(help="flat key=value config file"),
+    "--seed": _arg(int, 0),
+    "--workers": _arg(int, 1, help="accepted and ignored: runs are "
+                      "single-threaded"),
+    "--output": dict(help="report file (default stdout)"),
+    "--csv": dict(help="CSV mirror of the report, written only by lambda, "
+                  "singular-series and correlate"),
+}
+
+# Each command: its function, the dests of its size flags (named by the
+# budget error) and its arguments' add_argument keywords, besides --field.
+COMMANDS = {
+    "primes": (cmd_primes, ("bound",), {"--bound": _arg(int, 100)}),
+    "mobius": (cmd_mobius, ("bound",), {"--bound": _arg(int, 50)}),
+    "lambda": (cmd_lambda, ("bound",), {"--bound": _arg(int, 200),
+                                        "--R": _arg(_LEVEL, 50.0)}),
+    "cphi": (cmd_cphi, (), {}),
+    "correlate": (cmd_correlate, ("m", "lam"), {
+        "--s": _arg(_COUNT, 2), "--m": _arg(_COUNT, 2),
+        "--lam": _arg(_POSITIVE, 12.0)}),
+    "singular-series": (cmd_singular_series, ("s", "R"), {
+        "--s": _arg(_COUNT, 2), "--W": _arg(int, 6),
+        "--R": _arg(_LEVEL, (100.0,), nargs="+")}),
+    "autocorr": (cmd_autocorr, ("N", "y"), {
+        "--N": _arg(_at_least(int, 2), 500), "--s": _arg(_COUNT, 2),
+        "--w": _arg(int, 3), "--y": _arg(int, (0, 2), nargs="+")}),
+    "hypergraph": (cmd_hypergraph, ("N", "k"), {
+        "--N": _arg(_COUNT, 101), "--k": _arg(_POSITIVE, 1.5),
+        "--w": _arg(int, 3)}),
+    "search": (cmd_search, ("anchor_bound", "step_bound", "k"), {
+        "--k": _arg(_POSITIVE, 1.5, help="the pattern is O_K cap B_k; for k "
+                    "<= |1| = sqrt(degree) (1 in Q, 1.41 in the quadratic "
+                    "fields, 2 in Q(zeta5)) it is the one point 0, so the "
+                    "default 1.5 certifies single prime elements in Q(zeta5)"),
+        "--anchor-bound": _arg(_POSITIVE, 100.0),
+        "--step-bound": _arg(_POSITIVE, 12.0),
+        "--max-hits": _arg(_at_least(int, 0), 10, help="stop after this "
+                           "many hits; 0 means no limit")}),
+    "verify": (cmd_verify, (), {"certificate": {}}),
+    "alpha-scan": (cmd_alpha_scan, ("window",), {
+        "--w": _arg(int, 3), "--R": _arg(_LEVEL, 50.0),
+        "--window": _arg(int, (100, 10000), nargs=2)}),
+    "residue": (cmd_residue, (), {"--x": _arg(int, 17),
+                                  "--N": _arg(_COUNT, 10)}),
+}
+
+
+def _parse_args(argv):
+    """(the command's table entry, the namespace): the top-level flags and
+    the command's name, then the command's own arguments, each parser's
+    config lines ahead of its command-line flags."""
     top = argparse.ArgumentParser(prog="idealsieve")
-    top.add_argument("--config", help="flat key=value config file")
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--workers", type=int, default=1,
-                     help="accepted and ignored: runs are single-threaded")
-    top.add_argument("--output", help="report file (default stdout)")
-    top.add_argument("--csv", help="CSV mirror of the report, written "
-                     "only by lambda, singular-series and correlate")
-    sub = top.add_subparsers(dest="command")
-    top.commands = sub.choices
-
-    # --R > 1 and autocorr's --N >= 2 keep the sieve level's log R > 0
-    level = _at_least(float, 1, strict=True)
-    positive, count = _at_least(float, 0, strict=True), _at_least(int, 1)
-
-    def add(name, fn, *sizes):
-        # sizes: the flags that size the work, named by main's budget error
-        p = sub.add_parser(name)
-        p.set_defaults(fn=fn, sizes=sizes)
-        p.add_argument("--field", default="Q")
-        return p
-
-    p = add("primes", cmd_primes, "bound")
-    p.add_argument("--bound", type=int, default=100)
-    p = add("mobius", cmd_mobius, "bound")
-    p.add_argument("--bound", type=int, default=50)
-    p = add("lambda", cmd_lambda, "bound")
-    p.add_argument("--bound", type=int, default=200)
-    p.add_argument("--R", type=level, default=50.0)
-    add("cphi", cmd_cphi)
-    p = add("correlate", cmd_correlate, "m", "lam")
-    p.add_argument("--s", type=count, default=2)
-    p.add_argument("--m", type=count, default=2)
-    p.add_argument("--lam", type=positive, default=12.0)
-    p = add("singular-series", cmd_singular_series, "s", "R")
-    p.add_argument("--s", type=count, default=2)
-    p.add_argument("--W", type=int, default=6)
-    p.add_argument("--R", type=level, nargs="+", default=[100.0])
-    p = add("autocorr", cmd_autocorr, "N", "y")
-    p.add_argument("--N", type=_at_least(int, 2), default=500)
-    p.add_argument("--s", type=count, default=2)
-    p.add_argument("--w", type=int, default=3)
-    p.add_argument("--y", type=int, nargs="+", default=[0, 2])
-    p = add("hypergraph", cmd_hypergraph, "N", "k")
-    p.add_argument("--N", type=count, default=101)
-    p.add_argument("--k", type=positive, default=1.5)
-    p.add_argument("--w", type=int, default=3)
-    p = add("search", cmd_search, "anchor_bound", "step_bound", "k")
-    p.add_argument("--k", type=positive, default=1.5,
-                   help="the pattern is O_K cap B_k; for k <= |1| = "
-                   "sqrt(degree) (1 in Q, 1.41 in the quadratic fields, 2 "
-                   "in Q(zeta5)) it is the one point 0, so the default 1.5 "
-                   "certifies single prime elements in Q(zeta5)")
-    p.add_argument("--anchor-bound", type=positive, default=100.0)
-    p.add_argument("--step-bound", type=positive, default=12.0)
-    p.add_argument("--max-hits", type=_at_least(int, 0), default=10,
-                   help="stop after this many hits; 0 means no limit")
-    p = add("verify", cmd_verify)
-    p.add_argument("certificate")
-    p = add("alpha-scan", cmd_alpha_scan, "window")
-    p.add_argument("--w", type=int, default=3)
-    p.add_argument("--R", type=level, default=50.0)
-    p.add_argument("--window", type=int, nargs=2, default=[100, 10000])
-    p = add("residue", cmd_residue)
-    p.add_argument("--x", type=int, default=17)
-    p.add_argument("--N", type=count, default=10)
-    return top
-
-
-def _config_argv(parser, argv, command, cfg):
-    """argv with each config line `key = value` spliced in as --key plus the
-    value's tokens: top-level flags first, the subcommand's flags right
-    after its name, so the command line's own flags come later and win.
-    Keys that name no flag of either parser are ignored."""
-    head, tail = [], []
-    for key, val in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in parser._option_string_actions:
-            head += [flag] + val.split()
-        elif flag in parser.commands[command]._option_string_actions:
-            tail += [flag] + val.split()
-    # every top-level option takes one value, so the subcommand is the
-    # first token that is neither an option nor an option's value
-    i = 0
-    while argv[i].startswith("-"):
-        i += 1 if "=" in argv[i] else 2
-    return head + argv[:i + 1] + tail + argv[i + 1:]
+    for flag, kw in TOP_FLAGS.items():
+        top.add_argument(flag, **kw)
+    # the name and every token after it, as a subparsers action takes them
+    top.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS)
+    args = top.parse_args(argv)
+    name = args.command[0]
+    sub = argparse.ArgumentParser(prog=f"idealsieve {name}")
+    arguments = {"--field": dict(default="Q"), **COMMANDS[name][2]}
+    for flag, kw in arguments.items():
+        sub.add_argument(flag, **kw)
+    sub.parse_args(args.command[1:], args)  # --help needs no config file
+    if args.config:
+        cfg = [["--" + key.replace("_", "-"), *val.split()]
+               for key, val in read_config(args.config).items()]
+        head, tail = ([token for line in cfg if line[0] in flags
+                       for token in line] for flags in (TOP_FLAGS, arguments))
+        args = top.parse_args(head + argv)
+        sub.parse_args(tail + args.command[1:], args)
+    return COMMANDS[name], args
 
 
 def _flag_text(args, name):
     """--name and its value as typed, a list's items space-separated."""
     value = getattr(args, name)
-    items = value if isinstance(value, list) else [value]
+    items = value if isinstance(value, (list, tuple)) else [value]
     return " ".join(["--" + name.replace("_", "-"), *map(str, items)])
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:  # argparse exits 2 on a rejected value and 0 after --help
-        args = parser.parse_args(argv)
-        if getattr(args, "fn", None) and args.config:
-            cfg = read_config(args.config)
-            args = parser.parse_args(
-                _config_argv(parser, argv, args.command, cfg))
+        (fn, sizes, _), args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not getattr(args, "fn", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
-        return args.fn(args)
+        return fn(args)
     except BudgetExceededError as exc:
-        sizes = ", ".join(_flag_text(args, name) for name in args.sizes)
+        sizes = ", ".join(_flag_text(args, name) for name in sizes)
         # a size past 30 digits prints as its first digits and power of ten
         text = re.sub(r"\d{31,}", lambda d: f"{d[0][0]}.{d[0][1:4]}e"
                       f"{len(d[0]) - 1}", str(exc))

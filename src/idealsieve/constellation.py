@@ -13,7 +13,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ENUMERATION_BUDGET, check_budget
+from .errors import ENUMERATION_BUDGET, BudgetExceededError, check_budget
 from .ideals import (FractionalIdeal, _generators, is_prime_norm,
                      is_prime_vector, primes_dividing, quotient_norms)
 from .lattice import ball_elements, ball_rows, iter_ball_elements
@@ -195,10 +195,13 @@ def verify_certificate(cert: Certificate):
         return False, ["schema"]
     # the pattern is enumerated up to one point more than the certificate
     # lists: a longer one fails "pattern" whatever it holds, and its radius
-    # is not re-derived
-    pattern = list(itertools.islice(
-        iter_ball_elements(FractionalIdeal.unit_ideal(K), cert.k),
-        len(given) + 1))
+    # is not re-derived; so does one whose ball box is past the budget
+    try:
+        pattern = list(itertools.islice(
+            iter_ball_elements(FractionalIdeal.unit_ideal(K), cert.k),
+            len(given) + 1))
+    except BudgetExceededError:  # taken as one point longer than the list
+        pattern = [K.zero] * (len(given) + 1)
     expected = [a + xi * j for j in pattern]
     if sorted(p.coords for p in expected) != sorted(p.coords for p in given):
         diagnoses.append("pattern")

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import json
@@ -112,6 +113,36 @@ def test_budget_error_leaves_no_report(tmp_path, argv):
     out = tmp_path / "f"
     assert run(["--output", str(out)] + argv) == EXIT_BUDGET
     assert not out.exists()
+
+
+@pytest.mark.parametrize("csv, exists", [
+    ("f", False), (os.path.join("d", "..", "f"), False), ("f", True),
+    (os.path.join("d", "..", "f"), True), ("link", True)])
+def test_output_and_csv_naming_one_file_is_usage_error(tmp_path, capsys,
+                                                       csv, exists):
+    # refused before either file is opened: a new file is not made, and an
+    # existing one, also through a hard link, keeps its bytes
+    (tmp_path / "d").mkdir()
+    out = tmp_path / "f"
+    if exists:
+        out.write_text("kept\n")
+        os.link(out, tmp_path / "link")
+    assert run(["--output", str(out), "--csv", str(tmp_path / csv),
+                "lambda", "--bound", "30"]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: --output and --csv name one file: {tmp_path / csv}\n"
+    if exists:
+        assert out.read_text() == "kept\n"
+    else:
+        assert not out.exists()
+
+
+def test_one_file_for_output_and_csv_is_fine_without_a_csv(tmp_path):
+    # primes writes no CSV, so --csv names no file it opens
+    out = tmp_path / "f"
+    assert run(["--output", str(out), "--csv", str(out), "primes",
+                "--bound", "5"]) == EXIT_OK
+    assert [r["p"] for r in read_lines(out)] == [2, 3, 5]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -285,6 +316,20 @@ def test_verify_prime_point_beyond_factor_budget(tmp_path):
     assert read_lines(out) == [{"op": "verify", "ok": True, "diagnoses": []}]
 
 
+def test_verify_over_budget_pattern_is_diagnosed(tmp_path):
+    # a k whose ball box is past the enumeration budget lists no pattern:
+    # that certificate fails "pattern", and the ones around it are still
+    # verified
+    lines = list(_fuzz_certificates())
+    lines[1] = json.dumps(dict(json.loads(lines[1]), k=1e300))
+    certs = tmp_path / "c.jsonl"
+    certs.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "v.jsonl"
+    assert run(["--output", str(out), "verify", str(certs)]) == EXIT_VERIFY
+    assert [(r["ok"], r["diagnoses"]) for r in read_lines(out)] == [
+        (True, []), (False, ["pattern"]), (True, [])]
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_certificates():
     QI = make_field("Q(i)")
@@ -350,9 +395,7 @@ def test_verify_fuzz_never_internal_error(data):
         with open(certs, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         code = run(["--output", out, "verify", certs])
-        assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_BUDGET)
-        if code == EXIT_BUDGET:
-            return
+        assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE)
         with open(out) as fh:
             recs = [json.loads(line) for line in fh]
     assert len(recs) == 3 and recs[0]["ok"] and recs[2]["ok"]
@@ -538,7 +581,8 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_primes", boom)
+    monkeypatch.setitem(cli.COMMANDS, "primes",
+                        (boom, *cli.COMMANDS["primes"][1:]))
     assert run(["primes"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
@@ -659,6 +703,58 @@ def test_config_equals_form_and_nargs(tmp_path):
     assert run(["--config", str(cfg), "singular-series", "--s", "1",
                 "--R", "40"]) == EXIT_OK
     assert [r["params"]["R"] for r in read_lines(out)] == [40.0]
+
+
+def test_config_keys_go_to_their_parser(tmp_path):
+    # s is singular-series' --s, not an abbreviation of the top-level
+    # --seed, and seed is the top-level --seed; the command line wins
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("s = 1\nseed = 3\n")
+    (fn, _, _), args = cli._parse_args(["--config", str(cfg),
+                                         "singular-series"])
+    assert (fn, args.s, args.seed) == (cli.cmd_singular_series, 1, 3)
+    _, args = cli._parse_args(["--config", str(cfg), "--seed", "5",
+                               "singular-series", "--s", "2"])
+    assert (args.s, args.seed) == (2, 5)
+
+
+def test_config_help_key_is_ignored(tmp_path):
+    # help names no flag of the table: the command runs
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("help =\nbound = 5\n")
+    out = tmp_path / "p.jsonl"
+    assert run(["--config", str(cfg), "--output", str(out),
+                "primes"]) == EXIT_OK
+    assert [r["p"] for r in read_lines(out)] == [2, 3, 5]
+
+
+def test_size_flags_are_dests_of_their_command():
+    # the exit-3 line reads each size flag off the namespace by its dest
+    for name, (_, sizes, arguments) in cli.COMMANDS.items():
+        parser = argparse.ArgumentParser()
+        dests = {parser.add_argument(flag, **kw).dest
+                 for flag, kw in arguments.items()}
+        assert set(sizes) <= dests, name
+
+
+@pytest.mark.parametrize("config", ["", "seed = 3\nbound = 5\n"],
+                         ids=["argv", "config"])
+def test_main_builds_two_parsers(tmp_path, monkeypatch, config):
+    # the top-level parser and the command's own: no other command's
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, **kw):
+        built.append(kw["prog"])
+        init(self, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    head = []
+    if config:
+        (tmp_path / "c.cfg").write_text(config)
+        head = ["--config", str(tmp_path / "c.cfg")]
+    assert run(head + ["--output", str(tmp_path / "p.jsonl"), "primes",
+                       "--bound", "5"]) == EXIT_OK
+    assert built == ["idealsieve", "idealsieve primes"]
 
 
 def test_hypergraph_every_field(tmp_path):

@@ -171,3 +171,18 @@ def test_every_parameter_is_read():
               for u in _unread_parameters(path)]
     assert sorted(set(unread) - _UNREAD_ALLOWED) == []
     assert _UNREAD_ALLOWED <= set(unread)
+
+
+def test_private_attributes_read_are_the_package_own():
+    # every private attribute read under src/ is one the package defines:
+    # none reaches into a library's internals, such as argparse's
+    # _option_string_actions
+    nodes = [node for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))]
+    own = {node.name for node in nodes
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))} | {
+        node.attr for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not node.attr.startswith("__")}
+    assert read <= own

@@ -251,7 +251,7 @@ def test_mobius_sieve_matches_sympy():
 @pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(n=st.integers(0, 150))
-def test_mobius_totient_matches_principal_ideal_oracle(name, n):
+def test_mobius_sieve_matches_principal_ideal_oracle(name, n):
     # mu((m)) off the integer sieve against the ideal (m) built and read
     K = make_field(name)
     mu = mobius_sieve(K, n)
