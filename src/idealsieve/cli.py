@@ -85,9 +85,15 @@ def _emit(args, lines, x=None):
     """Write the report lines, from any iterable, as they arrive (an empty
     report is one newline), and with --csv mirror each line's params[x],
     empirical, predicted and ratio, read back off its JSON.  --output, then
-    --csv (not the same file), opens first: a crash leaves a partial report."""
-    if x and args.csv and args.output and _one_file(args.output, args.csv):
-        raise ValueError(f"--output and --csv name one file: {args.csv}")
+    --csv, opens first: a crash leaves a partial report.  Neither may name
+    the other, the --config file or the certificate file."""
+    named = [("--output", args.output), ("--csv", x and args.csv),
+             ("--config", args.config),
+             ("the certificate", getattr(args, "certificate", None))]
+    for i, (flag, path) in enumerate(named[:2]):
+        for other, used in named[i + 1:]:
+            if path and used and _one_file(path, used):
+                raise ValueError(f"{flag} and {other} name one file: {used}")
     with contextlib.ExitStack() as files:
         out = (files.enter_context(open(args.output, "w")) if args.output
                else sys.stdout)
@@ -178,10 +184,18 @@ def cmd_singular_series(args):
     K = field_by_name(args.field)
     forms = LinearFormSystem(
         K, [[int(i == j) for j in range(args.s)] for i in range(args.s)])
-    # a list: a budget error at a later --R leaves no report behind
+
+    def main_term(R):
+        try:
+            return singular_series_main_term(forms, R, args.W)
+        except OverflowError:
+            raise ValueError(f"the main term at --s {args.s} --W {args.W} "
+                             f"--R {R} is past the float range") from None
+
+    # a list: an error at a later --R leaves no report behind
     lines = [report_line("singular_series",
                          singular_series_direct(forms, R, args.W),
-                         singular_series_main_term(forms, R, args.W),
+                         main_term(R),
                          {"field": K.name, "R": R, "W": args.W, "s": args.s})
              for R in args.R]
     return _emit(args, lines, "R")

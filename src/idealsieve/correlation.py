@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -23,10 +24,11 @@ from .arith import factorint, iroot, primerange
 from .errors import (ENUMERATION_BUDGET, TUPLE_BUDGET, BudgetExceededError,
                      check_budget)
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     mobius_sieve, prime_divisors, primes_above,
+                     mobius_sieve, prime_divisors, primes_above, residue_rows,
                      zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope)
+from .linalg import echelon_mod_p, hnf
 from .numberfield import FieldElement
 from .sieve import SieveConfig, c_phi, region_nu_rows
 
@@ -78,36 +80,21 @@ class LinearFormSystem:
 
     def minor_norm(self) -> int:
         """Norm of the ideal generated by all s x s minors of the
-        coefficient matrix (0 when rank < s over K).  Primes away from
-        this norm see the system at full row rank."""
-        if self.s > self.m:
+        coefficient matrix (0 when rank < s over K).  That ideal is the 0th
+        Fitting ideal of O_K^s / psi(O_K^m), so its norm is the index of the
+        lattice spanned by the psi(theta^r e_k) in Z^(s n), the product of
+        its HNF pivots.  Primes away from this norm see the system at full
+        row rank."""
+        n = self.K.degree
+        blocks = [[self.K.mul_rows(c.num) if c else [[0] * n] * n
+                   for c in row] for row in self.coeffs]
+        rows = [[x for block in blocks for x in block[k][r]]
+                for k in range(self.m) for r in range(n)]
+        try:
+            H = hnf(rows, self.s * n)
+        except ValueError:  # rank < s n
             return 0
-        minors = []
-        for cols in itertools.combinations(range(self.m), self.s):
-            sub = [[self.coeffs[i][c] for c in cols] for i in range(self.s)]
-            minors.append(_det_elements(self.K, sub))
-        minors = [d for d in minors if d]
-        if not minors:
-            return 0
-        return int(FractionalIdeal.from_generators(self.K, minors).norm()
-                   .limit_denominator(1))
-
-
-def _det_elements(K, rows):
-    """Laplace expansion along the first row, skipping its zero entries
-    (the identity costs n calls, not n!)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det = K.zero
-    for c in range(n):
-        if not rows[0][c]:
-            continue
-        sub = [[rows[r][cc] for cc in range(n) if cc != c]
-               for r in range(1, n)]
-        term = rows[0][c] * _det_elements(K, sub)
-        det = det + term if c % 2 == 0 else det - term
-    return det
+        return math.prod(H[i][i] for i in range(self.s * n))
 
 
 def report_line(op, empirical, predicted, params, **extra) -> str:
@@ -170,10 +157,11 @@ def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
 def local_factor_omega(forms: LinearFormSystem, P: PrimeIdeal, marks,
                        W: int, alpha) -> Fraction:
     """Exact density of x in (b / P b)^m with P b | W psi_i(x) + b'_i for
-    every marked i, where b'_i = W b_i + alpha.  v in b lies in P b iff p
-    times its coordinates in P b's basis vanish mod p, so each marked form
-    gives n linear conditions over F_p on x in (b / p b)^m; omega is
-    p^-rank if they are consistent and 0 if not (or if b'_i is not in b)."""
+    every marked i, where b'_i = W b_i + alpha.  v in b lies in P b iff the
+    rows of residue_rows(P, b) vanish on its b-coordinates mod p, so each
+    marked form gives f linear conditions over F_p on x in (b / p b)^m;
+    omega is p^-rank if they are consistent and 0 if not (or if b'_i is
+    not in b)."""
     marks = tuple(bool(t) for t in marks)
     if len(marks) != forms.s:
         raise ValueError("one mark per form required")
@@ -190,10 +178,11 @@ def local_factor_omega(forms: LinearFormSystem, P: PrimeIdeal, marks,
 @lru_cache(maxsize=2 ** 16)
 def _omega_cached_key(coeffs, shifts, ambient, P, marks, W, alpha):
     """local_factor_omega keyed on the content of the form system."""
-    Pb = P.ideal() * ambient
+    G = residue_rows(P, ambient)
 
-    def conditions(v):  # v in b: p times its P b-coordinates, 0 iff v in P b
-        return [int(P.p * c) for c in Pb.coords(v)]
+    def conditions(v):  # v in b: the g(v), all 0 iff v in P b
+        c = ambient.coefficients(v)
+        return [sum(map(operator.mul, g, c)) for g in G]
 
     rows = []
     for i in (i for i, t in enumerate(marks) if t):
@@ -202,31 +191,12 @@ def _omega_cached_key(coeffs, shifts, ambient, P, marks, W, alpha):
             return Fraction(0)
         cols = [conditions(c * beta * W) for c in coeffs[i]
                 for beta in ambient.basis_elements()]
-        rows += [list(r) for r in zip(*cols, conditions(bp))]
-    rank = _solve_mod_p(rows, P.p, len(coeffs[0]) * ambient.K.degree)
-    return Fraction(0) if rank is None else Fraction(1, P.p ** rank)
-
-
-def _solve_mod_p(rows, p, ncols):
-    """Rank over F_p of the first ncols columns of the augmented rows, or
-    None when the last column is not in their span (no solution)."""
-    rows = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(ncols + 1):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        if col == ncols:
-            return None
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        inv = pow(top[col], -1, p)
-        for r in rows[rank + 1:]:
-            if r[col]:
-                f = r[col] * inv
-                r[:] = [(x - f * y) % p for x, y in zip(r, top)]
-        rank += 1
-    return rank
+        rows += zip(*cols, conditions(bp))
+    ncols = len(coeffs[0]) * ambient.K.degree
+    pivots = [col for col, _ in echelon_mod_p(rows, P.p, range(ncols + 1))]
+    if ncols in pivots:  # the shifts are not in the span: no solution
+        return Fraction(0)
+    return Fraction(1, P.p ** len(pivots))
 
 
 # Read only by bench/micro.py, which clears it; it stays until the next
@@ -280,8 +250,8 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
 
     with g the bump weight phi(log N d / log R).
 
-    Fast path: when the coefficient matrix has full row rank at every
-    prime off W (empty exceptional set), omega factors across forms and
+    Fast path: when the coefficient matrix has full row rank over K and
+    at every prime off W (_full_rank_off), omega factors across forms and
     the sum collapses to a product of s identical pair sums, computed once
     by Selberg's diagonalisation (_pair_sum_rational over Q,
     _pair_sum_ideals otherwise).  prime_support forces the direct tuple
@@ -297,8 +267,7 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     def g(n):
         return phi(math.log(n) / logR) if n < R else 0.0
 
-    exceptional = _exceptional_primes(forms, W)
-    if not exceptional and forms.s <= forms.m and prime_support is None:
+    if prime_support is None and _full_rank_off(forms, W):
         if K.degree == 1:
             pair = _pair_sum_rational(K, R, W, logR, phi)
         else:
@@ -334,22 +303,15 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     return math.fsum(total)
 
 
-def _exceptional_primes(forms, W):
-    """Primes not dividing W where the coefficient matrix drops below
-    full row rank (all s x s minors vanish)."""
-    G = forms.minor_norm()
-    if G == 0:
-        return None  # rank deficient everywhere: no fast path
-    out = []
-    for p in factorint(G):
-        if W % p == 0:
-            continue
-        for P in primes_above(forms.K, p):
-            om = local_factor_omega(forms, P, (True,) * forms.s, W,
-                                    forms.K.one)
-            if om != Fraction(1, P.norm() ** forms.s):
-                out.append(P)
-    return out
+def _full_rank_off(forms, W):
+    """Whether the coefficient matrix has full row rank s over K and at
+    every prime off W, where omega of s marks is then N P^-s; only the
+    primes of the minor norm can fail."""
+    G, marks = forms.minor_norm(), (True,) * forms.s
+    return G != 0 and all(
+        local_factor_omega(forms, P, marks, W, forms.K.one)
+        == Fraction(1, P.norm() ** forms.s)
+        for p in factorint(G) if W % p for P in primes_above(forms.K, p))
 
 
 def _pair_sum_rational(K, R, W, logR, phi):

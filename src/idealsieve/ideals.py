@@ -21,7 +21,7 @@ from .arith import factorint, iroot, isprime, jacobi, primerange, sqrt_mod
 from .errors import (COUNT_BUDGET, ENUMERATION_BUDGET, FACTOR_BUDGET,
                      UnsupportedFieldError, check_budget)
 from .lattice import iter_ball_elements
-from .linalg import adjugate, det_int, hnf
+from .linalg import adjugate, det_int, echelon_mod_p, hnf
 from .numberfield import FieldElement, NumberField, minkowski_norm
 
 
@@ -617,6 +617,20 @@ def quotient_norms(b: FractionalIdeal, v, h, count: int):
 def _prime_times(P: PrimeIdeal, b: FractionalIdeal) -> FractionalIdeal:
     """The ideal P b: y lies in it iff P divides (y) b^{-1}."""
     return P.ideal() * b
+
+
+@lru_cache(maxsize=2**12)
+def residue_rows(P: PrimeIdeal, b: FractionalIdeal):
+    """The F_p functionals of b / P b: reduced rows g with y in P b iff
+    g . c = 0 mod p for every g, c the integer coordinates of y in b.  p e
+    lies in P b for each basis element e of b, and with M_e its integer
+    coordinates there, y is in P b iff sum_e c_e M_e / p is integral; the
+    rows are the columns of M reduced mod p, the last coordinate pivoted
+    first, so only the first row can involve it."""
+    Pb = _prime_times(P, b)
+    M = [Pb.coefficients(e * P.p) for e in b.basis_elements()]
+    return tuple(tuple(g) for _, g in echelon_mod_p(
+        zip(*M), P.p, reversed(range(b.K.degree))))
 
 
 def primes_dividing(b: FractionalIdeal, y: FieldElement, small=None):

@@ -49,6 +49,27 @@ def hnf(rows, n):
     return tuple(tuple(r) for r in basis)
 
 
+def echelon_mod_p(rows, p, order):
+    """Row echelon form over F_p of the integer rows, taking the pivot
+    columns in the given order: a list of (column, row) pairs, each row 1
+    at its column and every later row 0 there."""
+    rows = [[x % p for x in r] for r in rows]
+    out = []
+    for col in order:
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = pow(piv[col], -1, p)
+        piv = [x * inv % p for x in piv]
+        for r in rows:
+            f = r[col]
+            if f:
+                r[:] = [(x - f * y) % p for x, y in zip(r, piv)]
+        out.append((col, piv))
+    return out
+
+
 def det_int(mat):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination; every division is exact."""

@@ -29,8 +29,8 @@ from functools import lru_cache, partial
 
 from .arith import primerange
 from .errors import ENUMERATION_BUDGET, NU_POINT_BUDGET, check_budget
-from .ideals import (FractionalIdeal, _prime_times, euler_phi, prime_divisors,
-                     primes_above, primes_dividing, zeta_residue)
+from .ideals import (FractionalIdeal, euler_phi, prime_divisors, primes_above,
+                     primes_dividing, residue_rows, zeta_residue)
 from .lattice import (admissible_modulus, fundamental_domain_reduce,
                       in_scaled_domain, parallelotope_rows)
 from .numberfield import minkowski_norm
@@ -337,27 +337,15 @@ def _walk_bound(cfg, region, alphas, logR):
 def _sieve_rule(P, b, W, coeffs):
     """The test of P in the region sieve, (N P, p, pre, along, aLs).
 
-    c in b-coordinates lies in P b iff g(c) = 0 mod p for the functionals
-    g, the columns of p times the P b-coordinates of b's basis, reduced mod
-    p to a basis of their span.  The last coordinate is pivoted first, so
-    only g_0 can involve it, with coefficient 1 when along.  With W
-    invertible mod p, W c + a is in P b iff g(prefix) + g_last t + g(a) / W
-    = 0 for every g: pre holds the prefix coefficients of each g, and aLs,
-    per shift, each g(a) / W.  When P | W, W c is in P b and the test is
-    g(a) = 0 at every point (pre is 0).
+    c in b-coordinates lies in P b iff g(c) = 0 mod p for the rows g of
+    residue_rows(P, b), of which only g_0 can involve the last coordinate,
+    with coefficient 1 when along.  With W invertible mod p, W c + a is in
+    P b iff g(prefix) + g_last t + g(a) / W = 0 for every g: pre holds the
+    prefix coefficients of each g, and aLs, per shift, each g(a) / W.  When
+    P | W, W c is in P b and the test is g(a) = 0 at every point (pre is 0).
     """
     p, n = P.p, b.K.degree
-    Pb = _prime_times(P, b)
-    cols = [list(col) for col in zip(*([int(p * x) % p for x in Pb.coords(e)]
-                                       for e in b.basis_elements()))]
-    basis = []
-    for i in reversed(range(n)):
-        piv = next((v for v in cols if v[i]), None)
-        if piv is not None:
-            piv = [x * pow(piv[i], -1, p) % p for x in piv]
-            cols = [[(x - v[i] * y) % p for x, y in zip(v, piv)]
-                    for v in cols]
-            basis.append(piv)
+    basis = residue_rows(P, b)
     winv = pow(W, -1, p) if W % p else 0
     pre = [g[:-1] if winv else [0] * (n - 1) for g in basis]
     along = bool(winv and basis and basis[0][-1])

@@ -52,6 +52,10 @@ replaced, kept as test oracles.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
+- `minor_norm_oracle`: LinearFormSystem.minor_norm as the norm of the
+  ideal generated by every s x s minor, each a Laplace expansion over K
+  (`det_elements`); minor_norm now reads the product of the HNF pivots
+  of the forms' image lattice in Z^(s n).
 """
 
 import itertools
@@ -478,3 +482,33 @@ def search_oracle(spec):
                 if spec.max_hits and len(hits) >= spec.max_hits:
                     return hits
     return hits
+
+
+def det_elements(K, rows):
+    """Laplace expansion along the first row, skipping its zero entries."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    det = K.zero
+    for c in range(n):
+        if not rows[0][c]:
+            continue
+        sub = [[rows[r][cc] for cc in range(n) if cc != c]
+               for r in range(1, n)]
+        term = rows[0][c] * det_elements(K, sub)
+        det = det + term if c % 2 == 0 else det - term
+    return det
+
+
+def minor_norm_oracle(forms):
+    """The norm of the ideal of all s x s minors of the coefficient
+    matrix, 0 when they all vanish (rank < s over K)."""
+    if forms.s > forms.m:
+        return 0
+    minors = [det_elements(forms.K, [[row[c] for c in cols]
+                                     for row in forms.coeffs])
+              for cols in itertools.combinations(range(forms.m), forms.s)]
+    minors = [d for d in minors if d]
+    if not minors:
+        return 0
+    return int(FractionalIdeal.from_generators(forms.K, minors).norm())

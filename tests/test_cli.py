@@ -145,6 +145,44 @@ def test_one_file_for_output_and_csv_is_fine_without_a_csv(tmp_path):
     assert [r["p"] for r in read_lines(out)] == [2, 3, 5]
 
 
+@pytest.mark.parametrize("path", ["f", os.path.join("d", "..", "f")])
+@pytest.mark.parametrize("command", ["verify", "config"])
+def test_output_naming_an_input_file_is_usage_error(tmp_path, capsys, path,
+                                                    command):
+    # refused before the report is opened: the certificates and the
+    # config keep their bytes
+    (tmp_path / "d").mkdir()
+    src = tmp_path / "f"
+    if command == "verify":
+        assert run(["--output", str(src), "search", "--anchor-bound", "12",
+                    "--step-bound", "6.5", "--max-hits", "2"]) == EXIT_OK
+        argv = ["--output", str(tmp_path / path), "verify", str(src)]
+        other = "the certificate"
+    else:
+        src.write_text("bound = 7\n")
+        argv = ["--config", str(src), "--output", str(tmp_path / path),
+                "primes"]
+        other = "--config"
+    kept = src.read_bytes()
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: --output and {other} name one file: {src}\n"
+    assert src.read_bytes() == kept
+
+
+@pytest.mark.parametrize("argv", [["--s", "40", "--R", "1.0000001"],
+                                  ["--s", "200", "--R", "10"]])
+def test_main_term_past_float_range_is_usage_error(tmp_path, capsys, argv):
+    # (c_phi W^n / (phi_K(W) log R Res zeta_K))^s is past 1.8e308
+    out = tmp_path / "f"
+    assert run(["--output", str(out), "singular-series"] + argv) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--s {argv[1]} " in err \
+        and "past the float range" in err
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc/self/status")
 def test_mobius_report_streams_in_bounded_memory():
@@ -994,11 +1032,20 @@ _SEARCH_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", _SEED0_REPORTS + _SEARCH_REPORTS,
+# An auto-correlation whose sieve level R = 2.05 lets the prime 2 into the
+# region sieve, so its hash pins the residue rows of b / P b.
+_SIEVE_REPORTS = [
+    (["autocorr", "--field", "Q", "--w", "1", "--s", "1", "--N", "100000"],
+     "9b4c18bd8d2031868de75fa430c9da5c1d16e0f1c718c07aa18dbd0c4598edb9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest",
+                         _SEED0_REPORTS + _SEARCH_REPORTS + _SIEVE_REPORTS,
                          ids=["search-qi", "alpha-scan-qi",
                               "singular-series-q", "autocorr-q-w2",
                               "search-ties-qi", "search-ties-qsqrt-3",
-                              "search-ties-qzeta5"])
+                              "search-ties-qzeta5", "autocorr-sieve-q"])
 def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK

@@ -25,10 +25,11 @@ from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_rational_prime)
 from idealsieve.lattice import Parallelotope, ball_elements
 from idealsieve.linalg import hnf
-from idealsieve.numberfield import SUPPORTED_POLYS, FieldElement, make_field
+from idealsieve.numberfield import (SUPPORTED_POLYS, FieldElement, NumberField,
+                                   make_field)
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig
-from oracles import (gauss_jordan_coords, singular_series_euler,
-                     squarefree_ideals_oracle)
+from oracles import (gauss_jordan_coords, minor_norm_oracle,
+                     singular_series_euler, squarefree_ideals_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -89,19 +90,19 @@ def test_forms_apply():
 
 
 def test_minor_norm_skips_zero_entries(monkeypatch):
-    # the Laplace expansion recursed into every column, so the 12 x 12
-    # identity cost 12! calls; skipping zero entries makes it 12
-    det, calls = correlation._det_elements, [0]
+    # a zero coefficient gives zero rows without a multiplication matrix,
+    # so the 12 x 12 identity builds 12 of them
+    eye = LinearFormSystem(Q, [[int(i == j) for j in range(12)]
+                               for i in range(12)])
+    mul_rows, calls = NumberField.mul_rows, [0]
 
-    def counted(K, rows):
+    def counted(self, a):
         calls[0] += 1
-        if calls[0] > 10**4:
-            raise AssertionError("too many _det_elements calls")
-        return det(K, rows)
+        return mul_rows(self, a)
 
-    monkeypatch.setattr(correlation, "_det_elements", counted)
-    eye = [[int(i == j) for j in range(12)] for i in range(12)]
-    assert LinearFormSystem(Q, eye).minor_norm() == 1
+    monkeypatch.setattr(NumberField, "mul_rows", counted)
+    assert eye.minor_norm() == 1 and calls[0] == 12
+    monkeypatch.undo()
     rng = random.Random(5)
     for _ in range(20):
         rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(4)]
@@ -111,6 +112,39 @@ def test_minor_norm_skips_zero_entries(monkeypatch):
         except ValueError:  # a zero or proportional row
             continue
         assert forms.minor_norm() == abs(sympy.Matrix(rows).det())
+    # dense s = m = 8 over Q(i), where a Laplace expansion of the one
+    # minor takes 8! products: N(det) = |det|^2
+    rows = [[[rng.randint(-3, 3), rng.randint(-3, 3)] for _ in range(8)]
+            for _ in range(8)]
+    det = sympy.Matrix([[a + b * sympy.I for a, b in row]
+                        for row in rows]).det()
+    re, im = sympy.expand(det).as_real_imag()
+    assert LinearFormSystem(QI, rows).minor_norm() == re ** 2 + im ** 2 > 0
+
+
+FIELDS = [make_field(name) for name in SUPPORTED_POLYS.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_minor_norm_matches_minors_ideal_oracle(data):
+    K = data.draw(st.sampled_from(FIELDS), label="field")
+    s = data.draw(st.integers(1, 3), label="s")
+    m = data.draw(st.integers(1, 4), label="m")
+    entry = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]),
+                     min_size=K.degree, max_size=K.degree)
+    coeffs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                min_size=s, max_size=s), label="coeffs")
+    if s == 3 and data.draw(st.booleans(), label="dependent"):
+        # the third form is psi_0 + (1 + theta) psi_1: rank 2 over K
+        c = K.one + K.theta
+        coeffs[2] = [K.element(u) + c * K.element(v)
+                     for u, v in zip(coeffs[0], coeffs[1])]
+    try:
+        forms = LinearFormSystem(K, coeffs)
+    except ValueError:  # a zero or a proportional form
+        assume(False)
+    assert forms.minor_norm() == minor_norm_oracle(forms)
 
 
 # ---------------------------------------------------------------- omega
@@ -420,6 +454,18 @@ def test_singular_series_gaussian_fast_vs_direct():
     direct = singular_series_direct(forms, 8.0, 2, alpha=QI.one,
                                     prime_support=primes)
     assert fast == pytest.approx(direct, rel=1e-12)
+
+
+def test_singular_series_rank_deficient_takes_direct_sum():
+    # psi_3 = psi_1 + psi_2 has rank 2 < s = 3 <= m: the forms are not
+    # independent, so the product of three pair sums (0.5238...) is not
+    # the series
+    forms = LinearFormSystem(Q, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    assert forms.minor_norm() == 0
+    got = singular_series_direct(forms, 12.0, 6)
+    assert got == singular_series_direct(
+        forms, 12.0, 6, prime_support=enumerate_prime_ideals(Q, 12))
+    assert got == pytest.approx(0.5267294160416546, rel=1e-12)
 
 
 @pytest.mark.parametrize("K", [Q, QI])

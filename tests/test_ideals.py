@@ -1,4 +1,5 @@
 import math
+import operator
 import subprocess
 import sys
 import time
@@ -626,6 +627,27 @@ def test_is_prime_vector_matches_ideal_oracle_den_above_one(amb, coeffs):
     v = b.numerators(xi)
     assert v == tuple(x * b.den for x in xi.coords)
     assert is_prime_vector(b, v) == _is_prime_element_oracle(K, b, xi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(amb=st.sampled_from(_AMBIENTS + _INVERSE_AMBIENTS), data=st.data())
+def test_residue_rows_membership_matches_ideal_product(amb, data):
+    # y in P b iff every row vanishes on y's b-coordinates mod p; y is
+    # drawn from P b or from b, and the ambients include the non-principal
+    # prime above 2 of Q(sqrt-5) and inverses of primes (den > 1)
+    K, b = amb
+    P = data.draw(st.sampled_from([P for p in (2, 3, 5, 7)
+                                   for P in factor_rational_prime(K, p)]))
+    Pb = P.ideal() * b
+    coeffs = data.draw(st.lists(st.integers(-20, 20), min_size=K.degree,
+                                max_size=K.degree))
+    y = (Pb if data.draw(st.booleans()) else b).element_at(coeffs)
+    c = b.coefficients(y)
+    rows = ideals.residue_rows(P, b)
+    assert len(rows) == P.f  # b / P b has p^f elements
+    assert all(g[-1] == 0 for g in rows[1:])
+    assert all(sum(map(operator.mul, g, c)) % P.p == 0 for g in rows) \
+        == Pb.contains(y)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
