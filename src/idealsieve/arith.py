@@ -10,17 +10,19 @@ import itertools
 import math
 
 
-def primerange(a, b):
-    """The primes p with a <= p < b, ascending (sieve of Eratosthenes)."""
-    if b <= 2:
-        return []
-    sieve = bytearray([1]) * b
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(b - 1) + 1):
+def prime_flags(n):
+    """A bytearray of length n + 1 >= 1, 1 at the primes (Eratosthenes)."""
+    sieve = bytearray(min(n + 1, 2)) + bytearray([1]) * (n - 1)
+    for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, b, i)))
-    lo = max(a, 2)
-    return list(itertools.compress(range(lo, b), sieve[lo:]))
+            sieve[i * i::i] = bytes(n // i - i + 1)
+    return sieve
+
+
+def primerange(a, b):
+    """The primes p with a <= p < b, ascending."""
+    lo, sieve = max(a, 2), prime_flags(max(b - 1, 0))
+    return list(itertools.compress(range(lo, b), memoryview(sieve)[lo:]))
 
 
 _SMALL_PRIMES = primerange(2, 1000)
@@ -92,14 +94,16 @@ def _strong_lucas(n):
 
 
 def isprime(n):
-    """Primality of an integer: trial division below 1000, then
-    Miller-Rabin on the bases 2..41 (deterministic below _MR_LIMIT), and
+    """Primality of an integer: trial division below 1000 up to sqrt(n),
+    then Miller-Rabin on the bases 2..41 (deterministic below _MR_LIMIT), and
     the Baillie-PSW test (strong base 2 plus strong Lucas) above it."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+        if p * p > n:
+            return True
     if n < 1000 * 1000:
         return True
     if n < _MR_LIMIT:
@@ -148,12 +152,14 @@ def _brent(n):
 
 def factorint(n):
     """Prime factorisation {p: e} of an integer n >= 1, ascending in p:
-    trial division below 1000, then a perfect-power check, then
-    Pollard-Brent rho on what is left."""
+    trial division below 1000 up to sqrt(n), then a perfect-power check,
+    then Pollard-Brent rho on what is left (if it is not 1 or prime)."""
     if n < 1:
         raise ValueError(f"factorint needs n >= 1, got {n}")
     out = {}
     for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:

@@ -14,8 +14,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ENUMERATION_BUDGET, BudgetExceededError, check_budget
-from .ideals import (FractionalIdeal, _generators, is_prime_norm,
-                     is_prime_vector, primes_dividing, quotient_norms)
+from .arith import factorint
+from .ideals import (FractionalIdeal, _generators, is_prime_vector,
+                     prime_norm_flags, primes_dividing, quotient_norms)
 from .lattice import ball_elements, ball_rows, iter_ball_elements
 from .numberfield import FieldElement, make_field, minkowski_norm
 from .sieve import SieveConfig, lambda_of_norms
@@ -84,12 +85,12 @@ def _coords_in(K, coords):
     return K.element(coords)
 
 
-def make_certificate(K, ambient, k, a, xi, pattern) -> Certificate:
+def make_certificate(ambient, head, a, xi, pattern, radius) -> Certificate:
+    """The hit (a, xi); head is (K.name, ambient.to_json(), k)."""
     pts = [a + xi * j for j in pattern]
     witnesses = [primes_dividing(ambient, pt)[0].to_json() for pt in pts]
-    return Certificate(K.name, ambient.to_json(), k, _coords_out(a),
-                       _coords_out(xi), [_coords_out(p) for p in pts],
-                       _radius(xi, pattern), witnesses)
+    return Certificate(*head, _coords_out(a), _coords_out(xi),
+                       [_coords_out(p) for p in pts], radius, witnesses)
 
 
 def _radius(xi, pattern):
@@ -100,8 +101,9 @@ def _radius(xi, pattern):
 def search_constellation(spec: ConstellationSpec):
     """All (a, xi) hits in deterministic order: increasing step Minkowski
     norm, then increasing anchor norm (ties by coordinates).  The table has
-    a bit per point x of its ball's box, set iff (x) b^{-1} is prime; a
-    step's hits are the anchor bits left by ANDs with its shifted tables."""
+    a bit per point x of its ball's box, set iff (x) b^{-1} is prime (read
+    off one prime_norm_flags); a step's hits are the anchor bits left by
+    ANDs with its shifted tables."""
     K, b, n = spec.K, spec.ambient, spec.K.degree
     # every candidate lies in this ball (|xi j| <= |xi| |j|): budget first
     Q = ball_rows(b, spec.anchor_bound + spec.step_bound * spec.k,
@@ -127,28 +129,28 @@ def search_constellation(spec: ConstellationSpec):
     reach = max((q([sum(map(operator.mul, j, col)) for col in zip(*Rx)])
                  for Rx in R for j in ends), default=0)
     # widened past the roundings of the square root and the sum
-    _, box, rows = ball_rows(b, (radius + math.sqrt(reach) / b.den)
-                             * (1 + 1e-12), ENUMERATION_BUDGET)
+    r = (radius + math.sqrt(reach) / b.den) * (1 + 1e-12)
+    _, box, rows = ball_rows(b, r, ENUMERATION_BUDGET)
     stride = [math.prod(2 * m + 1 for m in box[i + 1:]) for i in range(n)]
 
     def index(c):
         return sum((x + m) * s for x, m, s in zip(c, box, stride))
 
     flags = bytearray(b"0") * (index(box) + 1)  # flags[i] is bit i in ASCII
-    prime = {}  # norm -> is_prime_norm, for this call only
+    # N((x) b^{-1}) = |N x| / N b, |x| < r and |x|^2 >= n |N x|^(2/n) (AM-GM)
+    prime = prime_norm_flags(K, math.floor(
+        Fraction(r) ** n / (n ** (n // 2) * b.norm())))
     for c, lo, hi in rows:
         v = [sum(map(operator.mul, c + (lo,), col)) for col in zip(*b.mat)]
         for i, N in enumerate(quotient_norms(b, v, b.mat[-1], hi - lo + 1),
                               index(c + (lo,))):
-            if N not in prime:
-                prime[N] = is_prime_norm(K, N)
             flags[i] += prime[N]
     table = int(flags[::-1], 2)
     flags = bytearray(b"0") * (index(box) + 1)
     for c, lo, hi in ball_rows(b, radius, ENUMERATION_BUDGET)[2]:
         flags[index(c + (lo,)):index(c + (hi,)) + 1] = b"1" * (hi - lo + 1)
     prime_anchors = int(flags[::-1], 2) & table  # 0 is in every pattern
-    hits = []
+    hits, head = [], (K.name, b.to_json(), spec.k)
     for xi, Rx in zip(steps, R):
         live = prime_anchors
         shifts = [sum(map(operator.mul, r, stride)) for r in Rx]
@@ -161,8 +163,9 @@ def search_constellation(spec: ConstellationSpec):
         bits = (m.start() for m in re.finditer("1", bin(live)[:1:-1]))
         found = [b.element_at([i // s % (2 * m + 1) - m
                                for m, s in zip(box, stride)]) for i in bits]
+        certified = _radius(xi, pattern) if found else None
         for a in sorted(found, key=minkowski_norm):
-            hits.append(make_certificate(K, b, spec.k, a, xi, pattern))
+            hits.append(make_certificate(b, head, a, xi, pattern, certified))
             if spec.max_hits and len(hits) >= spec.max_hits:
                 return hits
     return hits
@@ -265,35 +268,40 @@ def alpha_scan(cfg: SieveConfig, window) -> AlphaScanResult:
     """Bin the Lambda_{K,R}^2 masses of the primes P of b^{-1}'s class, N P
     in the window and prime to W, by the residue alpha in (W G) cap b of
     P b's canonical generator (principal_generator's: least in its unit
-    orbit), read off the ball of b holding them all.  Masses are exact
-    rationals, so the partition identity is exact; see the README."""
+    orbit), read off the ball of b and one prime_norm_flags.  Masses are
+    exact integer sums, so the partition identity is exact; see the README."""
     (lo, hi), K, b, W = window, cfg.K, cfg.ambient, cfg.W
     check_budget("window top", hi, ENUMERATION_BUDGET)
-    units = [u.num for u in _generators(FractionalIdeal.unit_ideal(K))]
+    # u w = w M_u; +-1 cannot lower w, whose first nonzero entry is < 0
+    units = [list(zip(*K.mul_rows(u.num))) for u in _generators(
+        FractionalIdeal.unit_ideal(K)) if any(u.num[1:])]
     n, top = K.degree, max(hi, 0)
     # n <= 2, |x|^2 = n |N x|^(2/n); widened past the float root, unbudgeted
     r = math.sqrt(n * (top * b.norm()) ** (2 // n)) * (1 + 1e-9)
-    counted = bytearray(top + 1)  # 0 untested, else 1 + (N is counted)
-    acc, total, count = {}, Fraction(0), 0
+    prime = prime_norm_flags(K, top)
+    for p in factorint(W):
+        prime[::p] = bytes(top // p + 1)
+    acc, count, den = {}, 0, 1 << 2148  # a float is an int over 2^e, e <= 1074
     for c, t0, t1 in ball_rows(b, r, math.inf)[2]:
         if c > (0,) * len(c):  # -1 is a unit: an orbit's least is c < 0
             continue
         t1 = t1 if any(c) else -1
         v = [sum(map(operator.mul, c + (t0,), col)) for col in zip(*b.mat)]
         for t, N in enumerate(quotient_norms(b, v, b.mat[-1], t1 - t0 + 1)):
-            if lo <= N <= top and not counted[N]:
-                counted[N] = 1 + (math.gcd(N, W) == 1 and is_prime_norm(K, N))
-            if not lo <= N <= top or counted[N] == 1:
+            if not (lo <= N <= top and prime[N]):
                 continue
             w = [x + t * h for x, h in zip(v, b.mat[-1])]
-            if any(K.mul(u, w) < w for u in units):
+            if any([sum(map(operator.mul, w, col)) for col in u] < w
+                   for u in units):
                 continue
             red = tuple(x + W * ((W - 2 * x) // (2 * W)) for x in c + (t0 + t,))
-            mass = Fraction(lambda_of_norms((N,), cfg.R, cfg.phi)) ** 2
-            acc[red] = acc.get(red, 0) + mass
-            total, count = total + mass, count + 1
-    masses = {tuple(map(str, b.element_at(r).coords)): m for r, m in acc.items()}
+            a, d = lambda_of_norms((N,), cfg.R, cfg.phi).as_integer_ratio()
+            acc[red] = acc.get(red, 0) + a * a * (den // (d * d))
+            count += 1
+    masses = {tuple(map(str, b.element_at(r).coords)): Fraction(m, den)
+              for r, m in acc.items()}
     if not masses:
         raise ValueError("no primes of the required class in the window")
     maximizer = max(sorted(masses), key=lambda k: masses[k])
+    total = Fraction(sum(acc.values()), den)
     return AlphaScanResult(masses, total, maximizer, (lo, hi), W, count)

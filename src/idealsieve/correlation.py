@@ -56,12 +56,16 @@ class LinearFormSystem:
         # O_K = Z[theta] in every vetted field
         if any(c.den != 1 for row in self.coeffs for c in row):
             raise ValueError("coefficients must lie in O_K")
-        for row in self.coeffs:
-            if all(not c for c in row):
-                raise ValueError("zero form")
-        for i, j in itertools.combinations(range(self.s), 2):
-            if self._proportional(self.coeffs[i], self.coeffs[j]):
-                raise ValueError(f"forms {i} and {j} are proportional")
+        groups = {}  # by zero pattern: proportional forms share theirs
+        for i, row in enumerate(self.coeffs):
+            groups.setdefault(tuple(map(bool, row)), []).append(i)
+        if (False,) * self.m in groups:
+            raise ValueError("zero form")
+        pairs = [(i, j) for g in groups.values()
+                 for i, j in itertools.combinations(g, 2)
+                 if self._proportional(self.coeffs[i], self.coeffs[j])]
+        if pairs:  # the first in combinations order
+            raise ValueError("forms %d and %d are proportional" % min(pairs))
 
     @staticmethod
     def _proportional(u, v):

@@ -11,13 +11,15 @@ Galois, primality of an ideal is read off its norm (is_prime_vector).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .arith import factorint, iroot, isprime, jacobi, primerange, sqrt_mod
+from .arith import (factorint, iroot, isprime, jacobi, prime_flags,
+                    primerange, sqrt_mod)
 from .errors import (COUNT_BUDGET, ENUMERATION_BUDGET, FACTOR_BUDGET,
                      UnsupportedFieldError, check_budget)
 from .lattice import iter_ball_elements
@@ -79,9 +81,7 @@ class FractionalIdeal:
         return self._basis
 
     def norm(self) -> Fraction:
-        det = 1
-        for i in range(self.K.degree):
-            det *= self.mat[i][i]
+        det = math.prod(self.mat[i][i] for i in range(self.K.degree))
         return Fraction(abs(det), self.den ** self.K.degree)
 
     def is_integral(self) -> bool:
@@ -416,12 +416,21 @@ def mobius_sieve(K: NumberField, n):
     return mu
 
 
+def prime_norm_flags(K: NumberField, X: int):
+    """A bytearray, 1 at the norms q <= X of prime ideals: every vetted
+    field is Galois, so they are the p^f, f the residue degree above p."""
+    flags = bytearray(X + 1)
+    for p in itertools.compress(range(X + 1), prime_flags(X)):
+        q = p ** residue_degrees(K, p)[0]
+        if q <= X:
+            flags[q] = 1
+    return flags
+
+
 def euler_phi(K: NumberField, W: int) -> int:
     """|(O_K/(W))^x| via the local product over primes dividing W."""
     if W < 1:
         raise ValueError("W must be >= 1")
-    if W == 1:
-        return 1
     phi = 1
     for p, a in factorint(W).items():
         for P in primes_above(K, p):
@@ -435,12 +444,8 @@ def enumerate_prime_ideals(K: NumberField, X):
     """All prime ideals of norm <= X, sorted by (norm, p, generator)."""
     X = int(X)
     check_budget("norm bound", X, ENUMERATION_BUDGET)
-    out = []
-    for p in primerange(2, X + 1):
-        for P in primes_above(K, p):
-            if P.norm() <= X:
-                out.append(P)
-    return sorted(out, key=lambda P: P.sort_key())
+    return sorted((P for p in primerange(2, X + 1) for P in primes_above(K, p)
+                   if P.norm() <= X), key=PrimeIdeal.sort_key)
 
 
 def count_ideals(K: NumberField, x) -> int:

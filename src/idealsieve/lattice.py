@@ -225,7 +225,4 @@ def in_scaled_domain(ideal, x: FieldElement, N: int) -> bool:
 
 def admissible_modulus(w: int) -> int:
     """W = prod_{p <= w} p (the primorial cut at w)."""
-    prod = 1
-    for p in primerange(2, w + 1):
-        prod *= p
-    return prod
+    return math.prod(primerange(2, w + 1))

@@ -32,9 +32,10 @@ replaced, kept as test oracles.
 - `alpha_scan_oracle`: the alpha-scan as a loop over the prime ideals of
   the window, each P b built in HNF, its generator found by
   principal_generator and reduced by fundamental_domain_reduce, and
-  Lambda from lambda_oracle; alpha_scan now reads the generators off one
-  ball of b, the points whose quotient norm is prime, least in their
-  unit orbit.
+  Lambda from lambda_oracle, the masses summed as Fractions; alpha_scan
+  now reads the generators off one ball of b, the points whose quotient
+  norm is set in one prime_norm_flags, least in their unit orbit, and
+  sums the masses as integers over one power of two.
 - `squarefree_ideals_oracle`: the squarefree ideal list built by letting
   each prime extend every ideal listed so far; squarefree_ideals extends
   each listed ideal only by the later primes in norm order, up to the
@@ -49,6 +50,9 @@ replaced, kept as test oracles.
   anchor) pair, each candidate a + xi j an integer numerator vector
   tested by is_prime_vector once per search (memoized); the search now
   reads a prime table of the whole ball through bitset shifts.
+- `certificate_oracle`: a hit's certificate with its ambient JSON and
+  radius derived for that hit; the search derives them once per search
+  and once per step.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
@@ -451,6 +455,15 @@ def factor_ideal_oracle(a):
     return tuple(factors)
 
 
+def certificate_oracle(spec, a, xi, pattern):
+    """make_certificate's certificate of one hit, with the head and the
+    radius derived for that hit alone."""
+    b = spec.ambient
+    radius = max(minkowski_norm(xi * j) for j in pattern) + 1e-9
+    return make_certificate(b, (spec.K.name, b.to_json(), spec.k), a, xi,
+                            pattern, radius)
+
+
 def search_oracle(spec):
     """search_constellation by the pair loop: for each step in norm order
     and each anchor in norm order, the hit if every a + xi j is prime."""
@@ -478,7 +491,7 @@ def search_oracle(spec):
         for a, a_num in zip(anchors, anchor_nums):
             if all(is_prime(tuple(map(operator.add, a_num, off)))
                    for off in offsets):
-                hits.append(make_certificate(K, b, spec.k, a, xi, pattern))
+                hits.append(certificate_oracle(spec, a, xi, pattern))
                 if spec.max_hits and len(hits) >= spec.max_hits:
                     return hits
     return hits

@@ -98,6 +98,26 @@ def test_factorint_small_matches_sympy(n):
     assert arith.factorint(n) == sympy.factorint(n)
 
 
+def _around_breaks():
+    """For each prime p < 1000, where trial division stops (p^2 > n):
+    p^2 and its neighbours, p q, p q r and p^2 q with q, r the primes after
+    p, and the same with q, r the first primes past 1000."""
+    small = list(sympy.primerange(2, 1000))
+    big = list(sympy.primerange(1000, 1100))
+    out = set()
+    for i, p in enumerate(small):
+        q, r = (small + big)[i + 1:i + 3]
+        out |= {p * p - 1, p * p, p * p + 1, p * q, p * q - 2, p * q + 2,
+                p * q * r, p * p * q, p * big[0], p * big[0] * big[1]}
+    return sorted(out)
+
+
+def test_trial_division_breaks_match_sympy():
+    for n in _around_breaks():
+        assert arith.isprime(n) == sympy.isprime(n), n
+        assert arith.factorint(n) == sympy.factorint(n), n
+
+
 def test_factorint_rejects_nonpositive():
     for n in (0, -6):
         with pytest.raises(ValueError):
@@ -108,6 +128,14 @@ def test_factorint_rejects_nonpositive():
 @given(a=st.integers(-5, 3000), b=st.integers(-5, 3000))
 def test_primerange_matches_sympy(a, b):
     assert arith.primerange(a, b) == list(sympy.primerange(a, b))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 25, 26, 997, 1000])
+def test_prime_flags_match_sympy(n):
+    flags = arith.prime_flags(n)
+    assert len(flags) == n + 1
+    assert [k for k in range(n + 1) if flags[k]] \
+        == list(sympy.primerange(0, n + 1))
 
 
 def test_primerange_large():

@@ -1050,3 +1050,44 @@ def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# alpha-scan reports at R = 1000 (fractional masses below it) over Q, Q(i)
+# and Q(sqrt-5), two windows and w in {1, 3}: the masses are exact sums
+# however they are accumulated, so these hashes stay.
+_ALPHA_REPORTS = [
+    ("Q", (2, 400), 1,
+     "91b17cf94e3814de8feedbe85665c8e0540f9b9941f0dbc610c608b73bac1c60"),
+    ("Q", (2, 400), 3,
+     "d5a5579a83f1a18c8d644878022643710e5f8938907b97850b1c459b416b0a43"),
+    ("Q", (300, 5000), 1,
+     "de6ef31b61f3e1b4642451245589d8561fcba2d473ec2687ce5218221f28f64e"),
+    ("Q", (300, 5000), 3,
+     "4a6b2948028b3ed639dbf43cccb8b19a7646ec855ce157d494a308ccb0c84cef"),
+    ("Q(i)", (2, 400), 1,
+     "0837065d00bbe44020250c932b23bbfaf570ed06fb0d325e8065073dd3e27129"),
+    ("Q(i)", (2, 400), 3,
+     "aad9de2a7bfacbc950c23ac16285ed4788bf4e4e218f723a3093c82c1ef5dd6a"),
+    ("Q(i)", (300, 5000), 1,
+     "7c08ed49c098f82237c25b7b51354213eca4c8a4fcde62cac2342c54487dfb21"),
+    ("Q(i)", (300, 5000), 3,
+     "6fd3120abae7e481f0cf30b2eba16357d82a0eb19d561fd8a47e19cf275755df"),
+    ("Q(sqrt-5)", (2, 400), 1,
+     "aea5ee0261cb46ff8970a2ffe103684942ce5228a2c30e67bfdaa4b7f4d3924e"),
+    ("Q(sqrt-5)", (2, 400), 3,
+     "a11cec418e48f6b3afc23894782db5c0263994f7083e7623f0b68dfd3084021f"),
+    ("Q(sqrt-5)", (300, 5000), 1,
+     "8b01ffd3e239b84cd55ea5e81ac33c65e04c3c9cebe7d09667defb4f3d2db456"),
+    ("Q(sqrt-5)", (300, 5000), 3,
+     "2e51d237c29628151cd8075d90c88524d4913b71431f72f134f4c45439a9fa24"),
+]
+
+
+@pytest.mark.parametrize("field, window, w, digest", _ALPHA_REPORTS)
+def test_alpha_scan_report_hashes_are_pinned(tmp_path, field, window, w,
+                                             digest):
+    out = tmp_path / "report.jsonl"
+    argv = ["alpha-scan", "--field", field, "--w", str(w), "--window",
+            *map(str, window), "--R", "1000"]
+    assert run(["--output", str(out)] + argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,26 +1,26 @@
 import collections
 import json
+import math
 import time
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import constellation
+from idealsieve import constellation, ideals
 from idealsieve.constellation import (Certificate, ConstellationSpec,
-                                      alpha_scan, make_certificate,
-                                      search_constellation,
+                                      alpha_scan, search_constellation,
                                       verify_certificate, verify_line)
 from idealsieve.errors import UnsupportedFieldError
 from idealsieve.ideals import (FractionalIdeal, class_equivalent,
                                enumerate_prime_ideals, euler_phi,
                                factor_rational_prime, is_prime_element,
-                               is_prime_norm, principal_generator)
+                               prime_norm_flags, principal_generator)
 from idealsieve.lattice import ball_elements
 from idealsieve.numberfield import (SUPPORTED_POLYS, FieldElement, make_field,
                                     minkowski_norm)
 from idealsieve.sieve import SieveConfig
-from oracles import search_oracle
+from oracles import alpha_scan_oracle, certificate_oracle, search_oracle
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -60,23 +60,26 @@ def test_search_finds_5_11_17():
 
 
 def test_search_decides_each_norm_once(monkeypatch):
-    # the prime table reads every point's norm: primality is decided once
-    # per distinct norm, and no candidate gets an is_prime_vector call
-    calls = collections.Counter()
+    # the prime table reads every point's norm off one prime_norm_flags
+    # build: no norm is tested on its own by is_prime_norm, and no
+    # candidate gets an is_prime_vector call
+    builds = []
 
-    def counting(K, N):
-        calls[N] += 1
-        return is_prime_norm(K, N)
+    def counting(K, X):
+        builds.append(X)
+        return prime_norm_flags(K, X)
 
-    def forbidden(K, b, v):
-        raise AssertionError("is_prime_vector called by the search")
+    def forbidden(*args):
+        raise AssertionError("primality tested point by point")
 
-    monkeypatch.setattr(constellation, "is_prime_norm", counting)
+    monkeypatch.setattr(constellation, "prime_norm_flags", counting)
     monkeypatch.setattr(constellation, "is_prime_vector", forbidden)
+    monkeypatch.setattr(ideals, "is_prime_norm", forbidden)
     spec = ConstellationSpec(QI, FractionalIdeal.unit_ideal(QI), 1.5,
                              5.5, 2.1)
     hits = search_constellation(spec)
-    assert hits and len(calls) > 1 and set(calls.values()) == {1}
+    # the table ball's radius is 5.5 + 2.1, and |x|^2 = 2 |N x| in Q(i)
+    assert hits and builds == [28]
     monkeypatch.undo()
     assert [c.to_json() for c in hits] == \
         [c.to_json() for c in _search_oracle(spec)]
@@ -95,7 +98,7 @@ def _search_oracle(spec):
                     if x), key=key)
     anchors = sorted(ball_elements(K, spec.ambient,
                                    spec.anchor_bound * (1 + 1e-12)), key=key)
-    return [make_certificate(K, spec.ambient, spec.k, a, xi, pattern)
+    return [certificate_oracle(spec, a, xi, pattern)
             for xi in steps for a in anchors
             if all(is_prime_element(spec.ambient, a + xi * j)
                    for j in pattern)]
@@ -409,3 +412,11 @@ def test_alpha_scan_nonprincipal_class():
     eligible = [P for P in enumerate_prime_ideals(K5, 120)
                 if 2 <= P.norm() <= 120]
     assert 0 < res.count < len(eligible)
+    # the masses, total and count prime by prime, several classes at w = 3
+    for w, window in ((1, (2, 120)), (3, (2, 400)), (3, (300, 2000))):
+        cfg = SieveConfig(K5, N=10**4, w=w, ambient=P2.ideal(),
+                          logR=math.log(1000.0))
+        res = alpha_scan(cfg, window)
+        assert (res.masses, res.total, res.count) \
+            == alpha_scan_oracle(cfg, window)
+        assert res.partition_exact() and (w == 1 or len(res.masses) > 1)

@@ -261,6 +261,19 @@ def test_mobius_sieve_matches_principal_ideal_oracle(name, n):
         assert mu[m] == mobius(FractionalIdeal.principal(K, K.element(m)))
 
 
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(X=st.sampled_from([0, 1, 2, 3, 4, 16, 81, 625])
+       | st.integers(0, 3000))
+def test_prime_norm_flags_match_is_prime_norm(name, X):
+    # the one sieve against the norm-at-a-time test, 0 and 1 included
+    K = make_field(name)
+    flags = ideals.prime_norm_flags(K, X)
+    assert len(flags) == X + 1
+    assert [flags[N] for N in range(X + 1)] \
+        == [ideals.is_prime_norm(K, N) for N in range(X + 1)]
+
+
 def _oracle_mu(factors):
     return 0 if any(v > 1 for _, v in factors) else (-1) ** len(factors)
 

@@ -1,10 +1,11 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealsieve.errors import ReduciblePolynomialError, UnsupportedFieldError
 from idealsieve.linalg import det_int
@@ -178,13 +179,20 @@ def test_minkowski_norm_is_float_route_on_integers(name, coords):
     assert minkowski_norm(x) == _minkowski_norm_float(K, x)
 
 
-def test_norm_arithmetic_mean_geometric():
-    # |N(x)|^(1/n) <= |x|_Min / sqrt(n) (AM-GM over embeddings)
-    K = make_field("Q(sqrt5)")
-    x = K.element([3, 2])
-    n = K.degree
-    assert abs(float(x.norm())) ** (1 / n) <= \
-        minkowski_norm(x) / math.sqrt(n) + 1e-9
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(ALL_FIELDS),
+       coords=st.lists(rational, min_size=4, max_size=4))
+@example(name="Q(sqrt5)", coords=[3, 2, 0, 0])
+@example(name="Q(zeta5)", coords=[1, 0, 0, 0])
+def test_norm_arithmetic_mean_geometric(name, coords):
+    # |N(x)|^(1/n) <= |x|_Min / sqrt(n) (AM-GM over embeddings), as
+    # (|x|^2 / n)^n >= N(x)^2 in exact rationals on every vetted field
+    # (equality at 1): the search sizes its prime-norm sieve by it
+    K = field_by_name(name)
+    n, x = K.degree, K.element(coords[:K.degree])
+    q = sum(a * sum(map(operator.mul, row, x.coords))
+            for a, row in zip(x.coords, K.gram))
+    assert (q / n) ** n >= x.norm() ** 2
 
 
 @settings(max_examples=200, deadline=None)

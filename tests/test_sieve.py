@@ -402,16 +402,17 @@ def test_alpha_scan_builds_no_prime_ideal_or_generator(monkeypatch):
         for where in (owner, constellation):
             if hasattr(where, name):
                 _forbid(monkeypatch, where, name)
+    # no norm is tested on its own: each call reads one sieve up to the
+    # window's top
+    _forbid(monkeypatch, ideals, "is_prime_norm")
     for cfg, (masses, total, count) in zip(cases, want):
-        decided = []
-        monkeypatch.setattr(constellation, "is_prime_norm",
-                            lambda K, N: decided.append(N)
-                            or ideals.is_prime_norm(K, N))
+        builds = []
+        monkeypatch.setattr(constellation, "prime_norm_flags",
+                            lambda K, X: builds.append(X)
+                            or ideals.prime_norm_flags(K, X))
         res = alpha_scan(cfg, (3, 300))
         assert (res.masses, res.total, res.count) == (masses, total, count)
-        # each norm is decided once per call, and only inside the window
-        assert len(decided) == len(set(decided))
-        assert all(3 <= N <= 300 for N in decided)
+        assert builds == [300]
 
 
 def test_per_point_paths_neither_factor_nor_build_principal_ideals(
