@@ -182,8 +182,9 @@ def cmd_correlate(args):
 
 def cmd_singular_series(args):
     K = field_by_name(args.field)
-    forms = LinearFormSystem(
-        K, [[int(i == j) for j in range(args.s)] for i in range(args.s)])
+    forms = LinearFormSystem(K, [[K.one if i == j else K.zero
+                                  for j in range(args.s)]
+                                 for i in range(args.s)])
 
     def main_term(R):
         try:

@@ -20,12 +20,12 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorint, iroot, primerange
+from .arith import factorint, iroot, prime_flags, primerange
 from .errors import (ENUMERATION_BUDGET, TUPLE_BUDGET, BudgetExceededError,
                      check_budget)
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     mobius_sieve, prime_divisors, primes_above, residue_rows,
-                     zeta_residue)
+                     mobius_sieve, prime_divisors, primes_above,
+                     residue_degrees, residue_rows, zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope)
 from .linalg import echelon_mod_p, hnf
@@ -258,7 +258,7 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     at every prime off W (_full_rank_off), omega factors across forms and
     the sum collapses to a product of s identical pair sums, computed once
     by Selberg's diagonalisation (_pair_sum_rational over Q,
-    _pair_sum_ideals otherwise).  prime_support forces the direct tuple
+    _pair_sum_norms otherwise).  prime_support forces the direct tuple
     sum over the squarefree ideals built from those primes.
     """
     from .sieve import DEFAULT_BUMP
@@ -275,7 +275,7 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
         if K.degree == 1:
             pair = _pair_sum_rational(K, R, W, logR, phi)
         else:
-            pair = _pair_sum_ideals(squarefree_ideals(K, R, W), logR, phi)
+            pair = _pair_sum_norms(K, R, W, logR, phi)
         val = 1.0
         for _ in range(forms.s):
             val *= pair
@@ -329,37 +329,86 @@ def _pair_sum_rational(K, R, W, logR, phi):
         sum_e phi(e) (sum_{e | d} c_d / d)^2
 
     over squarefree e < R coprime to W; every sum is a fixed-order
-    math.fsum, and no D x D matrix is formed.  The integers below R are
+    math.fsum, and no D x D matrix is formed.  mu and phi are sieved by
+    slices, and an e past Ri // q, q the least prime off W, divides no
+    other d, so its inner sum is its own term.  The integers below R are
     checked against the enumeration budget before any list is built.
     """
     Ri = int(math.ceil(R)) - 1
     check_budget(f"the integers below R = {R}:", Ri, ENUMERATION_BUDGET)
     mob = mobius_sieve(K, Ri)
-    tot = list(range(Ri + 1))  # Euler's phi, right at every e coprime to W
-    for p in primerange(2, Ri + 1):
-        if W % p:
-            for k in range(p, Ri + 1, p):
-                tot[k] -= tot[k] // p
-    ds = [x for x in range(1, Ri + 1) if mob[x] and math.gcd(x, W) == 1]
+    mob[0] = 0
+    tot = [1] * (Ri + 1)  # Euler's phi, right at every squarefree e
+    cut = 0  # Ri // q, q the least prime off W; 0 if there is none below R
+    for p in itertools.compress(range(Ri + 1), prime_flags(Ri)):
+        if not W % p:
+            mob[p::p] = [0] * (Ri // p)
+            continue
+        cut = cut or Ri // p
+        if 2 * p > Ri:
+            tot[p] = p - 1
+        else:
+            tot[p::p] = [t * (p - 1) for t in tot[p::p]]
+    ds = list(itertools.compress(range(Ri + 1), mob))
+    tot = [tot[e] for e in ds]  # frees the entries that no e reads
     v = [0.0] * (Ri + 1)
     for x in ds:
         v[x] = mob[x] * phi(math.log(x) / logR) / x
-    return math.fsum(tot[e] * math.fsum(v[e::e]) ** 2 for e in ds)
+    return math.fsum(t * (math.fsum(v[e::e]) if e <= cut else v[e]) ** 2
+                     for e, t in zip(ds, tot))
 
 
-def _pair_sum_ideals(pairs, logR, phi):
-    """_pair_sum_rational over the squarefree ideals d in pairs, by the
-    same diagonalisation with N d in place of d and phi_K(e) =
-    prod_{P | e} (N P - 1) in place of phi(e); each divisor e of a d in
-    pairs is in pairs too."""
-    inner = {}
-    for S, n in pairs:
-        c = (-1) ** len(S) * phi(math.log(n) / logR) / n
-        for r in range(len(S) + 1):
-            for e in itertools.combinations(S, r):
-                inner.setdefault(frozenset(e), []).append(c)
-    return math.fsum(math.prod(P.norm() - 1 for P in e) * math.fsum(cs) ** 2
-                     for e, cs in inner.items())
+_ONE = 1 << 1074  # every finite float is an integer over 2^1074
+
+
+def _scaled(xs):
+    """The floats xs times 2^1074, as integers."""
+    return [a * (_ONE // d) for a, d in map(float.as_integer_ratio, xs)]
+
+
+def _pair_sum_norms(K, R, W, logR, phi):
+    """_pair_sum_rational's sum over the squarefree ideals d of norm < R
+    prime to W, with N d for d and phi_K(e) = prod_{P | e} (N P - 1) for
+    phi(e), taken over norms.  K is Galois, so the g_p primes above p share
+    one norm q_p: the e of norm m = prod q_p^k_p number prod C(g_p, k_p),
+    and a d of norm n = prod q_p^j_p, with c(n) = (-1)^(sum j_p)
+    phi(log n / log R) / n, contains one in prod C(g_p - k_p, j_p - k_p)
+    ways.  The inner sums are that transform of c, in g_p slice passes per
+    p.  Every sum is exact, in integers over 2^1074, and rounded once by a
+    true division, as math.fsum rounds it."""
+    X = int(math.ceil(R))
+    check_budget("norm bound", X, ENUMERATION_BUDGET)
+    Ri, split = X - 1, []  # (q_p, g_p) for p off W with q_p < R
+    for p in primerange(2, X):
+        degrees = residue_degrees(K, p)
+        if W % p and p ** degrees[0] <= Ri:
+            split.append((p ** degrees[0], len(degrees)))
+    split.sort()
+    # the norms m < R: (m, sign, prod C(g_p, k_p), phi_K, next index)
+    walk = [(1, 1, 1, 1, 0)]
+    for m, sign, count, tot, start in walk:  # the list grows as it is read
+        for i in range(start, len(split)):
+            q, g = split[i]
+            if m * q > Ri:
+                break
+            n, s, c, t = m, sign, count, tot
+            for j in range(1, g + 1):
+                n, s, c, t = n * q, -s, c * (g - j + 1) // j, t * (q - 1)
+                if n > Ri:
+                    break
+                walk.append((n, s, c, t, i + 1))
+    A = [0] * X
+    for (n, *_), a in zip(walk, _scaled(
+            [s * phi(math.log(n) / logR) / n for n, s, *_ in walk])):
+        A[n] = a
+    for q, g in split:  # the g - k passes with e > k leave at an x with
+        # k_p(x) = k the sum over i of C(g - k, i) c(x q^i)
+        for e in range(g, 0, -1):  # the multiples of q^e keep their value
+            keep, L = A[q ** e::q ** e], Ri // q
+            A[1:L + 1] = map(operator.add, A[1:L + 1], A[q::q])
+            A[q ** e::q ** e] = keep
+    terms = _scaled([t * (A[n] / _ONE) ** 2 for n, _, _, t, _ in walk])
+    return sum(map(operator.mul, (w[2] for w in walk), terms)) / _ONE
 
 
 def singular_series_main_term(forms, R, W):

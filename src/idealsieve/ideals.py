@@ -400,20 +400,29 @@ def mobius(a: FractionalIdeal) -> int:
     return (-1) ** len(primes)
 
 
+_NEGATE = bytes.maketrans(b"\1\377", b"\377\1")  # on mu as signed bytes
+
+
 def mobius_sieve(K: NumberField, n):
     """mu((k)) over K for 0 <= k <= n (index 0 unused), by a sieve over
     the primes p <= n: (k) is squarefree iff k is and every p | k is
     unramified (its residue degrees sum to the degree), and then mu((k))
-    is the product over p | k of (-1)^(primes above p)."""
-    mu = [1] * (n + 1)
-    for p in primerange(2, n + 1):
+    is the product over p | k of (-1)^(primes above p).  It sieves mu as
+    signed bytes, one slice operation per p; p > n / 2 has no other
+    multiple up to n."""
+    mu = bytearray([1]) * (n + 1)
+    for p in itertools.compress(range(n + 1), prime_flags(max(n, 0))):
         degrees = residue_degrees(K, p)
         sign = (-1) ** len(degrees) if sum(degrees) == K.degree else 0
-        for k in range(p, n + 1, p):
-            mu[k] *= sign
-        for k in range(p * p, n + 1, p * p):
-            mu[k] = 0
-    return mu
+        if 2 * p > n:
+            mu[p] = sign & 255
+            continue
+        if sign < 0:
+            mu[p::p] = mu[p::p].translate(_NEGATE)
+        elif not sign:
+            mu[p::p] = bytes(n // p)
+        mu[p * p::p * p] = bytes(n // (p * p))
+    return memoryview(mu).cast("b").tolist()
 
 
 def prime_norm_flags(K: NumberField, X: int):

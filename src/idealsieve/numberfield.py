@@ -112,6 +112,9 @@ class NumberField:
             cur = [s + top * t for s, t in zip(shifted, red[0])]
             red.append(tuple(cur))
         self._theta_pow = red
+        # built once: a FieldElement is never changed after it is made
+        self.zero = FieldElement(self, (0,) * n, 1)
+        self.one = FieldElement(self, (1,) + (0,) * (n - 1), 1)
 
     def mul(self, a, b):
         """Product of two coordinate vectors on the power basis, ints or
@@ -154,7 +157,9 @@ class NumberField:
             if coords.K != self:
                 raise ValueError("mixed fields")
             return coords
-        if isinstance(coords, (int, Fraction)):
+        if isinstance(coords, int):  # its numerators need no Fraction
+            return FieldElement(self, (int(coords),) + self.zero.num[1:], 1)
+        if isinstance(coords, Fraction):
             coords = [coords] + [0] * (self.degree - 1)
         coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
@@ -162,14 +167,6 @@ class NumberField:
         d = math.lcm(*(c.denominator for c in coords))
         return FieldElement(self, tuple(c.numerator * (d // c.denominator)
                                         for c in coords), d)
-
-    @property
-    def zero(self):
-        return self.element(0)
-
-    @property
-    def one(self):
-        return self.element(1)
 
     @property
     def theta(self):

@@ -36,6 +36,10 @@ replaced, kept as test oracles.
   now reads the generators off one ball of b, the points whose quotient
   norm is set in one prime_norm_flags, least in their unit orbit, and
   sums the masses as integers over one power of two.
+- `_pair_sum_ideals`: the degree >= 2 pair sum over the list of
+  squarefree ideals, one list of terms per divisor e, each summed by
+  math.fsum; _pair_sum_norms now sums over norms, by slice passes in
+  exact integers.
 - `squarefree_ideals_oracle`: the squarefree ideal list built by letting
   each prime extend every ideal listed so far; squarefree_ideals extends
   each listed ideal only by the later primes in norm order, up to the
@@ -385,6 +389,21 @@ def singular_series_euler(forms, R, W, prime_support, t, tprime):
             total.append(term * float(om))
     return complex(math.fsum(x.real for x in total),
                    math.fsum(x.imag for x in total))
+
+
+def _pair_sum_ideals(pairs, logR, phi):
+    """The pair sum of _pair_sum_norms over the squarefree ideals d in
+    pairs, by the same diagonalisation with N d in place of d and phi_K(e)
+    = prod_{P | e} (N P - 1) in place of phi(e): every subset e of every d
+    in pairs gathers c_d in its own list (each such e is in pairs too)."""
+    inner = {}
+    for S, n in pairs:
+        c = (-1) ** len(S) * phi(math.log(n) / logR) / n
+        for r in range(len(S) + 1):
+            for e in itertools.combinations(S, r):
+                inner.setdefault(frozenset(e), []).append(c)
+    return math.fsum(math.prod(P.norm() - 1 for P in e) * math.fsum(cs) ** 2
+                     for e, cs in inner.items())
 
 
 def squarefree_ideals_oracle(K, R, W, prime_support=None, budget=10**6):

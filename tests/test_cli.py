@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import cli, ideals
+from idealsieve import cli, correlation, ideals
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
 from idealsieve.constellation import ConstellationSpec, search_constellation
@@ -1050,6 +1050,55 @@ def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# singular-series over Q(i), Q(sqrt-5), Q(zeta5) and Q(sqrt5), where the
+# pair sum is read off norms, and over Q from R = 2.5, with several s and
+# W: a change to either pair sum that keeps the reports keeps these values.
+_SERIES_REPORTS = [
+    (["singular-series", "--field", "Q(i)", "--R", "100", "1000", "5000"],
+     "1538f5ec30d7ddc4bfb6ab245aa4ade28a3f6308554aee78926d7ccaab038c6e"),
+    (["singular-series", "--field", "Q(sqrt-5)", "--s", "1", "--W", "1",
+      "--R", "30.5", "1000"],
+     "c1be04ff6504137f82a4e036ca8be6d7fa4fa05fb3adabc93d70ed540e338cfd"),
+    (["singular-series", "--field", "Q(zeta5)", "--s", "3", "--W", "30",
+      "--R", "2000"],
+     "58e1081ebd17d0eea747cd06873b96fa389d2789c828af1861d36e960e726368"),
+    (["singular-series", "--field", "Q(sqrt5)", "--W", "2", "--R", "20000"],
+     "69f9f5eca0a5fc1b46531a1745f4e240e7860a6a7ad95aa51664ad6b68c6573e"),
+    (["singular-series", "--s", "1", "--W", "1", "--R", "2.5", "37.5",
+      "20000"],
+     "8a0d132f3a180f220cc63c354dbc4ee574f423c40f9f1da2a477103ababf8b03"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _SERIES_REPORTS,
+                         ids=["qi", "qsqrt-5", "qzeta5", "qsqrt5", "q"])
+def test_singular_series_report_hashes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "report.jsonl"
+    assert run(["--output", str(out)] + argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_singular_series_fast_path_lists_no_squarefree_ideals(tmp_path,
+                                                              monkeypatch):
+    # the CLI's identity forms take the fast path, which sums over norms
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fast path listed the squarefree ideals")
+
+    monkeypatch.setattr(correlation, "squarefree_ideals", refuse)
+    (argv, digest), out = _SERIES_REPORTS[0], tmp_path / "report.jsonl"
+    assert run(["--output", str(out)] + argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+def test_singular_series_budget_checked_before_any_array(field, capsys):
+    start = time.perf_counter()
+    assert run(["singular-series", "--field", field,
+                "--R", "20000000"]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 1.0
+    assert "--R 20000000" in capsys.readouterr().err
 
 
 # alpha-scan reports at R = 1000 (fractional masses below it) over Q, Q(i)

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from idealsieve import correlation, sieve
 from idealsieve.correlation import (LinearFormSystem, F_euler,
-                                    _pair_sum_ideals, _pair_sum_rational,
+                                    _pair_sum_norms, _pair_sum_rational,
                                     auto_correlation_check,
                                     cross_correlation_sum,
                                     hypergraph_conditions_report,
@@ -29,8 +29,9 @@ from idealsieve.linalg import hnf
 from idealsieve.numberfield import (SUPPORTED_POLYS, FieldElement, NumberField,
                                    make_field)
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig
-from oracles import (gauss_jordan_coords, minor_norm_oracle,
-                     singular_series_euler, squarefree_ideals_oracle)
+from oracles import (_pair_sum_ideals, gauss_jordan_coords,
+                     minor_norm_oracle, singular_series_euler,
+                     squarefree_ideals_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -438,11 +439,25 @@ def _pair_sum_ideals_oracle(pairs, logR, phi):
 @pytest.mark.parametrize("name", ["Q(i)", "Q(sqrt-5)", "Q(zeta5)"])
 @pytest.mark.parametrize("R,W", [(30.5, 1), (300.0, 6), (1000.0, 2)])
 def test_pair_sum_ideals_matches_lcm_oracle(name, R, W):
-    pairs = squarefree_ideals(make_field(name), R, W)
+    K = make_field(name)
+    pairs = squarefree_ideals(K, R, W)
     logR = math.log(R)
-    got = _pair_sum_ideals(pairs, logR, DEFAULT_BUMP)
+    got = _pair_sum_norms(K, R, W, logR, DEFAULT_BUMP)
     assert got == pytest.approx(
         _pair_sum_ideals_oracle(pairs, logR, DEFAULT_BUMP), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+@settings(max_examples=20, deadline=None)
+@given(R=st.floats(min_value=1.01, max_value=3000.0),
+       W=st.sampled_from([1, 2, 6, 30]))
+def test_pair_sum_norms_equals_ideal_pair_sum(name, R, W):
+    # the sum over norms and the sum over the listed ideals round the same
+    # exact sums once each, so the floats are equal
+    K = make_field(name)
+    logR = math.log(R)
+    assert _pair_sum_norms(K, R, W, logR, DEFAULT_BUMP) == \
+        _pair_sum_ideals(squarefree_ideals(K, R, W), logR, DEFAULT_BUMP)
 
 
 @pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
