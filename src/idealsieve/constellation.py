@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from .errors import ENUMERATION_BUDGET, BudgetExceededError, check_budget
 from .arith import factorint
-from .ideals import (FractionalIdeal, _generators, is_prime_vector,
-                     prime_norm_flags, primes_dividing, quotient_norms)
+from .ideals import (FractionalIdeal, _generators, _quotient_norm,
+                     is_prime_vector, prime_norm_flags, primes_at,
+                     primes_dividing, quotient_norms)
 from .lattice import ball_elements, ball_rows, iter_ball_elements
-from .numberfield import FieldElement, make_field, minkowski_norm
+from .numberfield import make_field, minkowski_norm
 from .sieve import SieveConfig, lambda_of_norms
 
 
@@ -64,8 +65,10 @@ class Certificate:
         return cls(**json.loads(text))
 
 
-def _coords_out(x: FieldElement):
-    return [str(c) for c in x.coords]
+def _coords_out(v, den):
+    """str(Fraction(x, den)) for each x of the integer vector v."""
+    return [str(x // g) if (g := math.gcd(x, den)) == den
+            else f"{x // g}/{den // g}" for x in v]
 
 
 # the form _coords_out writes: an integer, or a fraction with a positive
@@ -85,17 +88,30 @@ def _coords_in(K, coords):
     return K.element(coords)
 
 
-def make_certificate(ambient, head, a, xi, pattern, radius) -> Certificate:
-    """The hit (a, xi); head is (K.name, ambient.to_json(), k)."""
-    pts = [a + xi * j for j in pattern]
-    witnesses = [primes_dividing(ambient, pt)[0].to_json() for pt in pts]
-    return Certificate(*head, _coords_out(a), _coords_out(xi),
-                       [_coords_out(p) for p in pts], radius, witnesses)
+def make_certificate(ambient, head, a, xi, offsets, radius) -> Certificate:
+    """The hit (a, xi) in coordinates on the ambient b, offsets those of xi
+    j for j in the pattern, and head (K.name, ambient.to_json(), k); each
+    witness is read off a point's coordinates and quotient norm."""
+    b, den = ambient, ambient.den
+    pts = [list(map(operator.add, a, o)) for o in offsets]
+    nums = [b.numerators_at(c) for c in pts]
+    witnesses = [primes_at(b, c, _quotient_norm(b, v))[0].to_json()
+                 for c, v in zip(pts, nums)]
+    return Certificate(*head, _coords_out(b.numerators_at(a), den),
+                       _coords_out(b.numerators_at(xi), den),
+                       [_coords_out(v, den) for v in nums], radius, witnesses)
 
 
-def _radius(xi, pattern):
-    """The certified radius: the largest |xi j|, widened by 1e-9."""
-    return max(minkowski_norm(xi * j) for j in pattern) + 1e-9
+def _dots(rows, w):
+    """j . w for the points j = c + (t,) of rows (c, lo, hi), t = lo..hi,
+    in coordinate order: along a row it steps by w[-1]."""
+    return itertools.chain.from_iterable(
+        itertools.accumulate(itertools.repeat(w[-1], hi - lo),
+                             initial=sum(map(operator.mul, c + (lo,), w)))
+        for c, lo, hi in rows)
+
+
+_ASCII = bytes.maketrans(b"\0\1", b"01")
 
 
 def search_constellation(spec: ConstellationSpec):
@@ -103,69 +119,77 @@ def search_constellation(spec: ConstellationSpec):
     norm, then increasing anchor norm (ties by coordinates).  The table has
     a bit per point x of its ball's box, set iff (x) b^{-1} is prime (read
     off one prime_norm_flags); a step's hits are the anchor bits left by
-    ANDs with its shifted tables."""
+    ANDs with its shifted tables.  Points are coordinates on b's basis, and
+    the pattern O_K cap B_k stays as its ball rows."""
     K, b, n = spec.K, spec.ambient, spec.K.degree
     # every candidate lies in this ball (|xi j| <= |xi| |j|): budget first
     Q = ball_rows(b, spec.anchor_bound + spec.step_bound * spec.k,
                   ENUMERATION_BUDGET)[0]
-    pattern = spec.pattern()
-    steps = [x for x in ball_elements(K, b, spec.step_bound * (1 + 1e-12))
-             if x]
-    # stable sorts of lists in coordinate order, ties keeping that order:
-    # the steps once here, each step's hit anchors as they are found
-    steps.sort(key=minkowski_norm)
+    pattern = list(ball_rows(FractionalIdeal.unit_ideal(K), spec.k,
+                             ENUMERATION_BUDGET)[2])
+    if not pattern:
+        raise ValueError("empty pattern")
 
     def q(c):  # c H / den has squared Minkowski norm q(c) / den^2
         return sum(x * sum(map(operator.mul, row, c)) for x, row in zip(c, Q))
 
+    def norm(c):  # minkowski_norm of c H / den, the same rounded float
+        return math.sqrt(q(c) / (b.den * b.den))
+
+    steps = [c + (t,) for c, lo, hi in ball_rows(
+        b, spec.step_bound * (1 + 1e-12), ENUMERATION_BUDGET)[2]
+        for t in range(lo, hi + 1) if t or any(c)]
+    # stable sorts of lists in coordinate order, ties keeping that order:
+    # the steps once here, each step's hit anchors as they are found
+    steps.sort(key=norm)
     # R holds xi theta^i on b's rows, so xi j is j R for j in O_K = Z[theta]
-    R = [[b._coefficients(r) for r in K.mul_rows(b.numerators(xi))]
+    R = [[b._coefficients(r) for r in K.mul_rows(b.numerators_at(xi))]
          for xi in steps]
     # |xi j|^2 is convex along a row of the pattern: largest at its ends
-    ends = [c + (t,) for c, lo, hi in ball_rows(
-        FractionalIdeal.unit_ideal(K), spec.k, ENUMERATION_BUDGET)[2]
-        for t in (lo, hi)]
+    ends = [c + (t,) for c, lo, hi in pattern for t in (lo, hi)]
+    reach = [max(q([sum(map(operator.mul, j, col)) for col in zip(*Rx)])
+                 for j in ends) for Rx in R]
     radius = spec.anchor_bound * (1 + 1e-12)
-    reach = max((q([sum(map(operator.mul, j, col)) for col in zip(*Rx)])
-                 for Rx in R for j in ends), default=0)
     # widened past the roundings of the square root and the sum
-    r = (radius + math.sqrt(reach) / b.den) * (1 + 1e-12)
+    r = (radius + math.sqrt(max(reach, default=0)) / b.den) * (1 + 1e-12)
     _, box, rows = ball_rows(b, r, ENUMERATION_BUDGET)
     stride = [math.prod(2 * m + 1 for m in box[i + 1:]) for i in range(n)]
 
     def index(c):
         return sum((x + m) * s for x, m, s in zip(c, box, stride))
 
-    flags = bytearray(b"0") * (index(box) + 1)  # flags[i] is bit i in ASCII
+    flags = bytearray(index(box) + 1)  # flags[i] is bit i
     # N((x) b^{-1}) = |N x| / N b, |x| < r and |x|^2 >= n |N x|^(2/n) (AM-GM)
     prime = prime_norm_flags(K, math.floor(
         Fraction(r) ** n / (n ** (n // 2) * b.norm())))
     for c, lo, hi in rows:
-        v = [sum(map(operator.mul, c + (lo,), col)) for col in zip(*b.mat)]
-        for i, N in enumerate(quotient_norms(b, v, b.mat[-1], hi - lo + 1),
-                              index(c + (lo,))):
-            flags[i] += prime[N]
-    table = int(flags[::-1], 2)
+        i = index(c + (lo,))
+        flags[i:i + hi - lo + 1] = bytes(map(prime.__getitem__, quotient_norms(
+            b, b.numerators_at(c + (lo,)), b.mat[-1], hi - lo + 1)))
+    table = int(flags[::-1].translate(_ASCII), 2)
     flags = bytearray(b"0") * (index(box) + 1)
     for c, lo, hi in ball_rows(b, radius, ENUMERATION_BUDGET)[2]:
         flags[index(c + (lo,)):index(c + (hi,)) + 1] = b"1" * (hi - lo + 1)
     prime_anchors = int(flags[::-1], 2) & table  # 0 is in every pattern
     hits, head = [], (K.name, b.to_json(), spec.k)
-    for xi, Rx in zip(steps, R):
+    for xi, Rx, top in zip(steps, R, reach):
         live = prime_anchors
-        shifts = [sum(map(operator.mul, r, stride)) for r in Rx]
-        for j in pattern:
-            s = sum(map(operator.mul, j.num, shifts))
+        for s in _dots(pattern, [sum(map(operator.mul, r, stride))
+                                 for r in Rx]):
             live &= table >> s if s >= 0 else table << -s
             if not live:
                 break
+        if not live:
+            continue
         # the bits ascend in index, which is coordinate order
         bits = (m.start() for m in re.finditer("1", bin(live)[:1:-1]))
-        found = [b.element_at([i // s % (2 * m + 1) - m
-                               for m, s in zip(box, stride)]) for i in bits]
-        certified = _radius(xi, pattern) if found else None
-        for a in sorted(found, key=minkowski_norm):
-            hits.append(make_certificate(b, head, a, xi, pattern, certified))
+        found = [tuple(i // s % (2 * m + 1) - m for m, s in zip(box, stride))
+                 for i in bits]
+        # max |xi j| is read off the row ends, as the rounding is monotone
+        certified = math.sqrt(top / (b.den * b.den)) + 1e-9
+        offsets = list(zip(*(_dots(pattern, col) for col in zip(*Rx))))
+        for a in sorted(found, key=norm):
+            hits.append(make_certificate(b, head, a, xi, offsets, certified))
             if spec.max_hits and len(hits) >= spec.max_hits:
                 return hits
     return hits
@@ -211,8 +235,8 @@ def verify_certificate(cert: Certificate):
     if len(pattern) <= len(given):
         # the points are a + xi j (else "pattern"), so each |pt - a| is
         # below the radius once it is the one make_certificate derives
-        try:
-            radius = _radius(xi, pattern)
+        try:  # the largest |xi j|, widened by 1e-9
+            radius = max(minkowski_norm(xi * j) for j in pattern) + 1e-9
         except OverflowError:  # |xi j|^2 beyond the float range
             radius = math.inf
         if cert.radius != radius:
@@ -286,9 +310,14 @@ def alpha_scan(cfg: SieveConfig, window) -> AlphaScanResult:
         if c > (0,) * len(c):  # -1 is a unit: an orbit's least is c < 0
             continue
         t1 = t1 if any(c) else -1
-        v = [sum(map(operator.mul, c + (t0,), col)) for col in zip(*b.mat)]
-        for t, N in enumerate(quotient_norms(b, v, b.mat[-1], t1 - t0 + 1)):
-            if not (lo <= N <= top and prime[N]):
+        v = b.numerators_at(c + (t0,))
+        # |x|^2 < r^2 gives N < top (1 + 1e-9)^2 < top + 1 (top <= 10^7):
+        # every norm indexes prime, and compress keeps the primes in C
+        norms, keys = itertools.tee(
+            quotient_norms(b, v, b.mat[-1], t1 - t0 + 1))
+        for t, N in itertools.compress(enumerate(norms),
+                                       map(prime.__getitem__, keys)):
+            if N < lo:
                 continue
             w = [x + t * h for x, h in zip(v, b.mat[-1])]
             if any([sum(map(operator.mul, w, col)) for col in u] < w
@@ -298,8 +327,8 @@ def alpha_scan(cfg: SieveConfig, window) -> AlphaScanResult:
             a, d = lambda_of_norms((N,), cfg.R, cfg.phi).as_integer_ratio()
             acc[red] = acc.get(red, 0) + a * a * (den // (d * d))
             count += 1
-    masses = {tuple(map(str, b.element_at(r).coords)): Fraction(m, den)
-              for r, m in acc.items()}
+    masses = {tuple(_coords_out(b.numerators_at(r), b.den)):
+              Fraction(m, den) for r, m in acc.items()}
     if not masses:
         raise ValueError("no primes of the required class in the window")
     maximizer = max(sorted(masses), key=lambda k: masses[k])

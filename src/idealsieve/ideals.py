@@ -126,11 +126,16 @@ class FractionalIdeal:
         integral and its coordinates on the HNF rows are integers."""
         return self.coefficients(x) is not None
 
+    def numerators_at(self, coeffs):
+        """den sum coeffs_i * (basis element i): the integer vector coeffs H
+        (a shorter coeffs covers the first rows)."""
+        return [sum(map(operator.mul, coeffs, column))
+                for column in zip(*self.mat)]
+
     def element_at(self, coeffs) -> FieldElement:
         """sum coeffs_i * (basis element i), from the integer HNF rows."""
-        return FieldElement(self.K, tuple(
-            sum(map(operator.mul, coeffs, column))
-            for column in zip(*self.mat)), self.den)
+        return FieldElement(self.K, tuple(self.numerators_at(coeffs)),
+                            self.den)
 
     def contains_ideal(self, other) -> bool:
         return all(self.contains(b) for b in other.basis_elements())
@@ -614,17 +619,18 @@ def _quotient_norm(b: FractionalIdeal, v) -> int:
 def quotient_norms(b: FractionalIdeal, v, h, count: int):
     """_quotient_norm at (v + t h) / b.den in b for t = 0, ..., count - 1:
     the determinant is an integer polynomial of degree n in t, taken at
-    min(count, n + 1) points and stepped by forward differences."""
+    min(count, n + 1) points and summed up from its forward differences."""
     L = min(count, b.K.degree + 1)
     d = [det_int(b.K.mul_rows([x + t * y for x, y in zip(v, h)]))
          for t in range(L)]
     for k in range(1, L):  # d[k:] becomes the k-th differences
         d[k:] = [y - x for x, y in zip(d[k - 1:], d[k:])]
+    # the last difference is constant if L = n + 1, else read only once
+    seq = itertools.repeat(d[-1], count - L + 1) if d else ()
+    for x in reversed(d[:-1]):
+        seq = itertools.accumulate(seq, initial=x)
     det = math.prod(row[i] for i, row in enumerate(b.mat))
-    for _ in range(count):
-        yield abs(d[0]) // det
-        for k in range(L - 1):
-            d[k] += d[k + 1]
+    return map(det.__rfloordiv__, map(abs, seq))
 
 
 @lru_cache(maxsize=2**12)
@@ -647,20 +653,29 @@ def residue_rows(P: PrimeIdeal, b: FractionalIdeal):
         zip(*M), P.p, reversed(range(b.K.degree))))
 
 
-def primes_dividing(b: FractionalIdeal, y: FieldElement, small=None):
-    """The distinct primes P of (y) b^{-1}, y a nonzero element of b, in
-    factor_ideal's order: over the rational primes of its norm, those with
-    y in P b.  Given small, a predicate on norms that holds below a bound,
-    only the P passing it are kept, and the walk stops at the first p that
-    fails (N P >= p, and p ascends)."""
+def primes_at(b: FractionalIdeal, c, N: int, small=None):
+    """The distinct primes P of (y) b^{-1}, of norm N, y nonzero in b with
+    coordinates c, in factor_ideal's order: over the primes p of N, the P
+    above p with y in P b, by residue_rows (a lone P must divide).  Given
+    small, a predicate on norms that holds below a bound, only the P
+    passing it are kept, and the walk stops at the first p that fails."""
     out = []
-    for p in factorint(_quotient_norm(b, b.numerators(y))):
+    for p in factorint(N):
         if small is not None and not small(p):
             break
-        out += [P for P in primes_above(b.K, p)
+        above = primes_above(b.K, p)
+        out += [P for P in above
                 if (small is None or small(P.norm()))
-                and _prime_times(P, b).contains(y)]
+                and (len(above) == 1
+                     or not any(sum(map(operator.mul, g, c)) % p
+                                for g in residue_rows(P, b)))]
     return tuple(out)
+
+
+def primes_dividing(b: FractionalIdeal, y: FieldElement, small=None):
+    """primes_at for y, a nonzero element of b."""
+    v = b.numerators(y)
+    return primes_at(b, b._coefficients(v), _quotient_norm(b, v), small)
 
 
 class TruncatedClass(namedtuple("TruncatedClass",

@@ -34,9 +34,9 @@ def iter_ball_elements(ideal, radius: float):
 def row_elements(ideal, rows):
     """The points c H / den of the ideal along rows (c_0..c_{n-2}, lo, hi),
     the last coefficient running over lo..hi, as field elements."""
-    K, H, den, n = ideal.K, ideal.mat, ideal.den, ideal.K.degree
+    K, H, den = ideal.K, ideal.mat, ideal.den
     for c, lo, hi in rows:
-        base = [sum(a * row[j] for a, row in zip(c, H)) for j in range(n)]
+        base = ideal.numerators_at(c)
         for ci in range(lo, hi + 1):
             yield FieldElement(
                 K, tuple(b + ci * h for b, h in zip(base, H[-1])), den)

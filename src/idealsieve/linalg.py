@@ -73,6 +73,9 @@ def echelon_mod_p(rows, p, order):
 def det_int(mat):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination; every division is exact."""
+    if len(mat) == 2:  # the quadratic fields' norms, without elimination
+        (a, b), (c, d) = mat
+        return a * d - b * c
     a = [list(row) for row in mat]
     n = len(a)
     sign, prev = 1, 1

@@ -154,7 +154,7 @@ class NumberField:
         number coords, or coords itself if it is an element of K: the one
         place where coordinates become numerators over a denominator."""
         if isinstance(coords, FieldElement):
-            if coords.K != self:
+            if coords.K is not self and coords.K != self:
                 raise ValueError("mixed fields")
             return coords
         if isinstance(coords, int):  # its numerators need no Fraction

@@ -54,9 +54,12 @@ replaced, kept as test oracles.
   anchor) pair, each candidate a + xi j an integer numerator vector
   tested by is_prime_vector once per search (memoized); the search now
   reads a prime table of the whole ball through bitset shifts.
-- `certificate_oracle`: a hit's certificate with its ambient JSON and
-  radius derived for that hit; the search derives them once per search
-  and once per step.
+- `certificate_oracle`: a hit's certificate built from field elements,
+  with Fraction coordinate strings, its ambient JSON and radius derived
+  for that hit, and each witness found by membership in the lattice P b;
+  make_certificate writes the strings from integer coordinates and reads
+  each witness off residue_rows, and the search derives the head once per
+  search and the radius once per step.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
@@ -74,7 +77,7 @@ from fractions import Fraction
 import numpy as np
 
 from idealsieve.arith import factorint, primerange
-from idealsieve.constellation import make_certificate
+from idealsieve.constellation import Certificate
 from idealsieve.correlation import (CorrelationReport, omega_tuple,
                                     squarefree_ideals, tau_factor)
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
@@ -475,12 +478,27 @@ def factor_ideal_oracle(a):
 
 
 def certificate_oracle(spec, a, xi, pattern):
-    """make_certificate's certificate of one hit, with the head and the
-    radius derived for that hit alone."""
+    """make_certificate's certificate of one hit by field elements: the
+    points a + xi j, each coordinate written as str of its Fraction, the
+    radius derived for that hit alone, and each witness the P above a prime
+    of the point's quotient norm with the point in the lattice P b (the
+    route that residue_rows replaced)."""
     b = spec.ambient
+    pts = [a + xi * j for j in pattern]
     radius = max(minkowski_norm(xi * j) for j in pattern) + 1e-9
-    return make_certificate(b, (spec.K.name, b.to_json(), spec.k), a, xi,
-                            pattern, radius)
+
+    def coords(x):
+        return [str(c) for c in x.coords]
+
+    def witness(y):
+        N = int(abs(y.norm()) / b.norm())
+        return next(P for p in factorint(N)
+                    for P in factor_rational_prime(b.K, p)
+                    if (P.ideal() * b).contains(y)).to_json()
+
+    return Certificate(spec.K.name, b.to_json(), spec.k, coords(a),
+                       coords(xi), [coords(p) for p in pts], radius,
+                       [witness(p) for p in pts])
 
 
 def search_oracle(spec):

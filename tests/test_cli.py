@@ -1029,6 +1029,22 @@ _SEARCH_REPORTS = [
     (["search", "--field", "Q(zeta5)", "--k", "2.1", "--anchor-bound", "12",
       "--step-bound", "4", "--max-hits", "40"],
      "4795859a9139d43a7a078b04204777dbca498953d06bc500f642ae91fea8ee79"),
+    # one search over each field that the three above leave out
+    (["search", "--field", "Q", "--k", "2.5", "--anchor-bound", "400",
+      "--step-bound", "60", "--max-hits", "40"],
+     "987332fc6fe5e6db313fabef4156cffd37fadcac3a9d1042cce858cf7ccf7792"),
+    (["search", "--field", "Q(sqrt2)", "--k", "2.5", "--anchor-bound", "60",
+      "--step-bound", "6", "--max-hits", "40"],
+     "e51f456d9a8c431ce9cad8e4fce184740b771a757d3369fb7efb50b40c225607"),
+    (["search", "--field", "Q(sqrt-2)", "--k", "2.5", "--anchor-bound", "60",
+      "--step-bound", "6", "--max-hits", "40"],
+     "f318bebdc052959518a3290e99d2cb94e5cfe7d25b1fb5ccc0f7b312c3880cb0"),
+    (["search", "--field", "Q(sqrt5)", "--k", "2.5", "--anchor-bound", "60",
+      "--step-bound", "6", "--max-hits", "40"],
+     "7ab0ea8d0e3087f81e85d1c129c6f03b430e9756cc512ba993dddaa4c70da125"),
+    (["search", "--field", "Q(sqrt-5)", "--k", "2.1", "--anchor-bound",
+      "200", "--step-bound", "20", "--max-hits", "40"],
+     "9e6b3d533407e326b5b8513205fa611c0952c0df1b5ee7b8cc5a96a424c861d5"),
 ]
 
 
@@ -1045,7 +1061,10 @@ _SIEVE_REPORTS = [
                          ids=["search-qi", "alpha-scan-qi",
                               "singular-series-q", "autocorr-q-w2",
                               "search-ties-qi", "search-ties-qsqrt-3",
-                              "search-ties-qzeta5", "autocorr-sieve-q"])
+                              "search-ties-qzeta5", "search-q",
+                              "search-qsqrt2", "search-qsqrt-2",
+                              "search-qsqrt5", "search-qsqrt-5",
+                              "autocorr-sieve-q"])
 def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK

@@ -129,9 +129,9 @@ def test_search_matches_oracle(name, data, k, anchor, step, max_hits):
 
 
 def test_search_field_arithmetic_only_in_certificates(monkeypatch):
-    # the candidates are integer vectors, so FieldElement products and sums
-    # are made only by make_certificate (a + xi j and the radius), at most
-    # 2 |pattern| and |pattern| per hit, however many anchors are tried
+    # the candidates, the pattern and the hits are integer vectors, so no
+    # FieldElement sum is made; the only products are residue_rows' p e,
+    # n for each (P, b) that it builds for a witness
     counts = collections.Counter()
 
     def counted(op):
@@ -146,11 +146,46 @@ def test_search_field_arithmetic_only_in_certificates(monkeypatch):
         monkeypatch.setattr(FieldElement, op, counted(op))
     O = FractionalIdeal.unit_ideal(QI)
     spec = ConstellationSpec(QI, O, 1.5, 25, 2.5, max_hits=20)
+    built = ideals.residue_rows.cache_info().misses
     hits = search_constellation(spec)
-    size = len(spec.pattern())
-    assert hits and len(ball_elements(QI, O, 25)) > 2 * size * len(hits)
-    assert counts["__mul__"] <= 2 * size * len(hits)
-    assert counts["__add__"] <= size * len(hits)
+    built = ideals.residue_rows.cache_info().misses - built
+    assert hits
+    assert counts["__add__"] == 0
+    assert counts["__mul__"] <= QI.degree * built
+
+
+def test_search_lists_no_pattern(monkeypatch):
+    # the search walks the pattern's ball rows and never lists the pattern;
+    # with no points the pattern is still an error
+    spec = ConstellationSpec(QI, FractionalIdeal.unit_ideal(QI), 1.5, 12, 3)
+
+    def listed(self):
+        raise AssertionError("the pattern was listed")
+
+    monkeypatch.setattr(ConstellationSpec, "pattern", listed)
+    hits = search_constellation(spec)
+    with pytest.raises(ValueError, match="empty pattern"):
+        search_constellation(spec._replace(k=0))
+    monkeypatch.undo()
+    assert hits
+    assert [c.to_json() for c in hits] == \
+        [c.to_json() for c in search_oracle(spec)]
+
+
+@pytest.mark.parametrize("name", SUPPORTED_POLYS.values())
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), count=st.one_of(st.integers(0, 8), st.integers(9, 60)))
+def test_quotient_norms_match_each_point(name, data, count):
+    # the accumulated differences give _quotient_norm at every point of
+    # the line, for counts up to n + 1 (nothing summed) and beyond
+    K = make_field(name)
+    b = data.draw(st.sampled_from(_search_ambients(K)), label="ambient")
+    c, d = (data.draw(st.lists(st.integers(-9, 9), min_size=K.degree,
+                               max_size=K.degree)) for _ in range(2))
+    v, h = b.numerators_at(c), b.numerators_at(d)
+    assert list(ideals.quotient_norms(b, v, h, count)) == \
+        [ideals._quotient_norm(b, [x + t * y for x, y in zip(v, h)])
+         for t in range(count)]
 
 
 def test_search_gaussian_cross():
