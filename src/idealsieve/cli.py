@@ -28,9 +28,9 @@ from fractions import Fraction
 from .constellation import (ConstellationSpec, alpha_scan,
                             search_constellation, verify_line)
 from .correlation import (LinearFormSystem, auto_correlation_check,
-                          cross_correlation_sum, hypergraph_conditions_report,
-                          report_line, singular_series_direct,
-                          singular_series_main_term)
+                          check_level, cross_correlation_sum,
+                          hypergraph_conditions_report, report_line,
+                          singular_series_direct, singular_series_main_term)
 from .errors import (ENUMERATION_BUDGET, FACTOR_BUDGET, BudgetExceededError,
                      IdealSieveError, check_budget)
 from .ideals import FractionalIdeal, enumerate_prime_ideals, mobius_sieve
@@ -182,23 +182,25 @@ def cmd_correlate(args):
 
 def cmd_singular_series(args):
     K = field_by_name(args.field)
-    forms = LinearFormSystem(K, [[K.one if i == j else K.zero
-                                  for j in range(args.s)]
-                                 for i in range(args.s)])
+    shape = argparse.Namespace(K=K, s=args.s)  # all the main term reads
 
     def main_term(R):
+        check_level(K, R)  # R's budget (exit 3) before its main term (exit 2)
         try:
-            return singular_series_main_term(forms, R, args.W)
+            return singular_series_main_term(shape, R, args.W)
         except OverflowError:
             raise ValueError(f"the main term at --s {args.s} --W {args.W} "
                              f"--R {R} is past the float range") from None
 
+    mains = list(map(main_term, args.R))  # before any form is built
+    forms = LinearFormSystem(K, [[K.one if i == j else K.zero
+                                  for j in range(args.s)]
+                                 for i in range(args.s)])
     # a list: an error at a later --R leaves no report behind
     lines = [report_line("singular_series",
-                         singular_series_direct(forms, R, args.W),
-                         main_term(R),
+                         singular_series_direct(forms, R, args.W), main,
                          {"field": K.name, "R": R, "W": args.W, "s": args.s})
-             for R in args.R]
+             for R, main in zip(args.R, mains)]
     return _emit(args, lines, "R")
 
 

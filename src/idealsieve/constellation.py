@@ -5,6 +5,7 @@ pigeonhole alpha-scan over a prime-norm window.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -20,7 +21,8 @@ from .ideals import (FractionalIdeal, _generators, _quotient_norm,
                      primes_dividing, quotient_norms)
 from .lattice import ball_elements, ball_rows, iter_ball_elements
 from .numberfield import make_field, minkowski_norm
-from .sieve import SieveConfig, lambda_of_norms
+from .sieve import (SieveConfig, _is_small, _lambda_cached, _log_level,
+                    lambda_of_norms)
 
 
 class ConstellationSpec(namedtuple(
@@ -288,44 +290,75 @@ class AlphaScanResult(namedtuple(
         return sum(self.masses.values(), Fraction(0)) == self.total
 
 
+def _orbit_range(v, h, units, L):
+    """(lo, hi): w = v + t h (t < L) is least in its unit orbit iff lo <= t
+    < hi.  u w - w = alpha + t beta, alpha = v M_u - v and beta = h M_u - h
+    != 0 (M_u as columns), is lexicographically < 0 on a half-line of t:
+    entry 0 changes sign at its zero, where entry 1 (n = 2) decides."""
+    lo, hi = 0, L
+    for M in units:
+        (a0, a1), (b0, b1) = ([sum(map(operator.mul, x, col)) - y
+                               for col, y in zip(M, x)] for x in (v, h))
+        if not (a0 or b0):  # entry 1 decides every t
+            a0, a1, b0, b1 = a1, 0, b1, 0
+        if b0 > 0:  # from the least t with a0 + t b0 >= 0 on
+            t = -(a0 // b0)
+            lo = max(lo, t + (a0 + t * b0 == 0 and a1 + t * b1 < 0))
+        elif b0 < 0:  # up to the greatest such t
+            t = a0 // -b0
+            hi = min(hi, t + 1 - (a0 + t * b0 == 0 and a1 + t * b1 < 0))
+        elif a0 < 0:
+            hi = lo
+    return lo, hi
+
+
 def alpha_scan(cfg: SieveConfig, window) -> AlphaScanResult:
     """Bin the Lambda_{K,R}^2 masses of the primes P of b^{-1}'s class, N P
     in the window and prime to W, by the residue alpha in (W G) cap b of
     P b's canonical generator (principal_generator's: least in its unit
-    orbit), read off the ball of b and one prime_norm_flags.  Masses are
-    exact integer sums, so the partition identity is exact; see the README."""
+    orbit), read off b's ball by rows cut to those least points
+    (_orbit_range) and one prime_norm_flags; every norm that
+    sieve._is_small rejects has Lambda = phi(0).  Masses are exact integer
+    sums, so the partition identity is exact; see the README."""
     (lo, hi), K, b, W = window, cfg.K, cfg.ambient, cfg.W
     check_budget("window top", hi, ENUMERATION_BUDGET)
     # u w = w M_u; +-1 cannot lower w, whose first nonzero entry is < 0
     units = [list(zip(*K.mul_rows(u.num))) for u in _generators(
         FractionalIdeal.unit_ideal(K)) if any(u.num[1:])]
-    n, top = K.degree, max(hi, 0)
+    n, top, h = K.degree, max(hi, 0), b.mat[-1]
     # n <= 2, |x|^2 = n |N x|^(2/n); widened past the float root, unbudgeted
     r = math.sqrt(n * (top * b.norm()) ** (2 // n)) * (1 + 1e-9)
     prime = prime_norm_flags(K, top)
     for p in factorint(W):
         prime[::p] = bytes(top // p + 1)
+    below = min(max(lo, 0), top + 1)
+    prime[:below] = bytes(below)
+    logR, phi = _log_level(cfg.R), cfg.phi
+    cut = bisect.bisect(range(1, top + 1), False,  # _is_small is monotone
+                        key=lambda N: not _is_small(N, logR, phi)) + 1
     acc, count, den = {}, 0, 1 << 2148  # a float is an int over 2^e, e <= 1074
+
+    def square(lam):  # lam^2 as an integer over den
+        a, d = lam.as_integer_ratio()
+        return a * a * (den // (d * d))
+
+    heavy = square(_lambda_cached((), logR, phi))  # each norm from cut on
     for c, t0, t1 in ball_rows(b, r, math.inf)[2]:
         if c > (0,) * len(c):  # -1 is a unit: an orbit's least is c < 0
             continue
         t1 = t1 if any(c) else -1
         v = b.numerators_at(c + (t0,))
+        s, e = _orbit_range(v, h, units, t1 - t0 + 1)
         # |x|^2 < r^2 gives N < top (1 + 1e-9)^2 < top + 1 (top <= 10^7):
         # every norm indexes prime, and compress keeps the primes in C
-        norms, keys = itertools.tee(
-            quotient_norms(b, v, b.mat[-1], t1 - t0 + 1))
-        for t, N in itertools.compress(enumerate(norms),
+        norms, keys = itertools.tee(quotient_norms(
+            b, [x + s * y for x, y in zip(v, h)], h, e - s))
+        head = tuple(x + W * ((W - 2 * x) // (2 * W)) for x in c)
+        for t, N in itertools.compress(zip(range(t0 + s, t0 + e), norms),
                                        map(prime.__getitem__, keys)):
-            if N < lo:
-                continue
-            w = [x + t * h for x, h in zip(v, b.mat[-1])]
-            if any([sum(map(operator.mul, w, col)) for col in u] < w
-                   for u in units):
-                continue
-            red = tuple(x + W * ((W - 2 * x) // (2 * W)) for x in c + (t0 + t,))
-            a, d = lambda_of_norms((N,), cfg.R, cfg.phi).as_integer_ratio()
-            acc[red] = acc.get(red, 0) + a * a * (den // (d * d))
+            red = head + (t + W * ((W - 2 * t) // (2 * W)),)
+            acc[red] = acc.get(red, 0) + (heavy if N >= cut else square(
+                lambda_of_norms((N,), cfg.R, phi)))
             count += 1
     masses = {tuple(_coords_out(b.numerators_at(r), b.den)):
               Fraction(m, den) for r, m in acc.items()}

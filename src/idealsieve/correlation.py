@@ -318,6 +318,13 @@ def _full_rank_off(forms, W):
         for p in factorint(G) if W % p for P in primes_above(forms.K, p))
 
 
+def check_level(K, R):
+    """The pair sums' budget at level R, checked before any list."""
+    X = int(math.ceil(R))
+    check_budget(*(("norm bound", X) if K.degree > 1 else (
+        f"the integers below R = {R}:", X - 1)), ENUMERATION_BUDGET)
+
+
 def _pair_sum_rational(K, R, W, logR, phi):
     """Over the degree-1 field K, the sum over squarefree d, d' < R
     coprime to W of
@@ -335,7 +342,7 @@ def _pair_sum_rational(K, R, W, logR, phi):
     checked against the enumeration budget before any list is built.
     """
     Ri = int(math.ceil(R)) - 1
-    check_budget(f"the integers below R = {R}:", Ri, ENUMERATION_BUDGET)
+    check_level(K, R)
     mob = mobius_sieve(K, Ri)
     mob[0] = 0
     tot = [1] * (Ri + 1)  # Euler's phi, right at every squarefree e
@@ -377,7 +384,7 @@ def _pair_sum_norms(K, R, W, logR, phi):
     p.  Every sum is exact, in integers over 2^1074, and rounded once by a
     true division, as math.fsum rounds it."""
     X = int(math.ceil(R))
-    check_budget("norm bound", X, ENUMERATION_BUDGET)
+    check_level(K, R)
     Ri, split = X - 1, []  # (q_p, g_p) for p off W with q_p < R
     for p in primerange(2, X):
         degrees = residue_degrees(K, p)

@@ -18,8 +18,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .arith import (factorint, iroot, isprime, jacobi, prime_flags,
-                    primerange, sqrt_mod)
+from .arith import (factorint, iroot, isprime, prime_flags, primerange,
+                    sqrt_mod)
 from .errors import (COUNT_BUDGET, ENUMERATION_BUDGET, FACTOR_BUDGET,
                      UnsupportedFieldError, check_budget)
 from .lattice import iter_ball_elements
@@ -274,13 +274,6 @@ class IdealFactorization(namedtuple("IdealFactorization", "factors")):
 # ---------------------------------------------------------------------
 # Dedekind splitting
 
-def _kronecker(a: int, p: int) -> int:
-    """Kronecker symbol (a|p) for prime p: the Jacobi symbol for odd p."""
-    if p == 2:
-        return {1: 1, 3: -1, 5: -1, 7: 1}.get(a % 8, 0)
-    return jacobi(a, p)
-
-
 def factor_rational_prime(K: NumberField, p: int):
     """The prime ideals above p (primes_above), after checking that p is
     prime: ValueError if it is not."""
@@ -337,16 +330,9 @@ def _roots_mod(K, p):
 
 def residue_degrees(K: NumberField, p: int):
     """The residue degrees of the primes above the prime p, the one
-    splitting rule.  Every vetted field is abelian, so it reads p modulo
-    the conductor (1, 4, 8, 8, 3, 5, 20, 5 for Q, Q(i), Q(sqrt2),
-    Q(sqrt-2), Q(sqrt-3), Q(sqrt5), Q(sqrt-5), Q(zeta5)): the Kronecker
-    symbol of the discriminant, or the order of p mod 5 in Q(zeta5)."""
-    n = K.degree
-    if n == 1:
-        return [1]
-    if n == 2:
-        return {1: [1, 1], -1: [2]}.get(_kronecker(K.discriminant, p), [1])
-    return {0: [1], 1: [1, 1, 1, 1], 4: [2, 2]}.get(p % 5, [4])
+    splitting rule: the entry of p modulo the conductor in K.splitting
+    (numberfield.SPLITTING), a list shared by every p of the class."""
+    return K.splitting[p % K.conductor]
 
 
 # ---------------------------------------------------------------------
@@ -432,12 +418,17 @@ def mobius_sieve(K: NumberField, n):
 
 def prime_norm_flags(K: NumberField, X: int):
     """A bytearray, 1 at the norms q <= X of prime ideals: every vetted
-    field is Galois, so they are the p^f, f the residue degree above p."""
-    flags = bytearray(X + 1)
-    for p in itertools.compress(range(X + 1), prime_flags(X)):
-        q = p ** residue_degrees(K, p)[0]
-        if q <= X:
-            flags[q] = 1
+    field is Galois, so they are the p^f, f read off p mod the conductor
+    m.  The classes with f = 1 are slices of the prime sieve, copied before
+    the p^f (p <= X^(1/f)) of the others, which a slice would clear."""
+    m, sieve, flags = K.conductor, prime_flags(X), bytearray(X + 1)
+    for a, (f, *_) in sorted(K.splitting.items(), key=lambda e: e[1]):
+        if f == 1:
+            flags[a::m] = sieve[a::m]
+        else:
+            top = iroot(X, f) + 1
+            for p in itertools.compress(range(a, top, m), sieve[a:top:m]):
+                flags[p ** f] = 1
     return flags
 
 

@@ -45,6 +45,20 @@ GRAM = {
                  (-1, -1, -1, 4)),
 }
 
+# SPLITTING[name] = (conductor m, the residue degrees above p by p mod m):
+# every vetted field is abelian.  A class not prime to m holds one p | m.
+SPLITTING = {
+    "Q": (1, {0: [1]}),
+    "Q(i)": (4, {1: [1, 1], 2: [1], 3: [2]}),
+    "Q(sqrt2)": (8, {1: [1, 1], 2: [1], 3: [2], 5: [2], 7: [1, 1]}),
+    "Q(sqrt-2)": (8, {1: [1, 1], 2: [1], 3: [1, 1], 5: [2], 7: [2]}),
+    "Q(sqrt-3)": (3, {0: [1], 1: [1, 1], 2: [2]}),
+    "Q(sqrt5)": (5, {0: [1], 1: [1, 1], 2: [2], 3: [2], 4: [1, 1]}),
+    "Q(sqrt-5)": (20, {1: [1, 1], 2: [1], 3: [1, 1], 5: [1], 7: [1, 1],
+                       9: [1, 1], 11: [2], 13: [2], 17: [2], 19: [2]}),
+    "Q(zeta5)": (5, {0: [1], 1: [1, 1, 1, 1], 2: [4], 3: [4], 4: [2, 2]}),
+}
+
 _FIELD_CACHE = {}
 
 
@@ -96,6 +110,7 @@ class NumberField:
         # equals d_K on the vetted list (every field is monogenic)
         self.discriminant = _discriminant(poly)
         self.gram = GRAM[self.name]
+        self.conductor, self.splitting = SPLITTING[self.name]
         # totally real iff the metric is the trace form Tr(x y); otherwise
         # CM, with no real place
         if self.gram == _trace_form(poly):

@@ -63,6 +63,12 @@ replaced, kept as test oracles.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
+- `residue_degrees_oracle`: the splitting rule that the per-field class
+  table replaced: the Kronecker symbol of the discriminant in the
+  quadratic fields, the order of p mod 5 in Q(zeta5).
+- `prime_norm_flags_oracle`: the prime-norm sieve one prime at a time,
+  p^f set for each p <= X; prime_norm_flags now copies the sieve by one
+  slice per class mod the conductor with f = 1.
 - `minor_norm_oracle`: LinearFormSystem.minor_norm as the norm of the
   ideal generated by every s x s minor, each a Laplace expansion over K
   (`det_elements`); minor_norm now reads the product of the HNF pivots
@@ -76,7 +82,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from idealsieve.arith import factorint, primerange
+from idealsieve.arith import factorint, jacobi, prime_flags, primerange
 from idealsieve.constellation import Certificate
 from idealsieve.correlation import (CorrelationReport, omega_tuple,
                                     squarefree_ideals, tau_factor)
@@ -344,6 +350,32 @@ def auto_correlation_oracle(y, region, cfg):
             bound *= tau_factor(cfg, y[i] - y[j])
     return CorrelationReport("auto_correlation", emp, bound, len(pts),
                              dict(cfg.params_echo(), s_tuple=s))
+
+
+def residue_degrees_oracle(K, p):
+    """The residue degrees of the primes above the prime p: over a
+    quadratic field by the Kronecker symbol (d_K|p), the Jacobi symbol for
+    odd p; in Q(zeta5) by p mod 5."""
+    n = K.degree
+    if n == 1:
+        return [1]
+    if n == 2:
+        d = K.discriminant
+        k = {1: 1, 3: -1, 5: -1, 7: 1}.get(d % 8, 0) if p == 2 \
+            else jacobi(d, p)
+        return {1: [1, 1], -1: [2]}.get(k, [1])
+    return {0: [1], 1: [1, 1, 1, 1], 4: [2, 2]}.get(p % 5, [4])
+
+
+def prime_norm_flags_oracle(K, X):
+    """prime_norm_flags prime by prime: q = p^f set for every p <= X with
+    q <= X, f from residue_degrees_oracle."""
+    flags = bytearray(X + 1)
+    for p in itertools.compress(range(X + 1), prime_flags(X)):
+        q = p ** residue_degrees_oracle(K, p)[0]
+        if q <= X:
+            flags[q] = 1
+    return flags
 
 
 def alpha_scan_oracle(cfg, window):

@@ -115,6 +115,28 @@ def test_budget_error_leaves_no_report(tmp_path, argv):
     assert not out.exists()
 
 
+def test_singular_series_refuses_on_its_arguments_first(tmp_path, capsys,
+                                                        monkeypatch):
+    # R's budget and the main term are read off K, s, W and R: no form is
+    # built before a run that fails either check exits
+    monkeypatch.setattr(cli, "LinearFormSystem", _forbidden)
+    out = tmp_path / "f"
+    assert run(["--output", str(out), "singular-series", "--s", "1200"]) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err == "error: the main term at --s 1200 " \
+        "--W 6 --R 100.0 is past the float range\n"
+    assert not out.exists()
+    # the first R that fails either check decides, as when the forms came
+    # first: its budget's exit 3, else its main term's exit 2
+    for R, code in ((["1e300", "100"], EXIT_BUDGET),
+                    (["100", "1e300"], EXIT_USAGE)):
+        assert run(["--output", str(out), "singular-series", "--s", "1200",
+                    "--R", *R]) == code
+        assert ("budget exceeded" in capsys.readouterr().err) \
+            == (code == EXIT_BUDGET)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("csv, exists", [
     ("f", False), (os.path.join("d", "..", "f"), False), ("f", True),
     (os.path.join("d", "..", "f"), True), ("link", True)])
@@ -1121,8 +1143,9 @@ def test_singular_series_budget_checked_before_any_array(field, capsys):
 
 
 # alpha-scan reports at R = 1000 (fractional masses below it) over Q, Q(i)
-# and Q(sqrt-5), two windows and w in {1, 3}: the masses are exact sums
-# however they are accumulated, so these hashes stay.
+# and Q(sqrt-5), two windows and w in {1, 3}, and two over Q(sqrt-3), whose
+# six units test more of the orbit: the masses are exact sums however they
+# are accumulated, so these hashes stay.
 _ALPHA_REPORTS = [
     ("Q", (2, 400), 1,
      "91b17cf94e3814de8feedbe85665c8e0540f9b9941f0dbc610c608b73bac1c60"),
@@ -1148,6 +1171,11 @@ _ALPHA_REPORTS = [
      "8b01ffd3e239b84cd55ea5e81ac33c65e04c3c9cebe7d09667defb4f3d2db456"),
     ("Q(sqrt-5)", (300, 5000), 3,
      "2e51d237c29628151cd8075d90c88524d4913b71431f72f134f4c45439a9fa24"),
+    # six units: the orbit test is not only -1
+    ("Q(sqrt-3)", (2, 400), 1,
+     "71cdf4de9116ce1dbf3cdedeb6b6460551b724ec584cf9e6bd654c21b4f15f26"),
+    ("Q(sqrt-3)", (300, 5000), 3,
+     "4c950ce51a0bad8efc925693a811195ee82f12aeddbc346cb21b53fe514b437a"),
 ]
 
 

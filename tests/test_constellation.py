@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import time
@@ -7,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import constellation, ideals
+from idealsieve import cli, constellation, ideals
 from idealsieve.constellation import (Certificate, ConstellationSpec,
                                       alpha_scan, search_constellation,
                                       verify_certificate, verify_line)
@@ -455,3 +456,106 @@ def test_alpha_scan_nonprincipal_class():
         assert (res.masses, res.total, res.count) \
             == alpha_scan_oracle(cfg, window)
         assert res.partition_exact() and (w == 1 or len(res.masses) > 1)
+
+
+# Q(i) and Q(sqrt-3), whose unit groups have orders 4 and 6: O_K and three
+# non-unit principal ambients, by generator coordinates
+_UNIT_AMBIENTS = {"Q(i)": [(1, 0), (2, 1), (3, 0), (1, 1)],
+                  "Q(sqrt-3)": [(1, 0), (2, 0), (2, 1), (1, -3)]}
+
+
+@pytest.mark.parametrize("name", sorted(_UNIT_AMBIENTS))
+def test_alpha_scan_matches_oracle_where_units_matter(name):
+    # windows below, across and above the Lambda cut, the least norm N with
+    # log N / log R >= 1: 30 at R = 30, and 6 at R = 5.5, below which
+    # Lambda(5) differs from phi(0) even as a float
+    K = make_field(name)
+    for gen in _UNIT_AMBIENTS[name]:
+        b = FractionalIdeal.principal(K, K.element(list(gen)))
+        for w, (R, cut) in itertools.product((1, 2, 3), ((30.0, 30),
+                                                          (5.5, 6))):
+            cfg = SieveConfig(K, N=10**4, w=w, ambient=b, logR=math.log(R))
+            for window in ((2, cut - 1), (3, 300), (cut, 400),
+                           (2 * cut, 500)):
+                masses, total, count = alpha_scan_oracle(cfg, window)
+                if not masses:
+                    with pytest.raises(ValueError, match="^no primes"):
+                        alpha_scan(cfg, window)
+                    continue
+                res = alpha_scan(cfg, window)
+                assert (res.masses, res.total, res.count) \
+                    == (masses, total, count), (gen, w, window)
+
+
+def _unit_columns(K):
+    """The columns of the multiplication matrix of each unit u != +-1,
+    found as the points of norm 1 in the ball of radius 2."""
+    return [list(zip(*K.mul_rows(u.num)))
+            for u in ball_elements(K, FractionalIdeal.unit_ideal(K), 2)
+            if u.norm() == 1 and any(u.num[1:])]
+
+
+_UNIT_COLUMNS = {name: _unit_columns(make_field(name))
+                 for name in _UNIT_AMBIENTS}
+
+
+def test_unit_columns_are_the_unit_groups():
+    assert {k: len(v) for k, v in _UNIT_COLUMNS.items()} \
+        == {"Q(i)": 2, "Q(sqrt-3)": 4}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_orbit_range_matches_per_point_order(data):
+    # the row rule against u w < w point by point, for each unit and for
+    # all of them; the modes aim entry 0 of u w - w at one unit: beta_0 = 0
+    # along the row, or an integer zero at the row's first or last point
+    units = _UNIT_COLUMNS[data.draw(st.sampled_from(sorted(_UNIT_COLUMNS)),
+                                    label="field")]
+    M = data.draw(st.sampled_from(units), label="aimed unit")
+    kernel = (M[0][1], 1 - M[0][0])  # entry 0 of x M - x is 0 at x
+    coord = st.integers(-6, 6) | st.integers(-10**6, 10**6)
+    v = data.draw(st.tuples(coord, coord), label="v")
+    h = data.draw(st.tuples(coord, coord), label="h")
+    L = data.draw(st.sampled_from([0, 1]) | st.integers(0, 40), label="L")
+    mode = data.draw(st.sampled_from(["free", "beta0", "first", "last"]),
+                     label="mode")
+    if mode == "beta0":
+        h = tuple(data.draw(coord, label="k") * x for x in kernel)
+    elif mode != "free":
+        L = max(L, 1)
+        t = 0 if mode == "first" else L - 1
+        v = tuple(data.draw(coord, label="k") * x - t * y
+                  for x, y in zip(kernel, h))
+
+    def least(w, chosen):
+        return not any([sum(x * c for x, c in zip(w, col)) for col in U]
+                       < list(w) for U in chosen)
+
+    for chosen in [[U] for U in units] + [units]:
+        want = [least([x + t * y for x, y in zip(v, h)], chosen)
+                for t in range(L)]
+        lo, hi = constellation._orbit_range(v, h, chosen, L)
+        assert [lo <= t < hi for t in range(L)] == want, chosen
+
+
+def test_alpha_scan_calls_lambda_only_below_the_cut(monkeypatch, tmp_path):
+    calls = []
+    real = constellation.lambda_of_norms
+    monkeypatch.setattr(constellation, "lambda_of_norms",
+                        lambda norms, R, phi: calls.append(norms)
+                        or real(norms, R, phi))
+    for name in ("Q", "Q(i)", "Q(sqrt-3)"):
+        cfg = SieveConfig(make_field(name), N=10**4, w=2,
+                          logR=math.log(30.0))
+        calls.clear()
+        res = alpha_scan(cfg, (3, 300))
+        # one call per counted prime of norm below R = 30, and only those
+        assert calls and all(len(n) == 1 and n[0] < 30 for n in calls)
+        assert len(calls) < res.count
+    # the bench's alpha-scan-qi argv: every norm is past R = 50
+    calls.clear()
+    assert cli.main(["--output", str(tmp_path / "r"), "alpha-scan",
+                     "--field", "Q(i)", "--w", "2", "--window", "100",
+                     "1200", "--R", "50"]) == 0
+    assert calls == []

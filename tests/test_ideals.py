@@ -9,14 +9,15 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealsieve import correlation, ideals, lattice, sieve
+from idealsieve import arith, correlation, ideals, lattice, sieve
 from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
                                has_finite_unit_group, is_prime_element,
                                is_prime_vector, mobius, mobius_sieve,
-                               prime_divisors, primes_dividing,
+                               prime_divisors, prime_norm_flags,
+                               primes_dividing,
                                principal_generator, residue_degrees,
                                zeta_residue)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
@@ -24,7 +25,8 @@ from idealsieve.sieve import DEFAULT_BUMP, SieveConfig, lambda_R
 from oracles import (add_oracle, class_equivalent_oracle,
                      count_ideals_oracle, factor_ideal_oracle,
                      gauss_jordan_coords, inverse_oracle, lambda_oracle,
-                     mul_oracle, principal_generator_oracle)
+                     mul_oracle, prime_norm_flags_oracle,
+                     principal_generator_oracle, residue_degrees_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -115,6 +117,53 @@ def test_splitting_matches_sympy_every_field():
         for p in sympy.primerange(2, 2000):
             assert factor_rational_prime(K, p) == _splitting_oracle(K, p), \
                 (K.name, p)
+
+
+_PRIMES_1E5 = list(sympy.primerange(2, 10**5))
+_FIELDS = [make_field(poly) for poly in SUPPORTED_POLYS]
+
+
+def test_splitting_table_matches_the_rule_below_1e5():
+    # the class table against the Kronecker / p mod 5 rule it replaced
+    for K in _FIELDS:
+        for p in _PRIMES_1E5:
+            assert residue_degrees(K, p) == residue_degrees_oracle(K, p), \
+                (K.name, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_prime_norm_flags_slices_match_per_prime_loop(data):
+    # below the conductor, and next to a prime power p^f that is a norm
+    K = data.draw(st.sampled_from(_FIELDS), label="field")
+    if data.draw(st.booleans(), label="below conductor"):
+        X = data.draw(st.integers(0, K.conductor - 1), label="X")
+    else:
+        q = data.draw(st.sampled_from([
+            q for q in (p ** residue_degrees(K, p)[0] for p in _PRIMES_1E5)
+            if q <= 10**5]), label="p^f")
+        X = q + data.draw(st.sampled_from([-1, 0, 1]), label="offset")
+    assert prime_norm_flags(K, X) == prime_norm_flags_oracle(K, X)
+
+
+@pytest.mark.parametrize("K", _FIELDS, ids=lambda K: K.name)
+def test_prime_norm_flags_slices_at_a_million(K):
+    assert prime_norm_flags(K, 10**6) == prime_norm_flags_oracle(K, 10**6)
+
+
+def test_splitting_reaches_no_jacobi(monkeypatch):
+    # the table replaced the Kronecker symbol on every splitting path
+    def forbidden(*args):
+        raise AssertionError("jacobi called")
+
+    for where in (arith, ideals):
+        if hasattr(where, "jacobi"):
+            monkeypatch.setattr(where, "jacobi", forbidden)
+    for K in _FIELDS:
+        for p in _PRIMES_1E5[:500]:
+            residue_degrees(K, p)
+        prime_norm_flags(K, 5000)
+        mobius_sieve(K, 5000)
 
 
 def _prime_in_class(n, r):
