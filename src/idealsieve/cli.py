@@ -339,6 +339,38 @@ COMMANDS = {
     "residue": (cmd_residue, (), {"--x": _arg(int, 17),
                                   "--N": _arg(_COUNT, 10)}),
 }
+_FIELD = {"--field": dict(default="Q")}  # every command's, after its name
+
+
+def _table_args(argv):
+    """_parse_args's result read straight off the tables, or None for
+    argparse: --help, --config, a positional, an inexact flag, or a value
+    that starts with "-", is missing or fails its type."""
+    args, flags, rest = {}, TOP_FLAGS, list(argv)
+    while rest:
+        flag = rest.pop(0)
+        if flags is TOP_FLAGS and flag in COMMANDS:
+            command, flags = [flag, *rest], {**_FIELD, **COMMANDS[flag][2]}
+            continue
+        kw = flags.get(flag)
+        if kw is None or flag == "--config":
+            return None
+        run = next((j for j, tok in enumerate(rest) if tok[:1] == "-"),
+                   len(rest))
+        count = run if kw.get("nargs") == "+" else kw.get("nargs", 1)
+        if not 0 < count <= run:
+            return None
+        try:
+            values = [kw.get("type", str)(tok) for tok in rest[:count]]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        args[flag] = values if "nargs" in kw else values[0]
+        del rest[:count]
+    if flags is TOP_FLAGS or not all(f[:2] == "--" for f in flags):
+        return None  # no command, or verify's positional certificate
+    return COMMANDS[command[0]], argparse.Namespace(command=command, **{
+        f[2:].replace("-", "_"): args.get(f, kw.get("default"))
+        for f, kw in {**TOP_FLAGS, **flags}.items()})
 
 
 def _parse_args(argv):
@@ -353,7 +385,7 @@ def _parse_args(argv):
     args = top.parse_args(argv)
     name = args.command[0]
     sub = argparse.ArgumentParser(prog=f"idealsieve {name}")
-    arguments = {"--field": dict(default="Q"), **COMMANDS[name][2]}
+    arguments = {**_FIELD, **COMMANDS[name][2]}
     for flag, kw in arguments.items():
         sub.add_argument(flag, **kw)
     sub.parse_args(args.command[1:], args)  # --help needs no config file
@@ -377,7 +409,7 @@ def _flag_text(args, name):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:  # argparse exits 2 on a rejected value and 0 after --help
-        (fn, sizes, _), args = _parse_args(argv)
+        (fn, sizes, _), args = _table_args(argv) or _parse_args(argv)
     except SystemExit as exc:
         return exc.code
     except (OSError, ValueError) as exc:

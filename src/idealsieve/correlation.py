@@ -24,13 +24,13 @@ from .arith import factorint, iroot, prime_flags, primerange
 from .errors import (ENUMERATION_BUDGET, TUPLE_BUDGET, BudgetExceededError,
                      check_budget)
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     mobius_sieve, prime_divisors, primes_above,
+                     euler_phi, mobius_sieve, prime_divisors, primes_above,
                      residue_degrees, residue_rows, zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope)
 from .linalg import echelon_mod_p, hnf
 from .numberfield import FieldElement
-from .sieve import SieveConfig, c_phi, region_nu_rows
+from .sieve import DEFAULT_BUMP, SieveConfig, c_phi, region_nu_rows
 
 # ---------------------------------------------------------------------
 # Linear form systems
@@ -261,8 +261,6 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
     _pair_sum_norms otherwise).  prime_support forces the direct tuple
     sum over the squarefree ideals built from those primes.
     """
-    from .sieve import DEFAULT_BUMP
-
     K = forms.K
     phi = phi or DEFAULT_BUMP
     logR = math.log(R)
@@ -427,8 +425,6 @@ def singular_series_main_term(forms, R, W):
     rescaled ratio direct * (4 pi^2)^s / main is 0.30 at R = 10^2 and
     0.55 at R = 10^4.
     """
-    from .ideals import euler_phi
-
     K = forms.K
     n = K.degree
     base = (c_phi() * W ** n
@@ -445,8 +441,6 @@ def F_euler(forms: LinearFormSystem, t, tprime, P_cutoff: float, R: float,
     main term and a multiplicative tail bound.
 
     Returns (value, main_term, tail_factor_bound)."""
-    from .ideals import euler_phi
-
     K = forms.K
     s = forms.s
     logR = math.log(R)

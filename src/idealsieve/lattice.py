@@ -11,6 +11,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import primerange
 from .errors import ENUMERATION_BUDGET, BudgetExceededError
@@ -42,6 +43,29 @@ def row_elements(ideal, rows):
                 K, tuple(b + ci * h for b, h in zip(base, H[-1])), den)
 
 
+@lru_cache(maxsize=2 ** 12)
+def _ball_form(ideal):
+    """ball_rows' radius-free part, shared by every call on the ideal:
+    Q, adj(Q)'s diagonal, det Q and the Fincke-Pohst scaling M, A, e, W."""
+    H, n = ideal.mat, ideal.K.degree
+    HG = [[sum(map(operator.mul, row, col)) for col in zip(*ideal.K.gram)]
+          for row in H]
+    Q = [[sum(map(operator.mul, row, h)) for h in H] for row in HG]
+    d, mu = [None] * n, [None] * n
+    for i in reversed(range(n)):
+        row = [Fraction(Q[i][j])
+               - sum(d[k] * mu[k][i] * mu[k][j] for k in range(i + 1, n))
+               for j in range(n)]
+        d[i] = row[i]
+        mu[i] = [x / row[i] for x in row]
+    M = [math.lcm(*(x.denominator for x in mu[i][:i])) for i in range(n)]
+    A = [[int(x * M[i]) for x in mu[i][:i]] for i in range(n)]
+    w = [d[i] / M[i] ** 2 for i in range(n)]
+    W = math.lcm(*(x.denominator for x in w))
+    adj = [row[i] for i, row in enumerate(adjugate(Q))]
+    return Q, adj, det_int(Q), M, A, [int(x * W) for x in w], W
+
+
 def ball_rows(ideal, radius: float, budget):
     """(Q, box, rows) for the points c H / den of the ideal with Minkowski
     norm < radius: |c_i| <= box[i], and rows generates one (c_0..c_{n-2},
@@ -60,33 +84,18 @@ def ball_rows(ideal, radius: float, budget):
     upper triangular with positive pivots, so that is the order of the
     coordinates.
     """
-    H, n = ideal.mat, ideal.K.degree
-    HG = [[sum(map(operator.mul, row, col)) for col in zip(*ideal.K.gram)]
-          for row in H]
-    Q = [[sum(map(operator.mul, row, h)) for h in H] for row in HG]
+    Q, adj, detQ, M, A, e, W = _ball_form(ideal)
+    n = len(Q)
     if radius <= 0:
         return Q, [0] * n, iter(())
     R2 = Fraction(radius) ** 2 * ideal.den ** 2
-    detQ = det_int(Q)
     box, total = [], 1
-    for i, row in enumerate(adjugate(Q)):
-        box.append(math.isqrt(R2 * row[i] // detQ))
+    for i, a in enumerate(adj):
+        box.append(math.isqrt(R2 * a // detQ))
         total *= 2 * box[i] + 1
         if total > budget:
             raise BudgetExceededError(
                 f"ball enumeration box has {total}+ candidates (budget {budget})")
-    d, mu = [None] * n, [None] * n
-    for i in reversed(range(n)):
-        row = [Fraction(Q[i][j])
-               - sum(d[k] * mu[k][i] * mu[k][j] for k in range(i + 1, n))
-               for j in range(n)]
-        d[i] = row[i]
-        mu[i] = [x / row[i] for x in row]
-    M = [math.lcm(*(x.denominator for x in mu[i][:i])) for i in range(n)]
-    A = [[int(x * M[i]) for x in mu[i][:i]] for i in range(n)]
-    w = [d[i] / M[i] ** 2 for i in range(n)]
-    W = math.lcm(*(x.denominator for x in w))
-    e = [int(x * W) for x in w]
     c = [0] * n
 
     def descend(i, T):

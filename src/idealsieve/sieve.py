@@ -69,6 +69,7 @@ class BumpFunction:
 
 
 DEFAULT_BUMP = BumpFunction()
+_DEFAULT_C_PHI = float.fromhex("0x1.ddeb7090d8d47p+5")  # see c_phi
 
 
 # The tanh-sinh rule (Takahasi and Mori 1974) maps [0, b] onto the real
@@ -118,8 +119,12 @@ def c_phi(phi: BumpFunction = DEFAULT_BUMP) -> float:
     phi' vanishes beyond the support, so the integral stops at its right
     end; it is taken by the tanh-sinh rule, which raises ArithmeticError
     when phi'^2 is not smooth enough on (0, support[1]) to converge.  This
-    equals the Fourier double integral of the module docstring.
+    equals the Fourier double integral of the module docstring.  The
+    default bump's value is that rule's float, kept as the literal
+    _DEFAULT_C_PHI so that no host's libm can move it.
     """
+    if phi is DEFAULT_BUMP:
+        return _DEFAULT_C_PHI
     val = _tanh_sinh(lambda t: phi.derivative(t) ** 2, phi.support[1])
     return 4.0 * math.pi ** 2 * val
 

@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import cli, correlation, ideals
+from idealsieve import cli, correlation, ideals, sieve
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
 from idealsieve.constellation import ConstellationSpec, search_constellation
@@ -611,6 +611,74 @@ def test_argv_and_config_fuzz_exit_codes(data):
     assert code != EXIT_VERIFY or command == "verify"
 
 
+# values drawn by each flag's table type, mostly inside its range
+_TABLE_VALUES = {"int": _ints(0, 60), "float": _floats(0.5, 80) | _ints(1, 80),
+                 None: st.sampled_from(_FIELD_NAMES + ["out", "primes"])}
+
+
+def _table_pairs(data, flags, label):
+    """(flag, value tokens) pairs off a table of add_argument keywords,
+    a flag possibly repeated, each with its nargs of values."""
+    pairs = []
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)),
+                                   max_size=4), label=label):
+        kw = flags[flag]
+        count = kw.get("nargs") or 1
+        if count == "+":
+            count = data.draw(st.integers(1, 3), label=f"{flag} count")
+        values = _TABLE_VALUES[getattr(kw.get("type"), "__name__", None)]
+        pairs.append((flag, [data.draw(values, label=flag)
+                             for _ in range(count)]))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_table_args_decline_or_equal_argparse(data):
+    # argv drawn from the table, with the fuzz test's bad values, dropped
+    # tokens and junk tokens: the table path gives None or argparse's own
+    # entry and namespace
+    name = data.draw(st.sampled_from(sorted(cli.COMMANDS)), label="command")
+    top = {flag: kw for flag, kw in cli.TOP_FLAGS.items()
+           if flag != "--config" or data.draw(st.booleans(), label="config")}
+    pairs = [_table_pairs(data, top, "top"),
+             _table_pairs(data, {f: kw for f, kw in {
+                 **cli._FIELD, **cli.COMMANDS[name][2]}.items()
+                 if f.startswith("--")}, "flags")]
+    for side in pairs:
+        for i in range(data.draw(st.integers(0, len(side)), label="bad")):
+            side[i] = (side[i][0], [data.draw(_BAD_TOKENS, label="bad")])
+    argv = [tok for flag, values in pairs[0] for tok in [flag, *values]]
+    argv += [name] + [tok for flag, values in pairs[1]
+                      for tok in [flag, *values]]
+    if name == "verify" and data.draw(st.booleans(), label="certificate"):
+        argv.append("c.jsonl")
+    for kind in data.draw(st.lists(st.sampled_from(["drop", "insert"]),
+                                   max_size=2), label="mutations"):
+        i = data.draw(st.integers(0, len(argv)), label="at")
+        if kind == "insert":
+            argv.insert(i, data.draw(_JUNK_TOKENS, label="junk"))
+        elif i < len(argv):
+            del argv[i]
+    got = cli._table_args(argv)
+    if got is not None:
+        want = cli._parse_args(argv)
+        assert got[0] is want[0]
+        assert vars(got[1]) == vars(want[1])
+
+
+def test_table_args_take_the_bench_argv(monkeypatch, tmp_path):
+    # the four runs the benchmark times build no argparse parser and read
+    # the default bump's c_phi without its quadrature
+    def refuse(*args, **kw):
+        raise AssertionError("not on a well-formed run")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    monkeypatch.setattr(sieve, "_tanh_sinh", refuse)
+    for argv, _ in _SEED0_REPORTS:
+        assert run(["--output", str(tmp_path / "r.jsonl")] + argv) == EXIT_OK
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_no_subcommand_is_usage_error():
@@ -797,10 +865,12 @@ def test_size_flags_are_dests_of_their_command():
         assert set(sizes) <= dests, name
 
 
-@pytest.mark.parametrize("config", ["", "seed = 3\nbound = 5\n"],
-                         ids=["argv", "config"])
-def test_main_builds_two_parsers(tmp_path, monkeypatch, config):
-    # the top-level parser and the command's own: no other command's
+@pytest.mark.parametrize("config, parsers", [
+    ("", []), ("seed = 3\nbound = 5\n", ["idealsieve", "idealsieve primes"])],
+    ids=["argv", "config"])
+def test_main_builds_two_parsers(tmp_path, monkeypatch, config, parsers):
+    # a well-formed argv is read off the table with no parser; a config
+    # file builds the top-level parser and the command's own, no other
     built, init = [], argparse.ArgumentParser.__init__
 
     def counted(self, **kw):
@@ -814,7 +884,7 @@ def test_main_builds_two_parsers(tmp_path, monkeypatch, config):
         head = ["--config", str(tmp_path / "c.cfg")]
     assert run(head + ["--output", str(tmp_path / "p.jsonl"), "primes",
                        "--bound", "5"]) == EXIT_OK
-    assert built == ["idealsieve", "idealsieve primes"]
+    assert built == parsers
 
 
 def test_hypergraph_every_field(tmp_path):

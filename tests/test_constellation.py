@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import cli, constellation, ideals
+from idealsieve import cli, constellation, ideals, lattice
 from idealsieve.constellation import (Certificate, ConstellationSpec,
                                       alpha_scan, search_constellation,
                                       verify_certificate, verify_line)
@@ -153,6 +153,20 @@ def test_search_field_arithmetic_only_in_certificates(monkeypatch):
     assert hits
     assert counts["__add__"] == 0
     assert counts["__mul__"] <= QI.degree * built
+
+
+@pytest.mark.parametrize("i", [0, 1], ids=["unit", "prime"])
+def test_search_builds_each_ball_form_once(i):
+    # the search's five ball_rows calls build one form per distinct
+    # lattice: the ambient's and O_K's, one lattice when b = O_K
+    b, O = _search_ambients(QI)[i], FractionalIdeal.unit_ideal(QI)
+    scale = float(b.norm()) ** 0.5
+    lattice._ball_form.cache_clear()
+    assert search_constellation(ConstellationSpec(QI, b, 1.5, 25 * scale,
+                                                  2.5 * scale, max_hits=20))
+    info = lattice._ball_form.cache_info()
+    assert info.misses == info.currsize == len({b, O})
+    assert info.hits + info.misses == 5
 
 
 def test_search_lists_no_pattern(monkeypatch):

@@ -111,6 +111,12 @@ def test_c_phi_frozen_value():
         59.739960795991066057700351363334573120480530610307, rel=1e-15)
 
 
+def test_c_phi_default_constant_is_the_quadrature():
+    # the default bump's constant is the tanh-sinh value, bit for bit
+    val = sieve._tanh_sinh(lambda t: DEFAULT_BUMP.derivative(t) ** 2, 1.0)
+    assert (4.0 * math.pi ** 2 * val).hex() == c_phi().hex()
+
+
 def _stretched(a):
     # phi(t / a) on (-a, a)
     return BumpFunction(f=lambda t: DEFAULT_BUMP(t / a),
