@@ -20,7 +20,7 @@ from .ideals import (FractionalIdeal, _generators, _quotient_norm,
                      is_prime_vector, prime_norm_flags, primes_at,
                      primes_dividing, quotient_norms)
 from .lattice import ball_elements, ball_rows, iter_ball_elements
-from .numberfield import make_field, minkowski_norm
+from .numberfield import field_by_name, minkowski_norm
 from .sieve import (SieveConfig, _is_small, _lambda_cached, _log_level,
                     lambda_of_norms)
 
@@ -201,10 +201,11 @@ def verify_certificate(cert: Certificate):
     """Re-derive every claim from scratch.  Returns (ok, diagnoses); a
     value that does not decode to its field object, a k that is not a
     finite number > 0, a radius that is not finite, or a zero step, is
-    diagnosed as "schema"."""
+    diagnosed as "schema"; a field that is not a vetted name, a list of
+    coefficients included, as "field"."""
     diagnoses = []
     try:
-        K = make_field(cert.field)
+        K = field_by_name(cert.field)
     except Exception:
         return False, ["field"]
     try:

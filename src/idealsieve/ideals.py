@@ -331,7 +331,8 @@ def _roots_mod(K, p):
 def residue_degrees(K: NumberField, p: int):
     """The residue degrees of the primes above the prime p, the one
     splitting rule: the entry of p modulo the conductor in K.splitting
-    (numberfield.SPLITTING), a list shared by every p of the class."""
+    (its record in numberfield.FIELDS), a list shared by every p of the
+    class."""
     return K.splitting[p % K.conductor]
 
 
@@ -472,25 +473,10 @@ def count_ideals(K: NumberField, x) -> int:
     return sum(A)
 
 
-_ZETA_RESIDUES = {
-    "Q": lambda: 1.0,
-    "Q(i)": lambda: math.pi / 4,
-    "Q(sqrt-3)": lambda: math.pi / (3 * math.sqrt(3)),
-    "Q(sqrt-2)": lambda: math.pi / (2 * math.sqrt(2)),
-    "Q(sqrt-5)": lambda: math.pi / math.sqrt(5),
-    "Q(sqrt2)": lambda: math.log(1 + math.sqrt(2)) / math.sqrt(2),
-    "Q(sqrt5)": lambda: 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5),
-    # class number formula with h=1, w=10, Reg = 0.96242365...
-    "Q(zeta5)": lambda: (2 * math.pi) ** 2 * 0.9624236501192069
-    / (10 * math.sqrt(125)),
-}
-
-
 def zeta_residue(K: NumberField) -> float:
-    """Residue of zeta_K at z = 1, from the class number formula table."""
-    if K.name not in _ZETA_RESIDUES:
-        raise UnsupportedFieldError(f"no residue table entry for {K.name}")
-    return _ZETA_RESIDUES[K.name]()
+    """Residue of zeta_K at z = 1, from the class number formula: its
+    record in numberfield.FIELDS."""
+    return K.residue
 
 
 # ---------------------------------------------------------------------
@@ -625,12 +611,6 @@ def quotient_norms(b: FractionalIdeal, v, h, count: int):
 
 
 @lru_cache(maxsize=2**12)
-def _prime_times(P: PrimeIdeal, b: FractionalIdeal) -> FractionalIdeal:
-    """The ideal P b: y lies in it iff P divides (y) b^{-1}."""
-    return P.ideal() * b
-
-
-@lru_cache(maxsize=2**12)
 def residue_rows(P: PrimeIdeal, b: FractionalIdeal):
     """The F_p functionals of b / P b: reduced rows g with y in P b iff
     g . c = 0 mod p for every g, c the integer coordinates of y in b.  p e
@@ -638,7 +618,7 @@ def residue_rows(P: PrimeIdeal, b: FractionalIdeal):
     coordinates there, y is in P b iff sum_e c_e M_e / p is integral; the
     rows are the columns of M reduced mod p, the last coordinate pivoted
     first, so only the first row can involve it."""
-    Pb = _prime_times(P, b)
+    Pb = P.ideal() * b
     M = [Pb.coefficients(e * P.p) for e in b.basis_elements()]
     return tuple(tuple(g) for _, g in echelon_mod_p(
         zip(*M), P.p, reversed(range(b.K.degree))))

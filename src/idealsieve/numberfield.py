@@ -16,48 +16,46 @@ from fractions import Fraction
 from .errors import ReduciblePolynomialError, UnsupportedFieldError
 from .linalg import det_int
 
-# Vetted monogenic fields (coefficients constant-first, monic).
-SUPPORTED_POLYS = {
-    (0, 1): "Q",
-    (1, 0, 1): "Q(i)",
-    (-2, 0, 1): "Q(sqrt2)",
-    (2, 0, 1): "Q(sqrt-2)",
-    (1, -1, 1): "Q(sqrt-3)",
-    (-1, -1, 1): "Q(sqrt5)",
-    (5, 0, 1): "Q(sqrt-5)",
-    (1, 1, 1, 1, 1): "Q(zeta5)",
+# FIELDS[name] = (f, G, m, splitting, residue), one record per vetted
+# monogenic field:
+# - f, its defining polynomial (coefficients constant-first, monic);
+# - G, the Minkowski metric on the power basis: G[i][j] = Tr(theta^i
+#   conj(theta^j)), so that |x|^2 = sum over the n embeddings s of |s(x)|^2
+#   = Tr(x conj(x)) = a^T G a for x = sum a_i theta^i.  Every vetted field
+#   is totally real or CM, so complex conjugation is a field automorphism
+#   and G is an integer matrix;
+# - m and splitting, the conductor and the residue degrees above p by p mod
+#   m: every vetted field is abelian.  A class not prime to m holds one
+#   p | m;
+# - residue, Res_{z=1} zeta_K by the class number formula (h = 1).
+FIELDS = {
+    "Q": ((0, 1), ((1,),), 1, {0: [1]}, 1.0),
+    "Q(i)": ((1, 0, 1), ((2, 0), (0, 2)), 4, {1: [1, 1], 2: [1], 3: [2]},
+             math.pi / 4),
+    "Q(sqrt2)": ((-2, 0, 1), ((2, 0), (0, 4)), 8,
+                 {1: [1, 1], 2: [1], 3: [2], 5: [2], 7: [1, 1]},
+                 math.log(1 + math.sqrt(2)) / math.sqrt(2)),
+    "Q(sqrt-2)": ((2, 0, 1), ((2, 0), (0, 4)), 8,
+                  {1: [1, 1], 2: [1], 3: [1, 1], 5: [2], 7: [2]},
+                  math.pi / (2 * math.sqrt(2))),
+    "Q(sqrt-3)": ((1, -1, 1), ((2, 1), (1, 2)), 3,
+                  {0: [1], 1: [1, 1], 2: [2]}, math.pi / (3 * math.sqrt(3))),
+    "Q(sqrt5)": ((-1, -1, 1), ((2, 1), (1, 3)), 5,
+                 {0: [1], 1: [1, 1], 2: [2], 3: [2], 4: [1, 1]},
+                 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)),
+    "Q(sqrt-5)": ((5, 0, 1), ((2, 0), (0, 10)), 20,
+                  {1: [1, 1], 2: [1], 3: [1, 1], 5: [1], 7: [1, 1],
+                   9: [1, 1], 11: [2], 13: [2], 17: [2], 19: [2]},
+                  math.pi / math.sqrt(5)),
+    # w = 10, Reg = 0.96242365...
+    "Q(zeta5)": ((1, 1, 1, 1, 1), ((4, -1, -1, -1), (-1, 4, -1, -1),
+                                   (-1, -1, 4, -1), (-1, -1, -1, 4)), 5,
+                 {0: [1], 1: [1, 1, 1, 1], 2: [4], 3: [4], 4: [2, 2]},
+                 (2 * math.pi) ** 2 * 0.9624236501192069
+                 / (10 * math.sqrt(125))),
 }
 
-# The Minkowski metric on the power basis: G[i][j] = Tr(theta^i
-# conj(theta^j)), so that |x|^2 = sum over the n embeddings s of |s(x)|^2 =
-# Tr(x conj(x)) = a^T G a for x = sum a_i theta^i.  Every vetted field is
-# totally real or CM, so complex conjugation is a field automorphism and G
-# is an integer matrix.
-GRAM = {
-    "Q": ((1,),),
-    "Q(i)": ((2, 0), (0, 2)),
-    "Q(sqrt2)": ((2, 0), (0, 4)),
-    "Q(sqrt-2)": ((2, 0), (0, 4)),
-    "Q(sqrt-3)": ((2, 1), (1, 2)),
-    "Q(sqrt5)": ((2, 1), (1, 3)),
-    "Q(sqrt-5)": ((2, 0), (0, 10)),
-    "Q(zeta5)": ((4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1),
-                 (-1, -1, -1, 4)),
-}
-
-# SPLITTING[name] = (conductor m, the residue degrees above p by p mod m):
-# every vetted field is abelian.  A class not prime to m holds one p | m.
-SPLITTING = {
-    "Q": (1, {0: [1]}),
-    "Q(i)": (4, {1: [1, 1], 2: [1], 3: [2]}),
-    "Q(sqrt2)": (8, {1: [1, 1], 2: [1], 3: [2], 5: [2], 7: [1, 1]}),
-    "Q(sqrt-2)": (8, {1: [1, 1], 2: [1], 3: [1, 1], 5: [2], 7: [2]}),
-    "Q(sqrt-3)": (3, {0: [1], 1: [1, 1], 2: [2]}),
-    "Q(sqrt5)": (5, {0: [1], 1: [1, 1], 2: [2], 3: [2], 4: [1, 1]}),
-    "Q(sqrt-5)": (20, {1: [1, 1], 2: [1], 3: [1, 1], 5: [1], 7: [1, 1],
-                       9: [1, 1], 11: [2], 13: [2], 17: [2], 19: [2]}),
-    "Q(zeta5)": (5, {0: [1], 1: [1, 1, 1, 1], 2: [4], 3: [4], 4: [2, 2]}),
-}
+SUPPORTED_POLYS = {rec[0]: name for name, rec in FIELDS.items()}
 
 _FIELD_CACHE = {}
 
@@ -109,8 +107,8 @@ class NumberField:
         n = self.degree
         # equals d_K on the vetted list (every field is monogenic)
         self.discriminant = _discriminant(poly)
-        self.gram = GRAM[self.name]
-        self.conductor, self.splitting = SPLITTING[self.name]
+        (_, self.gram, self.conductor, self.splitting,
+         self.residue) = FIELDS[self.name]
         # totally real iff the metric is the trace form Tr(x y); otherwise
         # CM, with no real place
         if self.gram == _trace_form(poly):
@@ -283,10 +281,9 @@ def make_field(poly) -> NumberField:
 
 
 def field_by_name(name: str) -> NumberField:
-    for poly, nm in SUPPORTED_POLYS.items():
-        if nm == name:
-            return make_field(poly)
-    raise UnsupportedFieldError(f"unknown field name {name!r}")
+    if name not in FIELDS:
+        raise UnsupportedFieldError(f"unknown field name {name!r}")
+    return make_field(FIELDS[name][0])
 
 
 def minkowski_norm(x: FieldElement) -> float:

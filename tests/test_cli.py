@@ -328,6 +328,27 @@ def test_verify_non_finite_k_or_radius_is_schema(tmp_path, key, value):
         (True, []), (False, ["schema"]), (True, [])]
 
 
+@pytest.mark.parametrize("field", [[1, 0, 1], [1] * 9])
+def test_verify_reads_the_field_by_name_only(tmp_path, field):
+    # a list of coefficients is no field name, on the vetted list or off
+    # it: it used to verify as Q(i), or to import sympy to be rejected.  A
+    # fresh interpreter, because this test process has sympy loaded
+    lines = _write_certs(tmp_path).read_text().splitlines()
+    lines[1] = json.dumps(dict(json.loads(lines[1]), field=field))
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "v.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code = ("import sys\n"
+            "from idealsieve.cli import main\n"
+            "print(main(sys.argv[1:]), 'sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "--output", str(out),
+                           "verify", str(bad)], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_VERIFY), "False"]
+    assert [(r["ok"], r["diagnoses"]) for r in read_lines(out)] == [
+        (True, []), (False, ["field"]), (True, [])]
+
+
 def test_verify_rederives_radius(tmp_path):
     # the radius is the one make_certificate derives: a larger one is a
     # "metric" failure too

@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 from idealsieve import constellation, correlation, ideals, lattice, sieve
-from idealsieve.numberfield import minkowski_norm
+from idealsieve.numberfield import FIELDS, minkowski_norm
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "idealsieve"
 TESTS = SRC.parent.parent / "tests"
@@ -99,6 +99,34 @@ def test_every_definition_is_used():
     # package or read somewhere in src/ or bench/; a path or table that
     # only tests still read (an oracle) belongs in tests/
     assert _unreferenced_definitions() == []
+
+
+def _field_tables(path):
+    """The module-level dict literals of a module with a key that is a
+    vetted field's name or polynomial."""
+    keys = set(FIELDS) | {rec[0] for rec in FIELDS.values()}
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+            else None
+        if isinstance(value, ast.Dict) and any(
+                k is not None and _literal(k) in keys for k in value.keys):
+            out += [f"{path.name}: {name}" for name in _defined_names(node)]
+    return out
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_one_table_per_field():
+    # each vetted field's facts live in its one numberfield.FIELDS record;
+    # no other module-level table is keyed by the fields
+    assert [t for path in sorted(SRC.glob("*.py"))
+            for t in _field_tables(path)] == ["numberfield.py: FIELDS"]
 
 
 def test_no_builtin_id_calls():

@@ -8,9 +8,10 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from idealsieve.errors import ReduciblePolynomialError, UnsupportedFieldError
+from idealsieve.ideals import zeta_residue
 from idealsieve.linalg import det_int
-from idealsieve.numberfield import (_discriminant, field_by_name, make_field,
-                                    minkowski_norm)
+from idealsieve.numberfield import (FIELDS, SUPPORTED_POLYS, _discriminant,
+                                    field_by_name, make_field, minkowski_norm)
 from oracles import (coords_add, coords_minkowski_norm, coords_mul,
                      coords_neg, coords_norm, coords_scale, det_fraction)
 
@@ -27,8 +28,21 @@ def test_discriminants(name):
     assert make_field(name).discriminant == DISCS[name]
 
 
+@pytest.mark.parametrize("name", FIELDS)
+def test_field_is_one_object_built_from_its_record(name):
+    # NumberField.element's `coords.K is self` fast path needs one object
+    # per field, whether it is made by name or by polynomial
+    poly, gram, conductor, splitting, residue = FIELDS[name]
+    K = field_by_name(name)
+    assert K is make_field(poly)
+    assert (K.poly, K.name) == (poly, name)
+    assert (K.gram, K.conductor, K.splitting) == (gram, conductor, splitting)
+    assert zeta_residue(K) == residue
+    assert SUPPORTED_POLYS[poly] == name
+
+
 def test_unknown_field_rejected():
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(UnsupportedFieldError, match=r"'Q\(sqrt17\)'"):
         field_by_name("Q(sqrt17)")
     with pytest.raises(UnsupportedFieldError):
         make_field((3, 0, 1))  # x^2 + 3 is not monogenic for Q(sqrt-3)

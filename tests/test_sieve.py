@@ -12,8 +12,8 @@ from idealsieve.constellation import (ConstellationSpec, alpha_scan,
                                       search_constellation,
                                       verify_certificate)
 from idealsieve.correlation import auto_correlation_check
-from idealsieve.ideals import (FractionalIdeal, _prime_times,
-                               enumerate_prime_ideals, factor_rational_prime)
+from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
+                               factor_rational_prime, residue_rows)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from idealsieve.sieve import (DEFAULT_BUMP, BumpFunction, SieveConfig,
                               _lambda_cached, c_phi, lambda_R,
@@ -238,8 +238,8 @@ def test_lambda_cache_bounded():
     assert _lambda_cached.cache_info().maxsize == 2 ** 16
 
 
-def test_prime_times_cache_bounded():
-    assert _prime_times.cache_info().maxsize == 2 ** 12
+def test_residue_rows_cache_bounded():
+    assert residue_rows.cache_info().maxsize == 2 ** 12
 
 
 # ------------------------------------------------- truncation vs the oracle
