@@ -352,15 +352,21 @@ def alpha_scan(cfg: SieveConfig, window) -> AlphaScanResult:
         s, e = _orbit_range(v, h, units, t1 - t0 + 1)
         # |x|^2 < r^2 gives N < top (1 + 1e-9)^2 < top + 1 (top <= 10^7):
         # every norm indexes prime, and compress keeps the primes in C
-        norms, keys = itertools.tee(quotient_norms(
+        norms = list(quotient_norms(
             b, [x + s * y for x, y in zip(v, h)], h, e - s))
+        flags, t0 = bytes(map(prime.__getitem__, norms)), t0 + s
         head = tuple(x + W * ((W - 2 * x) // (2 * W)) for x in c)
-        for t, N in itertools.compress(zip(range(t0 + s, t0 + e), norms),
-                                       map(prime.__getitem__, keys)):
+        if norms and min(norms) >= cut:  # heavy at all: k primes per class
+            hits = ((j, k) for j in range(W) if (k := flags[j::W].count(1)))
+        else:
+            hits = zip(itertools.compress(range(e - s), flags),
+                       itertools.repeat(1))
+        for j, k in hits:
+            t, N = t0 + j, norms[j]
             red = head + (t + W * ((W - 2 * t) // (2 * W)),)
-            acc[red] = acc.get(red, 0) + (heavy if N >= cut else square(
+            acc[red] = acc.get(red, 0) + k * (heavy if N >= cut else square(
                 lambda_of_norms((N,), cfg.R, phi)))
-            count += 1
+            count += k
     masses = {tuple(_coords_out(b.numerators_at(r), b.den)):
               Fraction(m, den) for r, m in acc.items()}
     if not masses:

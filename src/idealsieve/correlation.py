@@ -21,10 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import factorint, iroot, prime_flags, primerange
-from .errors import (ENUMERATION_BUDGET, TUPLE_BUDGET, BudgetExceededError,
-                     check_budget)
+from .errors import (ENUMERATION_BUDGET, FACTOR_BUDGET, TUPLE_BUDGET,
+                     BudgetExceededError, check_budget)
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     euler_phi, mobius_sieve, prime_divisors, primes_above,
+                     euler_phi, mobius_sieve, primes_above, primes_dividing,
                      residue_degrees, residue_rows, zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
                       iter_points_in_parallelotope)
@@ -485,13 +485,18 @@ def F_euler(forms: LinearFormSystem, t, tprime, P_cutoff: float, R: float,
 
 def tau_factor(cfg: SieveConfig, y: FieldElement) -> float:
     """prod over primes of (y) b^{-1} off W with norm <= R^2 of
-    (1 + c_tau / Np), with c_tau = s^2."""
+    (1 + c_tau / Np), with c_tau = s^2, the primes read off y by
+    primes_dividing (ValueError if y is not in b) once N((y) b^{-1}) is
+    found within FACTOR_BUDGET."""
     if not y:
         raise ValueError("tau_factor requires y != 0")
+    b = cfg.ambient
+    if b.contains(y):
+        check_budget("factored ideal norm", int(abs(y.norm()) / b.norm()),
+                     FACTOR_BUDGET)
     c_tau = float(cfg.s ** 2)
-    ideal = FractionalIdeal.principal(cfg.K, y) * cfg.ambient.inverse()
     out = 1.0
-    for P in prime_divisors(ideal):
+    for P in primes_dividing(b, y):
         if cfg.W % P.p == 0:
             continue
         if P.norm() <= cfg.R ** 2:

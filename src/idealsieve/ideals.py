@@ -238,7 +238,7 @@ class PrimeIdeal(namedtuple("PrimeIdeal", "K p gpoly e f")):
         # deg g == n means g == f mod p, i.e. g(theta) = (g - f)(theta)
         if len(self.gpoly) - 1 == self.K.degree:
             coords = [c - fc for c, fc in zip(self.gpoly, self.K.poly)][: self.K.degree]
-        return self.K.element(coords)
+        return FieldElement(self.K, tuple(coords), 1)
 
     def ideal(self) -> FractionalIdeal:
         return _prime_ideal_lattice(self)
@@ -346,13 +346,16 @@ _FACTOR_CACHE_SIZE = 2**16
 def prime_divisors(a: FractionalIdeal):
     """The distinct primes P containing a nonzero integral ideal a, in
     factor_ideal's order: those above the primes of N(a), ascending, with
-    a in P.  N(a) is factored only up to FACTOR_BUDGET."""
+    each HNF row of a in P by residue_rows(P, O_K).  N(a) is factored only
+    up to FACTOR_BUDGET."""
     if not a.is_integral():
         raise ValueError("factoring requires an integral ideal")
     N = int(a.norm())
     check_budget("factored ideal norm", N, FACTOR_BUDGET)
+    O = FractionalIdeal.unit_ideal(a.K)
     return tuple(P for p in factorint(N) for P in primes_above(a.K, p)
-                 if P.ideal().contains_ideal(a))
+                 if not any(sum(map(operator.mul, g, h)) % p
+                            for g in residue_rows(P, O) for h in a.mat))
 
 
 def factor_ideal(a: FractionalIdeal) -> IdealFactorization:
@@ -613,15 +616,25 @@ def quotient_norms(b: FractionalIdeal, v, h, count: int):
 @lru_cache(maxsize=2**12)
 def residue_rows(P: PrimeIdeal, b: FractionalIdeal):
     """The F_p functionals of b / P b: reduced rows g with y in P b iff
-    g . c = 0 mod p for every g, c the integer coordinates of y in b.  p e
-    lies in P b for each basis element e of b, and with M_e its integer
-    coordinates there, y is in P b iff sum_e c_e M_e / p is integral; the
-    rows are the columns of M reduced mod p, the last coordinate pivoted
-    first, so only the first row can involve it."""
-    Pb = P.ideal() * b
-    M = [Pb.coefficients(e * P.p) for e in b.basis_elements()]
-    return tuple(tuple(g) for _, g in echelon_mod_p(
-        zip(*M), P.p, reversed(range(b.K.degree))))
+    g . c = 0 mod p for every g, c the integer coordinates of y in b.  From
+    P = (p, g(theta)), P b = p b + g(theta) b, whose image in b / p b =
+    F_p^n the coordinates S of g(theta) e span, e the basis of b; the rows
+    are the annihilator of S, one per coordinate j off the pivots of S's
+    echelon form: 1 at j, 0 at the other such coordinates, and solved for
+    the pivots from the last up (a pivot j solves to 0).  So the last
+    coordinate is taken first and only the first row can involve it."""
+    K, p, n = b.K, P.p, b.K.degree
+    g = P.generator_element().num
+    S = echelon_mod_p([b._coefficients(K.mul(g, h)) for h in b.mat], p,
+                      range(n))[::-1]
+    rows = []
+    for j in reversed(range(n)):
+        v = [int(i == j) for i in range(n)]
+        for c, r in S:  # r . v = 0, r[c] = 1
+            v[c] = -sum(map(operator.mul, r[c + 1:], v[c + 1:])) % p
+        if v[j]:
+            rows.append(tuple(v))
+    return tuple(rows)
 
 
 def primes_at(b: FractionalIdeal, c, N: int, small=None):
@@ -644,9 +657,12 @@ def primes_at(b: FractionalIdeal, c, N: int, small=None):
 
 
 def primes_dividing(b: FractionalIdeal, y: FieldElement, small=None):
-    """primes_at for y, a nonzero element of b."""
-    v = b.numerators(y)
-    return primes_at(b, b._coefficients(v), _quotient_norm(b, v), small)
+    """primes_at for y, a nonzero element of b; ValueError if y is not in
+    b, as (y) b^{-1} is then not integral."""
+    c = b.coefficients(y)
+    if c is None:
+        raise ValueError("factoring requires an integral ideal")
+    return primes_at(b, c, _quotient_norm(b, b.numerators(y)), small)
 
 
 class TruncatedClass(namedtuple("TruncatedClass",

@@ -69,6 +69,11 @@ replaced, kept as test oracles.
 - `prime_norm_flags_oracle`: the prime-norm sieve one prime at a time,
   p^f set for each p <= X; prime_norm_flags now copies the sieve by one
   slice per class mod the conductor with f = 1.
+- `residue_rows_oracle`: the F_p functionals of b / P b through the
+  lattice P b: P's HNF ideal times b, the coordinates there of p e for
+  each basis element e of b, whose columns are reduced mod p, the last
+  coordinate pivoted first; residue_rows now reads them off the
+  two-element form P = (p, g(theta)) and builds no ideal.
 - `minor_norm_oracle`: LinearFormSystem.minor_norm as the norm of the
   ideal generated by every s x s minor, each a Laplace expansion over K
   (`det_elements`); minor_norm now reads the product of the HNF pivots
@@ -93,7 +98,7 @@ from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
 from idealsieve.errors import NU_POINT_BUDGET, BudgetExceededError
 from idealsieve.lattice import (ball_elements, fundamental_domain_reduce,
                                 points_in_parallelotope)
-from idealsieve.linalg import hnf
+from idealsieve.linalg import echelon_mod_p, hnf
 from idealsieve.numberfield import minkowski_norm
 from idealsieve.sieve import nu_weight
 
@@ -507,6 +512,16 @@ def factor_ideal_oracle(a):
             if v:
                 factors.append((P, v))
     return tuple(factors)
+
+
+def residue_rows_oracle(P, b):
+    """residue_rows(P, b) from the lattice P b: with M_e the coordinates of
+    p e in P b, y is in P b iff sum_e c_e M_e / p is integral, so the rows
+    are the columns of M reduced mod p."""
+    Pb = P.ideal() * b
+    M = [Pb.coefficients(e * P.p) for e in b.basis_elements()]
+    return tuple(tuple(g) for _, g in echelon_mod_p(
+        zip(*M), P.p, reversed(range(b.K.degree))))
 
 
 def certificate_oracle(spec, a, xi, pattern):

@@ -16,7 +16,8 @@ from idealsieve import cli, correlation, ideals, sieve
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
 from idealsieve.constellation import ConstellationSpec, search_constellation
-from idealsieve.ideals import FractionalIdeal, enumerate_prime_ideals, mobius
+from idealsieve.ideals import (FractionalIdeal, PrimeIdeal,
+                               enumerate_prime_ideals, mobius)
 from idealsieve.numberfield import make_field
 
 
@@ -1179,6 +1180,23 @@ _SIEVE_REPORTS = [
                               "search-qsqrt5", "search-qsqrt-5",
                               "autocorr-sieve-q"])
 def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "report.jsonl"
+    assert run(["--output", str(out)] + argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("i", [0, 3], ids=["search-qi", "autocorr-q-w2"])
+def test_points_build_no_ideal(tmp_path, monkeypatch, i):
+    # the search's witnesses and autocorr's tau read the primes of a point
+    # off residue rows built from P = (p, g(theta)): no HNF, ideal product,
+    # inverse, principal ideal or prime ideal lattice, and the same report
+    ideals.residue_rows.cache_clear()
+    monkeypatch.setattr(ideals, "hnf", _forbidden)
+    for cls, name in ((FractionalIdeal, "__mul__"),
+                      (FractionalIdeal, "inverse"),
+                      (FractionalIdeal, "principal"), (PrimeIdeal, "ideal")):
+        monkeypatch.setattr(cls, name, _forbidden)
+    argv, digest = _SEED0_REPORTS[i]
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -645,6 +645,21 @@ def test_tau_factor_values():
     assert tau_factor(cfg, Q.element(big)) == 1.0
 
 
+def test_tau_factor_checks_membership_then_budget():
+    # y off b is named first, even past the budget; then N((y) b^{-1})
+    # above FACTOR_BUDGET is refused before anything is factored
+    b = factor_rational_prime(QI, 5)[0].ideal()
+    cfg = SieveConfig(QI, N=10**4, s=2, w=1, logR=math.log(50), ambient=b)
+    for y in (QI.one, QI.element(10**9 + 1)):
+        with pytest.raises(ValueError, match="requires an integral ideal"):
+            tau_factor(cfg, y)
+    with pytest.raises(BudgetExceededError, match="factored ideal norm"):
+        tau_factor(cfg, QI.element(5 * 10**8))
+    cfg = SieveConfig(Q, N=10**4, s=2, w=1, logR=math.log(50))
+    with pytest.raises(BudgetExceededError, match="factored ideal norm"):
+        tau_factor(cfg, Q.element(10**16))
+
+
 def test_tau_skips_w_primes():
     cfg = SieveConfig(Q, N=10**4, s=2, w=3, logR=math.log(50))
     c = float(cfg.s ** 2)

@@ -26,7 +26,8 @@ from oracles import (add_oracle, class_equivalent_oracle,
                      count_ideals_oracle, factor_ideal_oracle,
                      gauss_jordan_coords, inverse_oracle, lambda_oracle,
                      mul_oracle, prime_norm_flags_oracle,
-                     principal_generator_oracle, residue_degrees_oracle)
+                     principal_generator_oracle, residue_degrees_oracle,
+                     residue_rows_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -709,6 +710,36 @@ def test_residue_rows_membership_matches_ideal_product(amb, data):
     assert all(g[-1] == 0 for g in rows[1:])
     assert all(sum(map(operator.mul, g, c)) % P.p == 0 for g in rows) \
         == Pb.contains(y)
+
+
+# a product ambient per field: the first primes above 5 and 7 over the
+# first prime above 3 (den > 1)
+_PRODUCT_AMBIENTS = [(K, factor_rational_prime(K, 5)[0].ideal()
+                      * factor_rational_prime(K, 7)[0].ideal()
+                      * factor_rational_prime(K, 3)[0].ideal().inverse())
+                     for K in map(make_field, SUPPORTED_POLYS)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(amb=st.sampled_from(_AMBIENTS + _INVERSE_AMBIENTS
+                           + _PRODUCT_AMBIENTS), data=st.data())
+def test_residue_rows_match_ideal_product_oracle(amb, data):
+    # the rows read off P = (p, g(theta)) are those of the lattice P b, for
+    # every p < 60: ramified, inert and split, p | N(b) among them
+    K, b = amb
+    P = data.draw(st.sampled_from([P for p in arith.primerange(2, 60)
+                                   for P in factor_rational_prime(K, p)]))
+    assert ideals.residue_rows(P, b) == residue_rows_oracle(P, b)
+
+
+def test_primes_dividing_rejects_a_point_off_the_ambient():
+    # 2 - i and 1 are not in the first prime above 5 of Q(i): (y) b^{-1}
+    # is not integral, and the error says so
+    b = factor_rational_prime(QI, 5)[0].ideal()
+    for y in (QI.element((2, -1)), QI.one):
+        assert not b.contains(y)
+        with pytest.raises(ValueError, match="requires an integral ideal"):
+            primes_dividing(b, y)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
