@@ -90,18 +90,21 @@ def _coords_in(K, coords):
     return K.element(coords)
 
 
-def make_certificate(ambient, head, a, xi, offsets, radius) -> Certificate:
-    """The hit (a, xi) in coordinates on the ambient b, offsets those of xi
-    j for j in the pattern, and head (K.name, ambient.to_json(), k); each
-    witness is read off a point's coordinates and quotient norm."""
-    b, den = ambient, ambient.den
-    pts = [list(map(operator.add, a, o)) for o in offsets]
-    nums = [b.numerators_at(c) for c in pts]
-    witnesses = [primes_at(b, c, _quotient_norm(b, v))[0].to_json()
-                 for c, v in zip(pts, nums)]
-    return Certificate(*head, _coords_out(b.numerators_at(a), den),
-                       _coords_out(b.numerators_at(xi), den),
-                       [_coords_out(v, den) for v in nums], radius, witnesses)
+def make_certificate(ambient, head, a, step, offsets, radius, seen):
+    """The hit (a, xi) in coordinates on the ambient b, step xi's strings,
+    offsets those of xi j for j in the pattern (0 among them, so a is a
+    point), and head (K.name, ambient.to_json(), k).  seen, the search's
+    table, maps a point's coordinates to its strings and its witness P,
+    read off its quotient norm when the point is first met."""
+    b, pts = ambient, [tuple(map(operator.add, a, o)) for o in offsets]
+    for c in pts:
+        if c not in seen:
+            v = b.numerators_at(c)
+            seen[c] = (_coords_out(v, b.den),
+                       primes_at(b, c, _quotient_norm(b, v))[0])
+    return Certificate(*head, list(seen[a][0]), list(step),
+                       [list(seen[c][0]) for c in pts], radius,
+                       [seen[c][1].to_json() for c in pts])
 
 
 def _dots(rows, w):
@@ -173,7 +176,7 @@ def search_constellation(spec: ConstellationSpec):
     for c, lo, hi in ball_rows(b, radius, ENUMERATION_BUDGET)[2]:
         flags[index(c + (lo,)):index(c + (hi,)) + 1] = b"1" * (hi - lo + 1)
     prime_anchors = int(flags[::-1], 2) & table  # 0 is in every pattern
-    hits, head = [], (K.name, b.to_json(), spec.k)
+    hits, head, seen = [], (K.name, b.to_json(), spec.k), {}
     for xi, Rx, top in zip(steps, R, reach):
         live = prime_anchors
         for s in _dots(pattern, [sum(map(operator.mul, r, stride))
@@ -190,8 +193,10 @@ def search_constellation(spec: ConstellationSpec):
         # max |xi j| is read off the row ends, as the rounding is monotone
         certified = math.sqrt(top / (b.den * b.den)) + 1e-9
         offsets = list(zip(*(_dots(pattern, col) for col in zip(*Rx))))
+        step = _coords_out(b.numerators_at(xi), b.den)
         for a in sorted(found, key=norm):
-            hits.append(make_certificate(b, head, a, xi, offsets, certified))
+            hits.append(make_certificate(b, head, a, step, offsets,
+                                         certified, seen))
             if spec.max_hits and len(hits) >= spec.max_hits:
                 return hits
     return hits

@@ -59,7 +59,8 @@ replaced, kept as test oracles.
   for that hit, and each witness found by membership in the lattice P b;
   make_certificate writes the strings from integer coordinates and reads
   each witness off residue_rows, and the search derives the head once per
-  search and the radius once per step.
+  search, the radius once per step, and each distinct point's strings and
+  witness once per search.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.

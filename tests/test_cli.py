@@ -1,4 +1,5 @@
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -12,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import cli, correlation, ideals, sieve
+from idealsieve import cli, constellation, correlation, ideals, sieve
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
 from idealsieve.constellation import ConstellationSpec, search_constellation
@@ -1159,6 +1160,14 @@ _SEARCH_REPORTS = [
     (["search", "--field", "Q(sqrt-5)", "--k", "2.1", "--anchor-bound",
       "200", "--step-bound", "20", "--max-hits", "40"],
      "9e6b3d533407e326b5b8513205fa611c0952c0df1b5ee7b8cc5a96a424c861d5"),
+    # two searches without a hit cap (352 and 2,372 lines), where one point
+    # lies in many certificates
+    (["search", "--field", "Q(i)", "--anchor-bound", "40", "--step-bound",
+      "8", "--max-hits", "0"],
+     "f0efae87ff3f75342014c3934d47222cf92cf18845a613f07bc44264904a2bab"),
+    (["search", "--field", "Q", "--anchor-bound", "2000", "--step-bound",
+      "60", "--max-hits", "0"],
+     "06b44c1815f4da3c9dd17745ad0ebd933fe9ff2ec1a896981f40a3486ccea4d9"),
 ]
 
 
@@ -1178,6 +1187,7 @@ _SIEVE_REPORTS = [
                               "search-ties-qzeta5", "search-q",
                               "search-qsqrt2", "search-qsqrt-2",
                               "search-qsqrt5", "search-qsqrt-5",
+                              "search-all-qi", "search-all-q",
                               "autocorr-sieve-q"])
 def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.jsonl"
@@ -1199,6 +1209,30 @@ def test_points_build_no_ideal(tmp_path, monkeypatch, i):
     argv, digest = _SEED0_REPORTS[i]
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_search_reads_each_point_once(tmp_path, monkeypatch):
+    # search-qi writes 16 certificates with 80 points, 20 of them distinct:
+    # each distinct point's quotient norm and witness are read once
+    counts = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            counts[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("primes_at", "_quotient_norm"):
+        monkeypatch.setattr(constellation, name,
+                            counted(getattr(constellation, name)))
+    argv, digest = _SEED0_REPORTS[0]
+    out = tmp_path / "report.jsonl"
+    assert run(["--output", str(out)] + argv) == EXIT_OK
+    certs = read_lines(out)
+    assert (len(certs), sum(len(c["points"]) for c in certs)) == (16, 80)
+    assert len({tuple(p) for c in certs for p in c["points"]}) == 20
+    assert counts == {"primes_at": 20, "_quotient_norm": 20}
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -1,4 +1,5 @@
 import collections
+import copy
 import itertools
 import json
 import math
@@ -166,6 +167,55 @@ def test_search_builds_each_ball_form_once(i):
     info = lattice._ball_form.cache_info()
     assert info.misses == info.currsize == len({b, O})
     assert info.hits + info.misses == 5
+
+
+def test_search_certificates_share_no_mutable_value():
+    # the 352 hits of one search share points, but no two certificates (or
+    # two fields of one) hold the same list or dict: mutating one
+    # certificate's point and witness leaves every other certificate as it was
+    hits = search_constellation(ConstellationSpec(
+        QI, FractionalIdeal.unit_ideal(QI), 1.5, 40, 8))
+    assert len(hits) == 352
+    values = [v for c in hits for v in (
+        c.anchor, c.step, *c.points, *c.witnesses,
+        *(w["g"] for w in c.witnesses))]
+    assert len({id(v) for v in values}) == len(values)
+    first, i, other = next(
+        (c, i, d) for c, d in itertools.combinations(hits, 2)
+        for i, p in enumerate(c.points) if p in d.points)
+    rest = [d for d in hits if d is not first]
+    before = [(copy.deepcopy(d._items()), d.to_json()) for d in rest]
+    first.points[i][0] = "7"
+    first.points[i].append("0")
+    first.witnesses[i]["p"] = 7
+    first.witnesses[i]["g"].append(1)
+    first.anchor.append("0")
+    first.step[0] = "7"
+    assert other in rest
+    assert [(d._items(), d.to_json()) for d in rest] == before
+
+
+def test_search_keeps_no_table_between_calls():
+    # a point's coordinates name different elements on different ambients:
+    # O_K, the first prime above 5 and O_K again give the certificates each
+    # search gives alone, from cleared caches
+    O = FractionalIdeal.unit_ideal(QI)
+    P = ideals.primes_above(QI, 5)[0].ideal()
+    specs = [ConstellationSpec(QI, O, 1.5, 25, 2.5),
+             ConstellationSpec(QI, P, 1.5, 40, 5),
+             ConstellationSpec(QI, O, 1.5, 25, 2.5)]
+
+    def cleared():
+        ideals.residue_rows.cache_clear()
+        ideals.primes_above.cache_clear()
+
+    alone = []
+    for spec in specs:
+        cleared()
+        alone.append(search_constellation(spec))
+    cleared()
+    assert [search_constellation(spec) for spec in specs] == alone
+    assert all(alone) and alone[0] != alone[1]
 
 
 def test_search_lists_no_pattern(monkeypatch):
