@@ -1236,6 +1236,76 @@ def test_search_reads_each_point_once(tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# primes, mobius and lambda over Q, Q(i) and Q(zeta5), with the sha256 of
+# each report as json.dumps(sort_keys=True) wrote its lines: a change to how
+# the lines are written that keeps the bytes keeps these values.
+_LIST_REPORTS = [
+    (["primes", "--field", "Q", "--bound", "20000"],
+     "53afe486c24a04f21079a7060e9ed0f338e1d1e9a640c7395b36e3fbb0487b18"),
+    (["primes", "--field", "Q(i)", "--bound", "20000"],
+     "7fbd6d4e6ebb94523f09cbb5185aa89bed97b8a347506be140b90904ef342d49"),
+    (["primes", "--field", "Q(zeta5)", "--bound", "20000"],
+     "6928b4f6f086fa59d93e7a06298b4a131b54b79af149742324735a9e2d0b26a3"),
+    (["mobius", "--field", "Q", "--bound", "20000"],
+     "6d656379f4fed8ee6cc3c5ce86f039028fec5a027045cb86134dd925fd2a8d3d"),
+    (["mobius", "--field", "Q(i)", "--bound", "20000"],
+     "06110e04a86c37aac4248922c514040bb39f74af8f53d259db9f19b5b9ddd725"),
+    (["mobius", "--field", "Q(zeta5)", "--bound", "5000"],
+     "b70ca3348c5b01a911ac95b123a3c808731bd21c98d9858b17903c4240a2a04a"),
+    (["lambda", "--field", "Q", "--bound", "20000", "--R", "30"],
+     "38663e7a3d2b9566cb7bb05a8cc6bcc1806598c1ed38315bb4541e23736c75b7"),
+    (["lambda", "--field", "Q(i)", "--bound", "20000", "--R", "30"],
+     "b9e4acc89c3ca03efbca5ff8a404db6b78381457b6a034ed738f43326f397d3f"),
+    (["lambda", "--field", "Q(zeta5)", "--bound", "20000"],
+     "e9b708ee78e78d457fecf9f4f831ea0a6eb9f7fae3ab4961e0f1066097fb6c95"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _LIST_REPORTS, ids=[
+    f"{argv[0]}-{argv[2]}" for argv, _ in _LIST_REPORTS])
+def test_list_report_hashes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "report.jsonl"
+    assert run(["--output", str(out)] + argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _verify_inputs(tmp_path, name):
+    """The certificate file of one pinned verify report."""
+    certs = tmp_path / "certs.jsonl"
+    if name == "search-all-qi":
+        assert run(["--output", str(certs)] + _SEARCH_REPORTS[-2][0]) \
+            == EXIT_OK
+        return certs
+    assert run(["--output", str(certs)] + _SEED0_REPORTS[0][0]) == EXIT_OK
+    valid = certs.read_text().splitlines()[0]
+    tampered = json.loads(valid)
+    tampered["radius"] = 1.0
+    tampered["witnesses"][0]["p"] += 4
+    certs.write_text("\n".join([valid, json.dumps(tampered, sort_keys=True),
+                                '{"field": "Q(i)"']) + "\n")
+    return certs
+
+
+# verify over the 352-line search report (every verdict ok), and over one
+# valid, one tampered ("metric", "witness") and one malformed ("schema")
+# line, so each of its three verdict shapes is pinned.
+_VERIFY_REPORTS = [
+    ("search-all-qi", EXIT_OK,
+     "50f3a775f931bf47425042d44c31d535365d48ee1b37f1c5d1af8cb403f7297a"),
+    ("three-shapes", EXIT_VERIFY,
+     "f7ce55c0bf0a0d5c49f61225e443f667a5836127692c8595c86161c52a01831e"),
+]
+
+
+@pytest.mark.parametrize("name, code, digest", _VERIFY_REPORTS,
+                         ids=[name for name, _, _ in _VERIFY_REPORTS])
+def test_verify_report_hashes_are_pinned(tmp_path, name, code, digest):
+    out = tmp_path / "report.jsonl"
+    certs = _verify_inputs(tmp_path, name)
+    assert run(["--output", str(out), "verify", str(certs)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # singular-series over Q(i), Q(sqrt-5), Q(zeta5) and Q(sqrt5), where the
 # pair sum is read off norms, and over Q from R = 2.5, with several s and
 # W: a change to either pair sum that keeps the reports keeps these values.
