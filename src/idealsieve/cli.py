@@ -25,7 +25,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .constellation import (ConstellationSpec, alpha_scan,
+from .constellation import (Certificate, ConstellationSpec, alpha_scan,
                             search_constellation, verify_line)
 from .correlation import (LinearFormSystem, auto_correlation_check,
                           check_level, cross_correlation_sum,
@@ -112,14 +112,44 @@ def _emit(args, lines, x=None):
     return EXIT_OK
 
 
+def _template(sample):
+    """json.dumps(sample, sort_keys=True) as a %-format, made by one dumps:
+    a value given as ... is the field %(key)s, filled with its JSON text
+    (an int's is its str); json writes it as the string NUL + key first."""
+    slots = []
+
+    def mark(obj):
+        return {k: mark(v) if isinstance(v, dict) else v if v is not ...
+                else slots.append(k) or "\0" + k for k, v in obj.items()}
+    text = json.dumps(mark(sample), sort_keys=True).replace("%", "%%")
+    for k in slots:
+        text = text.replace('"\\u0000%s"' % k, "%%(%s)s" % k)
+    return text
+
+
+def _float(x):
+    """json's text of the float x: float.__repr__, or its spellings."""
+    return (float.__repr__(x) if math.isfinite(x) else "NaN" if x != x
+            else "Infinity" if x > 0 else "-Infinity")
+
+
+def _ints(v):
+    return "[%s]" % ", ".join(map(str, v))
+
+
+def _strings(v):
+    """json's text of a list of strings that need no escaping."""
+    return '["%s"]' % '", "'.join(v) if v else "[]"
+
+
 def cmd_primes(args):
     K = field_by_name(args.field)
-    lines = (json.dumps({"op": "prime", "p": P.p, "g": list(P.gpoly),
-                         "e": P.e, "f": P.f, "norm": P.norm(),
-                         "params": {"field": K.name, "bound": args.bound}},
-                        sort_keys=True)
-             for P in enumerate_prime_ideals(K, args.bound))
-    return _emit(args, lines)
+    line = _template({"op": "prime", "p": ..., "g": ..., "e": ..., "f": ...,
+                      "norm": ..., "params": {"field": K.name,
+                                              "bound": args.bound}})
+    return _emit(args, (line % {"p": P.p, "g": _ints(P.gpoly), "e": P.e,
+                                "f": P.f, "norm": P.norm()}
+                        for P in enumerate_prime_ideals(K, args.bound)))
 
 
 def cmd_mobius(args):
@@ -128,19 +158,24 @@ def cmd_mobius(args):
     check_budget(f"N(({args.bound})) =", max(args.bound, 0) ** K.degree,
                  FACTOR_BUDGET)
     mu = mobius_sieve(K, args.bound)
-    return _emit(args, (json.dumps({"op": "mobius", "m": m, "mu": mu[m],
-                                    "params": {"field": K.name}},
-                                   sort_keys=True)
+    line = _template({"op": "mobius", "m": ..., "mu": ...,
+                      "params": {"field": K.name}})
+    return _emit(args, (line % {"m": m, "mu": mu[m]}
                         for m in range(1, args.bound + 1)))
 
 
 def cmd_lambda(args):
     K = field_by_name(args.field)
-    lines = (report_line("lambda", lambda_of_norms((P.norm(),), args.R), 1.0,
-                         {"field": K.name, "R": args.R, "norm": P.norm(),
-                          "p": P.p, "g": list(P.gpoly)})
-             for P in enumerate_prime_ideals(K, args.bound))
-    return _emit(args, lines, "norm")
+    # report_line("lambda", Lambda, 1.0, params): its ratio is Lambda
+    line = _template({"op": "lambda", "empirical": ..., "predicted": 1.0,
+                      "ratio": ..., "params": {"field": K.name, "R": args.R,
+                                               "norm": ..., "p": ...,
+                                               "g": ...}})
+    lams = ((P, _float(lambda_of_norms((P.norm(),), args.R)))
+            for P in enumerate_prime_ideals(K, args.bound))
+    return _emit(args, (line % {"empirical": x, "ratio": x, "norm": P.norm(),
+                                "p": P.p, "g": _ints(P.gpoly)}
+                        for P, x in lams), "norm")
 
 
 def cmd_cphi(args):
@@ -229,18 +264,42 @@ def cmd_hypergraph(args):
                                    sort_keys=True)])
 
 
+def _certificate_lines(spec, hits):
+    """Each hit's to_json(): field, ambient and k are the spec's, encoded
+    once, the coordinates are _coords_out's strings, which need no
+    escaping, and each witness prime's text is written once per run."""
+    line = _template(dict(dict.fromkeys(Certificate.__slots__, ...),
+                          field=spec.K.name, ambient=spec.ambient.to_json(),
+                          k=spec.k))
+    witness, primes = _template(dict.fromkeys("pgef", ...)), {}
+    for h in hits:
+        texts = []
+        for w in h.witnesses:
+            key = (w["p"], w["e"], w["f"], *w["g"])
+            if key not in primes:
+                primes[key] = witness % dict(w, g=_ints(w["g"]))
+            texts.append(primes[key])
+        yield line % {"anchor": _strings(h.anchor), "step": _strings(h.step),
+                      "points": '[["%s"]]' % '"], ["'.join(
+                          map('", "'.join, h.points)),
+                      "radius": _float(h.radius),
+                      "witnesses": "[%s]" % ", ".join(texts)}
+
+
 def cmd_search(args):
     K = field_by_name(args.field)
     spec = ConstellationSpec(K, FractionalIdeal.unit_ideal(K), args.k,
                              anchor_bound=args.anchor_bound,
                              step_bound=args.step_bound,
                              max_hits=args.max_hits)
-    return _emit(args, (h.to_json() for h in search_constellation(spec)))
+    return _emit(args, _certificate_lines(spec, search_constellation(spec)))
 
 
 def cmd_verify(args):
     ok_all = schema_only = True
     lines = []  # the exit code needs every verdict before the report
+    verdict = {ok: _template({"op": "verify", "ok": ok, "diagnoses": ...})
+               for ok in (True, False)}
     with open(args.certificate) as fh:
         for line in fh:
             line = line.strip()
@@ -249,8 +308,7 @@ def cmd_verify(args):
             ok, diag = verify_line(line)
             ok_all &= ok
             schema_only &= ok or diag == ["schema"]
-            lines.append(json.dumps({"op": "verify", "ok": ok,
-                                     "diagnoses": diag}, sort_keys=True))
+            lines.append(verdict[ok] % {"diagnoses": _strings(diag)})
     _emit(args, lines)
     return EXIT_OK if ok_all else EXIT_USAGE if schema_only else EXIT_VERIFY
 

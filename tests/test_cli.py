@@ -16,10 +16,13 @@ from hypothesis import given, settings, strategies as st
 from idealsieve import cli, constellation, correlation, ideals, sieve
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
-from idealsieve.constellation import ConstellationSpec, search_constellation
+from idealsieve.constellation import (Certificate, ConstellationSpec,
+                                      search_constellation)
 from idealsieve.ideals import (FractionalIdeal, PrimeIdeal,
-                               enumerate_prime_ideals, mobius)
-from idealsieve.numberfield import make_field
+                               enumerate_prime_ideals, factor_rational_prime,
+                               mobius)
+from idealsieve.numberfield import FIELDS, make_field
+from oracles import search_oracle
 
 
 def run(argv):
@@ -1304,6 +1307,158 @@ def test_verify_report_hashes_are_pinned(tmp_path, name, code, digest):
     certs = _verify_inputs(tmp_path, name)
     assert run(["--output", str(out), "verify", str(certs)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------- templates
+
+@functools.cache
+def _command_templates(field):
+    """(sample, template) of each cli._template call that primes, mobius,
+    lambda, search and verify make over the field."""
+    made, template = [], cli._template
+
+    def recording(sample):
+        made.append((sample, template(sample)))
+        return made[-1][1]
+
+    cli._template = recording
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            out, certs = os.path.join(tmp, "out"), os.path.join(tmp, "certs")
+            for argv in (["primes", "--field", field, "--bound", "20"],
+                         ["mobius", "--field", field, "--bound", "20"],
+                         ["lambda", "--field", field, "--bound", "20"],
+                         ["search", "--field", field, "--anchor-bound", "12",
+                          "--step-bound", "4", "--max-hits", "2"],
+                         ["verify", certs]):
+                assert main(["--output", certs if argv[0] == "search"
+                             else out] + argv) == EXIT_OK
+    finally:
+        cli._template = template
+    assert len(made) == 7  # the certificate's witness and verify's two ok
+    return made
+
+
+# json's float spellings, the subnormal and the points where repr switches
+# to exponent notation among them
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e16,
+     9999999999999998.0, 1e-5, 0.0001])
+# (a value, its JSON text as the lines' writers make it)
+_SLOT_VALUES = st.one_of(
+    (st.integers() | st.sampled_from([-1, 2**64, -2**64 - 1, 3**99]))
+    .map(lambda v: (v, v)),
+    _FLOATS.map(lambda v: (v, cli._float(v))),
+    st.lists(st.integers(), max_size=4).map(lambda v: (v, cli._ints(v))),
+    st.lists(st.from_regex(constellation._COORD, fullmatch=True),
+             max_size=4).map(lambda v: (v, cli._strings(v))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(sorted(FIELDS)), data=st.data())
+def test_templates_write_what_json_dumps_writes(field, data):
+    # every line template of primes, mobius, lambda, search (the
+    # certificate and its witness) and verify, over each vetted field, with
+    # any JSON value in its slots
+    for sample, template in _command_templates(field):
+        texts = {}
+
+        def fill(obj):
+            return {k: fill(v) if isinstance(v, dict) else v if v is not ...
+                    else texts.setdefault(k, data.draw(_SLOT_VALUES, k))[0]
+                    for k, v in obj.items()}
+
+        want = json.dumps(fill(sample), sort_keys=True)
+        assert template % {k: text for k, (_, text) in texts.items()} == want
+
+
+@functools.cache
+def _oracle_certificates(name, k, anchor, step, den, grow):
+    """The search oracle's spec and certificates (up to 20) over O_K, or
+    (den 2) over the inverse of the first prime above 2, whose coordinates
+    are fractions; the bounds are scaled by N(b)^(1/n) times grow."""
+    K = make_field(name)
+    b = FractionalIdeal.unit_ideal(K)
+    if den > 1:
+        b = factor_rational_prime(K, 2)[0].ideal().inverse()
+    assert b.den == den
+    scale = float(b.norm()) ** (1 / K.degree) * grow
+    spec = ConstellationSpec(K, b, k, anchor * scale, step * scale, 20)
+    return spec, search_oracle(spec)
+
+
+@pytest.mark.parametrize("name, k, anchor, step", [
+    ("Q(i)", 1.5, 12, 3), ("Q(sqrt-3)", 1.5, 40, 6), ("Q(zeta5)", 2.1, 6, 2)])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(den=st.sampled_from([1, 2]), grow=st.sampled_from([1, 1.1, 1.25]),
+       radius=_FLOATS)
+def test_certificate_lines_are_to_json(name, k, anchor, step, den, grow,
+                                       radius):
+    # the search's line writer against Certificate.to_json on the search
+    # oracle's certificates, at bounds where each field has hits, and on
+    # copies whose radius is changed
+    spec, certs = _oracle_certificates(name, k, anchor, step, den, grow)
+    assert certs
+    assert list(cli._certificate_lines(spec, certs)) \
+        == [c.to_json() for c in certs]
+    copies = [Certificate.from_json(c.to_json()) for c in certs]
+    for c in copies:
+        c.radius = radius
+    assert list(cli._certificate_lines(spec, copies)) \
+        == [c.to_json() for c in copies]
+
+
+def _seed_grid(field, tag):
+    """(name, argv) of each templated command over one field; verify reads
+    the search's report."""
+    return [(f"{command}-{tag}", [command, "--field", field] + rest)
+            for command, rest in (
+                ("primes", ["--bound", "3000"]),
+                ("mobius", ["--bound", "3000"]),
+                ("lambda", ["--bound", "3000"]),
+                ("search", ["--k", "2.1", "--anchor-bound", "12",
+                            "--step-bound", "4", "--max-hits", "40"]))] \
+        + [(f"verify-{tag}", ["verify", f"search-{tag}.jsonl"])]
+
+
+# the four bench argv, then each templated command over Q(i) and Q(zeta5)
+_HASH_SEED_GRID = [(f"bench-{i}", argv)
+                   for i, (argv, _) in enumerate(_SEED0_REPORTS)] \
+    + _seed_grid("Q(i)", "qi") + _seed_grid("Q(zeta5)", "qzeta5")
+
+
+def _grid_digests():
+    """{name: (exit code, sha256 of the report)} of _HASH_SEED_GRID, each
+    report written to name.jsonl in the working directory."""
+    digests = {}
+    for name, argv in _HASH_SEED_GRID:
+        code = main(["--output", f"{name}.jsonl"] + argv)
+        with open(f"{name}.jsonl", "rb") as fh:
+            digests[name] = (code, hashlib.sha256(fh.read()).hexdigest())
+    return digests
+
+
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    # one fresh interpreter per PYTHONHASHSEED runs the whole grid: a report
+    # that iterated a set or dict of strings would differ between them
+    monkeypatch.chdir(tmp_path)
+    want = _grid_digests()
+    assert all(code == EXIT_OK for code, _ in want.values())
+    code = ("import json, sys\n"
+            f"sys.path[:0] = {[os.path.dirname(__file__), _SRC]!r}\n"
+            "from test_cli import _grid_digests\n"
+            "print(json.dumps(_grid_digests()))\n")
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path / seed,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        got = {k: tuple(v) for k, v in json.loads(proc.stdout).items()}
+        assert got == want, seed
 
 
 # singular-series over Q(i), Q(sqrt-5), Q(zeta5) and Q(sqrt5), where the
