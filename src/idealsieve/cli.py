@@ -113,9 +113,9 @@ def _emit(args, lines, x=None):
 
 
 def _template(sample):
-    """json.dumps(sample, sort_keys=True) as a %-format, made by one dumps:
-    a value given as ... is the field %(key)s, filled with its JSON text
-    (an int's is its str); json writes it as the string NUL + key first."""
+    """json.dumps(sample, sort_keys=True) as a %-format, from one dumps in
+    which each value given as ... is the string NUL + key: that value is
+    the field %(key)s, to be filled with its JSON text (an int's str)."""
     slots = []
 
     def mark(obj):
@@ -266,8 +266,8 @@ def cmd_hypergraph(args):
 
 def _certificate_lines(spec, hits):
     """Each hit's to_json(): field, ambient and k are the spec's, encoded
-    once, the coordinates are _coords_out's strings, which need no
-    escaping, and each witness prime's text is written once per run."""
+    once; the coordinates are _coords_out's strings, which need no
+    escaping; and each witness prime's text is written once."""
     line = _template(dict(dict.fromkeys(Certificate.__slots__, ...),
                           field=spec.K.name, ambient=spec.ambient.to_json(),
                           k=spec.k))
