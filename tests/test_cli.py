@@ -1453,8 +1453,9 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
             "print(json.dumps(_grid_digests()))\n")
     for seed in ("0", "1"):
         (tmp_path / seed).mkdir()
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path / seed,
-                              capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, "-c", code],
+                              cwd=tmp_path / seed, capture_output=True,
+                              text=True,
                               env=dict(os.environ, PYTHONHASHSEED=seed))
         assert proc.returncode == 0, proc.stderr
         got = {k: tuple(v) for k, v in json.loads(proc.stdout).items()}
