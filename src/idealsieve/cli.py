@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .constellation import (Certificate, ConstellationSpec, alpha_scan,
-                            search_constellation, verify_line)
+                            iter_constellation, verify_line)
 from .correlation import (LinearFormSystem, auto_correlation_check,
                           check_level, cross_correlation_sum,
                           hypergraph_conditions_report, report_line,
@@ -290,9 +291,9 @@ def cmd_search(args):
     K = field_by_name(args.field)
     spec = ConstellationSpec(K, FractionalIdeal.unit_ideal(K), args.k,
                              anchor_bound=args.anchor_bound,
-                             step_bound=args.step_bound,
-                             max_hits=args.max_hits)
-    return _emit(args, _certificate_lines(spec, search_constellation(spec)))
+                             step_bound=args.step_bound)
+    hits = itertools.islice(iter_constellation(spec), args.max_hits or None)
+    return _emit(args, _certificate_lines(spec, hits))
 
 
 def cmd_verify(args):

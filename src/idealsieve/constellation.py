@@ -120,12 +120,18 @@ _ASCII = bytes.maketrans(b"\0\1", b"01")
 
 
 def search_constellation(spec: ConstellationSpec):
-    """All (a, xi) hits in deterministic order: increasing step Minkowski
-    norm, then increasing anchor norm (ties by coordinates).  The table has
-    a bit per point x of its ball's box, set iff (x) b^{-1} is prime (read
-    off one prime_norm_flags); a step's hits are the anchor bits left by
-    ANDs with its shifted tables.  Points are coordinates on b's basis, and
-    the pattern O_K cap B_k stays as its ball rows."""
+    """The first spec.max_hits hits (every hit for None or 0), as a list."""
+    return list(itertools.islice(iter_constellation(spec),
+                                 spec.max_hits or None))
+
+
+def iter_constellation(spec: ConstellationSpec):
+    """Builds the tables, checking every budget, and returns a generator
+    of every (a, xi) hit by increasing step, then anchor, Minkowski norm
+    (ties by coordinates).  The table has a bit per point x of its ball's
+    box, set iff (x) b^{-1} is prime (read off one prime_norm_flags); a
+    step's hits are the anchor bits left by ANDs with its shifted tables.
+    Points are coordinates on b's basis; the pattern stays as ball rows."""
     K, b, n = spec.K, spec.ambient, spec.K.degree
     # every candidate lies in this ball (|xi j| <= |xi| |j|): budget first
     Q = ball_rows(b, spec.anchor_bound + spec.step_bound * spec.k,
@@ -176,30 +182,31 @@ def search_constellation(spec: ConstellationSpec):
     for c, lo, hi in ball_rows(b, radius, ENUMERATION_BUDGET)[2]:
         flags[index(c + (lo,)):index(c + (hi,)) + 1] = b"1" * (hi - lo + 1)
     prime_anchors = int(flags[::-1], 2) & table  # 0 is in every pattern
-    hits, head, seen = [], (K.name, b.to_json(), spec.k), {}
-    for xi, Rx, top in zip(steps, R, reach):
-        live = prime_anchors
-        for s in _dots(pattern, [sum(map(operator.mul, r, stride))
-                                 for r in Rx]):
-            live &= table >> s if s >= 0 else table << -s
+
+    def hits():
+        seen, head = {}, (K.name, b.to_json(), spec.k)
+        for xi, Rx, top in zip(steps, R, reach):
+            live = prime_anchors
+            for s in _dots(pattern, [sum(map(operator.mul, r, stride))
+                                     for r in Rx]):
+                live &= table >> s if s >= 0 else table << -s
+                if not live:
+                    break
             if not live:
-                break
-        if not live:
-            continue
-        # the bits ascend in index, which is coordinate order
-        bits = (m.start() for m in re.finditer("1", bin(live)[:1:-1]))
-        found = [tuple(i // s % (2 * m + 1) - m for m, s in zip(box, stride))
-                 for i in bits]
-        # max |xi j| is read off the row ends, as the rounding is monotone
-        certified = math.sqrt(top / (b.den * b.den)) + 1e-9
-        offsets = list(zip(*(_dots(pattern, col) for col in zip(*Rx))))
-        step = _coords_out(b.numerators_at(xi), b.den)
-        for a in sorted(found, key=norm):
-            hits.append(make_certificate(b, head, a, step, offsets,
-                                         certified, seen))
-            if spec.max_hits and len(hits) >= spec.max_hits:
-                return hits
-    return hits
+                continue
+            # the bits ascend in index, which is coordinate order
+            bits = (m.start() for m in re.finditer("1", bin(live)[:1:-1]))
+            found = [tuple(i // s % (2 * m + 1) - m
+                           for m, s in zip(box, stride)) for i in bits]
+            # max |xi j| is read off the row ends, as the rounding is monotone
+            certified = math.sqrt(top / (b.den * b.den)) + 1e-9
+            offsets = list(zip(*(_dots(pattern, col) for col in zip(*Rx))))
+            step = _coords_out(b.numerators_at(xi), b.den)
+            for a in sorted(found, key=norm):
+                yield make_certificate(b, head, a, step, offsets, certified,
+                                       seen)
+
+    return hits()
 
 
 def verify_certificate(cert: Certificate):

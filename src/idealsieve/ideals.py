@@ -637,32 +637,27 @@ def residue_rows(P: PrimeIdeal, b: FractionalIdeal):
     return tuple(rows)
 
 
-def primes_at(b: FractionalIdeal, c, N: int, small=None):
+def primes_at(b: FractionalIdeal, c, N: int):
     """The distinct primes P of (y) b^{-1}, of norm N, y nonzero in b with
     coordinates c, in factor_ideal's order: over the primes p of N, the P
-    above p with y in P b, by residue_rows (a lone P must divide).  Given
-    small, a predicate on norms that holds below a bound, only the P
-    passing it are kept, and the walk stops at the first p that fails."""
+    above p with y in P b, by residue_rows (a lone P must divide)."""
     out = []
     for p in factorint(N):
-        if small is not None and not small(p):
-            break
         above = primes_above(b.K, p)
         out += [P for P in above
-                if (small is None or small(P.norm()))
-                and (len(above) == 1
-                     or not any(sum(map(operator.mul, g, c)) % p
-                                for g in residue_rows(P, b)))]
+                if len(above) == 1
+                or not any(sum(map(operator.mul, g, c)) % p
+                           for g in residue_rows(P, b))]
     return tuple(out)
 
 
-def primes_dividing(b: FractionalIdeal, y: FieldElement, small=None):
+def primes_dividing(b: FractionalIdeal, y: FieldElement):
     """primes_at for y, a nonzero element of b; ValueError if y is not in
     b, as (y) b^{-1} is then not integral."""
     c = b.coefficients(y)
     if c is None:
         raise ValueError("factoring requires an integral ideal")
-    return primes_at(b, c, _quotient_norm(b, b.numerators(y)), small)
+    return primes_at(b, c, _quotient_norm(b, b.numerators(y)))
 
 
 class TruncatedClass(namedtuple("TruncatedClass",

@@ -220,8 +220,8 @@ def nu_weight(cfg: SieveConfig, x) -> float:
     """nu(x) = prefactor * Lambda_{K,R}((W x + alpha) b^{-1})^2.
 
     x ranges over the ambient ideal b; the argument of the sieve weight is
-    the integral ideal (W x + alpha) b^{-1}, and only its primes of norm
-    below R^phi.support[1] are found, by primes_dividing.
+    the integral ideal (W x + alpha) b^{-1}, whose primes primes_dividing
+    finds; only those of norm below R^phi.support[1] enter Lambda.
     With cfg.raw the density prefactor phi_K(W) logR Res / (c_phi W^n) is
     dropped.  ValueError unless 1 < cfg.R < inf, or if W x + alpha is not
     in b.
@@ -232,10 +232,10 @@ def nu_weight(cfg: SieveConfig, x) -> float:
         return 0.0
     if not cfg.ambient.contains(y):
         raise ValueError("W x + alpha does not lie in the ambient ideal")
-    small = partial(_is_small, logR=logR, phi=cfg.phi)
     # for R^support[1] <= 2 no prime is small: then no arithmetic at all
-    primes = primes_dividing(cfg.ambient, y, small) if small(2) else ()
-    lam = _lambda_cached(tuple(P.norm() for P in primes), logR, cfg.phi)
+    primes = (primes_dividing(cfg.ambient, y)
+              if _is_small(2, logR, cfg.phi) else ())
+    lam = lambda_of_norms([P.norm() for P in primes], cfg.R, cfg.phi)
     v = lam * lam
     if not cfg.raw:
         v *= cfg.prefactor()

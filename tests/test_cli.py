@@ -17,7 +17,7 @@ from idealsieve import cli, constellation, correlation, ideals, sieve
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
 from idealsieve.constellation import (Certificate, ConstellationSpec,
-                                      search_constellation)
+                                      make_certificate, search_constellation)
 from idealsieve.ideals import (FractionalIdeal, PrimeIdeal,
                                enumerate_prime_ideals, factor_rational_prime,
                                mobius)
@@ -113,6 +113,8 @@ def test_empty_report_is_one_newline(tmp_path):
     # the first --R is within budget: its line must not be written alone
     ["singular-series", "--R", "100", "1e300"],
     ["primes", "--bound", "20000000"],
+    # the search's budgets are checked before its first hit is yielded
+    ["search", "--field", "Q(i)", "--anchor-bound", "100000"],
 ])
 def test_budget_error_leaves_no_report(tmp_path, argv):
     out = tmp_path / "f"
@@ -210,23 +212,65 @@ def test_main_term_past_float_range_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the peak RSS from /proc/self/status")
-def test_mobius_report_streams_in_bounded_memory():
-    # a fresh interpreter, whose peak RSS is this one run's: 200,000 report
-    # lines held at once took 67 MB, written one at a time under 20 MB.
-    # VmHWM, not ru_maxrss: Linux carries the ru_maxrss of this large test
-    # process over the child's exec
-    code = ("import os\n"
+def _peak_rss_kb(argv):
+    """The peak RSS, in kB, of a fresh interpreter that runs the CLI on
+    argv with the report sent to os.devnull.  VmHWM, not ru_maxrss: Linux
+    carries the ru_maxrss of this large test process over the child's
+    exec."""
+    code = ("import os, sys\n"
             "from idealsieve.cli import main\n"
-            "assert main(['--output', os.devnull, 'mobius', '--field', 'Q',"
-            " '--bound', '200000']) == 0\n"
+            "assert main(['--output', os.devnull] + sys.argv[1:]) == 0\n"
             "with open('/proc/self/status') as fh:\n"
             "    print(fh.read().split('VmHWM:')[1].split()[0])\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+    proc = subprocess.run([sys.executable, "-c", code] + argv,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 40 * 1024  # kB
+    return int(proc.stdout)
+
+
+_PEAK_RSS = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="reads the peak RSS from /proc/self/status")
+
+
+@_PEAK_RSS
+def test_mobius_report_streams_in_bounded_memory():
+    # 200,000 report lines held at once took 67 MB, written one at a time
+    # under 20 MB
+    assert _peak_rss_kb(["mobius", "--field", "Q", "--bound", "200000"]) \
+        < 40 * 1024
+
+
+@_PEAK_RSS
+def test_search_report_streams_in_bounded_memory():
+    # 83,200 certificates held in a list took 85 MB; yielded and written
+    # as they are found, under 20 MB
+    assert _peak_rss_kb(["search", "--field", "Q(zeta5)", "--anchor-bound",
+                         "6", "--step-bound", "4", "--max-hits", "0"]) \
+        < 40 * 1024
+
+
+def test_search_max_hits_makes_only_its_certificates(tmp_path, monkeypatch):
+    # the hit limit is taken at the caller: the search stops at the first
+    # hit, though this window holds more
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_certificate(*args)
+
+    monkeypatch.setattr(constellation, "make_certificate", counted)
+    argv = ["search", "--field", "Q", "--anchor-bound", "11.5",
+            "--step-bound", "6.5", "--max-hits"]
+    out = tmp_path / "c.jsonl"
+    assert run(["--output", str(out)] + argv + ["1"]) == EXIT_OK
+    (first,) = out.read_text().splitlines()
+    assert len(calls) == 1
+    assert run(["--output", str(out)] + argv + ["0"]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) > 1
+    assert len(calls) == 1 + len(lines)
+    assert lines[0] == first
 
 
 def test_cphi_subcommand(tmp_path):

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from idealsieve import cli, constellation, ideals, lattice
 from idealsieve.constellation import (Certificate, ConstellationSpec,
-                                      alpha_scan, search_constellation,
+                                      alpha_scan, iter_constellation,
+                                      search_constellation,
                                       verify_certificate, verify_line)
 from idealsieve.errors import UnsupportedFieldError
 from idealsieve.ideals import (FractionalIdeal, class_equivalent,
@@ -51,6 +52,39 @@ def test_search_deterministic_order_and_max_hits():
     first = search_constellation(qspec(5.5, 2.5, max_hits=1))
     assert len(first) == 1
     assert first[0].to_json() == hits[0].to_json()
+
+
+@pytest.mark.parametrize("m", [None, 0, 1, 3])
+def test_search_is_a_slice_of_the_generator(m):
+    spec = qspec(11.5, 6.5)
+    assert list(itertools.islice(iter_constellation(spec), m or None)) == \
+        search_constellation(spec._replace(max_hits=m))
+
+
+def test_search_generators_keep_their_own_tables():
+    # one point's coordinates stand for different elements on the two
+    # ambients, so a table shared between the generators would write the
+    # strings and witnesses of the other ambient
+    O, P = _search_ambients(QI)[:2]
+    specs = [ConstellationSpec(QI, b, 1.5, 12 * float(b.norm()) ** 0.5,
+                               2.5 * float(b.norm()) ** 0.5) for b in (O, P)]
+    alone = [list(iter_constellation(spec)) for spec in specs]
+    gens = [iter_constellation(spec) for spec in specs]
+    taken = [[], []]
+    for pair in itertools.zip_longest(*gens):
+        for got, hit in zip(taken, pair):
+            if hit is not None:
+                got.append(hit)
+    assert min(map(len, alone)) > 1
+    assert taken == alone
+    assert all(verify_certificate(c) == (True, []) for c in sum(taken, []))
+
+
+@pytest.mark.parametrize("max_hits", [-1, 2.5, "3"])
+def test_search_refuses_a_max_hits_islice_refuses(max_hits):
+    # the CLI admits only integers >= 0; the API raises islice's error
+    with pytest.raises(ValueError):
+        search_constellation(qspec(11.5, 6.5, max_hits=max_hits))
 
 
 def test_search_finds_5_11_17():

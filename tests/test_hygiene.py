@@ -6,6 +6,7 @@ __init__ is exempt: its imports are the public re-exports.
 """
 
 import ast
+import importlib
 import inspect
 import pathlib
 
@@ -214,3 +215,24 @@ def test_private_attributes_read_are_the_package_own():
     read = {node.attr for node in nodes if isinstance(node, ast.Attribute)
             and node.attr.startswith("_") and not node.attr.startswith("__")}
     assert read <= own
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else node.id
+
+
+def test_module_caches_are_bounded():
+    # a module-level functools cache lives as long as the process, so each
+    # has a finite maxsize; functools.cache is lru_cache(maxsize=None)
+    caches = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"idealsieve.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                    _decorator_name(d) in ("lru_cache", "cache")
+                    for d in node.decorator_list):
+                caches[f"{path.stem}.{node.name}"] = getattr(
+                    module, node.name).cache_parameters()["maxsize"]
+    assert caches["lattice._ball_form"] == 2 ** 12
+    assert [name for name, size in caches.items() if size is None] == []
