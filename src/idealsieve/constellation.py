@@ -11,16 +11,17 @@ import json
 import math
 import operator
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import ENUMERATION_BUDGET, BudgetExceededError, check_budget
 from .arith import factorint
 from .ideals import (FractionalIdeal, _generators, _quotient_norm,
-                     is_prime_vector, prime_norm_flags, primes_at,
-                     primes_dividing, quotient_norms)
-from .lattice import ball_elements, ball_rows, iter_ball_elements
-from .numberfield import field_by_name, minkowski_norm
+                     is_prime_norm, prime_norm_flags, primes_at,
+                     quotient_norms)
+from .lattice import ball_elements, ball_rows
+from .linalg import adjugate, det_int
+from .numberfield import FieldElement, field_by_name, minkowski_norm
 from .sieve import (SieveConfig, _is_small, _lambda_cached, _log_level,
                     lambda_of_norms)
 
@@ -79,15 +80,17 @@ _COORD = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
 def _coords_in(K, coords):
-    """A list of coordinate strings of the form _coords_out writes;
-    ValueError for anything else (exponents, decimal points, whitespace,
-    non-strings), so a coordinate costs no more than its digits, which
-    Python's int-string limit bounds."""
-    if not (isinstance(coords, list)
+    """The element of K.degree coordinate strings of the form _coords_out
+    writes, read into integer numerators; ValueError for anything else
+    (exponents, decimal points, whitespace, non-strings), so a coordinate
+    costs no more than its digits, which Python's int-string limit bounds."""
+    if not (isinstance(coords, list) and len(coords) == K.degree
             and all(isinstance(c, str) and _COORD.fullmatch(c)
                     for c in coords)):
         raise ValueError("coordinates are integer or fraction strings")
-    return K.element(coords)
+    p, q = zip(*(map(int, (c + "/1").split("/")[:2]) for c in coords))
+    d = math.lcm(*q)  # "x" is read as "x/1"
+    return FieldElement(K, tuple(x * (d // y) for x, y in zip(p, q)), d)
 
 
 def make_certificate(ambient, head, a, step, offsets, radius, seen):
@@ -222,9 +225,8 @@ def verify_certificate(cert: Certificate):
         return False, ["field"]
     try:
         ambient = FractionalIdeal.from_json(K, cert.ambient)
-        a = _coords_in(K, cert.anchor)
-        xi = _coords_in(K, cert.step)
-        given = [_coords_in(K, p) for p in cert.points]
+        a, xi, *given = [_coords_in(K, c)
+                         for c in (cert.anchor, cert.step, *cert.points)]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    for v in (cert.k, cert.radius)):
             raise TypeError("k and radius are numbers")
@@ -235,43 +237,50 @@ def verify_certificate(cert: Certificate):
     except (TypeError, ValueError, KeyError, OverflowError,
             ZeroDivisionError):
         return False, ["schema"]
-    # the pattern is enumerated up to one point more than the certificate
-    # lists: a longer one fails "pattern" whatever it holds, and its radius
-    # is not re-derived; so does one whose ball box is past the budget
+    D = math.lcm(ambient.den, a.den, xi.den)  # each a + xi j is over D
+    a, xi = ([x * (D // e.den) for x in e.num] for e in (a, xi))
+    # the pattern's rows, cut one point past the list: a longer pattern, or
+    # a k past the budget, fails "pattern" and its radius is not re-derived
     try:
+        rows = ball_rows(FractionalIdeal.unit_ideal(K), cert.k,
+                         ENUMERATION_BUDGET)[2]
         pattern = list(itertools.islice(
-            iter_ball_elements(FractionalIdeal.unit_ideal(K), cert.k),
+            (c + (t,) for c, lo, hi in rows for t in range(lo, hi + 1)),
             len(given) + 1))
     except BudgetExceededError:  # taken as one point longer than the list
-        pattern = [K.zero] * (len(given) + 1)
-    expected = [a + xi * j for j in pattern]
-    if sorted(p.coords for p in expected) != sorted(p.coords for p in given):
+        pattern = [(0,) * K.degree] * (len(given) + 1)
+    R = K.mul_rows(xi)  # xi j is j R over D
+    offsets = [tuple(sum(map(operator.mul, j, col)) for col in zip(*R))
+               for j in pattern]
+    if Counter(given) != Counter(FieldElement(
+            K, tuple(map(operator.add, a, o)), D) for o in offsets):
         diagnoses.append("pattern")
     if len(pattern) <= len(given):
         # the points are a + xi j (else "pattern"), so each |pt - a| is
         # below the radius once it is the one make_certificate derives
         try:  # the largest |xi j|, widened by 1e-9
-            radius = max(minkowski_norm(xi * j) for j in pattern) + 1e-9
+            radius = max(minkowski_norm(FieldElement(K, o, D))
+                         for o in offsets) + 1e-9
         except OverflowError:  # |xi j|^2 beyond the float range
             radius = math.inf
         if cert.radius != radius:
             diagnoses.append("metric")
     derived = []
-    # the points are a + xi j with j in O_K: pt - a lies in (xi), not (xi) b
-    step_ideal = FractionalIdeal.principal(K, xi)
+    adj, det = adjugate(R), det_int(R)
     for pt in given:
-        # one membership test: is_prime_vector's, None for a non-member
-        v = ambient.numerators(pt)
-        prime = None if v is None else is_prime_vector(ambient, v)
-        if prime is None:
+        c = ambient.coefficients(pt)
+        if c is None:
             diagnoses.append("membership")
             continue
-        if not step_ideal.contains(pt - a):
+        # pt - a lies in (xi), not (xi) b: (pt - a) adj(R) / det(R) in Z^n
+        y = [x * (D // pt.den) - z for x, z in zip(pt.num, a)]
+        if any(sum(map(operator.mul, y, col)) % det for col in zip(*adj)):
             diagnoses.append("congruence")
-        if not prime:
+        N = _quotient_norm(ambient, ambient.numerators(pt))  # one norm
+        if not is_prime_norm(K, N):
             diagnoses.append("primality")
         else:
-            derived.append(primes_dividing(ambient, pt)[0].to_json())
+            derived.append(primes_at(ambient, c, N)[0].to_json())
     # the witnesses are compared when every point passed the prime check
     if len(derived) == len(given) and derived != cert.witnesses:
         diagnoses.append("witness")

@@ -6,7 +6,7 @@ The representation is canonical, so equality and hashing are structural.
 Prime ideals come from Dedekind splitting of the defining polynomial,
 which is valid index-free on the vetted field list; as every vetted field
 is abelian, the splitting is read off p modulo the conductor, and as it is
-Galois, primality of an ideal is read off its norm (is_prime_vector).
+Galois, primality of an ideal is read off its norm (is_prime_norm).
 """
 
 from __future__ import annotations
@@ -555,20 +555,11 @@ def class_equivalent(a: FractionalIdeal, b: FractionalIdeal,
 
 
 def is_prime_element(b: FractionalIdeal, xi: FieldElement) -> bool:
-    """True iff the integral ideal (xi) b^{-1} is prime (is_prime_vector on
-    the numerators of xi over b.den); ValueError if xi is not in b."""
+    """True iff the integral ideal (xi) b^{-1} is prime, read off its norm;
+    ValueError if xi is not in b, an O_K-ideal in canonical HNF."""
     v = b.numerators(xi)
-    prime = None if v is None else is_prime_vector(b, v)
-    if prime is None:
+    if v is None or b._coefficients(v) is None:
         raise ValueError("xi is not an element of the ambient ideal")
-    return prime
-
-
-def is_prime_vector(b: FractionalIdeal, v):
-    """None if x = v / b.den (v an integer vector) is not in b, else whether
-    (x) b^{-1} is prime; b is an O_K-ideal in canonical HNF (from_json)."""
-    if b._coefficients(v) is None:
-        return None
     return is_prime_norm(b.K, _quotient_norm(b, v))
 
 

@@ -51,9 +51,9 @@ replaced, kept as test oracles.
   until the quotient is not integral (the valuation loop); factor_ideal
   now tests a in P^j and inverts nothing.
 - `search_oracle`: search_constellation as a loop over every (step,
-  anchor) pair, each candidate a + xi j an integer numerator vector
-  tested by is_prime_vector once per search (memoized); the search now
-  reads a prime table of the whole ball through bitset shifts.
+  anchor) pair, each candidate a + xi j tested by is_prime_element once
+  per search (memoized); the search now reads a prime table of the whole
+  ball through bitset shifts.
 - `certificate_oracle`: a hit's certificate built from field elements,
   with Fraction coordinate strings, its ambient JSON and radius derived
   for that hit, and each witness found by membership in the lattice P b;
@@ -61,6 +61,14 @@ replaced, kept as test oracles.
   each witness off residue_rows, and the search derives the head once per
   search, the radius once per step, and each distinct point's strings and
   witness once per search.
+- `verify_certificate_oracle`: verify_certificate on the Fraction route:
+  each coordinate string a Fraction through K.element, each pattern point
+  a FieldElement product a + xi j, the congruence tested in the principal
+  ideal (xi) built in HNF, and two quotient norms per point, one for its
+  primality and one for its witness; verify_certificate now reads the
+  strings into integer numerators, takes xi j from xi's multiplication
+  rows, tests the congruence with their adjugate and reads primality and
+  witness off one quotient norm.
 - `singular_series_euler`: the direct tuple sum of the singular series
   with Euler weights N d^{-(1+i t_j)/log R}, whose truncated Euler
   product F_euler must reproduce.
@@ -89,18 +97,18 @@ from fractions import Fraction
 import numpy as np
 
 from idealsieve.arith import factorint, jacobi, prime_flags, primerange
-from idealsieve.constellation import Certificate
+from idealsieve.constellation import _COORD, Certificate
 from idealsieve.correlation import (CorrelationReport, omega_tuple,
                                     squarefree_ideals, tau_factor)
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_ideal, factor_rational_prime,
-                               is_prime_vector, principal_generator,
-                               residue_degrees)
+                               is_prime_element, primes_dividing,
+                               principal_generator, residue_degrees)
 from idealsieve.errors import NU_POINT_BUDGET, BudgetExceededError
 from idealsieve.lattice import (ball_elements, fundamental_domain_reduce,
-                                points_in_parallelotope)
+                                iter_ball_elements, points_in_parallelotope)
 from idealsieve.linalg import echelon_mod_p, hnf
-from idealsieve.numberfield import minkowski_norm
+from idealsieve.numberfield import FieldElement, field_by_name, minkowski_norm
 from idealsieve.sieve import nu_weight
 
 
@@ -563,11 +571,11 @@ def search_oracle(spec):
     anchor_nums = [b.numerators(a) for a in anchors]
     pattern_nums = [j.num for j in pattern]  # O_K: den 1
     hits = []
-    prime = {}  # candidate numerators -> is_prime_vector
+    prime = {}  # candidate numerators -> is_prime_element
 
     def is_prime(v):
         if v not in prime:
-            prime[v] = is_prime_vector(b, v)
+            prime[v] = is_prime_element(b, FieldElement(K, v, b.den))
         return prime[v]
 
     for xi in steps:
@@ -580,6 +588,72 @@ def search_oracle(spec):
                 if spec.max_hits and len(hits) >= spec.max_hits:
                     return hits
     return hits
+
+
+def _coords_in_oracle(K, coords):
+    """A list of coordinate strings of the form _coords_out writes, as a
+    field element through Fractions; ValueError for anything else."""
+    if not (isinstance(coords, list)
+            and all(isinstance(c, str) and _COORD.fullmatch(c)
+                    for c in coords)):
+        raise ValueError("coordinates are integer or fraction strings")
+    return K.element(coords)
+
+
+def verify_certificate_oracle(cert):
+    """verify_certificate on field elements: the same (ok, diagnoses)."""
+    diagnoses = []
+    try:
+        K = field_by_name(cert.field)
+    except Exception:
+        return False, ["field"]
+    try:
+        ambient = FractionalIdeal.from_json(K, cert.ambient)
+        a = _coords_in_oracle(K, cert.anchor)
+        xi = _coords_in_oracle(K, cert.step)
+        given = [_coords_in_oracle(K, p) for p in cert.points]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (cert.k, cert.radius)):
+            raise TypeError("k and radius are numbers")
+        if not (0 < cert.k < math.inf and -math.inf < cert.radius < math.inf):
+            raise ValueError("k is finite and > 0, radius finite")
+        if not xi:
+            raise ValueError("a zero step generates the zero ideal")
+    except (TypeError, ValueError, KeyError, OverflowError,
+            ZeroDivisionError):
+        return False, ["schema"]
+    # the pattern up to one point more than the certificate lists
+    try:
+        pattern = list(itertools.islice(
+            iter_ball_elements(FractionalIdeal.unit_ideal(K), cert.k),
+            len(given) + 1))
+    except BudgetExceededError:  # taken as one point longer than the list
+        pattern = [K.zero] * (len(given) + 1)
+    expected = [a + xi * j for j in pattern]
+    if sorted(p.coords for p in expected) != sorted(p.coords for p in given):
+        diagnoses.append("pattern")
+    if len(pattern) <= len(given):
+        try:  # the largest |xi j|, widened by 1e-9
+            radius = max(minkowski_norm(xi * j) for j in pattern) + 1e-9
+        except OverflowError:  # |xi j|^2 beyond the float range
+            radius = math.inf
+        if cert.radius != radius:
+            diagnoses.append("metric")
+    derived = []
+    step_ideal = FractionalIdeal.principal(K, xi)
+    for pt in given:
+        if not ambient.contains(pt):
+            diagnoses.append("membership")
+            continue
+        if not step_ideal.contains(pt - a):
+            diagnoses.append("congruence")
+        if not is_prime_element(ambient, pt):
+            diagnoses.append("primality")
+        else:
+            derived.append(primes_dividing(ambient, pt)[0].to_json())
+    if len(derived) == len(given) and derived != cert.witnesses:
+        diagnoses.append("witness")
+    return (not diagnoses), diagnoses
 
 
 def det_elements(K, rows):

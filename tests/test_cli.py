@@ -1216,6 +1216,9 @@ _SEARCH_REPORTS = [
       "60", "--max-hits", "0"],
      "06b44c1815f4da3c9dd17745ad0ebd933fe9ff2ec1a896981f40a3486ccea4d9"),
 ]
+_SEARCH_IDS = ["search-ties-qi", "search-ties-qsqrt-3", "search-ties-qzeta5",
+               "search-q", "search-qsqrt2", "search-qsqrt-2", "search-qsqrt5",
+               "search-qsqrt-5", "search-all-qi", "search-all-q"]
 
 
 # An auto-correlation whose sieve level R = 2.05 lets the prime 2 into the
@@ -1230,12 +1233,7 @@ _SIEVE_REPORTS = [
                          _SEED0_REPORTS + _SEARCH_REPORTS + _SIEVE_REPORTS,
                          ids=["search-qi", "alpha-scan-qi",
                               "singular-series-q", "autocorr-q-w2",
-                              "search-ties-qi", "search-ties-qsqrt-3",
-                              "search-ties-qzeta5", "search-q",
-                              "search-qsqrt2", "search-qsqrt-2",
-                              "search-qsqrt5", "search-qsqrt-5",
-                              "search-all-qi", "search-all-q",
-                              "autocorr-sieve-q"])
+                              *_SEARCH_IDS, "autocorr-sieve-q"])
 def test_seed0_report_hashes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK
@@ -1283,6 +1281,28 @@ def test_search_reads_each_point_once(tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_verify_reads_each_point_once(tmp_path, monkeypatch):
+    # verify over search-qi's 16 certificates (80 points) builds no
+    # principal ideal, and one quotient norm per point gives both its
+    # primality and its witness
+    certs, out = tmp_path / "certs.jsonl", tmp_path / "v.jsonl"
+    assert run(["--output", str(certs)] + _SEED0_REPORTS[0][0]) == EXIT_OK
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return norm(*args)
+
+    norm = ideals._quotient_norm
+    for module in (constellation, ideals):
+        monkeypatch.setattr(module, "_quotient_norm", counted)
+    monkeypatch.setattr(FractionalIdeal, "principal", _forbidden)
+    assert run(["--output", str(out), "verify", str(certs)]) == EXIT_OK
+    assert len(read_lines(out)) == 16
+    assert len(calls) == sum(len(c["points"]) for c in read_lines(certs)) \
+        == 80
+
+
 # primes, mobius and lambda over Q, Q(i) and Q(zeta5), with the sha256 of
 # each report as json.dumps(sort_keys=True) wrote its lines: a change to how
 # the lines are written that keeps the bytes keeps these values.
@@ -1316,11 +1336,20 @@ def test_list_report_hashes_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# the searches whose whole reports are verified: every _SEARCH_REPORTS
+# entry, and ten certificates over Q(zeta5) whose pattern is the one point 0
+_VERIFIED_SEARCHES = dict(zip(_SEARCH_IDS,
+                              [argv for argv, _ in _SEARCH_REPORTS]))
+_VERIFIED_SEARCHES["search-qzeta5-one-point"] = [
+    "search", "--field", "Q(zeta5)", "--anchor-bound", "4", "--step-bound",
+    "3"]
+
+
 def _verify_inputs(tmp_path, name):
     """The certificate file of one pinned verify report."""
     certs = tmp_path / "certs.jsonl"
-    if name == "search-all-qi":
-        assert run(["--output", str(certs)] + _SEARCH_REPORTS[-2][0]) \
+    if name in _VERIFIED_SEARCHES:
+        assert run(["--output", str(certs)] + _VERIFIED_SEARCHES[name]) \
             == EXIT_OK
         return certs
     assert run(["--output", str(certs)] + _SEED0_REPORTS[0][0]) == EXIT_OK
@@ -1335,12 +1364,34 @@ def _verify_inputs(tmp_path, name):
 
 # verify over the 352-line search report (every verdict ok), and over one
 # valid, one tampered ("metric", "witness") and one malformed ("schema")
-# line, so each of its three verdict shapes is pinned.
+# line, so each of its three verdict shapes is pinned; then over the rest
+# of _VERIFIED_SEARCHES, every verdict ok, so each of those reports is one
+# line per certificate and its hash pins the count.
 _VERIFY_REPORTS = [
     ("search-all-qi", EXIT_OK,
      "50f3a775f931bf47425042d44c31d535365d48ee1b37f1c5d1af8cb403f7297a"),
     ("three-shapes", EXIT_VERIFY,
      "f7ce55c0bf0a0d5c49f61225e443f667a5836127692c8595c86161c52a01831e"),
+    ("search-ties-qi", EXIT_OK,
+     "f5abed182b4d052bfc8812061058319220861288b9eba85c1115a58e95620d5a"),
+    ("search-ties-qsqrt-3", EXIT_OK,
+     "d30807d7aef2d3ee169f26be23cf64d117123ede7318830f413d7db263f4045a"),
+    ("search-ties-qzeta5", EXIT_OK,
+     "d30807d7aef2d3ee169f26be23cf64d117123ede7318830f413d7db263f4045a"),
+    ("search-q", EXIT_OK,
+     "d30807d7aef2d3ee169f26be23cf64d117123ede7318830f413d7db263f4045a"),
+    ("search-qsqrt2", EXIT_OK,
+     "d30807d7aef2d3ee169f26be23cf64d117123ede7318830f413d7db263f4045a"),
+    ("search-qsqrt-2", EXIT_OK,
+     "f5abed182b4d052bfc8812061058319220861288b9eba85c1115a58e95620d5a"),
+    ("search-qsqrt5", EXIT_OK,
+     "d30807d7aef2d3ee169f26be23cf64d117123ede7318830f413d7db263f4045a"),
+    ("search-qsqrt-5", EXIT_OK,
+     "d30807d7aef2d3ee169f26be23cf64d117123ede7318830f413d7db263f4045a"),
+    ("search-all-q", EXIT_OK,
+     "71cb5883eb623de3fee4af4164901ab75fd1d5f41e3971e9201973969ade51c6"),
+    ("search-qzeta5-one-point", EXIT_OK,
+     "3705df7d119d582af93455b3263ef89fcf8c4e876b3ed5065ad09d7d05c69be9"),
 ]
 
 

@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import itertools
 import json
 import math
@@ -23,7 +24,8 @@ from idealsieve.lattice import ball_elements
 from idealsieve.numberfield import (SUPPORTED_POLYS, FieldElement, make_field,
                                     minkowski_norm)
 from idealsieve.sieve import SieveConfig
-from oracles import alpha_scan_oracle, certificate_oracle, search_oracle
+from oracles import (alpha_scan_oracle, certificate_oracle, search_oracle,
+                     verify_certificate_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -97,8 +99,8 @@ def test_search_finds_5_11_17():
 
 def test_search_decides_each_norm_once(monkeypatch):
     # the prime table reads every point's norm off one prime_norm_flags
-    # build: no norm is tested on its own by is_prime_norm, and no
-    # candidate gets an is_prime_vector call
+    # build: no norm is tested on its own by is_prime_norm, which the
+    # verifier calls once per point
     builds = []
 
     def counting(K, X):
@@ -109,7 +111,7 @@ def test_search_decides_each_norm_once(monkeypatch):
         raise AssertionError("primality tested point by point")
 
     monkeypatch.setattr(constellation, "prime_norm_flags", counting)
-    monkeypatch.setattr(constellation, "is_prime_vector", forbidden)
+    monkeypatch.setattr(constellation, "is_prime_norm", forbidden)
     monkeypatch.setattr(ideals, "is_prime_norm", forbidden)
     spec = ConstellationSpec(QI, FractionalIdeal.unit_ideal(QI), 1.5,
                              5.5, 2.1)
@@ -475,6 +477,71 @@ def test_search_over_integral_ambients_verifies(name):
             K, b, 1.5, anchor * scale, step * scale, max_hits=0))
     assert hits
     assert all(verify_certificate(c) == (True, []) for c in hits)
+
+
+@functools.cache
+def _tamper_pool():
+    """Certificates over every vetted field, from O_K and from the first
+    prime above 2 (den 1) and its inverse (den > 1), bounds as above:
+    Q(zeta5)'s one-point pattern leaves the step unconstrained."""
+    certs = []
+    for name in SUPPORTED_POLYS.values():
+        K = make_field(name)
+        anchor, step = _CONGRUENCE_BOUNDS.get(name, (10, 3))
+        for b in _search_ambients(K)[:2] + _search_ambients(K)[-1:]:
+            scale = float(b.norm()) ** (1 / K.degree)
+            certs += search_constellation(ConstellationSpec(
+                K, b, 1.5, anchor * scale, step * scale, max_hits=2))
+    return certs
+
+
+_COORD_STRINGS = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.builds("{}/{}".format, st.integers(-12, 12), st.integers(1, 6)))
+
+
+@st.composite
+def _tampered(draw):
+    """A pool certificate with up to three of: a coordinate of the anchor,
+    step or a point replaced (unreduced fractions such as "2/4" among
+    them), the radius moved by one ulp, k past the budget, the witnesses
+    reordered, a point dropped or duplicated, or the ambient swapped for
+    the inverse of a prime (den > 1)."""
+    cert = draw(st.sampled_from(_tamper_pool()))
+    c = Certificate.from_json(cert.to_json())
+    K = make_field(c.field)
+    for kind in draw(st.lists(st.sampled_from([
+            "anchor", "step", "point", "radius", "k", "witnesses", "drop",
+            "dup", "ambient"]), max_size=3)):
+        if kind in ("anchor", "step") or kind == "point" and c.points:
+            coords = {"anchor": c.anchor, "step": c.step}.get(kind) \
+                or draw(st.sampled_from(c.points))
+            coords[draw(st.integers(0, K.degree - 1))] = draw(_COORD_STRINGS)
+        elif kind == "radius":
+            c.radius = math.nextafter(c.radius, draw(st.sampled_from(
+                [-math.inf, math.inf])))
+        elif kind == "k":
+            c.k = draw(st.sampled_from([1e300, 10**400]))
+        elif kind == "witnesses":
+            c.witnesses = draw(st.permutations(c.witnesses))
+        elif kind in ("drop", "dup") and c.points:
+            i = draw(st.integers(0, len(c.points) - 1))
+            for values in (c.points, c.witnesses):
+                if kind == "dup":
+                    values.insert(i, values[i])
+                else:
+                    del values[i]
+        elif kind == "ambient":
+            c.ambient = _search_ambients(K)[-1].to_json()
+    return c
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cert=_tampered())
+def test_verify_matches_fraction_oracle(cert):
+    # the integer route gives the Fraction route's verdict and diagnoses,
+    # in order, on certificates of every field, tampered or not
+    assert verify_certificate(cert) == verify_certificate_oracle(cert)
 
 
 # ---------------------------------------------------------------- generators

@@ -162,7 +162,7 @@ def test_named_limits_replace_unused_parameters():
     assert "M" not in _params(correlation.hypergraph_conditions_report)
     assert "A" not in _params(sieve.SieveConfig)
     for fn in (lattice.iter_ball_elements, minkowski_norm,
-               ideals.is_prime_element, ideals.is_prime_vector):
+               ideals.is_prime_element):
         assert "K" not in _params(fn), fn.__name__
     # two budgets each are in use: the search's and alpha-scan's infinite
     # one; autocorr's and the enumeration budget

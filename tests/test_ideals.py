@@ -15,8 +15,8 @@ from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                enumerate_prime_ideals, euler_phi,
                                factor_ideal, factor_rational_prime,
                                has_finite_unit_group, is_prime_element,
-                               is_prime_vector, mobius, mobius_sieve,
-                               prime_divisors, prime_norm_flags,
+                               mobius, mobius_sieve, prime_divisors,
+                               prime_norm_flags,
                                primes_dividing,
                                principal_generator, residue_degrees,
                                zeta_residue)
@@ -680,7 +680,7 @@ _INVERSE_AMBIENTS = [(K, P.ideal().inverse())
 @settings(max_examples=300, deadline=None)
 @given(amb=st.sampled_from(_INVERSE_AMBIENTS),
        coeffs=st.lists(st.integers(-12, 12), min_size=4, max_size=4))
-def test_is_prime_vector_matches_ideal_oracle_den_above_one(amb, coeffs):
+def test_is_prime_element_matches_ideal_oracle_den_above_one(amb, coeffs):
     K, b = amb
     assert b.den > 1
     xi = K.zero
@@ -688,7 +688,7 @@ def test_is_prime_vector_matches_ideal_oracle_den_above_one(amb, coeffs):
         xi = xi + e * K.element(c)
     v = b.numerators(xi)
     assert v == tuple(x * b.den for x in xi.coords)
-    assert is_prime_vector(b, v) == _is_prime_element_oracle(K, b, xi)
+    assert is_prime_element(b, xi) == _is_prime_element_oracle(K, b, xi)
 
 
 @settings(max_examples=300, deadline=None)
@@ -755,15 +755,14 @@ def test_primes_dividing_matches_factor_ideal(amb, coeffs):
     assert primes_dividing(b, y) == want
 
 
-def test_is_prime_vector_membership_and_zero():
+def test_is_prime_element_membership_and_zero():
     K = make_field("Q(sqrt-5)")
     (P2,) = factor_rational_prime(K, 2)
     b = P2.ideal()  # (2, 1 + sqrt-5): 1 is not in it, 2 and 1 + sqrt-5 are
-    assert is_prime_vector(b, (1, 0)) is None
-    assert is_prime_vector(b, (0, 0)) is False
-    assert is_prime_vector(b, (2, 0)) is True
     with pytest.raises(ValueError, match="not an element"):
         is_prime_element(b, K.one)
+    assert is_prime_element(b, K.zero) is False
+    assert is_prime_element(b, K.element(2)) is True
     O = FractionalIdeal.unit_ideal(K)
     half = K.element([Fraction(1, 2), 0])
     assert O.numerators(half) is None
@@ -771,8 +770,10 @@ def test_is_prime_vector_membership_and_zero():
         is_prime_element(O, half)
     inv = b.inverse()  # den 2: 1/2 + sqrt-5/2 is in it, 1/2 is not
     assert inv.numerators(half) == (1, 0)
-    assert is_prime_vector(inv, (1, 0)) is None
-    assert is_prime_vector(inv, (1, 1)) is not None
+    with pytest.raises(ValueError, match="not an element"):
+        is_prime_element(inv, half)
+    assert is_prime_element(inv, K.element([Fraction(1, 2)] * 2)) in (
+        True, False)
 
 
 # ---------------------------------------------------------------- truncated class
