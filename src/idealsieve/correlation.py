@@ -24,10 +24,10 @@ from .arith import factorint, iroot, prime_flags, primerange
 from .errors import (ENUMERATION_BUDGET, FACTOR_BUDGET, TUPLE_BUDGET,
                      BudgetExceededError, check_budget)
 from .ideals import (FractionalIdeal, PrimeIdeal, enumerate_prime_ideals,
-                     euler_phi, mobius_sieve, primes_above, primes_dividing,
+                     euler_phi, mobius_sieve, primes_dividing,
                      residue_degrees, residue_rows, zeta_residue)
 from .lattice import (Parallelotope, iter_ball_elements,
-                      iter_points_in_parallelotope)
+                      parallelotope_rows, row_elements)
 from .linalg import echelon_mod_p, hnf
 from .numberfield import FieldElement
 from .sieve import DEFAULT_BUMP, SieveConfig, c_phi, region_nu_rows
@@ -132,8 +132,9 @@ def cross_correlation_sum(forms: LinearFormSystem, region: Parallelotope,
     prod_j weight(psi_j(x) + b_j).  At most iroot(B, m) + 1 points are
     enumerated, B = ENUMERATION_BUDGET: that many make more than B tuples."""
     cap = iroot(ENUMERATION_BUDGET, forms.m) + 1
-    pts = list(itertools.islice(iter_points_in_parallelotope(
-        forms.ambient, region.scaled(lam), ENUMERATION_BUDGET), cap))
+    rows = parallelotope_rows(forms.ambient, region.scaled(lam),
+                              ENUMERATION_BUDGET)
+    pts = list(itertools.islice(row_elements(forms.ambient, rows), cap))
     if not pts:
         raise ValueError("empty region")
     if len(pts) == cap:
@@ -307,13 +308,11 @@ def singular_series_direct(forms: LinearFormSystem, R: float, W: int,
 
 def _full_rank_off(forms, W):
     """Whether the coefficient matrix has full row rank s over K and at
-    every prime off W, where omega of s marks is then N P^-s; only the
-    primes of the minor norm can fail."""
-    G, marks = forms.minor_norm(), (True,) * forms.s
-    return G != 0 and all(
-        local_factor_omega(forms, P, marks, W, forms.K.one)
-        == Fraction(1, P.norm() ** forms.s)
-        for p in factorint(G) if W % p for P in primes_above(forms.K, p))
+    every prime off W, where omega of s marks is then N P^-s: the minor
+    norm G is nonzero and each prime of G divides W.  A prime p | G lies
+    under a P that holds every s x s minor, where the forms drop rank."""
+    G = forms.minor_norm()
+    return G != 0 and all(W % p == 0 for p in factorint(G))
 
 
 def check_level(K, R):

@@ -136,15 +136,8 @@ class Parallelotope:
 def points_in_parallelotope(ideal, box: Parallelotope,
                             budget: int = ENUMERATION_BUDGET):
     """Lattice points of the ideal inside the half-open parallelotope, in
-    coordinate order (the list of iter_points_in_parallelotope)."""
-    return list(iter_points_in_parallelotope(ideal, box, budget))
-
-
-def iter_points_in_parallelotope(ideal, box: Parallelotope,
-                                 budget: int = ENUMERATION_BUDGET):
-    """The lattice points of the ideal inside the half-open parallelotope,
-    in coordinate order, generated one at a time from parallelotope_rows."""
-    yield from row_elements(ideal, parallelotope_rows(ideal, box, budget))
+    coordinate order (parallelotope_rows expanded by row_elements)."""
+    return list(row_elements(ideal, parallelotope_rows(ideal, box, budget)))
 
 
 def parallelotope_rows(ideal, box: Parallelotope, budget):

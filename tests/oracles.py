@@ -87,6 +87,10 @@ replaced, kept as test oracles.
   ideal generated by every s x s minor, each a Laplace expansion over K
   (`det_elements`); minor_norm now reads the product of the HNF pivots
   of the forms' image lattice in Z^(s n).
+- `full_rank_off_oracle`: the singular series' fast-path rule as omega of
+  s marks compared with N P^-s at every P above each prime of the minor
+  norm off W; the rule now reads the minor norm alone, as that
+  comparison fails at every such prime.
 """
 
 import itertools
@@ -98,12 +102,14 @@ import numpy as np
 
 from idealsieve.arith import factorint, jacobi, prime_flags, primerange
 from idealsieve.constellation import _COORD, Certificate
-from idealsieve.correlation import (CorrelationReport, omega_tuple,
-                                    squarefree_ideals, tau_factor)
+from idealsieve.correlation import (CorrelationReport, local_factor_omega,
+                                    omega_tuple, squarefree_ideals,
+                                    tau_factor)
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
                                factor_ideal, factor_rational_prime,
-                               is_prime_element, primes_dividing,
-                               principal_generator, residue_degrees)
+                               is_prime_element, primes_above,
+                               primes_dividing, principal_generator,
+                               residue_degrees)
 from idealsieve.errors import NU_POINT_BUDGET, BudgetExceededError
 from idealsieve.lattice import (ball_elements, fundamental_domain_reduce,
                                 iter_ball_elements, points_in_parallelotope)
@@ -684,3 +690,13 @@ def minor_norm_oracle(forms):
     if not minors:
         return 0
     return int(FractionalIdeal.from_generators(forms.K, minors).norm())
+
+
+def full_rank_off_oracle(forms, W):
+    """correlation._full_rank_off by omega: full row rank s over K, and
+    omega of s marks equal to N P^-s at every P above each p | G off W."""
+    G, marks = forms.minor_norm(), (True,) * forms.s
+    return G != 0 and all(
+        local_factor_omega(forms, P, marks, W, forms.K.one)
+        == Fraction(1, P.norm() ** forms.s)
+        for p in factorint(G) if W % p for P in primes_above(forms.K, p))

@@ -1522,11 +1522,23 @@ _HASH_SEED_GRID = [(f"bench-{i}", argv)
     + _seed_grid("Q(i)", "qi") + _seed_grid("Q(zeta5)", "qzeta5")
 
 
-def _grid_digests():
-    """{name: (exit code, sha256 of the report)} of _HASH_SEED_GRID, each
-    report written to name.jsonl in the working directory."""
+def _reversed_grid():
+    """_HASH_SEED_GRID's runs in reverse order, each verify still right
+    after the search whose report it reads."""
+    units = []
+    for run in _HASH_SEED_GRID:
+        if run[1][0] == "verify":
+            units[-1].append(run)
+        else:
+            units.append([run])
+    return [run for unit in reversed(units) for run in unit]
+
+
+def _grid_digests(grid=_HASH_SEED_GRID):
+    """{name: (exit code, sha256 of the report)} of the grid's runs, in its
+    order, each report written to name.jsonl in the working directory."""
     digests = {}
-    for name, argv in _HASH_SEED_GRID:
+    for name, argv in grid:
         code = main(["--output", f"{name}.jsonl"] + argv)
         with open(f"{name}.jsonl", "rb") as fh:
             digests[name] = (code, hashlib.sha256(fh.read()).hexdigest())
@@ -1542,19 +1554,22 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     want = _grid_digests()
     assert all(code == EXIT_OK for code, _ in want.values())
+    # and one more runs it in reverse order: a report that read state left
+    # by an earlier run, such as a module-level table, would differ there
     code = ("import json, sys\n"
             f"sys.path[:0] = {[os.path.dirname(__file__), _SRC]!r}\n"
-            "from test_cli import _grid_digests\n"
-            "print(json.dumps(_grid_digests()))\n")
-    for seed in ("0", "1"):
-        (tmp_path / seed).mkdir()
-        proc = subprocess.run([sys.executable, "-c", code],
-                              cwd=tmp_path / seed, capture_output=True,
+            "from test_cli import _grid_digests, _reversed_grid\n"
+            "print(json.dumps(_grid_digests(%s)))\n")
+    for run, seed, grid in (("seed0", "0", ""), ("seed1", "1", ""),
+                            ("reversed", "0", "_reversed_grid()")):
+        (tmp_path / run).mkdir()
+        proc = subprocess.run([sys.executable, "-c", code % grid],
+                              cwd=tmp_path / run, capture_output=True,
                               text=True,
                               env=dict(os.environ, PYTHONHASHSEED=seed))
         assert proc.returncode == 0, proc.stderr
         got = {k: tuple(v) for k, v in json.loads(proc.stdout).items()}
-        assert got == want, seed
+        assert got == want, run
 
 
 # singular-series over Q(i), Q(sqrt-5), Q(zeta5) and Q(sqrt5), where the

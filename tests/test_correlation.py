@@ -29,9 +29,9 @@ from idealsieve.linalg import hnf
 from idealsieve.numberfield import (SUPPORTED_POLYS, FieldElement, NumberField,
                                    make_field)
 from idealsieve.sieve import DEFAULT_BUMP, SieveConfig
-from oracles import (_pair_sum_ideals, gauss_jordan_coords,
-                     minor_norm_oracle, singular_series_euler,
-                     squarefree_ideals_oracle)
+from oracles import (_pair_sum_ideals, full_rank_off_oracle,
+                     gauss_jordan_coords, minor_norm_oracle,
+                     singular_series_euler, squarefree_ideals_oracle)
 
 Q = make_field("Q")
 QI = make_field("Q(i)")
@@ -529,6 +529,55 @@ def test_singular_series_rank_deficient_takes_direct_sum():
     assert got == singular_series_direct(
         forms, 12.0, 6, prime_support=enumerate_prime_ideals(Q, 12))
     assert got == pytest.approx(0.5267294160416546, rel=1e-12)
+
+
+def _fast_path_ambients(K):
+    """O_K, (1/2) O_K and the inverse of a prime above 2: two of them
+    over a denominator > 1."""
+    (P, *_) = factor_rational_prime(K, 2)
+    return [FractionalIdeal.unit_ideal(K),
+            FractionalIdeal.principal(K, K.element(Fraction(1, 2))),
+            P.ideal().inverse()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fast_path_rule_matches_omega_oracle(data):
+    # the rule reads the minor norm alone; the oracle compares omega of s
+    # marks with N P^-s at every P above a prime of the minor norm off W
+    K = data.draw(st.sampled_from(FIELDS), label="field")
+    s = data.draw(st.integers(1, 3), label="s")
+    m = data.draw(st.integers(1, 3), label="m")
+    entry = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 5]),
+                     min_size=K.degree, max_size=K.degree)
+    coeffs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                min_size=s, max_size=s), label="coeffs")
+    b = data.draw(st.sampled_from(_fast_path_ambients(K)), label="ambient")
+    try:
+        forms = LinearFormSystem(K, coeffs, ambient=b)
+    except ValueError:  # a zero or a proportional form
+        assume(False)
+    W = data.draw(st.sampled_from([1, 2, 6, 30]), label="W")
+    assert correlation._full_rank_off(forms, W) \
+        == full_rank_off_oracle(forms, W)
+
+
+def test_fast_path_needs_every_prime_of_the_minor_norm_in_W(monkeypatch):
+    # psi = (x1, x1 + 5 x2) has minor norm 5: W = 30 takes the fast path,
+    # W = 6 the direct tuple sum, equal to the one prime_support forces
+    forms = LinearFormSystem(Q, [[1, 0], [1, 5]])
+    assert forms.minor_norm() == 5
+    pair = _pair_sum_rational(Q, 30.0, 30, math.log(30.0), DEFAULT_BUMP)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the other route ran")
+
+    monkeypatch.setattr(correlation, "squarefree_ideals", forbidden)
+    assert singular_series_direct(forms, 30.0, 30) == pair * pair
+    monkeypatch.undo()
+    monkeypatch.setattr(correlation, "_pair_sum_rational", forbidden)
+    assert singular_series_direct(forms, 30.0, 6) == singular_series_direct(
+        forms, 30.0, 6, prime_support=enumerate_prime_ideals(Q, 30))
 
 
 @pytest.mark.parametrize("K", [Q, QI])

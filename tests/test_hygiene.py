@@ -12,8 +12,10 @@ import pathlib
 
 import pytest
 
-from idealsieve import constellation, correlation, ideals, lattice, sieve
-from idealsieve.numberfield import FIELDS, minkowski_norm
+from idealsieve import (constellation, correlation, ideals, lattice,
+                        numberfield, sieve)
+from idealsieve.errors import IdealSieveError
+from idealsieve.numberfield import FIELDS, make_field, minkowski_norm
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "idealsieve"
 TESTS = SRC.parent.parent / "tests"
@@ -167,7 +169,6 @@ def test_named_limits_replace_unused_parameters():
     # two budgets each are in use: the search's and alpha-scan's infinite
     # one; autocorr's and the enumeration budget
     for fn in (lattice.ball_rows, lattice.points_in_parallelotope,
-               lattice.iter_points_in_parallelotope,
                lattice.parallelotope_rows):
         assert "budget" in _params(fn), fn.__name__
 
@@ -217,6 +218,40 @@ def test_private_attributes_read_are_the_package_own():
     assert read <= own
 
 
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "clear",
+             "update", "setdefault", "add", "discard", "remove", "sort"}
+
+
+def _written_containers():
+    """The module-level dicts, lists and sets of src/ that some function
+    writes: an item store, a del or a mutating method call on the name."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    names = {name: f"{stem}.{name}" for stem, tree in trees.items()
+             for node in tree.body
+             if isinstance(getattr(node, "value", None), _CONTAINERS)
+             for name in _defined_names(node)}
+    out = set()
+    for tree in trees.values():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Subscript) \
+                        and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    obj = node.value
+                elif isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in _MUTATORS:
+                    obj = node.func.value
+                else:
+                    continue
+                if isinstance(obj, ast.Name) and obj.id in names:
+                    out.add(names[obj.id])
+    return out
+
+
 def _decorator_name(node):
     node = node.func if isinstance(node, ast.Call) else node
     return node.attr if isinstance(node, ast.Attribute) else node.id
@@ -236,3 +271,19 @@ def test_module_caches_are_bounded():
                     module, node.name).cache_parameters()["maxsize"]
     assert caches["lattice._ball_form"] == 2 ** 12
     assert [name for name, size in caches.items() if size is None] == []
+    # a module-level dict, list or set that a function writes lives as
+    # long, so each is listed here with its bound
+    bounds = {
+        # a FIFO: factor_ideal drops the oldest entry when it is full
+        "ideals._FACTOR_CACHE": ideals._FACTOR_CACHE_SIZE,
+        # NumberField raises on any polynomial off the vetted list before
+        # make_field stores it
+        "numberfield._FIELD_CACHE": len(FIELDS),
+    }
+    assert _written_containers() == set(bounds)
+    assert bounds["ideals._FACTOR_CACHE"] == 2 ** 16
+    for name in FIELDS:
+        make_field(name)
+    with pytest.raises(IdealSieveError):
+        make_field((1, 0, 0, 1))
+    assert len(numberfield._FIELD_CACHE) == bounds["numberfield._FIELD_CACHE"]
