@@ -4,13 +4,15 @@ Flat key=value config files (# comments) feed experiment parameters: each
 line becomes the flag --key with the value's whitespace-split tokens, ahead
 of the command line's flags of the same parser, so CLI flags override file
 values; a key that names no flag of either parser is ignored.
-Reports are JSON lines, written as they are made and optionally mirrored
-to CSV with columns x, empirical, predicted, ratio.  Exit codes: 0 ok, 1 a
-well-formed certificate failed verification, 2 usage error or only
-malformed ("schema") certificate lines, 3 budget exhausted (no report), 4
-internal error (an unexpected exception, its traceback on stderr; the
-report may be partial).  Runs are single-threaded; --workers is accepted
-and leaves every report unchanged.
+Reports are JSON lines, optionally mirrored to CSV with columns x,
+empirical, predicted, ratio.  Each line is written as it is made, but
+verify holds its lines until the last verdict, which the exit code needs,
+and singular-series until every --R is checked, so that a budget error
+leaves no report.  Exit codes: 0 ok, 1 a well-formed certificate failed
+verification, 2 usage error or only malformed ("schema") certificate
+lines, 3 budget exhausted (no report), 4 internal error (an unexpected
+exception, its traceback on stderr; the report may be partial).  Runs are
+single-threaded; --workers is accepted and leaves every report unchanged.
 """
 
 from __future__ import annotations

@@ -340,7 +340,7 @@ def residue_degrees(K: NumberField, p: int):
 # Norm, factorization, Moebius
 
 _FACTOR_CACHE = {}  # ideal key -> factorization, oldest entry dropped first
-_FACTOR_CACHE_SIZE = 2**16
+FACTOR_CACHE_SIZE = 2**16
 
 
 def prime_divisors(a: FractionalIdeal):
@@ -380,7 +380,7 @@ def factor_ideal(a: FractionalIdeal) -> IdealFactorization:
     # reconstruction check is an invariant of the representation
     if fac.product(a.K) != a:
         raise AssertionError("factorization does not reconstruct the ideal")
-    if len(_FACTOR_CACHE) >= _FACTOR_CACHE_SIZE:
+    if len(_FACTOR_CACHE) >= FACTOR_CACHE_SIZE:
         del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]
     _FACTOR_CACHE[key] = fac
     return fac

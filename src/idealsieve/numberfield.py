@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ReduciblePolynomialError, UnsupportedFieldError
 from .linalg import det_int
@@ -56,8 +57,6 @@ FIELDS = {
 }
 
 SUPPORTED_POLYS = {rec[0]: name for name, rec in FIELDS.items()}
-
-_FIELD_CACHE = {}
 
 
 def _trace_form(poly):
@@ -269,15 +268,17 @@ class FieldElement:
 
 
 def make_field(poly) -> NumberField:
-    """Construct (and cache) a supported monogenic number field.
-
-    Accepts either a constant-first coefficient tuple or a field name."""
+    """The supported monogenic number field of a constant-first coefficient
+    tuple or of a field name, one object per field while it is cached."""
     if isinstance(poly, str):
         return field_by_name(poly)
-    poly = tuple(int(c) for c in poly)
-    if poly not in _FIELD_CACHE:
-        _FIELD_CACHE[poly] = NumberField(poly)
-    return _FIELD_CACHE[poly]
+    return _field(tuple(int(c) for c in poly))
+
+
+# NumberField raises on a polynomial off the vetted list, which is not stored
+@lru_cache(maxsize=len(FIELDS))
+def _field(poly):
+    return NumberField(poly)
 
 
 def field_by_name(name: str) -> NumberField:

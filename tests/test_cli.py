@@ -13,7 +13,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import cli, constellation, correlation, ideals, sieve
+from idealsieve import (cache_info, clear_caches, cli, constellation,
+                        correlation, ideals, sieve)
 from idealsieve.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                             EXIT_VERIFY, main, read_config)
 from idealsieve.constellation import (Certificate, ConstellationSpec,
@@ -104,9 +105,14 @@ def test_csv_mirror_hashes_are_pinned(tmp_path, argv, digest):
 
 
 def test_empty_report_is_one_newline(tmp_path):
-    out = tmp_path / "p.jsonl"
+    # no prime of norm 1, and no certificate in an empty or a blank file
+    out, certs = tmp_path / "p.jsonl", tmp_path / "c.jsonl"
     assert run(["--output", str(out), "primes", "--bound", "1"]) == EXIT_OK
     assert out.read_bytes() == b"\n"
+    for text in ("", "\n  \n\t\n"):
+        certs.write_text(text)
+        assert run(["--output", str(out), "verify", str(certs)]) == EXIT_OK
+        assert out.read_bytes() == b"\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1245,7 +1251,7 @@ def test_points_build_no_ideal(tmp_path, monkeypatch, i):
     # the search's witnesses and autocorr's tau read the primes of a point
     # off residue rows built from P = (p, g(theta)): no HNF, ideal product,
     # inverse, principal ideal or prime ideal lattice, and the same report
-    ideals.residue_rows.cache_clear()
+    clear_caches()
     monkeypatch.setattr(ideals, "hnf", _forbidden)
     for cls, name in ((FractionalIdeal, "__mul__"),
                       (FractionalIdeal, "inverse"),
@@ -1255,6 +1261,27 @@ def test_points_build_no_ideal(tmp_path, monkeypatch, i):
     out = tmp_path / "report.jsonl"
     assert run(["--output", str(out)] + argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_clear_caches_empties_every_cache(tmp_path, monkeypatch):
+    # search, verify, alpha-scan, lambda and autocorr over Q(i), one
+    # factor_ideal and one local_factor_omega fill every cache in CACHES;
+    # clear_caches() empties each, and the search then writes the same bytes
+    monkeypatch.chdir(tmp_path)
+    for i, argv in enumerate([
+            _SEED0_REPORTS[0][0], ["verify", "0"], _SEED0_REPORTS[1][0],
+            ["lambda", "--field", "Q(i)"],
+            ["autocorr", "--field", "Q(i)", "--y", "0", "1022117"]]):
+        assert run(["--output", str(i)] + argv) == EXIT_OK
+    K = make_field("Q(i)")
+    ideals.factor_ideal(FractionalIdeal.principal(K, K.element(6)))
+    correlation.local_factor_omega(correlation.LinearFormSystem(K, [[K.one]]),
+                                   ideals.primes_above(K, 5)[0], [1], 6, K.one)
+    assert 0 not in {size for size, _ in cache_info().values()}
+    clear_caches()
+    assert {size for size, _ in cache_info().values()} == {0}
+    assert run(["--output", "cold"] + _SEED0_REPORTS[0][0]) == EXIT_OK
+    assert (tmp_path / "cold").read_bytes() == (tmp_path / "0").read_bytes()
 
 
 def test_search_reads_each_point_once(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from idealsieve import cli, constellation, ideals, lattice
+from idealsieve import clear_caches, cli, constellation, ideals, lattice
 from idealsieve.constellation import (Certificate, ConstellationSpec,
                                       alpha_scan, iter_constellation,
                                       search_constellation,
@@ -241,15 +241,11 @@ def test_search_keeps_no_table_between_calls():
              ConstellationSpec(QI, P, 1.5, 40, 5),
              ConstellationSpec(QI, O, 1.5, 25, 2.5)]
 
-    def cleared():
-        ideals.residue_rows.cache_clear()
-        ideals.primes_above.cache_clear()
-
     alone = []
     for spec in specs:
-        cleared()
+        clear_caches()
         alone.append(search_constellation(spec))
-    cleared()
+    clear_caches()
     assert [search_constellation(spec) for spec in specs] == alone
     assert all(alone) and alone[0] != alone[1]
 

@@ -6,14 +6,13 @@ __init__ is exempt: its imports are the public re-exports.
 """
 
 import ast
-import importlib
 import inspect
 import pathlib
 
 import pytest
 
-from idealsieve import (constellation, correlation, ideals, lattice,
-                        numberfield, sieve)
+from idealsieve import (CACHES, cache_info, constellation, correlation,
+                        ideals, lattice, sieve)
 from idealsieve.errors import IdealSieveError
 from idealsieve.numberfield import FIELDS, make_field, minkowski_norm
 
@@ -224,31 +223,32 @@ _MUTATORS = {"append", "extend", "insert", "pop", "popitem", "clear",
              "update", "setdefault", "add", "discard", "remove", "sort"}
 
 
-def _written_containers():
-    """The module-level dicts, lists and sets of src/ that some function
-    writes: an item store, a del or a mutating method call on the name."""
+def _module_caches():
+    """module.name of each module-level function in src/ under lru_cache or
+    cache, and of each module-level dict, list or set that a function
+    writes (an item store, a del or a mutating method call on its name)."""
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    out = {f"{stem}.{node.name}" for stem, tree in trees.items()
+           for node in tree.body if isinstance(node, ast.FunctionDef)
+           and any(_decorator_name(d) in ("lru_cache", "cache")
+                   for d in node.decorator_list)}
     names = {name: f"{stem}.{name}" for stem, tree in trees.items()
              for node in tree.body
              if isinstance(getattr(node, "value", None), _CONTAINERS)
              for name in _defined_names(node)}
-    out = set()
-    for tree in trees.values():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Subscript) \
-                        and isinstance(node.ctx, (ast.Store, ast.Del)):
-                    obj = node.value
-                elif isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Attribute) \
-                        and node.func.attr in _MUTATORS:
-                    obj = node.func.value
-                else:
-                    continue
-                if isinstance(obj, ast.Name) and obj.id in names:
-                    out.add(names[obj.id])
+    for node in (n for tree in trees.values() for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for n in ast.walk(fn)):
+        if isinstance(node, ast.Subscript) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            obj = node.value
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _MUTATORS:
+            obj = node.func.value
+        else:
+            continue
+        if isinstance(obj, ast.Name) and obj.id in names:
+            out.add(names[obj.id])
     return out
 
 
@@ -258,32 +258,21 @@ def _decorator_name(node):
 
 
 def test_module_caches_are_bounded():
-    # a module-level functools cache lives as long as the process, so each
-    # has a finite maxsize; functools.cache is lru_cache(maxsize=None)
-    caches = {}
-    for path in sorted(SRC.glob("*.py")):
-        module = importlib.import_module(f"idealsieve.{path.stem}")
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and any(
-                    _decorator_name(d) in ("lru_cache", "cache")
-                    for d in node.decorator_list):
-                caches[f"{path.stem}.{node.name}"] = getattr(
-                    module, node.name).cache_parameters()["maxsize"]
-    assert caches["lattice._ball_form"] == 2 ** 12
-    assert [name for name, size in caches.items() if size is None] == []
-    # a module-level dict, list or set that a function writes lives as
-    # long, so each is listed here with its bound
-    bounds = {
-        # a FIFO: factor_ideal drops the oldest entry when it is full
-        "ideals._FACTOR_CACHE": ideals._FACTOR_CACHE_SIZE,
-        # NumberField raises on any polynomial off the vetted list before
-        # make_field stores it
-        "numberfield._FIELD_CACHE": len(FIELDS),
-    }
-    assert _written_containers() == set(bounds)
-    assert bounds["ideals._FACTOR_CACHE"] == 2 ** 16
+    # each cache that outlives a call is in CACHES, and its bound is pinned
+    # here once (functools.cache has none)
+    assert sorted(_module_caches()) == sorted(CACHES)
+    assert {name: bound for name, (_, bound) in cache_info().items()} == {
+        # _FACTOR_CACHE is a FIFO: factor_ideal drops its oldest entry
+        **dict.fromkeys(("ideals.primes_above", "ideals._prime_ideal_lattice",
+                         "ideals._FACTOR_CACHE", "sieve._lambda_cached",
+                         "correlation._omega_cached_key"), 2 ** 16),
+        **dict.fromkeys(("ideals.residue_rows", "lattice._ball_form"),
+                        2 ** 12),
+        "numberfield._field": 8}
+    # one NumberField per vetted polynomial: NumberField raises on any other
+    # before make_field stores it
     for name in FIELDS:
         make_field(name)
     with pytest.raises(IdealSieveError):
         make_field((1, 0, 0, 1))
-    assert len(numberfield._FIELD_CACHE) == bounds["numberfield._FIELD_CACHE"]
+    assert cache_info()["numberfield._field"] == (8, 8)

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealsieve import arith, correlation, ideals, lattice, sieve
+from idealsieve import arith, clear_caches, correlation, ideals, lattice, sieve
 from idealsieve.ideals import (FractionalIdeal, PrimeIdeal, TruncatedClass,
                                class_equivalent, count_ideals,
                                enumerate_prime_ideals, euler_phi,
@@ -189,11 +189,8 @@ def test_quartic_splitting_matches_sympy_large(n, r):
 
 
 def test_caches_bounded(monkeypatch):
-    assert ideals.primes_above.cache_info().maxsize == 2**16
-    assert ideals._prime_ideal_lattice.cache_info().maxsize == 2**16
-    assert ideals._FACTOR_CACHE_SIZE == 2**16
-    assert correlation._omega_cached_key.cache_info().maxsize == 2**16
-    monkeypatch.setattr(ideals, "_FACTOR_CACHE_SIZE", 3)
+    # the bounds are pinned in test_hygiene; the FIFO keeps the newest keys
+    monkeypatch.setattr(ideals, "FACTOR_CACHE_SIZE", 3)
     monkeypatch.setattr(ideals, "_FACTOR_CACHE", {})
     keys = []
     for m in range(2, 8):
@@ -892,7 +889,7 @@ def test_prime_walks_do_not_reprove_primes(monkeypatch):
     # primerange: none runs isprime, which factor_rational_prime keeps
     want = {K: enumerate_prime_ideals(K, 200) for K in map(
         make_field, SUPPORTED_POLYS.values())}
-    ideals.primes_above.cache_clear()
+    clear_caches()
 
     def forbidden(n):
         raise AssertionError("isprime called")

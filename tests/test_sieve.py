@@ -13,11 +13,10 @@ from idealsieve.constellation import (ConstellationSpec, alpha_scan,
                                       verify_certificate)
 from idealsieve.correlation import auto_correlation_check
 from idealsieve.ideals import (FractionalIdeal, enumerate_prime_ideals,
-                               factor_rational_prime, residue_rows)
+                               factor_rational_prime)
 from idealsieve.numberfield import SUPPORTED_POLYS, make_field
 from idealsieve.sieve import (DEFAULT_BUMP, BumpFunction, SieveConfig,
-                              _lambda_cached, c_phi, lambda_R,
-                              lift_nu, nu_weight)
+                              c_phi, lambda_R, lift_nu, nu_weight)
 from oracles import (alpha_scan_oracle, auto_correlation_oracle,
                      lambda_oracle, nu_weight_oracle)
 from test_acceptance import _c_phi_fourier
@@ -232,14 +231,6 @@ def test_custom_bump_plugs_in():
     n = FractionalIdeal.principal(Q, Q.element(3))
     val = lambda_R(n, 50.0, tri)
     assert val == pytest.approx(1.0 - (1.0 - math.log(3) / math.log(50)))
-
-
-def test_lambda_cache_bounded():
-    assert _lambda_cached.cache_info().maxsize == 2 ** 16
-
-
-def test_residue_rows_cache_bounded():
-    assert residue_rows.cache_info().maxsize == 2 ** 12
 
 
 # ------------------------------------------------- truncation vs the oracle
